@@ -20,13 +20,12 @@ class JetOrderError(RuntimeError):
     """Raised when a derivative deeper than MAX_ORDER is requested."""
 
 
-def _sym_hg(h, g):
-    # S_{pqr} = h_{pq} g_r + h_{pr} g_q + h_{qr} g_p
-    return (
-        h[:, :, :, None] * g[:, None, None, :]
-        + h[:, :, None, :] * g[:, None, :, None]
-        + h[:, None, :, :] * g[:, :, None, None]
-    )
+def _sym_hg(x):
+    # S_{pqr} = x_{pqr} + x_{prq} + x_{qrp}.  For the outer product
+    # x_{pqr} = h_{pq} g_r this is h_{pq} g_r + h_{pr} g_q + h_{qr} g_p,
+    # exact for any h, symmetric or not; a sum of outer products goes
+    # through in one pass.
+    return x + x.transpose(0, 1, 3, 2) + x.transpose(0, 3, 1, 2)
 
 
 class Jet:
@@ -152,8 +151,10 @@ class Jet:
             t = (
                 a.v[:, None, None, None] * b.t
                 + b.v[:, None, None, None] * a.t
-                + _sym_hg(a.h, b.g)
-                + _sym_hg(b.h, a.g)
+                + _sym_hg(
+                    a.h[:, :, :, None] * b.g[:, None, None, :]
+                    + b.h[:, :, :, None] * a.g[:, None, None, :]
+                )
             )
         return Jet(m, v, g, h, t)
 
@@ -204,11 +205,11 @@ class Jet:
             gg = self.g[:, :, None] * self.g[:, None, :]
             h = derivs[1][:, None, None] * self.h + derivs[2][:, None, None] * gg
         if m >= 3:
-            gg = self.g[:, :, None] * self.g[:, None, :]
             ggg = gg[:, :, :, None] * self.g[:, None, None, :]
+            hg = _sym_hg(self.h[:, :, :, None] * self.g[:, None, None, :])
             t = (
                 derivs[1][:, None, None, None] * self.t
-                + derivs[2][:, None, None, None] * _sym_hg(self.h, self.g)
+                + derivs[2][:, None, None, None] * hg
                 + derivs[3][:, None, None, None] * ggg
             )
         return Jet(m, v, g, h, t)

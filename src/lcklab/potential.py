@@ -26,7 +26,14 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .errors import GalleryError, InadmissibleInput, NumericalError
-from .fields import ScalarField, VectorField, lift_univariate
+from .fields import (
+    ScalarField,
+    VectorField,
+    affine_quadrature_field,
+    compose_field,
+    constant,
+    lift_univariate,
+)
 from .forms import (
     Form,
     apply_J,
@@ -534,11 +541,9 @@ def orbit_average_potential(
     def weighted_flow_sum(svals, weights) -> ScalarField:
         if jc_flow.affine is not None:
             mats, offs = zip(*(jc_flow.affine(float(si)) for si in svals))
-            from .fields import affine_quadrature_field
-
             return affine_quadrature_field(f, np.stack(mats), np.stack(offs),
                                            weights)
-        terms = [_pullback_field(f, jc_flow.at(float(si))) for si in svals]
+        terms = [compose_field(f, jc_flow.at(float(si))) for si in svals]
         return ScalarField.nsum(terms, list(weights))
 
     def g_t_field(t: float, qnodes: int = 257) -> ScalarField:
@@ -604,10 +609,8 @@ def orbit_average_potential(
     out = LCKStructure(omega_prime, theta_prime, name="orbit-average",
                        manifold=manifold)
     checks["lck_prime"] = lck_residual(out, heavy)
-    from .fields import constant as _const
-
     checks["unit_potential"] = (
-        omega_prime - twisted_potential_form(_const(1.0, manifold.dim), theta_prime)
+        omega_prime - twisted_potential_form(constant(1.0, manifold.dim), theta_prime)
     ).max_abs(heavy)
     checks["positivity_min_eig"] = float(out.positivity_minima(heavy).min())
     if manifold.decks:
@@ -617,12 +620,6 @@ def orbit_average_potential(
         checks["lee_class_loop_match"] = abs(li_new - li_old)
     return OrbitPotentialResult(g, omega_prime, theta_prime, f, eta, checks,
                                 n_periods, g_t=g_t_field)
-
-
-def _pullback_field(f: ScalarField, pm) -> ScalarField:
-    from .fields import compose_field
-
-    return compose_field(f, pm)
 
 
 def leeolo_orbit_pipeline(m: ModelManifold, n_periods: int = 1, points=None,

@@ -1,4 +1,4 @@
-"""Jet arithmetic against finite-difference oracles."""
+"""Jet arithmetic against finite-difference and exact oracles."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from lcklab.fields import (
     PointMap,
+    ScalarField,
+    affine_quadrature_field,
     compose_field,
     constant,
     coordinate,
 )
-from lcklab.jets import JetOrderError
+from lcklab.jets import Jet, JetOrderError
 
 DIM = 4
 
@@ -131,3 +133,77 @@ def test_complex_fields_and_real_projections():
     g = f.jet(p, 1).g[0]
     assert abs(g[0] - (3 * z0 ** 2).real) < 1e-12
     assert abs(g[1] - (3 * z0 ** 2 * 1j).real) < 1e-12
+
+
+def _rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def _complex_field(dim):
+    """A complex, non-polynomial field with nonzero third derivatives."""
+    x = [coordinate(i, dim) for i in range(dim)]
+    f = (0.4j * x[0] + 0.3 * x[1] - 0.2 * x[dim - 1]).exp()
+    f = f * (x[2] + 0.5 * x[3] + (0.1 + 0.2j)).sin()
+    return f + (0.7 - 0.3j) * (x[0] * x[dim - 2]) ** 2 + x[1] ** 3
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_affine_quadrature_matches_per_node_composition(dim, order):
+    # oracle: sum_s w_s (f o A_s) with each A_s composed as its own point map
+    rng = np.random.default_rng(dim)
+    s = 5
+    mats = rng.normal(size=(s, dim, dim))  # generic, not orthogonal
+    offs = rng.normal(scale=0.3, size=(s, dim))
+    weights = rng.uniform(-1.0, 1.0, size=s)
+    f = _complex_field(dim)
+    x = [coordinate(i, dim) for i in range(dim)]
+    pullbacks = [
+        compose_field(f, PointMap([
+            ScalarField.nsum([M[i, j] * x[j] for j in range(dim)]) + b[i]
+            for i in range(dim)
+        ]))
+        for M, b in zip(mats, offs)
+    ]
+    oracle = ScalarField.nsum(pullbacks, list(weights))
+    quad = affine_quadrature_field(f, mats, offs, weights)
+    pts = rng.uniform(-0.5, 0.5, size=(7, dim))
+    got, want = quad.jet(pts, order), oracle.jet(pts, order)
+    assert np.iscomplexobj(want.v)
+    for name in ("v", "g", "h", "t")[: order + 1]:
+        assert _rel_err(getattr(got, name), getattr(want, name)) <= 1e-12, name
+
+
+def _raw_jet(rng, n, d):
+    """An order-3 jet with deliberately non-symmetric derivative tensors."""
+    return Jet(3, rng.normal(size=n), rng.normal(size=(n, d)),
+               rng.normal(size=(n, d, d)), rng.normal(size=(n, d, d, d)))
+
+
+def test_order3_leibniz_rule_index_order():
+    rng = np.random.default_rng(11)
+    a, b = _raw_jet(rng, 5, 3), _raw_jet(rng, 5, 3)
+    assert np.abs(a.h - a.h.transpose(0, 2, 1)).max() > 0.1
+    e = np.einsum
+    want = (
+        a.v[:, None, None, None] * b.t + b.v[:, None, None, None] * a.t
+        + e("npq,nr->npqr", a.h, b.g) + e("npr,nq->npqr", a.h, b.g)
+        + e("nqr,np->npqr", a.h, b.g) + e("npq,nr->npqr", b.h, a.g)
+        + e("npr,nq->npqr", b.h, a.g) + e("nqr,np->npqr", b.h, a.g)
+    )
+    assert _rel_err((a * b).t, want) <= 1e-14
+
+
+def test_order3_chain_rule_index_order():
+    rng = np.random.default_rng(12)
+    a = _raw_jet(rng, 5, 3)
+    derivs = [rng.normal(size=5) for _ in range(4)]
+    e = np.einsum
+    d1, d2, d3 = (d[:, None, None, None] for d in derivs[1:])
+    want = (
+        d1 * a.t
+        + d2 * (e("npq,nr->npqr", a.h, a.g) + e("npr,nq->npqr", a.h, a.g)
+                + e("nqr,np->npqr", a.h, a.g))
+        + d3 * e("np,nq,nr->npqr", a.g, a.g, a.g)
+    )
+    assert _rel_err(a.chain(derivs).t, want) <= 1e-14
