@@ -3,8 +3,8 @@
 Fixture ids are strings like ``hopf_diag:n=2,beta=0.5``.  Every check row
 carries {name, residual, tolerance, polarity, pass, paper_anchor}; polarity
 "expect_large" marks negative results (the suite passes when the residual is
-large).  Exit codes: 0 all checks pass, 2 unknown fixture / bad parameters,
-3 numerical failure, 4 inadmissible potential input.
+large).  Exit codes: 0 all checks pass, 1 a check failed, 2 unknown fixture /
+bad parameters, 3 numerical failure, 4 inadmissible potential input.
 """
 
 from __future__ import annotations
@@ -309,12 +309,18 @@ _REPORT_BUILDERS = {
 }
 
 
+def _check_points(points):
+    if points < 1:
+        raise GalleryError(f"need at least one sample point, got {points}")
+
+
 def run_verify(fixture: str, points=200, seed=42, tol=1e-8, nodes=512):
     """Run the full check suite of one fixture; returns (report, exit code)."""
     t0 = time.perf_counter()
     name, params = parse_fixture(fixture)
     if name not in _REPORT_BUILDERS:
         raise GalleryError(f"unknown fixture {name!r}")
+    _check_points(points)
     m = M.gallery(name, **params)
     pts = m.sample(points, seed)
     checks, verdicts = _REPORT_BUILDERS[name](m, pts, tol, nodes)
@@ -388,6 +394,7 @@ def run_potential(kind: str, f_profile="const:0", fixture="leeolo:eps=0.3",
 def run_report(points=200, seed=42, tol=1e-8, nodes=512, fixtures=DEFAULT_FIXTURES):
     """Aggregate JSON over every gallery fixture (never aborts the batch)."""
     t0 = time.perf_counter()
+    _check_points(points)
     out = {"seed": seed, "points": points, "nodes": nodes, "fixtures": [],
            "summary": {}}
     for fx in fixtures:

@@ -8,7 +8,9 @@ closed-form point maps with exact Jacobians.
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -53,6 +55,12 @@ class FlowMap:
     period: Optional[float] = None
     closes_via: Optional[str] = None  # "identity" or a deck generator name
     affine: Optional[Callable] = None
+
+    def affine_stack(self, ts):
+        """The affine data at each time in ``ts``, stacked: (M, b) of shapes
+        (s, d, d) and (s, d)."""
+        mats, offs = zip(*(self.affine(float(t)) for t in ts))
+        return np.stack(mats), np.stack(offs)
 
 
 @dataclass
@@ -114,10 +122,6 @@ class ModelManifold:
 
 
 # -- quotient diagnostics ---------------------------------------------------
-
-
-def sample_points(m: ModelManifold, count: int, seed: int):
-    return m.sample(count, seed)
 
 
 def invariance_residual(m: ModelManifold, a: Form, pts) -> float:
@@ -242,8 +246,10 @@ def _scaled_rotation_affine(dim, a: complex):
     return affine
 
 
-def hopf_diag(n=2, beta=0.5):
+def hopf_diag(n=2, beta=0.5 + 0j):
     """Diagonal Hopf manifold (C^n - 0)/(z -> beta z) with its Vaisman pair.
+
+    ``beta`` is complex; the B circle closes only for real positive beta.
 
     The fundamental form is normalized so the Lee field has unit norm:
     Omega = 2|z|^{-2} sum_j i dz_j ^ dzbar_j, theta = -d ln |z|^2.
@@ -666,8 +672,36 @@ _BUILDERS = {
 }
 
 
+def _numeric_rank(x):
+    """0, 1, 2 for an integer, real or complex number; None otherwise."""
+    if isinstance(x, bool):
+        return None
+    for rank, kind in enumerate((numbers.Integral, numbers.Real, numbers.Complex)):
+        if isinstance(x, kind):
+            return rank
+    return None
+
+
 def gallery(fixture_id: str, **params) -> ModelManifold:
-    """Build a gallery fixture by id (see _BUILDERS for the catalog)."""
+    """Build a gallery fixture by id (see _BUILDERS for the catalog).
+
+    Parameters must be named in the builder's signature.  A parameter with
+    a numeric default takes a number no wider than that default (int ->
+    float -> complex widening is allowed); anything else is a GalleryError.
+    """
     if fixture_id not in _BUILDERS:
         raise GalleryError(f"unknown fixture {fixture_id!r}")
-    return _BUILDERS[fixture_id](**params)
+    builder = _BUILDERS[fixture_id]
+    signature = inspect.signature(builder).parameters
+    for key, value in params.items():
+        if key not in signature:
+            raise GalleryError(f"fixture {fixture_id} has no parameter {key!r}")
+        default = signature[key].default
+        want = _numeric_rank(default)
+        got = _numeric_rank(value)
+        if want is not None and (got is None or got > want):
+            raise GalleryError(
+                f"fixture parameter {key}={value!r} must be "
+                f"{type(default).__name__}-valued"
+            )
+    return builder(**params)

@@ -540,9 +540,8 @@ def orbit_average_potential(
 
     def weighted_flow_sum(svals, weights) -> ScalarField:
         if jc_flow.affine is not None:
-            mats, offs = zip(*(jc_flow.affine(float(si)) for si in svals))
-            return affine_quadrature_field(f, np.stack(mats), np.stack(offs),
-                                           weights)
+            mats, offs = jc_flow.affine_stack(svals)
+            return affine_quadrature_field(f, mats, offs, weights)
         terms = [compose_field(f, jc_flow.at(float(si))) for si in svals]
         return ScalarField.nsum(terms, list(weights))
 
@@ -574,8 +573,8 @@ def orbit_average_potential(
     mg = 1536 * n_periods
     sgrid = np.linspace(0.0, span, mg + 1)
     if jc_flow.affine is not None:
-        mats, offs = zip(*(jc_flow.affine(float(sv)) for sv in sgrid))
-        moved = np.einsum("sij,j->si", np.stack(mats), x0[0]) + np.stack(offs)
+        mats, offs = jc_flow.affine_stack(sgrid)
+        moved = np.einsum("sij,j->si", mats, x0[0]) + offs
         f_along = f.values(moved).real
     else:
         f_along = np.array(

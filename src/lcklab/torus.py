@@ -14,14 +14,22 @@ and always carry their witnesses.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .errors import GalleryError, NumericalError
-from .fields import VectorField, as_batch, bracket, complex_jmatrix
-from .forms import Form, lie_derivative, pullback
+from .fields import (
+    ScalarField,
+    VectorField,
+    affine_quadrature_field,
+    as_batch,
+    bracket,
+    complex_jmatrix,
+)
+from .forms import Form, Index, pullback
 from .lck import LCKStructure
 from .manifolds import FlowMap, LeeClass, ModelManifold
 
@@ -30,7 +38,6 @@ VERDICTS = (
     "VaismanExists",
     "PositivePotentialExists",
     "PurelyReal",
-    "Inconclusive",
 )
 
 
@@ -85,22 +92,38 @@ def average_over_circle(a: Form, flow: FlowMap, nodes: int) -> Form:
     """Trapezoid average (1/T) int_0^T Phi_t^* a dt over one circle factor.
 
     The integrand is smooth and periodic, so the uniform-node trapezoid rule
-    is spectrally accurate.
+    is spectrally accurate.  When the flow is affine, Phi_t x = M_t x + b_t,
+    the pullback of a k-form has coefficients
+
+        (Phi_t^* a)_I = sum_J det M_t[J, I] (a_J o Phi_t)
+
+    with the k x k minor of rows J and columns I (1 for k = 0).  Coefficient
+    I of the average is then sum_J of one ``affine_quadrature_field`` of a_J
+    with weights det M_t[J, I] / nodes over the nodes, pairs whose weights
+    all vanish dropped: each a_J is evaluated on a node-stacked batch and
+    the expression does not grow with the node count.  Other flows pull
+    back node by node.
     """
     if nodes < 8:
         raise ValueError("averaging needs nodes >= 8")
     if flow.period is None:
         raise GalleryError(f"flow {flow.name} is not periodic")
+    if a.frame != "real":
+        raise ValueError("averaging acts on real-frame forms")
     ts = np.arange(nodes) * (flow.period / nodes)
-    terms = [pullback(flow.at(float(t)), a) for t in ts]
-    return Form.nsum(terms, [1.0 / nodes] * nodes)
-
-
-def average_over_action(a: Form, act: TorusAction, nodes: int) -> Form:
-    out = a
-    for fl in act.flows:
-        out = average_over_circle(out, fl, nodes)
-    return out
+    if flow.affine is None:
+        terms = [pullback(flow.at(float(t)), a) for t in ts]
+        return Form.nsum(terms, [1.0 / nodes] * nodes)
+    mats, offs = flow.affine_stack(ts)
+    parts: Dict[Index, list] = {}
+    for J, f in a.coeffs.items():
+        rows = mats[:, list(J)]
+        for I in itertools.combinations(range(a.dim), a.degree):
+            weights = np.linalg.det(rows[:, :, list(I)]) / nodes
+            if weights.any():
+                parts.setdefault(I, []).append(
+                    affine_quadrature_field(f, mats, offs, weights))
+    return a.copy_with({I: ScalarField.nsum(fs) for I, fs in parts.items()})
 
 
 def averaged_pairings(act: TorusAction, theta: Form, pts, nodes=16):
@@ -278,10 +301,3 @@ def isotropy_residual(act: TorusAction, s, pts, nodes=16) -> float:
             w = omega.evaluate(pts, vals[i], vals[j])
             worst = max(worst, float(np.abs(w).max()))
     return worst
-
-
-def invariance_residual_under(act: TorusAction, a: Form, pts) -> float:
-    """max over generators of |L_xi a| (used to certify averaged outputs)."""
-    return max(
-        lie_derivative(g, a).max_abs(pts) for g in act.generators
-    )

@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from lcklab import cli
+from lcklab import manifolds as M
 
 
 def test_parse_fixture_strings():
@@ -33,6 +36,27 @@ def test_verify_exit_codes(tmp_path):
 
 def test_unknown_fixture_exits_2(capsys):
     assert cli.main(["verify", "unknown_thing"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "hopf_diag:foo=1"],
+    ["verify", "hopf_diag:n=abc"],
+    ["verify", "hopf_diag", "--points", "0"],
+    ["report", "--all", "--points", "0"],
+])
+def test_bad_parameters_exit_2_without_traceback(argv, capsys):
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ")
+    assert "Traceback" not in out.out + out.err
+
+
+def test_readme_fixture_ids_build():
+    # lam=1 and beta=0.5 widen to the float and complex parameters
+    for fixture in ("hopf_diag:n=2,beta=0.5", "hopf_nondiag:beta=0.4+0.1j,lam=1,m=2",
+                    "inoue_splus", "leeolo:eps=0.3", "product", "hxc_cover"):
+        name, params = cli.parse_fixture(fixture)
+        assert M.gallery(name, **params).dim >= 4
 
 
 def test_inadmissible_profile_exits_4(capsys):

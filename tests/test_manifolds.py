@@ -23,6 +23,12 @@ def test_gallery_rejects_unknown_and_bad_params():
         M.gallery("inoue_splus", r=0)
     with pytest.raises(GalleryError):
         M.gallery("inoue_splus", t=1.0 + 2.0j)
+    with pytest.raises(GalleryError, match="no parameter"):
+        M.gallery("hopf_diag", foo=1)
+    with pytest.raises(GalleryError):
+        M.gallery("hopf_diag", n="abc")
+    with pytest.raises(GalleryError):
+        M.gallery("leeolo", n=2.5)
 
 
 def test_sampler_determinism_and_membership(hopf, inoue, nondiag):

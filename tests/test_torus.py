@@ -1,13 +1,22 @@
 """Torus diagnostics: averaging, rank probes, verdicts, isotropy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lcklab import manifolds as M
 from lcklab import torus as T
 from lcklab.errors import GalleryError, NumericalError
-from lcklab.fields import constant, coordinate
-from lcklab.forms import Form, exterior_d, lie_derivative
+from lcklab.fields import ScalarField, constant, coordinate
+from lcklab.forms import (
+    Form,
+    dc,
+    exterior_d,
+    lie_derivative,
+    pullback,
+    to_complex,
+)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +66,95 @@ def test_averaging_requires_period_and_enough_nodes(hopf):
         T.average_over_circle(hopf.structure.omega, hopf.flows["JC"], nodes=12)
     with pytest.raises(ValueError):
         T.average_over_circle(hopf.structure.omega, hopf.flows["A"], nodes=4)
+    with pytest.raises(ValueError, match="real-frame"):
+        T.average_over_circle(to_complex(hopf.structure.omega), hopf.flows["A"],
+                              nodes=12)
+
+
+@pytest.fixture(scope="module")
+def leeolo_n3():
+    return M.gallery("leeolo", n=3)
+
+
+def _test_form(m, degree):
+    """A form of the given degree whose coefficients no circle fixes."""
+    d = m.dim
+    x = [coordinate(i, d) for i in range(d)]
+    if degree == 0:
+        return Form.from_function(x[0] * x[1] ** 2 + m.phi)
+    if degree == 1:
+        return m.structure.theta + Form(d, 1, {(1,): x[0] * x[2],
+                                               (d - 1,): x[1] ** 3})
+    return m.structure.omega + Form(d, 2, {(0, 3): x[1] * x[2],
+                                           (1, 2): x[0] ** 2})
+
+
+def _per_node_average(a, flow, nodes):
+    ts = np.arange(nodes) * (flow.period / nodes)
+    return Form.nsum([pullback(flow.at(float(t)), a) for t in ts],
+                     [1.0 / nodes] * nodes)
+
+
+def _gap(a, b, pts):
+    va, vb = a.coefficient_values(pts), b.coefficient_values(pts)
+    return max(float(np.abs(va.get(k, 0.0) - vb.get(k, 0.0)).max())
+               for k in set(va) | set(vb))
+
+
+def _jet_scale(a, pts, order):
+    """Largest order-``order`` partial of the coefficients of a."""
+    return max(float(np.abs((jet.v, jet.g, jet.h)[order]).max())
+               for jet in (f.jet(pts, order) for f in a.coeffs.values()))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("case", ["hopf:A", "hopf:R", "leeolo_n3:C"])
+def test_batched_average_matches_per_node_pullbacks(case, degree, request):
+    # the affine route (one node-stacked quadrature per minor) against the
+    # literal trapezoid sum of pullbacks, on values and on order-1 (d) and
+    # order-2 (dd^c) jets
+    fixture, circle = case.split(":")
+    m = request.getfixturevalue(fixture)
+    flow = m.flows[circle]
+    a = _test_form(m, degree)
+    pts = m.sample(6, seed=13)
+    batched = T.average_over_circle(a, flow, nodes=8)
+    oracle = _per_node_average(a, flow, 8)
+    # d and dd^c are signed sums of first and second partials, so their
+    # rounding floor scales with those partials, not with the result
+    assert _gap(batched, oracle, pts) < 1e-12 * _jet_scale(oracle, pts, 0)
+    assert (_gap(exterior_d(batched), exterior_d(oracle), pts)
+            < 1e-12 * _jet_scale(oracle, pts, 1))
+    assert (_gap(exterior_d(dc(batched)), exterior_d(dc(oracle)), pts)
+            < 1e-12 * _jet_scale(oracle, pts, 2))
+
+
+def test_average_without_affine_form_pulls_back_per_node(hopf, hopf_pts):
+    flow = hopf.flows["R"]
+    a = _test_form(hopf, 2)
+    generic = dataclasses.replace(flow, affine=None)
+    pts = hopf_pts[:10]
+    gap = _gap(T.average_over_circle(a, generic, nodes=12),
+               T.average_over_circle(a, flow, nodes=12), pts)
+    assert gap < 1e-12 * _jet_scale(a, pts, 0)
+
+
+def test_batched_average_size_is_independent_of_nodes(leeolo_n3, monkeypatch):
+    built = []
+    init = ScalarField.__init__
+
+    def counting_init(self, dim, fn):
+        built.append(1)
+        init(self, dim, fn)
+
+    monkeypatch.setattr(ScalarField, "__init__", counting_init)
+    counts = []
+    for nodes in (16, 64):
+        built.clear()
+        T.average_over_circle(leeolo_n3.structure.omega, leeolo_n3.flows["C"],
+                              nodes)
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
 
 
 def test_averaging_output_is_invariant_and_closed(leeolo):
