@@ -139,7 +139,7 @@ def _hopf_diag_report(m, pts, tol, nodes):
                         max(rep.shape_residual, rep.holomorphy_B,
                             rep.norm_deviation or 0.0, rep.vaisman or 0.0),
                         1e-6, "unit potential + holomorphic Lee field forces Vaisman"))
-    act = T.TorusAction(m, [m.flows["A"], m.flows["B"]])
+    act = T.TorusAction(m, [m.flows["A"], m.flows[m.extras["lee_circle"]]])
     verdict = T.verdict(act, s, pts[: min(40, len(pts))])
     return checks, [verdict.to_json()]
 

@@ -74,12 +74,6 @@ class ScalarField:
     def values(self, pts):
         return self.jet(pts, 0).v
 
-    def gradient(self, pts):
-        return self.jet(pts, 1).g
-
-    def hessian(self, pts):
-        return self.jet(pts, 2).h
-
     # -- algebra ----------------------------------------------------------
 
     def _binary(self, other, op):
@@ -238,6 +232,18 @@ class PointMap:
     @staticmethod
     def identity(dim):
         return PointMap([coordinate(i, dim) for i in range(dim)], name="id")
+
+    @staticmethod
+    def affine(M, b, name=""):
+        """The map x -> M x + b: component i is sum_j M[i, j] x_j + b[i],
+        zero entries left out."""
+        dim = M.shape[1]
+        comps = []
+        for row, off in zip(M, b):
+            cols = np.flatnonzero(row)
+            comp = ScalarField.nsum([coordinate(j, dim) for j in cols], row[cols])
+            comps.append(comp + off if off else comp)
+        return PointMap(comps, name=name)
 
     @staticmethod
     def from_complex(components, dim_in, name=""):

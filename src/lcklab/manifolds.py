@@ -8,6 +8,7 @@ closed-form point maps with exact Jacobians.
 
 from __future__ import annotations
 
+import cmath
 import inspect
 import math
 import numbers
@@ -45,16 +46,23 @@ class DeckTransformation:
 class FlowMap:
     """A registered closed-form flow of a vector field.
 
-    ``affine``, when present, returns (M, b) with Phi_t(x) = M x + b; the
-    quadrature pipelines use it to batch flow pullbacks.
+    ``affine``, when present, returns (M, b) with Phi_t(x) = M x + b; it is
+    then the flow's only description (``at`` is derived from it), and the
+    quadrature pipelines need it to batch flow pullbacks.  Flows without it
+    (polynomial or embedded ones) give the point map ``at`` directly.
     """
 
     name: str
     generator: VectorField
-    at: Callable[[float], PointMap]
+    at: Optional[Callable[[float], PointMap]] = None
     period: Optional[float] = None
     closes_via: Optional[str] = None  # "identity" or a deck generator name
     affine: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.at is None:
+            self.at = lambda t: PointMap.affine(*self.affine(t),
+                                                name=f"{self.name}{t:.3f}")
 
     def affine_stack(self, ts):
         """The affine data at each time in ``ts``, stacked: (M, b) of shapes
@@ -217,31 +225,22 @@ def _annulus_sampler(dim, r_lo, r_hi):
     return sampler
 
 
-def _scaled_rotation_flow(dim, a: complex):
-    """Phi_t(z) = e^{a t} z applied to every complex coordinate."""
-
-    def at(t: float) -> PointMap:
-        u = complex(np.exp(a * t))
-        comps = []
-        for j in range(dim // 2):
-            x, y = coordinate(2 * j, dim), coordinate(2 * j + 1, dim)
-            comps.append(x * u.real - y * u.imag)
-            comps.append(x * u.imag + y * u.real)
-        return PointMap(comps, name=f"rot{t:.3f}")
-
-    return at
+def _complex_multiplier(dim, u: complex):
+    """The real matrix of z -> u z on every complex coordinate."""
+    M = np.zeros((dim, dim))
+    for j in range(dim // 2):
+        M[2 * j, 2 * j] = u.real
+        M[2 * j, 2 * j + 1] = -u.imag
+        M[2 * j + 1, 2 * j] = u.imag
+        M[2 * j + 1, 2 * j + 1] = u.real
+    return M
 
 
 def _scaled_rotation_affine(dim, a: complex):
+    """Phi_t(z) = e^{a t} z applied to every complex coordinate."""
+
     def affine(t: float):
-        u = complex(np.exp(a * t))
-        M = np.zeros((dim, dim))
-        for j in range(dim // 2):
-            M[2 * j, 2 * j] = u.real
-            M[2 * j, 2 * j + 1] = -u.imag
-            M[2 * j + 1, 2 * j] = u.imag
-            M[2 * j + 1, 2 * j + 1] = u.real
-        return M, np.zeros(dim)
+        return _complex_multiplier(dim, complex(np.exp(a * t))), np.zeros(dim)
 
     return affine
 
@@ -249,7 +248,9 @@ def _scaled_rotation_affine(dim, a: complex):
 def hopf_diag(n=2, beta=0.5 + 0j):
     """Diagonal Hopf manifold (C^n - 0)/(z -> beta z) with its Vaisman pair.
 
-    ``beta`` is complex; the B circle closes only for real positive beta.
+    ``beta`` is complex.  The Lee circle that closes via gamma is B for
+    real positive beta and L = B + (arg beta / T) R otherwise, T = -2 ln |beta|
+    (its time-T map is z -> beta z); ``extras["lee_circle"]`` names it.
 
     The fundamental form is normalized so the Lee field has unit norm:
     Omega = 2|z|^{-2} sum_j i dz_j ^ dzbar_j, theta = -d ln |z|^2.
@@ -282,8 +283,8 @@ def hopf_diag(n=2, beta=0.5 + 0j):
     JC = apply_J_vector(C)
     JC.name = "JC"
 
-    deck = DeckTransformation("gamma", _beta_scaling_map(dim, beta),
-                              rho=1.0 / abs(beta) ** 2)
+    gamma = PointMap.affine(_complex_multiplier(dim, beta), np.zeros(dim), "gamma")
+    deck = DeckTransformation("gamma", gamma, rho=1.0 / abs(beta) ** 2)
 
     m = ModelManifold(
         name="hopf_diag",
@@ -297,40 +298,31 @@ def hopf_diag(n=2, beta=0.5 + 0j):
         params={"n": n, "beta": beta},
     )
 
-    b_period = None
-    b_closes = None
-    if beta.imag == 0 and beta.real > 0:
-        b_period = -2.0 * math.log(beta.real)
-        b_closes = "gamma"
-    m.register_flow(FlowMap("B", B, _scaled_rotation_flow(dim, -0.5),
-                            period=b_period, closes_via=b_closes,
+    lee_period = -2.0 * math.log(abs(beta))
+    b_closes = beta.imag == 0 and beta.real > 0
+    m.register_flow(FlowMap("B", B, period=lee_period if b_closes else None,
+                            closes_via="gamma" if b_closes else None,
                             affine=_scaled_rotation_affine(dim, -0.5)))
-    m.register_flow(FlowMap("A", A, _scaled_rotation_flow(dim, -0.5j),
-                            period=4 * math.pi, closes_via="identity",
+    m.register_flow(FlowMap("A", A, period=4 * math.pi, closes_via="identity",
                             affine=_scaled_rotation_affine(dim, -0.5j)))
-    m.register_flow(FlowMap("R", R, _scaled_rotation_flow(dim, 1.0j),
-                            period=2 * math.pi, closes_via="identity",
+    m.register_flow(FlowMap("R", R, period=2 * math.pi, closes_via="identity",
                             affine=_scaled_rotation_affine(dim, 1.0j)))
     c_period = None
     c_closes = None
     if abs(beta - math.exp(-math.pi)) < 1e-12:
         c_period = 2 * math.pi
         c_closes = "gamma"
-    m.register_flow(FlowMap("C", C, _scaled_rotation_flow(dim, -0.5 + 1.0j),
-                            period=c_period, closes_via=c_closes,
+    m.register_flow(FlowMap("C", C, period=c_period, closes_via=c_closes,
                             affine=_scaled_rotation_affine(dim, -0.5 + 1.0j)))
-    m.register_flow(FlowMap("JC", JC, _scaled_rotation_flow(dim, -1.0 - 0.5j),
-                            affine=_scaled_rotation_affine(dim, -1.0 - 0.5j)))
+    m.register_flow(FlowMap("JC", JC, affine=_scaled_rotation_affine(dim, -1.0 - 0.5j)))
+    if not b_closes:
+        c = cmath.phase(beta) / lee_period
+        L = B + R.scale(c)
+        L.name = "L"
+        m.register_flow(FlowMap("L", L, period=lee_period, closes_via="gamma",
+                                affine=_scaled_rotation_affine(dim, -0.5 + c * 1j)))
+    m.extras["lee_circle"] = "B" if b_closes else "L"
     return m
-
-
-def _beta_scaling_map(dim, beta: complex) -> PointMap:
-    comps = []
-    for j in range(dim // 2):
-        x, y = coordinate(2 * j, dim), coordinate(2 * j + 1, dim)
-        comps.append(x * beta.real - y * beta.imag)
-        comps.append(x * beta.imag + y * beta.real)
-    return PointMap(comps, name="gamma")
 
 
 def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0, m=2):
@@ -383,10 +375,16 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0, m=2):
 
         return at
 
-    # deck-weighted series potential: w o gamma = |beta|^2 w, w > 0 smooth;
-    # truncation chosen so the dropped tail is ~|beta|^{2K} ~ 1e-15, capped so
-    # the far terms' jet intermediates stay inside double range
+    # deck-weighted series potential: w o gamma = |beta|^2 w, w > 0 smooth.
+    # The dropped tail is bounded by |beta|^{2K}; K aims at 1e-15 but is
+    # capped at 80 so the far terms' jet intermediates stay inside double
+    # range, and parameters whose bound the cap leaves above 1e-10 are refused
     K = int(np.clip(math.ceil(7.5 / -math.log10(abs(beta))) + 4, 8, 80))
+    tail = abs(beta) ** (2 * K)
+    if tail > 1e-10:
+        raise GalleryError(
+            f"hopf_nondiag cannot certify its series at |beta| = {abs(beta):.4g}: "
+            f"dropped-tail bound {tail:.1e} > 1e-10")
     terms = []
     weights = []
     ab2 = abs(beta) ** 2
@@ -504,10 +502,6 @@ def inoue_splus(p=0, q=0, r=1, t=0.0, N=((2, 1), (1, 1))):
         name="xi",
     )
 
-    def xi_flow(tt: float) -> PointMap:
-        return PointMap([x1 * 1.0, y1 * 1.0, x2 + (lam0 / 2.0) * tt, y2 * 1.0],
-                        name=f"xi{tt:.3f}")
-
     def xi_affine(tt: float):
         off = np.zeros(dim)
         off[2] = (lam0 / 2.0) * tt
@@ -525,8 +519,7 @@ def inoue_splus(p=0, q=0, r=1, t=0.0, N=((2, 1), (1, 1))):
         params={"p": p, "q": q, "r": r, "t": t, "alpha": alpha,
                 "a": a, "b": b, "c": cvec, "lam0": lam0},
     )
-    m.register_flow(FlowMap("xi", xi, xi_flow, period=2.0, closes_via="g3",
-                            affine=xi_affine))
+    m.register_flow(FlowMap("xi", xi, period=2.0, closes_via="g3", affine=xi_affine))
     return m
 
 

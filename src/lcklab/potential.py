@@ -30,7 +30,6 @@ from .fields import (
     ScalarField,
     VectorField,
     affine_quadrature_field,
-    compose_field,
     constant,
     lift_univariate,
 )
@@ -53,6 +52,7 @@ from .manifolds import (
     flow_of,
     invariance_residual,
 )
+from .torus import average_over_circle
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,10 +165,6 @@ class PotentialSolution:
     _mu: float = field(repr=False, default=0.0)
 
     # -- evaluation ------------------------------------------------------
-
-    def F(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.a + t + _mode_partial_integral(self._modes_f, t)
 
     def J(self, t):
         """int_0^t e^{-F(s)} ds by exact per-mode antiderivatives."""
@@ -434,13 +430,15 @@ def duhamel_g(f_sampler: Callable, t: float, nodes: int = 256):
         raise ValueError("duhamel_g needs nodes >= 64")
     panels = nodes if nodes % 2 == 0 else nodes + 1
     s = np.linspace(0.0, t, panels + 1)
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    h = t / panels if panels else 0.0
     vals = np.asarray([f_sampler(si) for si in s], dtype=float)
-    kern = np.sin(t - s)
-    return float(h / 3.0 * np.sum(w * kern * vals))
+    return float(_simpson(np.sin(t - s) * vals, t / panels))
+
+
+def _simpson(y, h):
+    """Composite Simpson rule over samples y at spacing h (an odd count)."""
+    w = np.ones(len(y))
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    return h / 3.0 * np.sum(w * y)
 
 
 # -- Orbit averaging ----------------------------------------------------------
@@ -506,6 +504,8 @@ def orbit_average_potential(
     if phi is None:
         raise GalleryError("orbit averaging needs a cover potential phi")
     jc_flow = jc_flow if jc_flow is not None else flow_of(manifold, "JC")
+    if jc_flow.affine is None:
+        raise GalleryError(f"flow {jc_flow.name} has no affine form to average over")
     pts = points if points is not None else manifold.sample(40, seed=5)
     heavy = pts[: min(heavy_points, len(pts))]
 
@@ -538,16 +538,9 @@ def orbit_average_potential(
 
     djeta = exterior_d(apply_J(eta))
 
-    def weighted_flow_sum(svals, weights) -> ScalarField:
-        if jc_flow.affine is not None:
-            mats, offs = jc_flow.affine_stack(svals)
-            return affine_quadrature_field(f, mats, offs, weights)
-        terms = [compose_field(f, jc_flow.at(float(si))) for si in svals]
-        return ScalarField.nsum(terms, list(weights))
-
     def g_t_field(t: float, qnodes: int = 257) -> ScalarField:
         s, w = _gl_nodes(0.0, t, max(8, qnodes // 16))
-        return weighted_flow_sum(s, np.sin(t - s) * w)
+        return affine_quadrature_field(f, *jc_flow.affine_stack(s), np.sin(t - s) * w)
 
     omega5 = 0.0
     for t in t_probes:
@@ -561,7 +554,8 @@ def orbit_average_potential(
     span = TWO_PI * n_periods
     panels = max(32 * n_periods, int(np.ceil(nodes / 16)))
     s, w = _gl_nodes(0.0, span, panels)
-    g = weighted_flow_sum(s, (1.0 - np.cos(s)) * w / span)
+    g = affine_quadrature_field(f, *jc_flow.affine_stack(s),
+                                (1.0 - np.cos(s)) * w / span)
     gvals = g.values(pts).real
     checks["min_g"] = float(gvals.min())
     if checks["min_g"] <= 0:
@@ -572,32 +566,17 @@ def orbit_average_potential(
     x0 = pts[:1]
     mg = 1536 * n_periods
     sgrid = np.linspace(0.0, span, mg + 1)
-    if jc_flow.affine is not None:
-        mats, offs = jc_flow.affine_stack(sgrid)
-        moved = np.einsum("sij,j->si", mats, x0[0]) + offs
-        f_along = f.values(moved).real
-    else:
-        f_along = np.array(
-            [float(f.values(jc_flow.at(float(sv))(x0)).real[0]) for sv in sgrid]
-        )
+    mats, offs = jc_flow.affine_stack(sgrid)
+    f_along = f.values(np.einsum("sij,j->si", mats, x0[0]) + offs).real
     checks["min_f_along_flow"] = float(f_along.min())
     if checks["min_f_along_flow"] <= 0:
         raise NumericalError("f stopped being positive along the flow")
     h = span / mg
-    simp = np.ones(mg + 1)
-    simp[1:-1:2], simp[2:-1:2] = 4.0, 2.0
     t_idx = np.arange(0, mg + 1, 8)
     g_ts = np.zeros(t_idx.shape[0])
     for r, it in enumerate(t_idx[1:], start=1):
-        wloc = np.ones(it + 1)
-        wloc[1:-1:2], wloc[2:-1:2] = 4.0, 2.0
-        g_ts[r] = h / 3.0 * np.sum(
-            wloc * np.sin(sgrid[it] - sgrid[: it + 1]) * f_along[: it + 1]
-        )
-    ht = sgrid[8] - sgrid[0]
-    wout = np.ones(t_idx.shape[0])
-    wout[1:-1:2], wout[2:-1:2] = 4.0, 2.0
-    double = ht / 3.0 * np.sum(wout * g_ts) / span
+        g_ts[r] = _simpson(np.sin(sgrid[it] - sgrid[: it + 1]) * f_along[: it + 1], h)
+    double = _simpson(g_ts, sgrid[8] - sgrid[0]) / span
     checks["average_vs_duhamel"] = abs(double - float(gvals[0]))
 
     omega_prime = dd_c(g).scale(1.0 / g)
@@ -663,8 +642,6 @@ def vertical_circle_input(manifold: ModelManifold, structure: LCKStructure,
     callers should feed that representative onward; the residuals returned
     here certify the identification.
     """
-    from .torus import average_over_circle
-
     fl = flow_of(manifold, circle)
     pts = pts if pts is not None else manifold.sample(20, seed=3)
     omega_avg = average_over_circle(structure.omega, fl, nodes)

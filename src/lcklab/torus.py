@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import GalleryError, NumericalError
 from .fields import (
+    Ctx,
     ScalarField,
     VectorField,
     affine_quadrature_field,
@@ -29,9 +30,9 @@ from .fields import (
     bracket,
     complex_jmatrix,
 )
-from .forms import Form, Index, pullback
+from .forms import Form, Index
 from .lck import LCKStructure
-from .manifolds import FlowMap, LeeClass, ModelManifold
+from .manifolds import FlowMap, LeeClass, ModelManifold, flow_closure_residual
 
 VERDICTS = (
     "NoLCKPossible",
@@ -73,8 +74,6 @@ class TorusAction:
         return worst
 
     def closure_residual(self, pts) -> float:
-        from .manifolds import flow_closure_residual
-
         return max(
             flow_closure_residual(self.manifold, fl, pts) for fl in self.flows
         )
@@ -101,8 +100,8 @@ def average_over_circle(a: Form, flow: FlowMap, nodes: int) -> Form:
     I of the average is then sum_J of one ``affine_quadrature_field`` of a_J
     with weights det M_t[J, I] / nodes over the nodes, pairs whose weights
     all vanish dropped: each a_J is evaluated on a node-stacked batch and
-    the expression does not grow with the node count.  Other flows pull
-    back node by node.
+    the expression does not grow with the node count.  A flow without an
+    affine form is a GalleryError.
     """
     if nodes < 8:
         raise ValueError("averaging needs nodes >= 8")
@@ -110,11 +109,9 @@ def average_over_circle(a: Form, flow: FlowMap, nodes: int) -> Form:
         raise GalleryError(f"flow {flow.name} is not periodic")
     if a.frame != "real":
         raise ValueError("averaging acts on real-frame forms")
-    ts = np.arange(nodes) * (flow.period / nodes)
     if flow.affine is None:
-        terms = [pullback(flow.at(float(t)), a) for t in ts]
-        return Form.nsum(terms, [1.0 / nodes] * nodes)
-    mats, offs = flow.affine_stack(ts)
+        raise GalleryError(f"flow {flow.name} has no affine form to average over")
+    mats, offs = flow.affine_stack(np.arange(nodes) * (flow.period / nodes))
     parts: Dict[Index, list] = {}
     for J, f in a.coeffs.items():
         rows = mats[:, list(J)]
@@ -133,8 +130,6 @@ def averaged_pairings(act: TorusAction, theta: Form, pts, nodes=16):
     quadrature over the node grid of the torus without materializing the
     averaged form.
     """
-    from .fields import Ctx
-
     pts = as_batch(pts, act.manifold.dim)
     k = len(act.generators)
     d = act.manifold.dim

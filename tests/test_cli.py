@@ -34,6 +34,15 @@ def test_verify_exit_codes(tmp_path):
     assert "runtime_ms" in body
 
 
+@pytest.mark.parametrize("beta", ["0.3+0.2j", "-0.5"])
+def test_hopf_diag_beta_off_the_positive_axis_verifies(beta):
+    # the suite's torus uses the Lee circle that closes via gamma
+    body, code = cli.run_verify(f"hopf_diag:beta={beta}", points=40)
+    assert code == 0
+    assert body["verdicts"][0]["verdict"] == "VaismanExists"
+    assert body["verdicts"][0]["generators"] == ["A", "L"]
+
+
 def test_unknown_fixture_exits_2(capsys):
     assert cli.main(["verify", "unknown_thing"]) == 2
 
@@ -43,6 +52,10 @@ def test_unknown_fixture_exits_2(capsys):
     ["verify", "hopf_diag:n=abc"],
     ["verify", "hopf_diag", "--points", "0"],
     ["report", "--all", "--points", "0"],
+    ["verify", "hopf_diag:beta=1.5"],
+    ["verify", "hopf_nondiag:beta=0.99"],
+    ["verify", "hopf_nondiag:lam=0"],
+    ["verify", "inoue_splus:r=0"],
 ])
 def test_bad_parameters_exit_2_without_traceback(argv, capsys):
     assert cli.main(argv) == 2

@@ -68,18 +68,18 @@ def test_deck_rho_values(hopf, inoue):
     assert inoue.deck("g1").rho == 1.0
 
 
-def test_flow_group_law_and_generator(hopf, inoue, nondiag):
-    cases = [
-        (hopf, "B"), (hopf, "A"), (hopf, "R"), (hopf, "C"),
-        (inoue, "xi"), (nondiag, "xi1"), (nondiag, "xi2"),
-    ]
-    for m, name in cases:
+def test_flow_group_law_and_generator(hopf, inoue, nondiag, leeolo):
+    # every registered flow, the closing circle L of a non-real beta included
+    twisted = M.gallery("hopf_diag", beta=0.3 + 0.2j)
+    for m in (hopf, twisted, inoue, leeolo, nondiag):
         pts = m.sample(25, seed=8)
-        fl = m.flows[name]
-        assert M.flow_group_residual(fl, 0.31, -0.17, pts) < 1e-9, name
-        assert M.flow_generator_residual(fl, 0.25, pts) < 1e-8, name
-        zero = fl.at(0.0)(pts)
-        assert np.abs(zero - pts).max() < 1e-14, name
+        for name, fl in m.flows.items():
+            assert M.flow_group_residual(fl, 0.31, -0.17, pts) < 1e-9, name
+            assert M.flow_generator_residual(fl, 0.25, pts) < 1e-8, name
+            zero = fl.at(0.0)(pts)
+            assert np.abs(zero - pts).max() < 1e-14, name
+            if fl.period is not None:
+                assert M.flow_closure_residual(m, fl, pts) < 1e-9, name
 
 
 def test_flow_closures(hopf, inoue, nondiag):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lcklab import manifolds as M
+from lcklab import potential as P
 from lcklab import torus as T
 from lcklab.errors import GalleryError, NumericalError
 from lcklab.fields import ScalarField, constant, coordinate
@@ -129,14 +130,14 @@ def test_batched_average_matches_per_node_pullbacks(case, degree, request):
             < 1e-12 * _jet_scale(oracle, pts, 2))
 
 
-def test_average_without_affine_form_pulls_back_per_node(hopf, hopf_pts):
-    flow = hopf.flows["R"]
-    a = _test_form(hopf, 2)
-    generic = dataclasses.replace(flow, affine=None)
-    pts = hopf_pts[:10]
-    gap = _gap(T.average_over_circle(a, generic, nodes=12),
-               T.average_over_circle(a, flow, nodes=12), pts)
-    assert gap < 1e-12 * _jet_scale(a, pts, 0)
+def test_flow_quadrature_rejects_flows_without_affine_form(hopf, leeolo):
+    generic = dataclasses.replace(hopf.flows["R"], affine=None)
+    with pytest.raises(GalleryError, match="no affine form"):
+        T.average_over_circle(_test_form(hopf, 2), generic, nodes=12)
+    jc = dataclasses.replace(leeolo.flows["JC"], affine=None)
+    with pytest.raises(GalleryError, match="no affine form"):
+        P.orbit_average_potential(leeolo, leeolo.structure.omega,
+                                  leeolo.fields["C"], jc)
 
 
 def test_batched_average_size_is_independent_of_nodes(leeolo_n3, monkeypatch):
