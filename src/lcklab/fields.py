@@ -305,12 +305,12 @@ def affine_quadrature_field(f: ScalarField, mats, offsets, weights) -> ScalarFie
         if m >= 1:
             G = F.g.reshape(s, n, -1)
             g = np.einsum("s,sna,sap->np", weights, G, mats)
-        if m >= 2:
+        if m >= 2 and F.h is not None:
             d = pts.shape[1]
             H = F.h.reshape(s, n, d, d)
             h = np.ascontiguousarray(np.einsum(
                 "s,snab,sap,sbq->npq", weights, H, mats, mats, optimize=True))
-        if m >= 3:
+        if m >= 3 and F.t is not None:
             d = pts.shape[1]
             T = F.t.reshape(s, n, d, d, d)
             t = np.ascontiguousarray(np.einsum(

@@ -7,6 +7,15 @@ points: value ``v`` of shape (N,), gradient ``g`` of shape (N, d), Hessian
 in their coordinate axes.  Arithmetic implements the truncated Leibniz and
 chain rules, so every quantity built from closed-form primitives carries
 exact derivatives (no finite differencing on the evaluation path).
+
+A tier ``h`` or ``t`` that is ``None`` at or below ``order`` is identically
+zero: coordinates carry no ``h`` or ``t``, constants carry neither, and a
+product of two jets without ``h`` has no ``t``.  The rules form a tier only
+from the terms whose operands are present, and a tier none of whose terms is
+present stays ``None``.  ``g`` is always a dense array at order >= 1.  The
+present terms are summed in the order of the full rule, so results match
+the rule applied to zero-filled tiers bit for bit (x + 0 = x and 0 * x = 0
+for finite x).
 """
 
 from __future__ import annotations
@@ -20,11 +29,34 @@ class JetOrderError(RuntimeError):
     """Raised when a derivative deeper than MAX_ORDER is requested."""
 
 
+def _lsum(*terms):
+    """Left-to-right sum of the terms that are present; None if none is."""
+    acc = None
+    for x in terms:
+        if x is not None:
+            acc = x if acc is None else acc + x
+    return acc
+
+
+def _scale(v, x):
+    """The (N,) array v times tier x, broadcast over its coordinate axes."""
+    if x is None:
+        return None
+    return v.reshape(v.shape + (1,) * (x.ndim - 1)) * x
+
+
+def _hg(h, g):
+    """The outer product h_{pq} g_r, or None when h is absent."""
+    return None if h is None else h[:, :, :, None] * g[:, None, None, :]
+
+
 def _sym_hg(x):
     # S_{pqr} = x_{pqr} + x_{prq} + x_{qrp}.  For the outer product
     # x_{pqr} = h_{pq} g_r this is h_{pq} g_r + h_{pr} g_q + h_{qr} g_p,
     # exact for any h, symmetric or not; a sum of outer products goes
     # through in one pass.
+    if x is None:
+        return None
     return x + x.transpose(0, 1, 3, 2) + x.transpose(0, 3, 1, 2)
 
 
@@ -45,14 +77,8 @@ class Jet:
         if dtype is None:
             dtype = np.complex128 if isinstance(value, complex) else np.float64
         v = np.full(n, value, dtype=dtype)
-        g = h = t = None
-        if order >= 1:
-            g = np.zeros((n, dim), dtype=dtype)
-        if order >= 2:
-            h = np.zeros((n, dim, dim), dtype=dtype)
-        if order >= 3:
-            t = np.zeros((n, dim, dim, dim), dtype=dtype)
-        return Jet(order, v, g, h, t)
+        g = np.zeros((n, dim), dtype=dtype) if order >= 1 else None
+        return Jet(order, v, g)
 
     @staticmethod
     def coordinate(pts, i, order):
@@ -60,15 +86,11 @@ class Jet:
             raise JetOrderError(f"jet order {order} exceeds supported {MAX_ORDER}")
         n, dim = pts.shape
         v = pts[:, i].astype(np.float64, copy=True)
-        g = h = t = None
+        g = None
         if order >= 1:
             g = np.zeros((n, dim))
             g[:, i] = 1.0
-        if order >= 2:
-            h = np.zeros((n, dim, dim))
-        if order >= 3:
-            t = np.zeros((n, dim, dim, dim))
-        return Jet(order, v, g, h, t)
+        return Jet(order, v, g)
 
     # -- structure ----------------------------------------------------
 
@@ -76,8 +98,11 @@ class Jet:
         """Jet of the i-th coordinate derivative, one order lower."""
         if self.order < 1:
             raise JetOrderError("cannot slice a partial from an order-0 jet")
-        g = self.h[:, i, :] if self.order >= 2 else None
-        h = self.t[:, i, :, :] if self.order >= 3 else None
+        g = h = None
+        if self.order >= 2:
+            g = np.zeros_like(self.g) if self.h is None else self.h[:, i, :]
+        if self.t is not None:
+            h = self.t[:, i, :, :]
         return Jet(self.order - 1, self.g[:, i].copy(), g, h, None)
 
     def real(self):
@@ -108,8 +133,8 @@ class Jet:
             m,
             self.v + other.v,
             self.g + other.g if m >= 1 else None,
-            self.h + other.h if m >= 2 else None,
-            self.t + other.t if m >= 3 else None,
+            _lsum(self.h, other.h) if m >= 2 else None,
+            _lsum(self.t, other.t) if m >= 3 else None,
         )
 
     __radd__ = __add__
@@ -132,8 +157,8 @@ class Jet:
                 m,
                 self.v * other,
                 None if m < 1 else self.g * other,
-                None if m < 2 else self.h * other,
-                None if m < 3 else self.t * other,
+                None if m < 2 or self.h is None else self.h * other,
+                None if m < 3 or self.t is None else self.t * other,
             )
         a, b = self, other
         v = a.v * b.v
@@ -141,20 +166,17 @@ class Jet:
         if m >= 1:
             g = a.v[:, None] * b.g + b.v[:, None] * a.g
         if m >= 2:
-            h = (
-                a.v[:, None, None] * b.h
-                + b.v[:, None, None] * a.h
-                + a.g[:, :, None] * b.g[:, None, :]
-                + b.g[:, :, None] * a.g[:, None, :]
+            h = _lsum(
+                _scale(a.v, b.h),
+                _scale(b.v, a.h),
+                a.g[:, :, None] * b.g[:, None, :],
+                b.g[:, :, None] * a.g[:, None, :],
             )
         if m >= 3:
-            t = (
-                a.v[:, None, None, None] * b.t
-                + b.v[:, None, None, None] * a.t
-                + _sym_hg(
-                    a.h[:, :, :, None] * b.g[:, None, None, :]
-                    + b.h[:, :, :, None] * a.g[:, None, None, :]
-                )
+            t = _lsum(
+                _scale(a.v, b.t),
+                _scale(b.v, a.t),
+                _sym_hg(_lsum(_hg(a.h, b.g), _hg(b.h, a.g))),
             )
         return Jet(m, v, g, h, t)
 
@@ -203,14 +225,13 @@ class Jet:
             g = derivs[1][:, None] * self.g
         if m >= 2:
             gg = self.g[:, :, None] * self.g[:, None, :]
-            h = derivs[1][:, None, None] * self.h + derivs[2][:, None, None] * gg
+            h = _lsum(_scale(derivs[1], self.h), _scale(derivs[2], gg))
         if m >= 3:
             ggg = gg[:, :, :, None] * self.g[:, None, None, :]
-            hg = _sym_hg(self.h[:, :, :, None] * self.g[:, None, None, :])
-            t = (
-                derivs[1][:, None, None, None] * self.t
-                + derivs[2][:, None, None, None] * hg
-                + derivs[3][:, None, None, None] * ggg
+            t = _lsum(
+                _scale(derivs[1], self.t),
+                _scale(derivs[2], _sym_hg(_hg(self.h, self.g))),
+                _scale(derivs[3], ggg),
             )
         return Jet(m, v, g, h, t)
 
@@ -267,32 +288,46 @@ def compose_multi(outer, inners, order):
     chart (dimension k), evaluated at the mapped points; ``inners`` is the
     list of k jets of the component functions with respect to the source
     chart.  Returns the jet of the composite with respect to the source
-    chart.
+    chart.  Terms whose outer or inner tier is absent are left out; an
+    absent inner tier among present ones is stacked as zeros.
     """
     m = order
     Yg = Yh = Yt = None
     if m >= 1:
         Yg = np.stack([y.g for y in inners], axis=1)  # (N, k, ds)
     if m >= 2:
-        Yh = np.stack([y.h for y in inners], axis=1)  # (N, k, ds, ds)
+        Yh = _stack_tier([y.h for y in inners])  # (N, k, ds, ds)
     if m >= 3:
-        Yt = np.stack([y.t for y in inners], axis=1)  # (N, k, ds, ds, ds)
+        Yt = _stack_tier([y.t for y in inners])  # (N, k, ds, ds, ds)
 
     v = outer.v
     g = h = t = None
     if m >= 1:
         g = np.einsum("na,nap->np", outer.g, Yg)
     if m >= 2:
-        h = np.einsum("na,napq->npq", outer.g, Yh) + np.einsum(
-            "nab,nap,nbq->npq", outer.h, Yg, Yg
+        h = _lsum(
+            None if Yh is None else np.einsum("na,napq->npq", outer.g, Yh),
+            None if outer.h is None else np.einsum("nab,nap,nbq->npq", outer.h, Yg, Yg),
         )
     if m >= 3:
-        cross = np.einsum("nab,napq,nbr->npqr", outer.h, Yh, Yg)
-        t = (
-            np.einsum("na,napqr->npqr", outer.g, Yt)
-            + cross
-            + cross.transpose(0, 1, 3, 2)
-            + cross.transpose(0, 3, 1, 2)
-            + np.einsum("nabc,nap,nbq,ncr->npqr", outer.t, Yg, Yg, Yg)
+        cross = None
+        if outer.h is not None and Yh is not None:
+            cross = np.einsum("nab,napq,nbr->npqr", outer.h, Yh, Yg)
+        t = _lsum(
+            None if Yt is None else np.einsum("na,napqr->npqr", outer.g, Yt),
+            cross,
+            None if cross is None else cross.transpose(0, 1, 3, 2),
+            None if cross is None else cross.transpose(0, 3, 1, 2),
+            None if outer.t is None
+            else np.einsum("nabc,nap,nbq,ncr->npqr", outer.t, Yg, Yg, Yg),
         )
     return Jet(m, v, g, h, t)
+
+
+def _stack_tier(tiers):
+    """Stack the inners' tiers on axis 1, zeros for absent ones; None if all are."""
+    present = [x for x in tiers if x is not None]
+    if not present:
+        return None
+    zero = np.zeros_like(present[0])
+    return np.stack([zero if x is None else x for x in tiers], axis=1)

@@ -56,12 +56,24 @@ def test_unknown_fixture_exits_2(capsys):
     ["verify", "hopf_nondiag:beta=0.99"],
     ["verify", "hopf_nondiag:lam=0"],
     ["verify", "inoue_splus:r=0"],
+    ["verify", "hopf_diag:n=1"],
+    ["verify", "leeolo:n=1"],
+    ["verify", "hopf_nondiag:m=3"],
+    ["verify", "hopf_nondiag:lam=1000"],
 ])
 def test_bad_parameters_exit_2_without_traceback(argv, capsys):
     assert cli.main(argv) == 2
     out = capsys.readouterr()
     assert out.err.startswith("error: ")
     assert "Traceback" not in out.out + out.err
+
+
+@pytest.mark.parametrize("fixture", ["hopf_nondiag:lam=1.3", "hopf_nondiag:m=1"])
+def test_hopf_nondiag_inside_its_domain_verifies(fixture):
+    # lam = 1.3 sits just inside the xi2 orbit-stretch limit (7.65 of 8)
+    body, code = cli.run_verify(fixture, points=40)
+    assert code == 0
+    assert body["verdicts"][0]["verdict"] == "PositivePotentialExists"
 
 
 def test_readme_fixture_ids_build():

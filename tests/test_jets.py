@@ -12,7 +12,7 @@ from lcklab.fields import (
     constant,
     coordinate,
 )
-from lcklab.jets import Jet, JetOrderError
+from lcklab.jets import Jet, JetOrderError, compose_multi
 
 DIM = 4
 
@@ -207,3 +207,168 @@ def test_order3_chain_rule_index_order():
         + d3 * e("np,nq,nr->npqr", a.g, a.g, a.g)
     )
     assert _rel_err(a.chain(derivs).t, want) <= 1e-14
+
+
+# -- absent (identically zero) tiers ---------------------------------------
+
+# (h present, t present) patterns of an order-3 jet
+TIER_PATTERNS = [(True, True), (True, False), (False, False), (False, True)]
+
+
+def _sparse_jet(rng, n, d, pattern, cplx=False):
+    """An order-3 jet with the tiers of ``pattern`` present (non-symmetric)."""
+    def draw(*shape):
+        x = rng.normal(size=(n,) + shape)
+        return x + 1j * rng.normal(size=x.shape) if cplx else x
+    has_h, has_t = pattern
+    return Jet(3, draw(), draw(d), draw(d, d) if has_h else None,
+               draw(d, d, d) if has_t else None)
+
+
+def _dense(jet):
+    """The same jet with every absent tier up to its order filled with zeros."""
+    n, d = jet.g.shape if jet.g is not None else (jet.v.shape[0], 0)
+    dtype = np.result_type(jet.v, jet.g) if jet.g is not None else jet.v.dtype
+    tiers = [jet.g, jet.h, jet.t]
+    for k in range(1, jet.order + 1):
+        if tiers[k - 1] is None:
+            tiers[k - 1] = np.zeros((n,) + (d,) * k, dtype=dtype)
+    return Jet(jet.order, jet.v, *tiers)
+
+
+def _assert_same_bits(got, want):
+    assert (got.g is None) == (want.order < 1)  # g stays dense
+    got = _dense(got)
+    assert got.order == want.order
+    for name in ("v", "g", "h", "t")[: want.order + 1]:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+# The full rules on zero-filled tiers, term for term and in the order the
+# dense implementation summed them: the reference for bit-for-bit equality.
+
+def _full_sym(x):
+    return x + x.transpose(0, 1, 3, 2) + x.transpose(0, 3, 1, 2)
+
+
+def _full_mul(a, b):
+    return Jet(
+        3, a.v * b.v,
+        a.v[:, None] * b.g + b.v[:, None] * a.g,
+        a.v[:, None, None] * b.h + b.v[:, None, None] * a.h
+        + a.g[:, :, None] * b.g[:, None, :] + b.g[:, :, None] * a.g[:, None, :],
+        a.v[:, None, None, None] * b.t + b.v[:, None, None, None] * a.t
+        + _full_sym(a.h[:, :, :, None] * b.g[:, None, None, :]
+                    + b.h[:, :, :, None] * a.g[:, None, None, :]),
+    )
+
+
+def _full_chain(a, d):
+    gg = a.g[:, :, None] * a.g[:, None, :]
+    return Jet(
+        3, d[0], d[1][:, None] * a.g,
+        d[1][:, None, None] * a.h + d[2][:, None, None] * gg,
+        d[1][:, None, None, None] * a.t
+        + d[2][:, None, None, None] * _full_sym(a.h[:, :, :, None] * a.g[:, None, None, :])
+        + d[3][:, None, None, None] * (gg[:, :, :, None] * a.g[:, None, None, :]),
+    )
+
+
+def _full_compose(outer, inners):
+    e = np.einsum
+    Yg, Yh, Yt = (np.stack([getattr(y, k) for y in inners], axis=1) for k in "ght")
+    cross = e("nab,napq,nbr->npqr", outer.h, Yh, Yg)
+    return Jet(
+        3, outer.v, e("na,nap->np", outer.g, Yg),
+        e("na,napq->npq", outer.g, Yh) + e("nab,nap,nbq->npq", outer.h, Yg, Yg),
+        e("na,napqr->npqr", outer.g, Yt) + cross + cross.transpose(0, 1, 3, 2)
+        + cross.transpose(0, 3, 1, 2) + e("nabc,nap,nbq,ncr->npqr", outer.t, Yg, Yg, Yg),
+    )
+
+
+def _full_map(f, *jets):
+    return Jet(3, *(f(*(getattr(j, k) for j in jets)) for k in "vght"))
+
+
+@pytest.mark.parametrize("pa", TIER_PATTERNS)
+@pytest.mark.parametrize("pb", TIER_PATTERNS)
+def test_absent_tiers_match_zero_filled_ring_ops(pa, pb):
+    rng = np.random.default_rng(21)
+    a = _sparse_jet(rng, 6, 3, pa)
+    b = _sparse_jet(rng, 6, 3, pb, cplx=True)
+    da, db = _dense(a), _dense(b)
+    _assert_same_bits(a * b, _full_mul(da, db))
+    _assert_same_bits(b * a, _full_mul(db, da))
+    _assert_same_bits(a + b, _full_map(np.add, da, db))
+    _assert_same_bits(b - a, _full_map(lambda x, y: x + -y, db, da))
+    _assert_same_bits(a * 1.7, _full_map(lambda x: x * 1.7, da))
+
+
+@pytest.mark.parametrize("pattern", TIER_PATTERNS)
+def test_absent_tiers_match_zero_filled_chain_and_partial(pattern):
+    rng = np.random.default_rng(22)
+    a = _sparse_jet(rng, 6, 3, pattern)
+    da = _dense(a)
+    derivs = [rng.normal(size=6) for _ in range(4)]
+    _assert_same_bits(a.chain(derivs), _full_chain(da, derivs))
+    _assert_same_bits(a.exp(), _full_chain(da, [np.exp(a.v)] * 4))
+    for i in range(3):
+        _assert_same_bits(a.partial(i), Jet(2, da.g[:, i], da.h[:, i], da.t[:, i]))
+        _assert_same_bits(a.partial(i).partial(i), Jet(1, da.h[:, i, i], da.t[:, i, i]))
+    _assert_same_bits(a.imag(), _full_map(np.imag, da))
+
+
+@pytest.mark.parametrize("outer_pattern", TIER_PATTERNS)
+@pytest.mark.parametrize("inner_patterns", [
+    [(False, False)] * 3,
+    [(True, False), (False, False), (True, True)],
+    [(True, True)] * 3,
+])
+def test_absent_tiers_match_zero_filled_compose_multi(outer_pattern, inner_patterns):
+    rng = np.random.default_rng(23)
+    outer = _sparse_jet(rng, 5, 3, outer_pattern, cplx=True)
+    inners = [_sparse_jet(rng, 5, 4, p) for p in inner_patterns]
+    got = compose_multi(outer, inners, 3)
+    _assert_same_bits(got, _full_compose(_dense(outer), [_dense(y) for y in inners]))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_absent_tiers_match_zero_filled_affine_quadrature(order):
+    rng = np.random.default_rng(24)
+    dim, s = 4, 5
+    x = [coordinate(i, dim) for i in range(dim)]
+    mats = rng.normal(size=(s, dim, dim))
+    offs = rng.normal(scale=0.3, size=(s, dim))
+    weights = rng.uniform(-1.0, 1.0, size=s)
+    pts = rng.uniform(-0.5, 0.5, size=(7, dim))
+    for f in (0.5 * x[0] - x[3] + 0.2,              # no h, no t
+              (0.3 + 1j) * x[1] * x[2] + x[0],      # no t
+              _complex_field(dim)):                 # every tier
+        dense_f = ScalarField(dim, lambda c, m, f=f: _dense(f.eval(c, m)))
+        got = affine_quadrature_field(f, mats, offs, weights).jet(pts, order)
+        want = affine_quadrature_field(dense_f, mats, offs, weights).jet(pts, order)
+        _assert_same_bits(got, want)
+
+
+def test_coordinates_and_constants_carry_no_higher_tiers():
+    pts = np.random.default_rng(25).normal(size=(4, DIM))
+    x0, x1 = Jet.coordinate(pts, 0, 3), Jet.coordinate(pts, 1, 3)
+    c = Jet.constant(2.0, 4, DIM, 3)
+    assert x0.h is None and x0.t is None
+    assert c.h is None and c.t is None and not c.g.any()
+    prod = x0 * x1
+    assert prod.t is None
+    assert np.array_equal(prod.h[:, 0, 1], np.ones(4))
+    assert (prod * x0).t is not None
+
+
+def test_affine_pullback_keeps_absent_tiers_absent():
+    rng = np.random.default_rng(26)
+    M, b = rng.normal(size=(DIM, DIM)), rng.normal(size=DIM)
+    amap = PointMap.affine(M, b)
+    x = [coordinate(i, DIM) for i in range(DIM)]
+    pts = rng.normal(size=(5, DIM))
+    linear = compose_field(2.0 * x[0] - x[2] + 1.0, amap).jet(pts, 3)
+    assert linear.h is None and linear.t is None
+    quadratic = compose_field(x[0] * x[1], amap).jet(pts, 3)
+    assert quadratic.h is not None and quadratic.t is None

@@ -29,6 +29,37 @@ def test_gallery_rejects_unknown_and_bad_params():
         M.gallery("hopf_diag", n="abc")
     with pytest.raises(GalleryError):
         M.gallery("leeolo", n=2.5)
+    for fixture in ("hopf_diag", "leeolo"):
+        with pytest.raises(GalleryError, match="n >= 2"):
+            M.gallery(fixture, n=1)
+    with pytest.raises(GalleryError, match="xi2 orbits"):
+        M.gallery("hopf_nondiag", lam=1000.0)
+    with pytest.raises(GalleryError, match="dropped-tail bound"):
+        M.gallery("hopf_nondiag", beta=0.86)
+
+
+@pytest.mark.parametrize("beta,lam,m", [
+    (0.4 + 0.1j, 1.0, 2), (0.4 + 0.1j, 1.3, 1), (0.6, 1.0, 3), (0.2, 0.3, 1),
+])
+def test_nondiag_tail_bound_covers_the_dropped_terms(beta, lam, m):
+    # the dropped terms |k| = K+1 .. K+60, summed at sampler points (which
+    # include points near the inner radius |beta|), stay below the bound
+    mfd = M.gallery("hopf_nondiag", beta=beta, lam=lam, m=m)
+    pts = np.concatenate([mfd.sample(400, seed=7), abs(beta) * np.eye(4)])
+    z1, z2 = pts[:, 0] + 1j * pts[:, 1], pts[:, 2] + 1j * pts[:, 3]
+
+    def term(k):
+        n = abs(beta**k * z1) ** 2 + abs(
+            beta ** (m * k) * z2 + k * lam * beta ** (m * (k - 1)) * z1**m) ** 2
+        return abs(beta) ** (-2 * k) / (n + (1.0 / n) ** 2)
+
+    K = 8
+    while M._nondiag_tail_bound(abs(beta), lam, m, K) > 1e-10:
+        K += 1
+    series = sum(term(k) for k in range(-K, K + 1))
+    with np.errstate(over="ignore"):
+        dropped = sum(term(s * k) for k in range(K + 1, K + 61) for s in (1, -1))
+    assert (dropped / series).max() <= M._nondiag_tail_bound(abs(beta), lam, m, K)
 
 
 def test_sampler_determinism_and_membership(hopf, inoue, nondiag):

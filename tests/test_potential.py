@@ -1,6 +1,10 @@
 """Constructive potentials: the periodic ODE and orbit averaging."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,3 +288,14 @@ def test_orbit_rejects_non_equivariant_input(hopf):
             hopf, hopf.structure.omega, hopf.fields["B"], hopf.flows["A"],
             points=hopf.sample(10, seed=1),
         )
+
+
+def test_orbit_demo_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "orbit_demo.py"
+    src = str(script.parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "|g - f| = " in done.stdout
