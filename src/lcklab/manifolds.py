@@ -245,13 +245,20 @@ def _scaled_rotation_affine(dim, a: complex):
     return affine
 
 
+# The sampler draws radii down to |beta|, where the 1/|z|^k coefficients of
+# the structure push the absolute residuals past their tolerances: at seed 42
+# lck_identity is 9.5e-7 at |beta| = 0.001 and 1.5e-8 at 0.004 (tolerance
+# 1e-8), and at most 1.9e-9 at 0.01 over seeds 0-12, 42 and 12345.
+_HOPF_DIAG_MIN_BETA = 0.01
+
+
 def hopf_diag(n=2, beta=0.5 + 0j):
     """Diagonal Hopf manifold (C^n - 0)/(z -> beta z) with its Vaisman pair.
 
-    ``n >= 2`` and ``beta`` is complex.  The Lee circle that closes via
-    gamma is B for real positive beta and L = B + (arg beta / T) R otherwise,
-    T = -2 ln |beta| (its time-T map is z -> beta z); ``extras["lee_circle"]``
-    names it.
+    ``n >= 2`` and ``beta`` is complex with 0.01 <= |beta| < 1.  The Lee
+    circle that closes via gamma is B for real positive beta and
+    L = B + (arg beta / T) R otherwise, T = -2 ln |beta| (its time-T map is
+    z -> beta z); ``extras["lee_circle"]`` names it.
 
     The fundamental form is normalized so the Lee field has unit norm:
     Omega = 2|z|^{-2} sum_j i dz_j ^ dzbar_j, theta = -d ln |z|^2.
@@ -261,8 +268,9 @@ def hopf_diag(n=2, beta=0.5 + 0j):
     if n < 2:
         # on a curve the Lee form is not determined by the fundamental form
         raise GalleryError("hopf_diag needs n >= 2")
-    if not 0 < abs(beta) < 1:
-        raise GalleryError("hopf_diag needs 0 < |beta| < 1")
+    if not _HOPF_DIAG_MIN_BETA <= abs(beta) < 1:
+        raise GalleryError(
+            f"hopf_diag needs {_HOPF_DIAG_MIN_BETA:g} <= |beta| < 1")
     if beta.imag == 0:
         beta = complex(beta.real, 0.0)
     dim = 2 * n
@@ -327,7 +335,7 @@ def hopf_diag(n=2, beta=0.5 + 0j):
     return m
 
 
-_NONDIAG_MAX_STRETCH = 8.0
+_NONDIAG_MAX_STRETCH = 16.0
 
 
 def _nondiag_tail_bound(b, lam, m, K):
@@ -374,10 +382,11 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0, m=2):
     if lam == 0:
         raise GalleryError("hopf_nondiag needs lam != 0")
     # The xi2 flow shears z2 by (lam / beta^m) u z1^m, so its orbits through the
-    # unit annulus stretch by up to |lam| / |beta|^m.  The torus verdict's
-    # trapezoid average over them (32 nodes a circle by default) stays inside
-    # its 1e-8 constancy tolerance up to a stretch of about 8: measured 2.5e-9
-    # at 8, 3.1e-8 at 8.8, 8.4e-8 at m = 3 (14.3), 1.8e-2 at lam = 1000.
+    # unit annulus stretch by up to |lam| / |beta|^m.  The torus verdict takes
+    # its pairings from the deck jump of phi; the cap keeps the parameters
+    # where the node sweep confirms them (constancy 5.5e-14 at m = 3, stretch
+    # 14.3, and 6.7e-14 at lam = 2, 11.8, with 64 nodes) and where the
+    # central-difference flow_generator row holds (3.6e-8 at lam = 1000).
     with np.errstate(over="ignore"):
         stretch = float(np.exp(math.log(abs(lam)) - mm * math.log(abs(beta))))
     if stretch > _NONDIAG_MAX_STRETCH:

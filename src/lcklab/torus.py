@@ -30,7 +30,7 @@ from .fields import (
     bracket,
     complex_jmatrix,
 )
-from .forms import Form, Index
+from .forms import Form, Index, exterior_d
 from .lck import LCKStructure
 from .manifolds import FlowMap, LeeClass, ModelManifold, flow_closure_residual
 
@@ -123,48 +123,145 @@ def average_over_circle(a: Form, flow: FlowMap, nodes: int) -> Form:
     return a.copy_with({I: ScalarField.nsum(fs) for I, fs in parts.items()})
 
 
+# theta is evaluated on at most this many points of the torus sweep at a time
+_SWEEP_POINT_BUDGET = 4096
+
+# |theta - d phi| up to which theta counts as d of the cover potential (the
+# tolerance of the lee_form_closed rows)
+_EXACT_TOL = 1e-10
+
+
 def averaged_pairings(act: TorusAction, theta: Form, pts, nodes=16):
     """Pointwise pairings of the action-averaged theta with each generator.
 
     Returns (pairings array of shape (k,), constancy residual).  Computed by
     quadrature over the node grid of the torus without materializing the
-    averaged form.
+    averaged form: the sweep pushes the probes along one circle per level,
+    stacking the nodes of a level into the batch, and stacks only as many
+    nodes at a time as keep every batch theta is evaluated on within
+    ``_SWEEP_POINT_BUDGET`` points.
     """
     pts = as_batch(pts, act.manifold.dim)
-    k = len(act.generators)
     d = act.manifold.dim
-    n_pts = pts.shape[0]
     xi_vals = [g.values(pts) for g in act.generators]
-
-    # sweep the torus one circle at a time, flattening the node axis into the
-    # batch: O(K * nodes) field evaluations instead of O(nodes^K)
-    batch = pts
-    jac = np.broadcast_to(np.eye(d), (n_pts, d, d)).copy()
-    for fl in act.flows:
-        ts = np.arange(nodes) * (fl.period / nodes)
-        stacked_pts, stacked_jac = [], []
-        for t in ts:
-            ctx = Ctx(batch)
-            jets = [c.eval(ctx, 1) for c in fl.at(float(t)).components]
-            stacked_pts.append(np.column_stack([j.v for j in jets]).real)
-            step = np.stack([j.g for j in jets], axis=1).real
-            stacked_jac.append(np.einsum("bij,bjk->bik", step, jac))
-        batch = np.concatenate(stacked_pts, axis=0)
-        jac = np.concatenate(stacked_jac, axis=0)
-    n_c = batch.shape[0] // n_pts
-    tvals = theta.coefficient_values(batch)
-    tvec = np.zeros((n_c * n_pts, d))
-    for (i,), v in tvals.items():
-        tvec[:, i] = np.real(v)
-    tvec = tvec.reshape(n_c, n_pts, d)
-    jac = jac.reshape(n_c, n_pts, d, d)
-    acc = np.empty((k, n_pts))
-    for g in range(k):
-        pushed = np.einsum("cnij,nj->cni", jac, xi_vals[g])
-        acc[g] = np.einsum("cni,cni->n", tvec, pushed) / n_c
+    maps = [[fl.at(float(t)) for t in np.arange(nodes) * (fl.period / nodes)]
+            for fl in act.flows]
+    acc = np.zeros((len(xi_vals), pts.shape[0]))
+    for lo in range(0, pts.shape[0], _SWEEP_POINT_BUDGET):
+        block = slice(lo, lo + _SWEEP_POINT_BUDGET)
+        jac = np.broadcast_to(np.eye(d), (len(pts[block]), d, d)).copy()
+        _sweep(theta, maps, pts[block], jac, [x[block] for x in xi_vals],
+               acc[:, block])
+    acc /= nodes ** len(maps)
     pairings = acc.mean(axis=1)
     constancy = float(np.abs(acc - pairings[:, None]).max())
     return pairings, constancy
+
+
+def _sweep(theta, maps, batch, jac, xi_vals, acc):
+    """Add theta(DPhi xi_g) summed over the node grid of the circles
+    ``maps`` to acc[g], per probe.
+
+    ``batch`` holds the probes pushed along the earlier circles, node-major
+    with the probe index fastest, and ``jac`` the Jacobians of those pushes.
+    """
+    n_pts = acc.shape[1]
+    if not maps:
+        d = batch.shape[1]
+        tvec = np.zeros(batch.shape)
+        for (i,), v in theta.coefficient_values(batch).items():
+            tvec[:, i] = np.real(v)
+        tvec = tvec.reshape(-1, n_pts, d)
+        jac = jac.reshape(-1, n_pts, d, d)
+        for g, xi in enumerate(xi_vals):
+            pushed = np.einsum("cnij,nj->cni", jac, xi)
+            acc[g] += np.einsum("cni,cni->n", tvec, pushed)
+        return
+    nodes = len(maps[0])
+    below = batch.shape[0] * nodes ** (len(maps) - 1)  # theta points per node
+    group = max(1, _SWEEP_POINT_BUDGET // below)
+    for lo in range(0, nodes, group):
+        moved, moved_jac = [], []
+        for pmap in maps[0][lo:lo + group]:
+            ctx = Ctx(batch)
+            jets = [c.eval(ctx, 1) for c in pmap.components]
+            moved.append(np.column_stack([j.v for j in jets]).real)
+            step_jac = np.stack([j.g for j in jets], axis=1).real
+            moved_jac.append(np.einsum("bij,bjk->bik", step_jac, jac))
+        _sweep(theta, maps[1:], np.concatenate(moved), np.concatenate(moved_jac),
+               xi_vals, acc)
+
+
+def _closes_through_decks(act: TorusAction) -> bool:
+    """Whether the action's generators are its flows' own and every flow
+    names its closure (the identity or a deck generator)."""
+    return len(act.generators) == len(act.flows) and all(
+        g is fl.generator and fl.closes_via is not None
+        for g, fl in zip(act.generators, act.flows))
+
+
+def deck_jump_pairings(act: TorusAction, pts):
+    """Exact pairings of d phi, phi the cover potential, from its deck jump.
+
+    When circle g closes at its period T_g through the deck map gamma_g (or
+    the identity), Fubini and Stokes turn the torus average of
+    d phi(xi_g) at y into (phi(gamma_g y) - phi(y)) / T_g, the jump of
+    log rho along the circle (0 for the identity).  Returns (pairings,
+    constancy residual): the pairing of circle g is the mean of its jump
+    over the probes, the residual the largest deviation from that mean.
+    """
+    m = act.manifold
+    pts = as_batch(pts, m.dim)
+    phi0 = np.real(m.phi.values(pts))
+    jumps = np.zeros((len(act.flows), pts.shape[0]))
+    for g, fl in enumerate(act.flows):
+        if fl.closes_via != "identity":
+            there = np.real(m.phi.values(m.deck(fl.closes_via).map(pts)))
+            jumps[g] = (there - phi0) / fl.period
+    pairings = jumps.mean(axis=1)
+    return pairings, float(np.abs(jumps - pairings[:, None]).max())
+
+
+@dataclass
+class TorusPairings:
+    """Pairings theta(xi_g) of the averaged theta, the route that found them
+    ("deck_jump" or "torus_sweep") and |theta - d phi| when it was measured."""
+
+    values: np.ndarray
+    constancy: float
+    route: str
+    theta_minus_dphi: Optional[float]
+
+
+def torus_pairings(act: TorusAction, theta: Form, pts, nodes=16,
+                   constancy_tol=1e-8) -> TorusPairings:
+    """The deck-jump pairings when they are exact, else the node sweep.
+
+    The deck jump is taken when the manifold has its cover potential phi,
+    the action's generators are its flows' own, every flow names its
+    closure, and |theta - d phi| on the probes is at most ``_EXACT_TOL``;
+    otherwise ``averaged_pairings`` runs.  The ``*_period_closes`` rows of a
+    suite certify that each flow at its period is its closure map.  Non-constant pairings signal a broken action or
+    non-invariant input and raise NumericalError on either route.
+    """
+    phi = act.manifold.phi
+    gap = None
+    if phi is not None and _closes_through_decks(act):
+        gap = (theta - exterior_d(Form.from_function(phi))).max_abs(pts)
+    if gap is not None and gap <= _EXACT_TOL:
+        res = TorusPairings(*deck_jump_pairings(act, pts), "deck_jump", gap)
+    else:
+        res = TorusPairings(*averaged_pairings(act, theta, pts, nodes),
+                            "torus_sweep", gap)
+    if not res.constancy <= constancy_tol:
+        raise NumericalError(
+            f"averaged pairing is not constant (residual {res.constancy:.2e})"
+        )
+    return res
+
+
+def _labels(pairings, vertical_tol):
+    return ["vertical" if abs(p) > vertical_tol else "horizontal" for p in pairings]
 
 
 def classify_vertical(act: TorusAction, theta: Form, pts, nodes=16,
@@ -172,15 +269,10 @@ def classify_vertical(act: TorusAction, theta: Form, pts, nodes=16,
     """Average theta over the action, then label each generator.
 
     A generator is vertical when the (constant) pairing theta(xi) is nonzero;
-    non-constant pairings signal a broken action or non-invariant input.
+    the pairings come from ``torus_pairings``.
     """
-    pairings, constancy = averaged_pairings(act, theta, pts, nodes)
-    if constancy > constancy_tol:
-        raise NumericalError(
-            f"averaged pairing is not constant (residual {constancy:.2e})"
-        )
-    labels = ["vertical" if abs(p) > vertical_tol else "horizontal" for p in pairings]
-    return labels, pairings, constancy
+    res = torus_pairings(act, theta, pts, nodes, constancy_tol)
+    return _labels(res.values, vertical_tol), res.values, res.constancy
 
 
 def intersection_dimension(act: TorusAction, pts, cutoff=1e-8) -> int:
@@ -212,6 +304,8 @@ class ActionReport:
     vertical: Optional[List[str]] = None
     lck_present: bool = False
     notes: str = ""
+    pairing_route: Optional[str] = None
+    theta_minus_dphi: Optional[float] = None
 
     def to_json(self):
         out = {
@@ -222,6 +316,9 @@ class ActionReport:
         }
         if self.pairings is not None:
             out["pairings"] = {k: float(v) for k, v in self.pairings.items()}
+            out["pairing_route"] = self.pairing_route
+            if self.theta_minus_dphi is not None:
+                out["theta_minus_dphi"] = float(self.theta_minus_dphi)
         if self.vertical is not None:
             out["vertical"] = self.vertical
         if self.notes:
@@ -262,22 +359,21 @@ def verdict(act: TorusAction, s=None, pts=None, nodes=32) -> ActionReport:
     if dim in (1, 2):
         return ActionReport("VaismanExists", dim, names,
                             notes="non purely real torus on an LCK-type manifold")
-    pairings = None
-    vertical = None
+    witnesses = {"lck_present": lck_present}
     if theta is not None:
         # the pairings are constants; a small probe subset suffices
-        probe = pts[: min(12, len(pts))]
-        labels, pvals, _ = classify_vertical(act, theta, probe, nodes=nodes)
-        pairings = dict(zip(names, pvals))
-        vertical = [n for n, lab in zip(names, labels) if lab == "vertical"]
+        found = torus_pairings(act, theta, pts[: min(12, len(pts))], nodes=nodes)
+        labels = _labels(found.values, vertical_tol=1e-6)
+        witnesses.update(
+            pairings=dict(zip(names, found.values)),
+            vertical=[n for n, lab in zip(names, labels) if lab == "vertical"],
+            pairing_route=found.route, theta_minus_dphi=found.theta_minus_dphi)
     k = len(act.generators)
     n = act.manifold.complex_dim
-    if k == n and vertical and lck_present:
-        return ActionReport("PositivePotentialExists", dim, names,
-                            pairings=pairings, vertical=vertical, lck_present=True,
+    if k == n and witnesses.get("vertical") and lck_present:
+        return ActionReport("PositivePotentialExists", dim, names, **witnesses,
                             notes="maximal purely real torus with a vertical circle")
-    return ActionReport("PurelyReal", dim, names, pairings=pairings,
-                        vertical=vertical, lck_present=lck_present)
+    return ActionReport("PurelyReal", dim, names, **witnesses)
 
 
 def isotropy_residual(act: TorusAction, s, pts, nodes=16) -> float:

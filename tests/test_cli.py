@@ -58,7 +58,7 @@ def test_unknown_fixture_exits_2(capsys):
     ["verify", "inoue_splus:r=0"],
     ["verify", "hopf_diag:n=1"],
     ["verify", "leeolo:n=1"],
-    ["verify", "hopf_nondiag:m=3"],
+    ["verify", "hopf_diag:beta=0.001"],
     ["verify", "hopf_nondiag:lam=1000"],
 ])
 def test_bad_parameters_exit_2_without_traceback(argv, capsys):
@@ -70,10 +70,19 @@ def test_bad_parameters_exit_2_without_traceback(argv, capsys):
 
 @pytest.mark.parametrize("fixture", ["hopf_nondiag:lam=1.3", "hopf_nondiag:m=1"])
 def test_hopf_nondiag_inside_its_domain_verifies(fixture):
-    # lam = 1.3 sits just inside the xi2 orbit-stretch limit (7.65 of 8)
     body, code = cli.run_verify(fixture, points=40)
     assert code == 0
     assert body["verdicts"][0]["verdict"] == "PositivePotentialExists"
+
+
+@pytest.mark.parametrize("fixture", [
+    "hopf_nondiag:m=3",    # xi2 orbit stretch 14.3 of 16
+    "hopf_nondiag:lam=2",  # stretch 11.8
+    "hopf_diag:beta=0.01",  # the smallest |beta| hopf_diag accepts
+])
+def test_parameters_at_the_edge_of_their_domain_exit_0(fixture, capsys):
+    assert cli.main(["verify", fixture]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_readme_fixture_ids_build():

@@ -283,6 +283,8 @@ def test_verdict_carries_witnesses(nondiag_action):
     assert body["vertical"] == ["xi2"]
     assert abs(body["pairings"]["xi1"]) < 1e-8
     assert body["pairings"]["xi2"] > 1.0
+    assert body["pairing_route"] == "deck_jump"
+    assert body["theta_minus_dphi"] <= 1e-10
 
 
 def test_verdict_total_and_invariant_under_recombination(hopf_action,
@@ -346,3 +348,120 @@ def test_isotropy_on_product_horizontal_torus():
     act = T.TorusAction(prod, [prod.flows["xi@0"], prod.flows["xi@1"]])
     pts = prod.sample(12, seed=7)
     assert T.isotropy_residual(act, s, pts, nodes=12) < 1e-7
+
+
+# -- pairings: the deck jump of the cover potential and the node sweep -------
+
+
+@pytest.mark.parametrize("params,nodes", [
+    ({}, 32), ({"lam": 1.3}, 32), ({"m": 1}, 32),
+    # the largest xi2 orbit stretches inside the domain need more nodes
+    ({"m": 3}, 64), ({"lam": 2.0}, 64),
+])
+def test_deck_jump_matches_the_sweep_on_hopf_nondiag(params, nodes):
+    m = M.gallery("hopf_nondiag", **params)
+    act = T.TorusAction(m, [m.flows["xi1"], m.flows["xi2"]])
+    pts = m.sample(3, seed=23)
+    exact = T.torus_pairings(act, m.lee_class.theta, pts)
+    swept, konst = T.averaged_pairings(act, m.lee_class.theta, pts, nodes)
+    assert exact.route == "deck_jump" and exact.theta_minus_dphi <= 1e-10
+    assert konst < 1e-8 and exact.constancy < 1e-12
+    assert np.abs(exact.values - swept).max() < 1e-10
+
+
+def test_deck_jump_matches_the_sweep_on_the_lee_circles(inoue_action, hopf):
+    ino = inoue_action.manifold
+    lee = T.TorusAction(hopf, [hopf.flows["B"]])
+    for act, theta, want in ((inoue_action, ino.structure.theta, 0.0),
+                             (lee, hopf.structure.theta, 1.0)):
+        pts = act.manifold.sample(8, seed=3)
+        exact = T.torus_pairings(act, theta, pts)
+        assert exact.route == "deck_jump"
+        swept, _ = T.averaged_pairings(act, theta, pts, 16)
+        assert np.abs(exact.values - swept).max() < 1e-10
+        assert abs(exact.values[0] - want) < 1e-12
+
+
+def test_deck_jump_pairing_is_the_log_of_the_homothety(nondiag_action):
+    # xi2 closes through gamma at time 1, where phi jumps by -ln |beta|^2
+    nd = nondiag_action.manifold
+    found = T.torus_pairings(nondiag_action, nd.lee_class.theta,
+                             nd.sample(12, seed=23))
+    beta = nd.params["beta"]
+    assert found.values[0] == 0.0
+    assert abs(found.values[1] + np.log(abs(beta) ** 2)) < 1e-12
+
+
+def test_pairings_fall_back_to_the_sweep(inoue_action, nondiag_action):
+    m = inoue_action.manifold
+    pts = m.sample(10, seed=3)
+    theta = m.structure.theta
+    df = exterior_d(Form.from_function(coordinate(1, 4).log()))
+    zero = T.torus_pairings(inoue_action, Form.zero(4, 1), pts)
+    shifted = T.torus_pairings(inoue_action, theta + df, pts)
+    for found in (zero, shifted):
+        assert found.route == "torus_sweep" and found.theta_minus_dphi > 1e-10
+    nd = nondiag_action.manifold
+    mixed = nondiag_action.recombine([[1.0, 0.5], [0.0, 1.0]])
+    found = T.torus_pairings(mixed, nd.lee_class.theta, nd.sample(3, seed=4),
+                             nodes=32)
+    assert found.route == "torus_sweep" and found.theta_minus_dphi is None
+    # pairing is linear in the generator: xi1 + xi2 / 2, then xi2
+    want = -np.log(abs(nd.params["beta"]) ** 2)
+    assert np.abs(found.values - [want / 2, want]).max() < 1e-8
+
+
+def test_non_constant_deck_jump_raises(monkeypatch):
+    # a cover potential whose jump across g3 (x2 -> x2 + lam0) depends on x2
+    m = M.gallery("inoue_splus")
+    m.phi = coordinate(1, 4).log() + coordinate(2, 4) ** 2
+    theta = exterior_d(Form.from_function(m.phi))
+    act = T.TorusAction(m, [m.flows["xi"]])
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(T, "averaged_pairings", no_sweep)
+    with pytest.raises(NumericalError, match="not constant"):
+        T.classify_vertical(act, theta, m.sample(10, seed=3))
+
+
+def test_verdict_on_hopf_nondiag_never_sweeps(monkeypatch):
+    from lcklab import cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(T, "averaged_pairings", no_sweep)
+    body, code = cli.run_verify("hopf_nondiag", points=40)
+    assert code == 0
+    witnesses = body["verdicts"][0]
+    assert witnesses["pairing_route"] == "deck_jump"
+    assert witnesses["theta_minus_dphi"] == 0.0
+
+
+@pytest.mark.parametrize("case,budget", [("hopf", 3), ("nondiag", 100)])
+def test_chunked_sweep_matches_one_batch_within_its_budget(case, budget, hopf,
+                                                           nondiag, monkeypatch):
+    if case == "hopf":
+        m, theta, circles = hopf, hopf.structure.theta, ("A", "B")
+    else:
+        m, theta, circles = nondiag, nondiag.lee_class.theta, ("xi1", "xi2")
+    act = T.TorusAction(m, [m.flows[c] for c in circles])
+    pts = m.sample(5, seed=11)
+    whole, whole_konst = T.averaged_pairings(act, theta, pts, 16)
+    batches = []
+    values = Form.coefficient_values
+
+    def spy(self, at):
+        batches.append(len(at))
+        return values(self, at)
+
+    monkeypatch.setattr(Form, "coefficient_values", spy)
+    monkeypatch.setattr(T, "_SWEEP_POINT_BUDGET", budget)
+    chunked, konst = T.averaged_pairings(act, theta, pts, 16)
+    assert len(batches) > 1 and max(batches) <= budget
+    assert sum(batches) == len(pts) * 16 ** 2
+    scale = np.abs(whole).max()
+    assert np.abs(chunked - whole).max() <= 1e-13 * scale
+    assert abs(konst - whole_konst) <= 1e-13 * scale
