@@ -22,7 +22,7 @@ from . import lck as L
 from . import manifolds as M
 from . import torus as T
 from . import potential as P
-from .fields import constant, coordinate
+from .fields import constant, coordinate, stacked
 from .forms import Form, apply_J, dc, exterior_d, interior_product, twisted_d
 
 DEFAULT_FIXTURES = (
@@ -94,9 +94,7 @@ def _structure_checks(m, s, pts, tol):
               "gamma^* Omega = Omega"),
     ]
     ext = L.extract_lee_form(s.omega, pts[: min(40, len(pts))])
-    stored = np.zeros((min(40, len(pts)), m.dim))
-    for (i,), f in s.theta.coeffs.items():
-        stored[:, i] = np.real(f.values(pts[: min(40, len(pts))]))
+    stored, _ = stacked(s.theta_components(), pts[: min(40, len(pts))], 0)
     checks.append(Check("lee_form_recovery",
                         float(np.abs(ext.values - stored).max()), tol,
                         "theta solves d Omega = theta ^ Omega"))

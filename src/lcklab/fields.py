@@ -4,8 +4,11 @@ A ScalarField wraps a jet-evaluation closure; algebra on fields builds an
 expression DAG that is evaluated lazily.  Evaluation goes through a Ctx so
 that shared subexpressions (a radius field appearing in fifty coefficients,
 a quadrature node appearing in every term of a sum) are computed once per
-point batch.  Fields may take complex values; chart coordinates are always
-real, ordered x1, y1, ..., xn, yn with z_j = x_j + i y_j.
+point batch.  ``evaluate`` (jets) and ``stacked`` (real value and gradient
+arrays) are the one entry point from sample points: every caller outside
+this module evaluates through them, one fresh Ctx per call.  Fields may
+take complex values; chart coordinates are always real, ordered x1, y1,
+..., xn, yn with z_j = x_j + i y_j.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ class ScalarField:
         return jet
 
     def jet(self, pts, order):
-        return self.eval(Ctx(as_batch(pts, self.dim)), order)
+        return evaluate([self], as_batch(pts, self.dim), order)[0]
 
     def values(self, pts):
         return self.jet(pts, 0).v
@@ -169,6 +172,21 @@ class ScalarField:
         return ScalarField(dim, fn)
 
 
+def evaluate(fields: Sequence[ScalarField], pts, order: int):
+    """Order-``order`` jets of ``fields`` on the batch ``pts``, from one
+    fresh Ctx, so subexpressions the fields share are computed once."""
+    ctx = Ctx(pts)
+    return [f.eval(ctx, order) for f in fields]
+
+
+def stacked(fields: Sequence[ScalarField], pts, order: int = 1):
+    """Real parts of the values (N, k) and, at order >= 1, of the gradients
+    (N, k, d) of the k fields ``fields`` on ``pts`` (gradients None at 0)."""
+    jets = evaluate(fields, pts, order)
+    vals = np.real(np.column_stack([j.v for j in jets]))
+    return vals, (np.real(np.stack([j.g for j in jets], axis=1)) if order else None)
+
+
 def constant(value, dim) -> ScalarField:
     return ScalarField(dim, lambda c, m: Jet.constant(value, c.pts.shape[0], dim, m))
 
@@ -223,11 +241,8 @@ class PointMap:
         return out
 
     def jacobian(self, pts):
-        pts = as_batch(pts, self.dim_in)
-        ctx = Ctx(pts)
-        rows = [comp.eval(ctx, 1).g for comp in self.components]
-        jac = np.stack(rows, axis=1)  # (N, dim_out, dim_in)
-        return jac.real if np.iscomplexobj(jac) else jac
+        """(N, dim_out, dim_in) Jacobians at the sample points."""
+        return stacked(self.components, as_batch(pts, self.dim_in))[1]
 
     @staticmethod
     def identity(dim):
@@ -332,10 +347,7 @@ class VectorField:
         self.name = name
 
     def values(self, pts):
-        pts = as_batch(pts, self.dim)
-        ctx = Ctx(pts)
-        out = np.column_stack([c.eval(ctx, 0).v for c in self.components])
-        return out.real if np.iscomplexobj(out) else out
+        return stacked(self.components, as_batch(pts, self.dim), 0)[0]
 
     def apply_to(self, f: ScalarField) -> ScalarField:
         """Directional derivative X(f)."""

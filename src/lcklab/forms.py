@@ -20,13 +20,13 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .fields import (
-    Ctx,
     PointMap,
     ScalarField,
     VectorField,
     as_batch,
     compose_field,
     constant,
+    evaluate,
 )
 
 Index = Tuple[int, ...]
@@ -115,18 +115,9 @@ class Form:
     @staticmethod
     def nsum(forms: Sequence["Form"], weights=None):
         forms = list(forms)
-        proto = forms[0]
-        groups: Dict[Index, list] = {}
-        wlist: Dict[Index, list] = {}
-        for k, a in enumerate(forms):
-            w = 1.0 if weights is None else weights[k]
-            for idx, f in a.coeffs.items():
-                groups.setdefault(idx, []).append(f)
-                wlist.setdefault(idx, []).append(w)
-        coeffs = {
-            idx: ScalarField.nsum(groups[idx], wlist[idx]) for idx in groups
-        }
-        return proto.copy_with(coeffs)
+        weights = [1.0] * len(forms) if weights is None else weights
+        return _gather(forms[0].dim, forms[0].degree, forms[0].frame, (
+            (idx, f, w) for a, w in zip(forms, weights) for idx, f in a.coeffs.items()))
 
     def _check_partner(self, other, same_degree=False):
         if self.dim != other.dim or self.frame != other.frame:
@@ -137,9 +128,8 @@ class Form:
     # -- evaluation --------------------------------------------------------
 
     def coefficient_values(self, pts):
-        pts = as_batch(pts, self.dim)
-        ctx = Ctx(pts)
-        return {idx: f.eval(ctx, 0).v for idx, f in self.coeffs.items()}
+        jets = evaluate(self.coeffs.values(), as_batch(pts, self.dim), 0)
+        return {idx: j.v for idx, j in zip(self.coeffs, jets)}
 
     def max_abs(self, pts) -> float:
         vals = self.coefficient_values(pts)
@@ -181,6 +171,18 @@ class Form:
         return A.real if dt is complex and np.abs(A.imag).max() < 1e-10 else A
 
 
+def _gather(dim, degree, frame, terms) -> Form:
+    """The form whose coefficient at each index is the weighted sum of the
+    ``(idx, field, weight)`` terms landing there, in arrival order."""
+    groups: Dict[Index, tuple] = {}
+    for idx, f, w in terms:
+        fields, weights = groups.setdefault(idx, ([], []))
+        fields.append(f)
+        weights.append(w)
+    return Form(dim, degree, {idx: ScalarField.nsum(fs, ws)
+                              for idx, (fs, ws) in groups.items()}, frame)
+
+
 # -- wedge, d, interior, Lie, pullback ----------------------------------
 
 
@@ -189,49 +191,27 @@ def wedge(a: Form, b: Form) -> Form:
     degree = a.degree + b.degree
     if degree > a.dim:
         return Form.zero(a.dim, degree, a.frame)
-    acc: Dict[Index, list] = {}
-    wts: Dict[Index, list] = {}
-    for ia, fa in a.coeffs.items():
-        for ib, fb in b.coeffs.items():
-            merged = _merge_indices(ia, ib)
-            if merged is None:
-                continue
-            sign, idx = merged
-            acc.setdefault(idx, []).append(fa * fb)
-            wts.setdefault(idx, []).append(float(sign))
-    coeffs = {idx: ScalarField.nsum(acc[idx], wts[idx]) for idx in acc}
-    return Form(a.dim, degree, coeffs, a.frame)
+    return _gather(a.dim, degree, a.frame, (
+        (m[1], fa * fb, float(m[0]))
+        for ia, fa in a.coeffs.items() for ib, fb in b.coeffs.items()
+        if (m := _merge_indices(ia, ib)) is not None))
 
 
 def exterior_d(a: Form) -> Form:
     if a.frame != "real":
         raise ValueError("exterior_d acts on real-frame forms")
-    acc: Dict[Index, list] = {}
-    wts: Dict[Index, list] = {}
-    for idx, f in a.coeffs.items():
-        for j in range(a.dim):
-            ins = _insert_index(idx, j)
-            if ins is None:
-                continue
-            sign, nidx = ins
-            acc.setdefault(nidx, []).append(f.partial(j))
-            wts.setdefault(nidx, []).append(float(sign))
-    coeffs = {idx: ScalarField.nsum(acc[idx], wts[idx]) for idx in acc}
-    return Form(a.dim, a.degree + 1, coeffs, "real")
+    return _gather(a.dim, a.degree + 1, "real", (
+        (ins[1], f.partial(j), float(ins[0]))
+        for idx, f in a.coeffs.items() for j in range(a.dim)
+        if (ins := _insert_index(idx, j)) is not None))
 
 
 def interior_product(X: VectorField, a: Form) -> Form:
     if a.degree == 0:
         raise FormDegreeError("cannot contract a function")
-    acc: Dict[Index, list] = {}
-    wts: Dict[Index, list] = {}
-    for idx, f in a.coeffs.items():
-        for pos, i in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1 :]
-            acc.setdefault(rest, []).append(f * X.components[i])
-            wts.setdefault(rest, []).append(float((-1) ** pos))
-    coeffs = {idx: ScalarField.nsum(acc[idx], wts[idx]) for idx in acc}
-    return Form(a.dim, a.degree - 1, coeffs, a.frame)
+    return _gather(a.dim, a.degree - 1, a.frame, (
+        (idx[:pos] + idx[pos + 1 :], f * X.components[i], float((-1) ** pos))
+        for idx, f in a.coeffs.items() for pos, i in enumerate(idx)))
 
 
 def apply_J(a: Form) -> Form:
@@ -240,24 +220,17 @@ def apply_J(a: Form) -> Form:
         raise ValueError("apply_J acts on real-frame forms")
     if a.degree == 0:
         return Form.zero(a.dim, 0)
-    acc: Dict[Index, list] = {}
-    wts: Dict[Index, list] = {}
-    for idx, f in a.coeffs.items():
-        for pos, i in enumerate(idx):
-            if i % 2 == 0:
-                repl, factor = i + 1, 1.0
-            else:
-                repl, factor = i - 1, -1.0
-            rest = idx[:pos] + idx[pos + 1 :]
-            ins = _insert_index(rest, repl)
-            if ins is None:
-                continue
-            sign, nidx = ins
-            # moving the slot out of position pos costs (-1)^pos
-            acc.setdefault(nidx, []).append(f)
-            wts.setdefault(nidx, []).append(factor * sign * (-1) ** pos)
-    coeffs = {idx: ScalarField.nsum(acc[idx], wts[idx]) for idx in acc}
-    return Form(a.dim, a.degree, coeffs, "real")
+
+    def terms():
+        for idx, f in a.coeffs.items():
+            for pos, i in enumerate(idx):
+                repl, factor = (i + 1, 1.0) if i % 2 == 0 else (i - 1, -1.0)
+                ins = _insert_index(idx[:pos] + idx[pos + 1 :], repl)
+                if ins is not None:
+                    # moving the slot out of position pos costs (-1)^pos
+                    yield ins[1], f, factor * ins[0] * (-1) ** pos
+
+    return _gather(a.dim, a.degree, "real", terms())
 
 
 def lie_derivative(X: VectorField, a: Form) -> Form:
@@ -325,29 +298,27 @@ def to_real(a: Form, drop_imag=False) -> Form:
 
 
 def _change_frame(a: Form, expansion, new_frame) -> Form:
-    acc: Dict[Index, list] = {}
-    wts: Dict[Index, list] = {}
     if a.degree == 0:
         return Form(a.dim, 0, dict(a.coeffs), new_frame)
-    for idx, f in a.coeffs.items():
-        terms = [(1.0, ())]
-        for i in idx:
-            new_terms = []
-            for w, sofar in terms:
-                for tgt, coef in expansion[i]:
-                    ins = _insert_index(sofar, tgt)
-                    if ins is None:
-                        continue
-                    sign, nidx = ins
-                    # the new factor enters to the right of len(sofar) placed
-                    # ones; _insert_index signs a left insertion
-                    new_terms.append((w * coef * sign * (-1) ** len(sofar), nidx))
-            terms = new_terms
-        for w, nidx in terms:
-            acc.setdefault(nidx, []).append(f)
-            wts.setdefault(nidx, []).append(w)
-    coeffs = {idx: ScalarField.nsum(acc[idx], wts[idx]) for idx in acc}
-    return Form(a.dim, a.degree, coeffs, new_frame)
+
+    def expanded():
+        for idx, f in a.coeffs.items():
+            terms = [(1.0, ())]
+            for i in idx:
+                new_terms = []
+                for w, sofar in terms:
+                    for tgt, coef in expansion[i]:
+                        ins = _insert_index(sofar, tgt)
+                        if ins is None:
+                            continue
+                        sign, nidx = ins
+                        # the new factor enters to the right of len(sofar)
+                        # placed ones; _insert_index signs a left insertion
+                        new_terms.append((w * coef * sign * (-1) ** len(sofar), nidx))
+                terms = new_terms
+            yield from ((nidx, f, w) for w, nidx in terms)
+
+    return _gather(a.dim, a.degree, new_frame, expanded())
 
 
 def bidegree_parts(a_complex: Form):
@@ -373,20 +344,10 @@ def _wirtinger(f: ScalarField, j: int, conjugated: bool) -> ScalarField:
 def _del_operator(a: Form, conjugated: bool) -> Form:
     if a.frame != "complex":
         raise ValueError("del/delbar act on complex-frame forms")
-    acc: Dict[Index, list] = {}
-    wts: Dict[Index, list] = {}
-    n = a.dim // 2
-    for idx, f in a.coeffs.items():
-        for j in range(n):
-            tgt = 2 * j + (1 if conjugated else 0)
-            ins = _insert_index(idx, tgt)
-            if ins is None:
-                continue
-            sign, nidx = ins
-            acc.setdefault(nidx, []).append(_wirtinger(f, j, conjugated))
-            wts.setdefault(nidx, []).append(float(sign))
-    coeffs = {idx: ScalarField.nsum(acc[idx], wts[idx]) for idx in acc}
-    return Form(a.dim, a.degree + 1, coeffs, "complex")
+    return _gather(a.dim, a.degree + 1, "complex", (
+        (ins[1], _wirtinger(f, j, conjugated), float(ins[0]))
+        for idx, f in a.coeffs.items() for j in range(a.dim // 2)
+        if (ins := _insert_index(idx, 2 * j + (1 if conjugated else 0))) is not None))
 
 
 def del_(a: Form) -> Form:

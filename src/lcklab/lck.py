@@ -17,13 +17,14 @@ import numpy as np
 
 from .errors import NumericalError
 from .fields import (
-    Ctx,
     ScalarField,
     VectorField,
     apply_J_vector,
     as_batch,
     complex_jmatrix,
     constant,
+    evaluate,
+    stacked,
 )
 from .forms import (
     Form,
@@ -87,37 +88,31 @@ class LCKStructure:
             self._metric_fields = G
         return self._metric_fields
 
-    def metric_values(self, pts):
+    def metric_jets(self, pts, order=1):
+        """The metric entries g (N, d, d) and, at order 1, their first
+        derivatives dg (N, d, d, d) with dg[:, i, a, b] = partial_i g_ab
+        (None at order 0)."""
         pts = as_batch(pts, self.dim)
         G = self.metric_entry_fields()
-        ctx = Ctx(pts)
-        d = self.dim
-        out = np.zeros((pts.shape[0], d, d))
-        for a in range(d):
-            for b in range(a, d):
-                v = G[a][b].eval(ctx, 0).v
-                out[:, a, b] = v.real if np.iscomplexobj(v) else v
-                out[:, b, a] = out[:, a, b]
-        return out
-
-    def metric_jets(self, pts):
-        """Values and first derivatives of the metric entries."""
-        pts = as_batch(pts, self.dim)
-        G = self.metric_entry_fields()
-        ctx = Ctx(pts)
         d = self.dim
         n = pts.shape[0]
+        upper = [(a, b) for a in range(d) for b in range(a, d)]
+        jets = evaluate([G[a][b] for a, b in upper], pts, order)
         g = np.zeros((n, d, d))
-        dg = np.zeros((n, d, d, d))  # dg[:, i, a, b] = partial_i g_ab
-        for a in range(d):
-            for b in range(a, d):
-                jet = G[a][b].eval(ctx, 1)
-                g[:, a, b] = g[:, b, a] = np.real(jet.v)
+        dg = np.zeros((n, d, d, d)) if order else None
+        for (a, b), jet in zip(upper, jets):
+            g[:, a, b] = g[:, b, a] = np.real(jet.v)
+            if order:
                 dg[:, :, a, b] = dg[:, :, b, a] = np.real(jet.g)
         return g, dg
 
+    def theta_components(self):
+        """The coefficients theta_i of the Lee form, zero fields filled in."""
+        zero = constant(0.0, self.dim)
+        return [self.theta.coeffs.get((i,), zero) for i in range(self.dim)]
+
     def positivity_minima(self, pts):
-        g = self.metric_values(pts)
+        g, _ = self.metric_jets(pts, 0)
         return np.linalg.eigvalsh(g)[:, 0]
 
     # -- Lee fields -------------------------------------------------------
@@ -178,10 +173,7 @@ def solve_linear_fields(A, b):
 
 def _lee_field_from_metric(s: LCKStructure) -> VectorField:
     # g(B, .) = theta, so B solves G B = theta-vector; SPD diagonal pivots.
-    d = s.dim
-    G = s.metric_entry_fields()
-    tvec = [s.theta.coeffs.get((i,), constant(0.0, d)) for i in range(d)]
-    comps = solve_linear_fields(G, tvec)
+    comps = solve_linear_fields(s.metric_entry_fields(), s.theta_components())
     return VectorField(comps, name="B")
 
 
@@ -242,7 +234,7 @@ def extract_lee_form(omega: Form, pts, tol=1e-6) -> ExtractedLeeForm:
 def lee_vector_fields(s: LCKStructure, pts=None) -> LeePair:
     """Lee pair by pointwise linear solve, as exact field expressions."""
     if pts is not None:
-        g = s.metric_values(pts)
+        g, _ = s.metric_jets(pts, 0)
         dets = np.linalg.det(g)
         bad = np.abs(dets) < 1e-12
         if bad.any():
@@ -253,9 +245,8 @@ def lee_vector_fields(s: LCKStructure, pts=None) -> LeePair:
     return s.lee_pair()
 
 
-def christoffel(s: LCKStructure, pts):
-    """Levi-Civita symbols on coordinate fields via the Koszul formula."""
-    g, dg = s.metric_jets(pts)
+def _christoffel(g, dg):
+    """Levi-Civita symbols from the metric g and its derivatives dg."""
     ginv = np.linalg.inv(g)
     # Gamma^k_{ij} = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij);
     # dg[n, i, a, b] = d_i g_ab
@@ -263,51 +254,43 @@ def christoffel(s: LCKStructure, pts):
     return 0.5 * np.einsum("nkl,nijl->nkij", ginv, sym)
 
 
+def christoffel(s: LCKStructure, pts):
+    """Levi-Civita symbols on coordinate fields via the Koszul formula."""
+    return _christoffel(*s.metric_jets(pts))
+
+
 def covariant_derivative(s: LCKStructure, X: VectorField, Y: VectorField, pts):
     """(nabla_X Y)^k = X(Y^k) + Gamma^k_{ij} X^i Y^j at the samples."""
     pts = as_batch(pts, s.dim)
     gam = christoffel(s, pts)
-    ctx = Ctx(pts)
-    xv = np.column_stack([c.eval(ctx, 0).v for c in X.components]).real
-    yjets = [c.eval(ctx, 1) for c in Y.components]
-    yv = np.column_stack([j.v for j in yjets]).real
-    dy = np.stack([j.g for j in yjets], axis=1).real  # (n, k, i) = d_i Y^k
+    xv, _ = stacked(X.components, pts, 0)
+    yv, dy = stacked(Y.components, pts)  # dy[n, k, i] = d_i Y^k
     first = np.einsum("nki,ni->nk", dy, xv)
     second = np.einsum("nkij,ni,nj->nk", gam, xv, yv)
     return first + second
 
 
+def _nabla_theta(s: LCKStructure, pts, g, dg):
+    """(nabla theta)[n, a, b] = d_a theta_b - Gamma^k_{ab} theta_k."""
+    tv, dt = stacked(s.theta_components(), pts)  # dt[n, b, a] = d_a theta_b
+    return dt.transpose(0, 2, 1) - np.einsum("nkab,nk->nab", _christoffel(g, dg), tv)
+
+
 def vaisman_residual(s: LCKStructure, pts) -> float:
     """max |(nabla_a theta)_b| = |d_a theta_b - Gamma^k_{ab} theta_k|."""
     pts = as_batch(pts, s.dim)
-    gam = christoffel(s, pts)
-    ctx = Ctx(pts)
-    d = s.dim
-    tjets = [
-        s.theta.coeffs.get((i,), constant(0.0, d)).eval(ctx, 1) for i in range(d)
-    ]
-    tv = np.column_stack([j.v for j in tjets]).real
-    dt = np.stack([j.g for j in tjets], axis=1).real  # (n, b, a) = d_a theta_b
-    nabla = dt.transpose(0, 2, 1) - np.einsum("nkab,nk->nab", gam, tv)
-    return float(np.abs(nabla).max())
+    return float(np.abs(_nabla_theta(s, pts, *s.metric_jets(pts))).max())
 
 
 def gauduchon_residual(s: LCKStructure, pts) -> float:
     """|d* theta| with d* = -sum_j iota_{e_j} nabla_{e_j} over an orthonormal
     frame obtained by Gram-Schmidt from the coordinate fields."""
     pts = as_batch(pts, s.dim)
-    g, _ = s.metric_jets(pts)
-    gam = christoffel(s, pts)
-    ctx = Ctx(pts)
-    d = s.dim
-    tjets = [
-        s.theta.coeffs.get((i,), constant(0.0, d)).eval(ctx, 1) for i in range(d)
-    ]
-    tv = np.column_stack([j.v for j in tjets]).real
-    dt = np.stack([j.g for j in tjets], axis=1).real
-    nabla = dt.transpose(0, 2, 1) - np.einsum("nkab,nk->nab", gam, tv)
+    g, dg = s.metric_jets(pts)
+    nabla = _nabla_theta(s, pts, g, dg)
 
     # batched Gram-Schmidt on the coordinate frame
+    d = s.dim
     n = pts.shape[0]
     E = np.zeros((n, d, d))
     basis = np.eye(d)
@@ -324,12 +307,8 @@ def gauduchon_residual(s: LCKStructure, pts) -> float:
 
 def holomorphy_residual(X: VectorField, pts) -> float:
     """max |[X, J e_k] - J [X, e_k]| over coordinate fields and samples."""
-    pts = as_batch(pts, X.dim)
-    ctx = Ctx(pts)
-    d = X.dim
-    J = complex_jmatrix(d)
-    jets = [c.eval(ctx, 1) for c in X.components]
-    dX = np.stack([j.g for j in jets], axis=1).real  # dX[n, i, j] = d_j X^i
+    J = complex_jmatrix(X.dim)
+    _, dX = stacked(X.components, as_batch(pts, X.dim))  # dX[n, i, j] = d_j X^i
     res = -np.einsum("jk,nij->nik", J, dX) + np.einsum("im,nmk->nik", J, dX)
     return float(np.abs(res).max())
 
@@ -338,10 +317,7 @@ def killing_residual(s: LCKStructure, X: VectorField, pts) -> float:
     """max |X g_ij - g([X, e_i], e_j) - g(e_i, [X, e_j])|."""
     pts = as_batch(pts, s.dim)
     g, dg = s.metric_jets(pts)
-    ctx = Ctx(pts)
-    jets = [c.eval(ctx, 1) for c in X.components]
-    xv = np.column_stack([j.v for j in jets]).real
-    dX = np.stack([j.g for j in jets], axis=1).real
+    xv, dX = stacked(X.components, pts)
     lie = (
         np.einsum("nm,nmij->nij", xv, dg)
         + np.einsum("nmi,nmj->nij", dX, g)
@@ -370,9 +346,6 @@ class UnitPotentialReport:
     norm_deviation: Optional[float]
     vaisman: Optional[float]
     verdict: str
-
-    def passed(self, tol=1e-6):
-        return self.verdict == "vaisman-confirmed"
 
 
 def verify_unit_potential(s: LCKStructure, pts, tol=1e-6) -> UnitPotentialReport:

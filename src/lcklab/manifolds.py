@@ -611,29 +611,26 @@ def product(a: ModelManifold | str | None = None,
     proj1 = PointMap([coordinate(i, dim) for i in range(a.dim)], name="p1")
     proj2 = PointMap([coordinate(a.dim + i, dim) for i in range(b.dim)], name="p2")
 
-    def embed_map(pm: PointMap, side: int) -> PointMap:
+    factors = ((0, a), (1, b))
+
+    def embed(components, side, pad):
+        """A factor's components on the product chart; product slot i of
+        the other factor is ``pad(i)``."""
+        own = [compose_field(c, (proj1, proj2)[side]) for c in components]
         if side == 0:
-            comps = [compose_field(c, proj1) for c in pm.components]
-            comps += [coordinate(a.dim + i, dim) for i in range(b.dim)]
-        else:
-            comps = [coordinate(i, dim) for i in range(a.dim)]
-            comps += [compose_field(c, proj2) for c in pm.components]
-        return PointMap(comps, name=f"{pm.name}x{side}")
+            return own + [pad(a.dim + i) for i in range(b.dim)]
+        return [pad(i) for i in range(a.dim)] + own
+
+    def embed_map(pm: PointMap, side: int) -> PointMap:
+        return PointMap(embed(pm.components, side, lambda i: coordinate(i, dim)),
+                        name=f"{pm.name}x{side}")
 
     def embed_field(X: VectorField, side: int) -> VectorField:
-        if side == 0:
-            comps = [compose_field(c, proj1) for c in X.components]
-            comps += [constant(0.0, dim) for _ in range(b.dim)]
-        else:
-            comps = [constant(0.0, dim) for _ in range(a.dim)]
-            comps += [compose_field(c, proj2) for c in X.components]
-        return VectorField(comps, name=f"{X.name}@{side}")
+        return VectorField(embed(X.components, side, lambda i: constant(0.0, dim)),
+                           name=f"{X.name}@{side}")
 
-    decks = []
-    for d in a.decks:
-        decks.append(DeckTransformation(f"{d.name}@0", embed_map(d.map, 0), d.rho))
-    for d in b.decks:
-        decks.append(DeckTransformation(f"{d.name}@1", embed_map(d.map, 1), d.rho))
+    decks = [DeckTransformation(f"{d.name}@{side}", embed_map(d.map, side), d.rho)
+             for side, factor in factors for d in factor.decks]
 
     def sampler(count, seed):
         return np.hstack([a.sample(count, seed), b.sample(count, seed + 1)])
@@ -651,26 +648,18 @@ def product(a: ModelManifold | str | None = None,
         decks=decks,
         params={"factors": (a.name, b.name)},
     )
-    for name, X in a.fields.items():
-        m.fields[f"{name}@0"] = embed_field(X, 0)
-    for name, X in b.fields.items():
-        m.fields[f"{name}@1"] = embed_field(X, 1)
-    for name, fl in a.flows.items():
-        m.register_flow(FlowMap(
-            f"{name}@0", embed_field(fl.generator, 0),
-            lambda tt, _fl=fl: embed_map(_fl.at(tt), 0),
-            period=fl.period,
-            closes_via=None if fl.closes_via in (None, "identity")
-            else f"{fl.closes_via}@0",
-        ))
-    for name, fl in b.flows.items():
-        m.register_flow(FlowMap(
-            f"{name}@1", embed_field(fl.generator, 1),
-            lambda tt, _fl=fl: embed_map(_fl.at(tt), 1),
-            period=fl.period,
-            closes_via=None if fl.closes_via in (None, "identity")
-            else f"{fl.closes_via}@1",
-        ))
+    for side, factor in factors:
+        for name, X in factor.fields.items():
+            m.fields[f"{name}@{side}"] = embed_field(X, side)
+    for side, factor in factors:
+        for name, fl in factor.flows.items():
+            m.register_flow(FlowMap(
+                f"{name}@{side}", embed_field(fl.generator, side),
+                lambda tt, _fl=fl, _side=side: embed_map(_fl.at(tt), _side),
+                period=fl.period,
+                closes_via=None if fl.closes_via in (None, "identity")
+                else f"{fl.closes_via}@{side}",
+            ))
     if a.structure is not None and b.structure is not None:
         sum_omega = pullback(proj1, a.structure.omega) + pullback(proj2, b.structure.omega)
         sum_theta = pullback(proj1, a.structure.theta) + pullback(proj2, b.structure.theta)
@@ -681,7 +670,7 @@ def product(a: ModelManifold | str | None = None,
     # canonical torus: the Lee-plane circles of each factor when present,
     # otherwise every registered periodic circle of that factor
     torus_names = []
-    for side, factor in ((0, a), (1, b)):
+    for side, factor in factors:
         preferred = [n for n in ("A", "B") if n in factor.flows
                      and factor.flows[n].period is not None]
         if not preferred:

@@ -462,9 +462,6 @@ class OrbitPotentialResult:
     n_periods: int
     g_t: Callable = None
 
-    def report(self):
-        return dict(self.checks)
-
 
 def _gl_nodes(a: float, b: float, panels: int, order: int = 16):
     """Composite Gauss-Legendre nodes/weights on [a, b]."""

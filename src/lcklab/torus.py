@@ -22,13 +22,13 @@ import numpy as np
 
 from .errors import GalleryError, NumericalError
 from .fields import (
-    Ctx,
     ScalarField,
     VectorField,
     affine_quadrature_field,
     as_batch,
     bracket,
     complex_jmatrix,
+    stacked,
 )
 from .forms import Form, Index, exterior_d
 from .lck import LCKStructure
@@ -45,20 +45,23 @@ VERDICTS = (
 class TorusAction:
     """Commuting periodic generators with registered closed-form flows.
 
-    ``generators`` may be constant linear recombinations of the flow basis;
-    averaging always runs over the registered flows, which is basis
-    independent.
+    Generator i is sum_j mix[i, j] xi_j over the flows' generators xi_j
+    (the flows' own when ``mix`` is None); averaging always runs over the
+    registered flows, which is basis independent.
     """
 
     def __init__(self, manifold: ModelManifold, flows: Sequence[FlowMap],
-                 generators: Optional[Sequence[VectorField]] = None):
+                 mix=None):
         self.manifold = manifold
         self.flows = list(flows)
         for fl in self.flows:
             if fl.period is None:
                 raise GalleryError(f"generator {fl.name} has no periodic flow")
-        self.generators = list(generators) if generators is not None else [
-            fl.generator for fl in self.flows
+        own = [fl.generator for fl in self.flows]
+        self.mix = np.eye(len(own)) if mix is None else np.asarray(mix, dtype=float)
+        self.generators = own if mix is None else [
+            VectorField.linear_combination(own, row, name=f"mix{i}")
+            for i, row in enumerate(self.mix)
         ]
 
     @property
@@ -79,12 +82,8 @@ class TorusAction:
         )
 
     def recombine(self, matrix) -> "TorusAction":
-        matrix = np.asarray(matrix, dtype=float)
-        gens = [
-            VectorField.linear_combination(self.generators, row, name=f"mix{i}")
-            for i, row in enumerate(matrix)
-        ]
-        return TorusAction(self.manifold, self.flows, gens)
+        return TorusAction(self.manifold, self.flows,
+                           np.asarray(matrix, dtype=float) @ self.mix)
 
 
 def average_over_circle(a: Form, flow: FlowMap, nodes: int) -> Form:
@@ -183,21 +182,11 @@ def _sweep(theta, maps, batch, jac, xi_vals, acc):
     for lo in range(0, nodes, group):
         moved, moved_jac = [], []
         for pmap in maps[0][lo:lo + group]:
-            ctx = Ctx(batch)
-            jets = [c.eval(ctx, 1) for c in pmap.components]
-            moved.append(np.column_stack([j.v for j in jets]).real)
-            step_jac = np.stack([j.g for j in jets], axis=1).real
+            vals, step_jac = stacked(pmap.components, batch)
+            moved.append(vals)
             moved_jac.append(np.einsum("bij,bjk->bik", step_jac, jac))
         _sweep(theta, maps[1:], np.concatenate(moved), np.concatenate(moved_jac),
                xi_vals, acc)
-
-
-def _closes_through_decks(act: TorusAction) -> bool:
-    """Whether the action's generators are its flows' own and every flow
-    names its closure (the identity or a deck generator)."""
-    return len(act.generators) == len(act.flows) and all(
-        g is fl.generator and fl.closes_via is not None
-        for g, fl in zip(act.generators, act.flows))
 
 
 def deck_jump_pairings(act: TorusAction, pts):
@@ -206,9 +195,10 @@ def deck_jump_pairings(act: TorusAction, pts):
     When circle g closes at its period T_g through the deck map gamma_g (or
     the identity), Fubini and Stokes turn the torus average of
     d phi(xi_g) at y into (phi(gamma_g y) - phi(y)) / T_g, the jump of
-    log rho along the circle (0 for the identity).  Returns (pairings,
-    constancy residual): the pairing of circle g is the mean of its jump
-    over the probes, the residual the largest deviation from that mean.
+    log rho along the circle (0 for the identity).  The pairing is linear
+    in the generator, so generator i pairs to sum_g mix[i, g] times the
+    jump of circle g.  Returns (pairings, constancy residual): a pairing is
+    the mean over the probes, the residual the largest deviation from it.
     """
     m = act.manifold
     pts = as_batch(pts, m.dim)
@@ -218,6 +208,7 @@ def deck_jump_pairings(act: TorusAction, pts):
         if fl.closes_via != "identity":
             there = np.real(m.phi.values(m.deck(fl.closes_via).map(pts)))
             jumps[g] = (there - phi0) / fl.period
+    jumps = act.mix @ jumps
     pairings = jumps.mean(axis=1)
     return pairings, float(np.abs(jumps - pairings[:, None]).max())
 
@@ -238,15 +229,15 @@ def torus_pairings(act: TorusAction, theta: Form, pts, nodes=16,
     """The deck-jump pairings when they are exact, else the node sweep.
 
     The deck jump is taken when the manifold has its cover potential phi,
-    the action's generators are its flows' own, every flow names its
-    closure, and |theta - d phi| on the probes is at most ``_EXACT_TOL``;
-    otherwise ``averaged_pairings`` runs.  The ``*_period_closes`` rows of a
-    suite certify that each flow at its period is its closure map.  Non-constant pairings signal a broken action or
-    non-invariant input and raise NumericalError on either route.
+    every flow names its closure, and |theta - d phi| on the probes is at
+    most ``_EXACT_TOL``; otherwise ``averaged_pairings`` runs.  The
+    ``*_period_closes`` rows of a suite certify that each flow at its
+    period is its closure map.  Non-constant pairings signal a broken
+    action or non-invariant input and raise NumericalError on either route.
     """
     phi = act.manifold.phi
     gap = None
-    if phi is not None and _closes_through_decks(act):
+    if phi is not None and all(fl.closes_via is not None for fl in act.flows):
         gap = (theta - exterior_d(Form.from_function(phi))).max_abs(pts)
     if gap is not None and gap <= _EXACT_TOL:
         res = TorusPairings(*deck_jump_pairings(act, pts), "deck_jump", gap)

@@ -86,6 +86,23 @@ def test_wedge_graded_anticommutativity(box_pts):
         assert max_norm(lhs - rhs, box_pts) < 1e-12
 
 
+def test_form_sums_add_their_terms_left_to_right(box_pts):
+    rng = np.random.default_rng(11)
+    fs = [random_field(rng) for _ in range(3)]
+    v = [f.values(box_pts) for f in fs]
+    weights = [0.3, -1.7, 2.9]
+    total = Form.nsum([Form(DIM, 1, {(0,): f, (2,): f * f}) for f in fs], weights)
+    want = v[0] * weights[0] + v[1] * weights[1] + v[2] * weights[2]
+    assert np.array_equal(total.coefficient_values(box_pts)[(0,)], want)
+    # (0,1)^dx2, (0,2)^dx1 and (1,2)^dx0 all land on (0,1,2), signs + - +
+    gs = [random_field(rng) for _ in range(3)]
+    a = Form(DIM, 2, {(0, 1): fs[0], (0, 2): fs[1], (1, 2): fs[2]})
+    b = Form(DIM, 1, {(0,): gs[0], (1,): gs[1], (2,): gs[2]})
+    u = [g.values(box_pts) for g in gs]
+    want = (v[0] * u[2]) * 1.0 + (v[1] * u[1]) * -1.0 + (v[2] * u[0]) * 1.0
+    assert np.array_equal(wedge(a, b).coefficient_values(box_pts)[(0, 1, 2)], want)
+
+
 def test_wedge_degree_overflow_returns_zero_form():
     rng = np.random.default_rng(2)
     a, b = random_form(rng, 3), random_form(rng, 2)

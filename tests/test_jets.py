@@ -11,6 +11,8 @@ from lcklab.fields import (
     compose_field,
     constant,
     coordinate,
+    evaluate,
+    stacked,
 )
 from lcklab.jets import Jet, JetOrderError, compose_multi
 
@@ -372,3 +374,27 @@ def test_affine_pullback_keeps_absent_tiers_absent():
     assert linear.h is None and linear.t is None
     quadratic = compose_field(x[0] * x[1], amap).jet(pts, 3)
     assert quadratic.h is not None and quadratic.t is None
+
+
+def test_evaluate_computes_a_shared_subexpression_once_per_call():
+    calls = []
+    x = coordinate(0, DIM)
+
+    def fn(ctx, m):
+        calls.append(m)
+        return x.eval(ctx, m).exp()
+
+    shared = ScalarField(DIM, fn)
+    fields = [shared * 2.0, shared + coordinate(1, DIM)]
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, DIM))
+    first = evaluate(fields, pts, 1)
+    assert calls == [1]
+    # each call starts from a fresh context: nothing is cached across calls
+    second = evaluate(fields, pts, 1)
+    assert calls == [1, 1]
+    for a, b in zip(first, second):
+        assert np.array_equal(a.v, b.v) and np.array_equal(a.g, b.g)
+    vals, grads = stacked(fields, pts)
+    assert vals.shape == (5, 2) and grads.shape == (5, 2, DIM)
+    assert np.array_equal(grads[:, 1], first[1].g)
+    assert stacked(fields, pts, 0)[1] is None

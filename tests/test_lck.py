@@ -33,7 +33,7 @@ def test_metric_is_symmetric_J_invariant_positive(hopf, hopf_pts, inoue, inoue_p
     from lcklab.fields import complex_jmatrix
 
     for m, pts in ((hopf, hopf_pts[:50]), (inoue, inoue_pts[:50])):
-        g = m.structure.metric_values(pts)
+        g, _ = m.structure.metric_jets(pts, 0)
         assert np.abs(g - g.transpose(0, 2, 1)).max() < 1e-12
         J = complex_jmatrix(m.dim)
         gj = np.einsum("ia,nab,bj->nij", J.T, g, J)
@@ -162,6 +162,22 @@ def test_gauduchon_residuals(hopf, hopf_pts, flat, flat_pts, leeolo, leeolo_pts)
     assert L.gauduchon_residual(flat, flat_pts) < 1e-14
     val = L.gauduchon_residual(leeolo.structure, leeolo_pts[:40])
     assert np.isfinite(val)  # informational only
+
+
+@pytest.mark.parametrize("residual", [L.vaisman_residual, L.gauduchon_residual],
+                         ids=["vaisman", "gauduchon"])
+def test_nabla_theta_residuals_build_the_metric_jets_once(residual, hopf, hopf_pts,
+                                                          monkeypatch):
+    calls = []
+    metric_jets = L.LCKStructure.metric_jets
+
+    def spy(self, *args):
+        calls.append(args)
+        return metric_jets(self, *args)
+
+    monkeypatch.setattr(L.LCKStructure, "metric_jets", spy)
+    assert residual(hopf.structure, hopf_pts[:20]) < 1e-7
+    assert len(calls) == 1
 
 
 def test_vaisman_implies_gauduchon(hopf, hopf_pts):

@@ -401,14 +401,17 @@ def test_pairings_fall_back_to_the_sweep(inoue_action, nondiag_action):
     shifted = T.torus_pairings(inoue_action, theta + df, pts)
     for found in (zero, shifted):
         assert found.route == "torus_sweep" and found.theta_minus_dphi > 1e-10
+    # a recombined action takes the deck jump: the pairing is linear in the
+    # generator, xi1 + xi2 / 2, then xi2
     nd = nondiag_action.manifold
     mixed = nondiag_action.recombine([[1.0, 0.5], [0.0, 1.0]])
-    found = T.torus_pairings(mixed, nd.lee_class.theta, nd.sample(3, seed=4),
-                             nodes=32)
-    assert found.route == "torus_sweep" and found.theta_minus_dphi is None
-    # pairing is linear in the generator: xi1 + xi2 / 2, then xi2
+    probes = nd.sample(3, seed=4)
+    found = T.torus_pairings(mixed, nd.lee_class.theta, probes, nodes=32)
+    assert found.route == "deck_jump"
     want = -np.log(abs(nd.params["beta"]) ** 2)
-    assert np.abs(found.values - [want / 2, want]).max() < 1e-8
+    assert np.abs(found.values - [want / 2, want]).max() < 1e-12
+    swept, _ = T.averaged_pairings(mixed, nd.lee_class.theta, probes, 48)
+    assert np.abs(found.values - swept).max() < 1e-12
 
 
 def test_non_constant_deck_jump_raises(monkeypatch):
