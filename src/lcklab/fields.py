@@ -6,13 +6,16 @@ that shared subexpressions (a radius field appearing in fifty coefficients,
 a quadrature node appearing in every term of a sum) are computed once per
 point batch.  ``evaluate`` (jets) and ``stacked`` (real value and gradient
 arrays) are the one entry point from sample points: every caller outside
-this module evaluates through them, one fresh Ctx per call.  Fields may
-take complex values; chart coordinates are always real, ordered x1, y1,
-..., xn, yn with z_j = x_j + i y_j.
+this module evaluates through them, one fresh Ctx per call.  Inside a
+``session`` block they (and ``PointMap.__call__``) instead share one Ctx
+per point batch, so checks on the same points reuse each other's jets.
+Fields may take complex values; chart coordinates are always real, ordered
+x1, y1, ..., xn, yn with z_j = x_j + i y_j.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 from typing import Callable, Sequence
 
@@ -42,6 +45,43 @@ class Ctx:
             ctx = Ctx(pmap.values_from_ctx(self))
             self.submaps[pmap.uid] = ctx
         return ctx
+
+
+# The contexts of the innermost open session, keyed by (shape, bytes) of
+# their points; None outside a session.  A context variable, so a thread
+# started inside a session evaluates on fresh contexts of its own.
+_POOL = contextvars.ContextVar("lcklab_evaluation_session", default=None)
+
+
+class session:
+    """Scope in which evaluations on byte-identical point batches share
+    one Ctx, with its cached jets and deck sub-contexts.
+
+    ``with session(): ...``; the contexts are dropped on exit, also after
+    an exception.  A nested session pools its own contexts and restores
+    the outer one's on exit.
+    """
+
+    def __enter__(self):
+        self._token = _POOL.set({})
+        return self
+
+    def __exit__(self, *exc):
+        _POOL.reset(self._token)
+
+
+def _context(pts):
+    """The session's Ctx for the batch ``pts``, or a fresh one outside a
+    session."""
+    pool = _POOL.get()
+    if pool is None:
+        return Ctx(pts)
+    pts = np.asarray(pts, dtype=np.float64)
+    key = (pts.shape, pts.tobytes())
+    ctx = pool.get(key)
+    if ctx is None:
+        ctx = pool[key] = Ctx(pts)
+    return ctx
 
 
 def as_batch(pts, dim):
@@ -174,8 +214,9 @@ class ScalarField:
 
 def evaluate(fields: Sequence[ScalarField], pts, order: int):
     """Order-``order`` jets of ``fields`` on the batch ``pts``, from one
-    fresh Ctx, so subexpressions the fields share are computed once."""
-    ctx = Ctx(pts)
+    Ctx (fresh, or the open session's for these points), so subexpressions
+    the fields share are computed once."""
+    ctx = _context(pts)
     return [f.eval(ctx, order) for f in fields]
 
 
@@ -227,9 +268,7 @@ class PointMap:
         self.name = name
 
     def __call__(self, pts):
-        pts = as_batch(pts, self.dim_in)
-        ctx = Ctx(pts)
-        return self.values_from_ctx(ctx)
+        return self.values_from_ctx(_context(as_batch(pts, self.dim_in)))
 
     def values_from_ctx(self, ctx):
         cols = [comp.eval(ctx, 0).v for comp in self.components]
@@ -298,23 +337,21 @@ def affine_quadrature_field(f: ScalarField, mats, offsets, weights) -> ScalarFie
     (``optimize=True``), so order 3 costs O(s n d^4) instead of O(s n d^6).
     That path returns a strided view of its last pairwise product; the
     results are copied into contiguous arrays of their own, as the plain
-    contraction returns them.
+    contraction returns them.  The node-stacked sub-context lives for one
+    evaluation only: the result is cached in the outer context under
+    (uid, order), so the s * n point intermediates are freed as soon as
+    that order is done.
     """
     mats = np.asarray(mats, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    token = next(_uid)
 
     def fn(ctx, m):
         pts = ctx.pts
         n = pts.shape[0]
         s = mats.shape[0]
         big = np.einsum("sij,nj->sni", mats, pts) + offsets[:, None, :]
-        sub = ctx.submaps.get(token)
-        if sub is None:
-            sub = Ctx(big.reshape(s * n, -1))
-            ctx.submaps[token] = sub
-        F = f.eval(sub, m)
+        F = f.eval(Ctx(big.reshape(s * n, -1)), m)
         v = np.einsum("s,sn->n", weights, F.v.reshape(s, n))
         g = h = t = None
         if m >= 1:

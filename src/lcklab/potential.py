@@ -32,6 +32,7 @@ from .fields import (
     affine_quadrature_field,
     constant,
     lift_univariate,
+    session,
 )
 from .forms import (
     Form,
@@ -300,12 +301,11 @@ def solve_periodic_first_order(f: PeriodicFunction, a: float = 0.0,
     c = K * math.exp(b) / (math.exp(b) - 1.0)
     sol.K, sol.c = K, c
 
-    gv = sol.g(probe)
+    # g and its mode-sum derivatives (independent of the ODE recursion)
+    gv, g1m, g2m = _mode_gprimes(sol, probe)
     sol.min_g = float(gv.min())
     sol.periodicity_residual = float(np.abs(sol.g(probe + TWO_PI) - gv).max())
 
-    # residuals with mode-sum derivatives (independent of the ODE recursion)
-    g1m, g2m = _mode_gprimes(sol, probe)
     f0 = f.fn(probe)
     f1 = f.d1(probe)
     sol.ode1_residual = float(np.abs(g1m - gv * (1.0 + f0) + 1.0).max())
@@ -318,7 +318,8 @@ def solve_periodic_first_order(f: PeriodicFunction, a: float = 0.0,
 
 
 def _mode_gprimes(sol: PotentialSolution, t):
-    """g' and g'' from differentiated mode sums (no ODE identities used)."""
+    """g, g' and g'' from differentiated mode sums (no ODE identities used);
+    g is the one ``sol.g(t)`` computes."""
     t = np.asarray(t, dtype=float)
     s0, s1, s2 = sol._mode_sums(t, orders=(0, 1, 2))
     eQ = np.exp(sol.Q(t))
@@ -327,7 +328,7 @@ def _mode_gprimes(sol: PotentialSolution, t):
     q2 = sol.f.d1(t)
     g1 = q1 * g0 + eQ * s1
     g2 = q2 * g0 + q1 * g1 + eQ * (q1 * s1 + s2)
-    return g1, g2
+    return g0, g1, g2
 
 
 # -- Example structure: Omega' = Omega + f theta ^ J theta -------------------
@@ -495,106 +496,115 @@ def orbit_average_potential(
     expansion omega_t = cos t omega + sin t dJ eta + dd^c g_t is verified at
     the probe times; the averaged potential g is asserted positive; the
     output pair (g^{-1} dd^c g, -d ln g) is certified deck invariant with
-    its own LCK and constant-potential residuals.
+    its own LCK and constant-potential residuals.  The checks run in one
+    evaluation session, so each quadrature field is evaluated once per
+    point batch and order.
     """
-    phi = phi if phi is not None else manifold.phi
-    if phi is None:
-        raise GalleryError("orbit averaging needs a cover potential phi")
-    jc_flow = jc_flow if jc_flow is not None else flow_of(manifold, "JC")
-    if jc_flow.affine is None:
-        raise GalleryError(f"flow {jc_flow.name} has no affine form to average over")
-    pts = points if points is not None else manifold.sample(40, seed=5)
-    heavy = pts[: min(heavy_points, len(pts))]
+    with session():
+        phi = phi if phi is not None else manifold.phi
+        if phi is None:
+            raise GalleryError("orbit averaging needs a cover potential phi")
+        jc_flow = jc_flow if jc_flow is not None else flow_of(manifold, "JC")
+        if jc_flow.affine is None:
+            raise GalleryError(
+                f"flow {jc_flow.name} has no affine form to average over")
+        pts = points if points is not None else manifold.sample(40, seed=5)
+        heavy = pts[: min(heavy_points, len(pts))]
 
-    checks: Dict[str, float] = {}
-    # theta(C) = 1 after normalization
-    pairing = C.apply_to(phi).values(pts).real
-    checks["theta_C_minus_1"] = float(np.abs(pairing - 1.0).max())
-    if checks["theta_C_minus_1"] > 1e-8:
-        raise InadmissibleInput("normalize the circle generator to theta(C) = 1")
-    # omega1: L_C omega = -omega
-    checks["scaling_identity"] = (lie_derivative(C, omega) + omega).max_abs(pts)
-    if checks["scaling_identity"] > tol_equivariant:
-        raise InadmissibleInput(
-            "input form does not satisfy L_C omega = -omega "
-            f"(residual {checks['scaling_identity']:.2e})"
+        checks: Dict[str, float] = {}
+        # theta(C) = 1 after normalization
+        pairing = C.apply_to(phi).values(pts).real
+        checks["theta_C_minus_1"] = float(np.abs(pairing - 1.0).max())
+        if checks["theta_C_minus_1"] > 1e-8:
+            raise InadmissibleInput("normalize the circle generator to theta(C) = 1")
+        # omega1: L_C omega = -omega
+        checks["scaling_identity"] = (lie_derivative(C, omega) + omega).max_abs(pts)
+        if checks["scaling_identity"] > tol_equivariant:
+            raise InadmissibleInput(
+                "input form does not satisfy L_C omega = -omega "
+                f"(residual {checks['scaling_identity']:.2e})"
+            )
+
+        eta = interior_product(C, omega)
+        JC = jc_flow.generator
+        f = ScalarField.nsum(
+            [eta.coeffs[(i,)] * JC.components[i] for i in range(manifold.dim)
+             if (i,) in eta.coeffs]
         )
+        fvals = f.values(pts).real
+        checks["min_f"] = float(fvals.min())
+        if checks["min_f"] <= 0:
+            raise NumericalError("the squared-norm function f must be positive")
+        # exactness: omega = -d eta
+        checks["exactness"] = (omega + exterior_d(eta)).max_abs(pts)
 
-    eta = interior_product(C, omega)
-    JC = jc_flow.generator
-    f = ScalarField.nsum(
-        [eta.coeffs[(i,)] * JC.components[i] for i in range(manifold.dim)
-         if (i,) in eta.coeffs]
-    )
-    fvals = f.values(pts).real
-    checks["min_f"] = float(fvals.min())
-    if checks["min_f"] <= 0:
-        raise NumericalError("the squared-norm function f must be positive")
-    # exactness: omega = -d eta
-    checks["exactness"] = (omega + exterior_d(eta)).max_abs(pts)
+        djeta = exterior_d(apply_J(eta))
 
-    djeta = exterior_d(apply_J(eta))
+        def g_t_field(t: float, qnodes: int = 257) -> ScalarField:
+            s, w = _gl_nodes(0.0, t, max(8, qnodes // 16))
+            return affine_quadrature_field(f, *jc_flow.affine_stack(s),
+                                           np.sin(t - s) * w)
 
-    def g_t_field(t: float, qnodes: int = 257) -> ScalarField:
-        s, w = _gl_nodes(0.0, t, max(8, qnodes // 16))
-        return affine_quadrature_field(f, *jc_flow.affine_stack(s), np.sin(t - s) * w)
+        omega5 = 0.0
+        for t in t_probes:
+            gt = g_t_field(float(t))
+            lhs = pullback(jc_flow.at(float(t)), omega)
+            rhs = omega.scale(math.cos(t)) + djeta.scale(math.sin(t)) + dd_c(gt)
+            omega5 = max(omega5, (lhs - rhs).max_abs(heavy))
+        checks["flow_expansion"] = omega5
 
-    omega5 = 0.0
-    for t in t_probes:
-        gt = g_t_field(float(t))
-        lhs = pullback(jc_flow.at(float(t)), omega)
-        rhs = omega.scale(math.cos(t)) + djeta.scale(math.sin(t)) + dd_c(gt)
-        omega5 = max(omega5, (lhs - rhs).max_abs(heavy))
-    checks["flow_expansion"] = omega5
+        # averaged potential: single weighted quadrature over [0, 2 n pi]
+        span = TWO_PI * n_periods
+        panels = max(32 * n_periods, int(np.ceil(nodes / 16)))
+        s, w = _gl_nodes(0.0, span, panels)
+        g = affine_quadrature_field(f, *jc_flow.affine_stack(s),
+                                    (1.0 - np.cos(s)) * w / span)
+        gvals = g.values(pts).real
+        checks["min_g"] = float(gvals.min())
+        if checks["min_g"] <= 0:
+            raise NumericalError("averaged potential failed to be positive")
 
-    # averaged potential: single weighted quadrature over [0, 2 n pi]
-    span = TWO_PI * n_periods
-    panels = max(32 * n_periods, int(np.ceil(nodes / 16)))
-    s, w = _gl_nodes(0.0, span, panels)
-    g = affine_quadrature_field(f, *jc_flow.affine_stack(s),
-                                (1.0 - np.cos(s)) * w / span)
-    gvals = g.values(pts).real
-    checks["min_g"] = float(gvals.min())
-    if checks["min_g"] <= 0:
-        raise NumericalError("averaged potential failed to be positive")
+        # cross-check the collapsed average against the literal double-quadrature
+        # route (1/span) int_0^span dt int_0^t sin(t - s) f(Phi_s x) ds
+        x0 = pts[:1]
+        mg = 1536 * n_periods
+        sgrid = np.linspace(0.0, span, mg + 1)
+        mats, offs = jc_flow.affine_stack(sgrid)
+        f_along = f.values(np.einsum("sij,j->si", mats, x0[0]) + offs).real
+        checks["min_f_along_flow"] = float(f_along.min())
+        if checks["min_f_along_flow"] <= 0:
+            raise NumericalError("f stopped being positive along the flow")
+        h = span / mg
+        t_idx = np.arange(0, mg + 1, 8)
+        g_ts = np.zeros(t_idx.shape[0])
+        for r, it in enumerate(t_idx[1:], start=1):
+            g_ts[r] = _simpson(
+                np.sin(sgrid[it] - sgrid[: it + 1]) * f_along[: it + 1], h)
+        double = _simpson(g_ts, sgrid[8] - sgrid[0]) / span
+        checks["average_vs_duhamel"] = abs(double - float(gvals[0]))
 
-    # cross-check the collapsed average against the literal double-quadrature
-    # route (1/span) int_0^span dt int_0^t sin(t - s) f(Phi_s x) ds
-    x0 = pts[:1]
-    mg = 1536 * n_periods
-    sgrid = np.linspace(0.0, span, mg + 1)
-    mats, offs = jc_flow.affine_stack(sgrid)
-    f_along = f.values(np.einsum("sij,j->si", mats, x0[0]) + offs).real
-    checks["min_f_along_flow"] = float(f_along.min())
-    if checks["min_f_along_flow"] <= 0:
-        raise NumericalError("f stopped being positive along the flow")
-    h = span / mg
-    t_idx = np.arange(0, mg + 1, 8)
-    g_ts = np.zeros(t_idx.shape[0])
-    for r, it in enumerate(t_idx[1:], start=1):
-        g_ts[r] = _simpson(np.sin(sgrid[it] - sgrid[: it + 1]) * f_along[: it + 1], h)
-    double = _simpson(g_ts, sgrid[8] - sgrid[0]) / span
-    checks["average_vs_duhamel"] = abs(double - float(gvals[0]))
+        omega_prime = dd_c(g).scale(1.0 / g)
+        theta_prime = exterior_d(Form.from_function(g.log())).scale(-1.0)
 
-    omega_prime = dd_c(g).scale(1.0 / g)
-    theta_prime = exterior_d(Form.from_function(g.log())).scale(-1.0)
-
-    checks["omega_prime_descends"] = invariance_residual(manifold, omega_prime, heavy)
-    checks["theta_prime_descends"] = invariance_residual(manifold, theta_prime, heavy)
-    out = LCKStructure(omega_prime, theta_prime, name="orbit-average",
-                       manifold=manifold)
-    checks["lck_prime"] = lck_residual(out, heavy)
-    checks["unit_potential"] = (
-        omega_prime - twisted_potential_form(constant(1.0, manifold.dim), theta_prime)
-    ).max_abs(heavy)
-    checks["positivity_min_eig"] = float(out.positivity_minima(heavy).min())
-    if manifold.decks:
-        base_theta = exterior_d(Form.from_function(phi))
-        li_new = deck_loop_integral(manifold, theta_prime, manifold.decks[0].name)
-        li_old = deck_loop_integral(manifold, base_theta, manifold.decks[0].name)
-        checks["lee_class_loop_match"] = abs(li_new - li_old)
-    return OrbitPotentialResult(g, omega_prime, theta_prime, f, eta, checks,
-                                n_periods, g_t=g_t_field)
+        checks["omega_prime_descends"] = invariance_residual(manifold, omega_prime,
+                                                             heavy)
+        checks["theta_prime_descends"] = invariance_residual(manifold, theta_prime,
+                                                             heavy)
+        out = LCKStructure(omega_prime, theta_prime, name="orbit-average",
+                           manifold=manifold)
+        checks["lck_prime"] = lck_residual(out, heavy)
+        checks["unit_potential"] = (
+            omega_prime
+            - twisted_potential_form(constant(1.0, manifold.dim), theta_prime)
+        ).max_abs(heavy)
+        checks["positivity_min_eig"] = float(out.positivity_minima(heavy).min())
+        if manifold.decks:
+            base_theta = exterior_d(Form.from_function(phi))
+            li_new = deck_loop_integral(manifold, theta_prime, manifold.decks[0].name)
+            li_old = deck_loop_integral(manifold, base_theta, manifold.decks[0].name)
+            checks["lee_class_loop_match"] = abs(li_new - li_old)
+        return OrbitPotentialResult(g, omega_prime, theta_prime, f, eta, checks,
+                                    n_periods, g_t=g_t_field)
 
 
 def leeolo_orbit_pipeline(m: ModelManifold, n_periods: int = 1, points=None,
@@ -612,11 +622,13 @@ def leeolo_orbit_pipeline(m: ModelManifold, n_periods: int = 1, points=None,
     base = m.extras["vaisman_base"]
     phi_b = m.extras["base_phi"]
     pts = points if points is not None else m.sample(25, seed=9)
-    _, omega_avg, theta_avg, prep = vertical_circle_input(
-        m, m.structure, phi_b, circle="C", nodes=avg_nodes, pts=pts[:10]
-    )
-    prep["avg_equals_invariant_rep"] = (omega_avg - base.omega).max_abs(pts[:10])
-    prep["avg_theta_equals_rep"] = (theta_avg - base.theta).max_abs(pts[:10])
+    # one session, so the three checks share the averaged theta's jets
+    with session():
+        _, omega_avg, theta_avg, prep = vertical_circle_input(
+            m, m.structure, phi_b, circle="C", nodes=avg_nodes, pts=pts[:10]
+        )
+        prep["avg_equals_invariant_rep"] = (omega_avg - base.omega).max_abs(pts[:10])
+        prep["avg_theta_equals_rep"] = (theta_avg - base.theta).max_abs(pts[:10])
     # run on the certified invariant representative (identical to the average
     # within the residuals above, and a much smaller expression)
     omega_input = base.omega.scale((-1.0 * phi_b).exp())

@@ -267,10 +267,13 @@ def classify_vertical(act: TorusAction, theta: Form, pts, nodes=16,
 
 
 def intersection_dimension(act: TorusAction, pts, cutoff=1e-8) -> int:
-    """dim(t ^ Jt) from the rank of [Xi | J Xi] at each sample.
+    """dim(t ^ Jt) from the generic rank of [Xi | J Xi] over the samples.
 
-    rank[Xi | J Xi] = dim(t + Jt) = 2k - dim(t ^ Jt); the value must agree
-    across samples, otherwise the action is stratified at the probe set.
+    rank[Xi | J Xi] = dim(t + Jt) = 2k - dim(t ^ Jt) at a point where the
+    action is free.  t ^ Jt is a subspace of the Lie algebra, so it is read
+    off the largest rank over the samples: a sample on a locus where the
+    generators degenerate (xi2 a complex multiple of xi1 near z1 = 0 on the
+    non-diagonal Hopf surface) has a lower rank and is outvoted.
     """
     pts = as_batch(pts, act.manifold.dim)
     k = len(act.generators)
@@ -280,10 +283,7 @@ def intersection_dimension(act: TorusAction, pts, cutoff=1e-8) -> int:
     M = np.concatenate([Xi, np.einsum("ij,njk->nik", J, Xi)], axis=2)
     svals = np.linalg.svd(M, compute_uv=False)
     ranks = (svals > cutoff * svals[:, :1]).sum(axis=1)
-    dims = 2 * k - ranks
-    if dims.min() != dims.max():
-        raise NumericalError("stratified action, refine samples")
-    return int(dims[0])
+    return int(2 * k - ranks.max())
 
 
 @dataclass

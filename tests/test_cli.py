@@ -1,8 +1,12 @@
 """CLI contract: exit codes, JSON schema, determinism, polarity metadata."""
 
+import cmath
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcklab import cli
 from lcklab import manifolds as M
@@ -60,6 +64,12 @@ def test_unknown_fixture_exits_2(capsys):
     ["verify", "leeolo:n=1"],
     ["verify", "hopf_diag:beta=0.001"],
     ["verify", "hopf_nondiag:lam=1000"],
+    ["verify", "hopf_nondiag:m=5"],
+    ["verify", "hopf_nondiag:beta=0.5,lam=0.75,m=5"],
+    ["verify", "hopf_nondiag:lam=0.00001"],
+    ["verify", "leeolo:eps=0"],
+    ["verify", "leeolo:eps=0.00001", "--seed", "7"],
+    ["verify", "leeolo:eps=-0.00003", "--seed", "12345"],
 ])
 def test_bad_parameters_exit_2_without_traceback(argv, capsys):
     assert cli.main(argv) == 2
@@ -77,12 +87,53 @@ def test_hopf_nondiag_inside_its_domain_verifies(fixture):
 
 @pytest.mark.parametrize("fixture", [
     "hopf_nondiag:m=3",    # xi2 orbit stretch 14.3 of 16
+    "hopf_nondiag:m=3 --seed 8",  # a sample near z1 = 0, where xi2 ~ xi1
+    "hopf_nondiag:beta=0.5,lam=0.75,m=4",  # the largest m accepted
     "hopf_nondiag:lam=2",  # stretch 11.8
+    "hopf_nondiag:lam=0.0001",  # the smallest |lam| accepted
     "hopf_diag:beta=0.01",  # the smallest |beta| hopf_diag accepts
+    "leeolo:eps=0.001",    # the smallest |eps| leeolo accepts
 ])
 def test_parameters_at_the_edge_of_their_domain_exit_0(fixture, capsys):
-    assert cli.main(["verify", fixture]) == 0
+    assert cli.main(["verify", *fixture.split()]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def _complex_in_disc(radius):
+    # radii on a grid of step 0.05, so most draws land inside the domain
+    return st.builds(cmath.rect, st.integers(0, int(radius * 20)).map(lambda k: k / 20),
+                     st.floats(-cmath.pi, cmath.pi))
+
+
+# Each domain reaches past its fixture's accepted parameters on every side.
+FIXTURE_DOMAINS = {
+    "hopf_diag": st.builds("hopf_diag:n={},beta={}".format,
+                           st.integers(1, 4), _complex_in_disc(1.1)),
+    "hopf_nondiag": st.builds("hopf_nondiag:beta={},lam={},m={}".format,
+                              _complex_in_disc(1.05), st.floats(-2.0, 2.0),
+                              st.integers(1, 6)),
+    "leeolo": st.builds("leeolo:eps={!r}".format, st.floats(-1.2, 1.2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_DOMAINS))
+def test_fixtures_verify_or_refuse_their_parameters(name):
+    # a fixture that accepts its parameters passes its suite (exit 0); one
+    # that refuses them exits 2 or 4; never 1, 3 or a traceback
+    @settings(max_examples=10, derandomize=True, deadline=None, database=None)
+    @given(fixture=FIXTURE_DOMAINS[name], seed=st.integers(0, 2**31 - 1))
+    def verify_or_refuse(fixture, seed):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = cli.main(["verify", fixture, "--points", "20", "--nodes", "128",
+                             "--seed", str(seed)])
+        assert code in (0, 2, 4), out.getvalue()
+        if code:
+            fx, params = cli.parse_fixture(fixture)
+            with pytest.raises((cli.GalleryError, cli.InadmissibleInput)):
+                M.gallery(fx, **params)
+
+    verify_or_refuse()
 
 
 def test_readme_fixture_ids_build():

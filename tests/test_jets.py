@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcklab.fields import (
+    Ctx,
     PointMap,
     ScalarField,
     affine_quadrature_field,
@@ -12,6 +13,7 @@ from lcklab.fields import (
     constant,
     coordinate,
     evaluate,
+    session,
     stacked,
 )
 from lcklab.jets import Jet, JetOrderError, compose_multi
@@ -398,3 +400,82 @@ def test_evaluate_computes_a_shared_subexpression_once_per_call():
     assert vals.shape == (5, 2) and grads.shape == (5, 2, DIM)
     assert np.array_equal(grads[:, 1], first[1].g)
     assert stacked(fields, pts, 0)[1] is None
+
+
+def _counted_exp(calls):
+    """exp(x0) as a field that records the order of every evaluation."""
+    x = coordinate(0, DIM)
+
+    def fn(ctx, m):
+        calls.append(m)
+        return x.eval(ctx, m).exp()
+
+    return ScalarField(DIM, fn)
+
+
+def test_session_shares_one_context_per_batch_and_resets_on_exit():
+    calls = []
+    shared = _counted_exp(calls)
+    fields = [shared * 2.0, shared + coordinate(1, DIM)]
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, DIM))
+    outside = evaluate(fields, pts, 1)
+    with session():
+        inside = evaluate(fields, pts, 1)
+        # byte-identical points, another array: the same context
+        evaluate(fields, pts.copy(), 1)
+        assert calls == [1, 1]
+        evaluate(fields, pts, 0)
+        evaluate(fields, pts[:3], 1)
+        assert calls == [1, 1, 0, 1]
+        # a point map on the same batch reads the cached order-0 jets
+        PointMap([shared, coordinate(1, DIM)])(pts)
+        assert calls == [1, 1, 0, 1]
+        with session():
+            evaluate(fields, pts, 1)
+            assert calls == [1, 1, 0, 1, 1]
+        # the outer session's contexts are back
+        evaluate(fields, pts, 1)
+        assert calls == [1, 1, 0, 1, 1]
+    for a, b in zip(outside, inside):
+        assert np.array_equal(a.v, b.v) and np.array_equal(a.g, b.g)
+    evaluate(fields, pts, 1)
+    assert calls == [1, 1, 0, 1, 1, 1]
+    with pytest.raises(RuntimeError):
+        with session():
+            evaluate(fields, pts, 1)
+            raise RuntimeError("inside the session")
+    evaluate(fields, pts, 1)
+    assert calls == [1, 1, 0, 1, 1, 1, 1, 1]
+
+
+def test_a_thread_started_in_a_session_evaluates_on_fresh_contexts():
+    import threading
+
+    calls = []
+    shared = _counted_exp(calls)
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, DIM))
+
+    def work():
+        evaluate([shared], pts, 1)
+        evaluate([shared], pts, 1)
+
+    with session():
+        evaluate([shared], pts, 1)
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join()
+        assert calls == [1, 1, 1]
+        evaluate([shared], pts, 1)
+        assert calls == [1, 1, 1]
+
+
+def test_quadrature_keeps_no_sub_context():
+    calls = []
+    f = _counted_exp(calls)
+    mats = np.stack([np.eye(DIM) * (1.0 + 0.1 * k) for k in range(3)])
+    quad = affine_quadrature_field(f, mats, np.zeros((3, DIM)), np.full(3, 1 / 3))
+    ctx = Ctx(np.random.default_rng(6).uniform(-1.0, 1.0, size=(4, DIM)))
+    jet = quad.eval(ctx, 2)
+    assert not ctx.submaps
+    # the outer jet is cached, so the node-stacked batch is not refilled
+    assert quad.eval(ctx, 2) is jet and calls == [2]

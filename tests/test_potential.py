@@ -116,6 +116,14 @@ def test_solver_rejects_inadmissible_profile():
         P.solve_periodic_first_order(P.PeriodicFunction.cosine(1.5))
 
 
+def test_mode_sum_value_is_the_potential_bit_for_bit():
+    sol = P.solve_periodic_first_order(P.PeriodicFunction.cosine(0.3))
+    t = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+    g0, g1, g2 = P._mode_gprimes(sol, t)
+    assert np.array_equal(g0, sol.g(t))
+    assert sol.min_g == float(g0.min())
+
+
 def test_derivative_table_consistency():
     sol = P.solve_periodic_first_order(P.PeriodicFunction.cosine(0.3))
     x = np.linspace(0.3, 5.9, 9)
@@ -263,6 +271,33 @@ def test_orbit_twisted_run(orbit_twisted):
     assert ck["lee_class_loop_match"] < 1e-6
     assert ck["average_vs_duhamel"] < 1e-7
     assert ck["prep_avg_equals_invariant_rep"] < 1e-10
+
+
+def test_orbit_pipeline_evaluates_each_quadrature_once_per_batch_and_order(
+        leeolo, monkeypatch):
+    from collections import Counter
+
+    from lcklab import fields, torus
+
+    runs = Counter()
+
+    def counting(f, mats, offsets, weights):
+        quad = fields.affine_quadrature_field(f, mats, offsets, weights)
+        inner = quad._fn
+
+        def fn(ctx, m):
+            runs[quad.uid, ctx.pts.shape, ctx.pts.tobytes(), m] += 1
+            return inner(ctx, m)
+
+        quad._fn = fn
+        return quad
+
+    monkeypatch.setattr(P, "affine_quadrature_field", counting)
+    monkeypatch.setattr(torus, "affine_quadrature_field", counting)
+    res = P.leeolo_orbit_pipeline(leeolo)
+    assert res.checks["lck_prime"] < 1e-6
+    assert {m for _, _, _, m in runs} == {0, 1, 2, 3}
+    assert set(runs.values()) == {1}
 
 
 def test_orbit_multi_period(leeolo):

@@ -321,8 +321,9 @@ def test_unregistered_flow_lookup_errors(hopf):
         M.flow_of(hopf, "nonexistent")
 
 
-def test_intersection_dimension_rejects_stratified_actions():
-    # a generator vanishing on part of the probe set makes the rank jump
+def test_intersection_dimension_takes_the_generic_rank():
+    # a generator vanishing on part of the probe set drops the rank there;
+    # dim(t ^ Jt) belongs to the Lie algebra, so the largest rank decides
     m = M.gallery("hxc_cover")
     from lcklab.fields import PointMap, VectorField, coordinate
 
@@ -334,8 +335,10 @@ def test_intersection_dimension_rejects_stratified_actions():
         [0.0, 1.0, 0.2, 0.3],   # generator vanishes here
         [0.5, 1.0, 0.2, 0.3],
     ])
-    with pytest.raises(NumericalError, match="stratified"):
-        T.intersection_dimension(act, pts)
+    assert T.intersection_dimension(act, pts) == 0
+    # only on the vanishing locus is the whole of t complex-isotropic
+    assert T.intersection_dimension(act, pts[:1]) == 2
+    assert T.intersection_dimension(act, [[0.0, -2.0, 0.7, 1.1], pts[0]]) == 2
 
 
 def test_isotropy_on_product_horizontal_torus():
