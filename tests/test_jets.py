@@ -378,15 +378,20 @@ def test_affine_pullback_keeps_absent_tiers_absent():
     assert quadratic.h is not None and quadratic.t is None
 
 
-def test_evaluate_computes_a_shared_subexpression_once_per_call():
-    calls = []
+def _counted_exp(calls):
+    """exp(x0) as a field that records the order of every evaluation."""
     x = coordinate(0, DIM)
 
     def fn(ctx, m):
         calls.append(m)
         return x.eval(ctx, m).exp()
 
-    shared = ScalarField(DIM, fn)
+    return ScalarField(DIM, fn)
+
+
+def test_evaluate_computes_a_shared_subexpression_once_per_call():
+    calls = []
+    shared = _counted_exp(calls)
     fields = [shared * 2.0, shared + coordinate(1, DIM)]
     pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, DIM))
     first = evaluate(fields, pts, 1)
@@ -400,17 +405,6 @@ def test_evaluate_computes_a_shared_subexpression_once_per_call():
     assert vals.shape == (5, 2) and grads.shape == (5, 2, DIM)
     assert np.array_equal(grads[:, 1], first[1].g)
     assert stacked(fields, pts, 0)[1] is None
-
-
-def _counted_exp(calls):
-    """exp(x0) as a field that records the order of every evaluation."""
-    x = coordinate(0, DIM)
-
-    def fn(ctx, m):
-        calls.append(m)
-        return x.eval(ctx, m).exp()
-
-    return ScalarField(DIM, fn)
 
 
 def test_session_shares_one_context_per_batch_and_resets_on_exit():
