@@ -327,20 +327,42 @@ def compose_maps(outer: PointMap, inner: PointMap) -> PointMap:
     return PointMap(comps, dim_out=outer.dim_out, name=f"{outer.name}o{inner.name}")
 
 
+# Most node-stacked points one Ctx of an affine quadrature evaluates at once.
+# Every jet operation acts row by row, so the blocks change no result; they
+# bound the intermediates of f's DAG that a Ctx caches to this many rows.
+_QUAD_POINT_BUDGET = 1024
+
+
+def _eval_in_blocks(f: ScalarField, pts, order: int) -> Jet:
+    """The order-``order`` jet of f on the rows of pts, evaluated in
+    contiguous blocks of at most _QUAD_POINT_BUDGET rows, each on a fresh
+    Ctx that is dropped before the next block starts."""
+    blocks = []
+    # an empty batch is evaluated as one empty block
+    for start in range(0, max(pts.shape[0], 1), _QUAD_POINT_BUDGET):
+        blocks.append(f.eval(Ctx(pts[start:start + _QUAD_POINT_BUDGET]), order))
+    if len(blocks) == 1:
+        return blocks[0]
+    tiers = [None if getattr(blocks[0], k) is None
+             else np.concatenate([getattr(b, k) for b in blocks]) for k in "vght"]
+    return Jet(order, *tiers)
+
+
 def affine_quadrature_field(f: ScalarField, mats, offsets, weights) -> ScalarField:
     """sum_s w_s (f o A_s) for affine maps A_s x = M_s x + b_s, vectorized.
 
-    The node axis is flattened into the evaluation batch, so the (possibly
-    expensive) field f is evaluated once per context regardless of the node
-    count; constant Jacobians make the chain rule three contractions.  The
-    order-2 and order-3 ones contract one Jacobian factor at a time
-    (``optimize=True``), so order 3 costs O(s n d^4) instead of O(s n d^6).
-    That path returns a strided view of its last pairwise product; the
-    results are copied into contiguous arrays of their own, as the plain
-    contraction returns them.  The node-stacked sub-context lives for one
-    evaluation only: the result is cached in the outer context under
-    (uid, order), so the s * n point intermediates are freed as soon as
-    that order is done.
+    The node axis is flattened into the evaluation batch, so the DAG of the
+    (possibly expensive) field f is walked once per block of at most
+    ``_QUAD_POINT_BUDGET`` node-stacked points, not once per node; constant
+    Jacobians make the chain rule three contractions, run once on the
+    blocks' concatenated jets.  The order-2 and order-3 ones contract one
+    Jacobian factor at a time (``optimize=True``), so order 3 costs
+    O(s n d^4) instead of O(s n d^6).  That path returns a strided view of
+    its last pairwise product; the results are copied into contiguous
+    arrays of their own, as the plain contraction returns them.  Each
+    block's sub-context lives for that block only and the result is cached
+    in the outer context under (uid, order), so at most one block of
+    intermediates of f is alive at a time.
     """
     mats = np.asarray(mats, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
@@ -351,7 +373,7 @@ def affine_quadrature_field(f: ScalarField, mats, offsets, weights) -> ScalarFie
         n = pts.shape[0]
         s = mats.shape[0]
         big = np.einsum("sij,nj->sni", mats, pts) + offsets[:, None, :]
-        F = f.eval(Ctx(big.reshape(s * n, -1)), m)
+        F = _eval_in_blocks(f, big.reshape(s * n, -1), m)
         v = np.einsum("s,sn->n", weights, F.v.reshape(s, n))
         g = h = t = None
         if m >= 1:

@@ -16,6 +16,14 @@ present stays ``None``.  ``g`` is always a dense array at order >= 1.  The
 present terms are summed in the order of the full rule, so results match
 the rule applied to zero-filled tiers bit for bit (x + 0 = x and 0 * x = 0
 for finite x).
+
+Jets share arrays: an operation may hand back an operand's tier or a view
+of it (``x + c``, ``partial``, ``real``, ``_lsum`` of one present term), so
+no operation ever writes into an array it was given.  The order-2 and
+order-3 tiers of a product of jets and of a univariate chain step are
+fresh arrays, built in place: the rule's terms are added into one output
+array in the rule's order, so they equal the plain sum of fresh terms bit
+for bit with a fraction of its temporaries.
 """
 
 from __future__ import annotations
@@ -38,26 +46,80 @@ def _lsum(*terms):
     return acc
 
 
-def _scale(v, x):
-    """The (N,) array v times tier x, broadcast over its coordinate axes."""
-    if x is None:
-        return None
-    return v.reshape(v.shape + (1,) * (x.ndim - 1)) * x
+def _product(x, y, scale=None):
+    """The tier term scale * (x * y), or None when x or y is absent."""
+    return None if x is None or y is None else (((x, y),), False, scale)
 
 
 def _hg(h, g):
-    """The outer product h_{pq} g_r, or None when h is absent."""
-    return None if h is None else h[:, :, :, None] * g[:, None, None, :]
+    """The factors of the outer product h_{pq} g_r, or None when h is absent."""
+    return None if h is None else (h[:, :, :, None], g[:, None, None, :])
 
 
-def _sym_hg(x):
-    # S_{pqr} = x_{pqr} + x_{prq} + x_{qrp}.  For the outer product
-    # x_{pqr} = h_{pq} g_r this is h_{pq} g_r + h_{pr} g_q + h_{qr} g_p,
-    # exact for any h, symmetric or not; a sum of outer products goes
-    # through in one pass.
-    if x is None:
+def _sym_hg(pairs, scale=None):
+    """The tier term scale * S(x) of x = the left-to-right sum of the present
+    outer products ``pairs``; None if none is present.
+
+    S_{pqr} = x_{pqr} + x_{prq} + x_{qrp}.  For the outer product
+    x_{pqr} = h_{pq} g_r this is h_{pq} g_r + h_{pr} g_q + h_{qr} g_p,
+    exact for any h, symmetric or not; a sum of outer products goes
+    through in one pass.
+    """
+    pairs = tuple(p for p in pairs if p is not None)
+    return (pairs, True, scale) if pairs else None
+
+
+def _fill(out, term):
+    products, sym, scale = term
+    if sym:
+        # S reads x through two transposes, so x needs an array of its own
+        x = np.empty_like(out)
+        np.multiply(*products[0], out=x)
+        for pair in products[1:]:
+            np.multiply(*pair, out=out)
+            x += out
+        np.add(x, x.transpose(0, 1, 3, 2), out=out)
+        out += x.transpose(0, 3, 1, 2)
+    else:
+        np.multiply(*products[0], out=out)
+    if scale is not None:
+        # scale first: a complex product may round differently with its
+        # factors swapped (fused multiply-add)
+        np.multiply(scale, out, out=out)
+
+
+def _tier(shape, terms):
+    """One derivative tier: the sum of its present terms, left to right.
+
+    A term is ``(products, sym, scale)``: the left-to-right sum of the
+    products x * y of its (x, y) pairs, symmetrised by S when ``sym``, then
+    times ``scale`` when that is not None; an absent term is None.  The
+    tier is built in one fresh array of the result type of every present
+    factor.  The first term is written into it, each later one into one
+    scratch array and then added in place.  Products, sums and scalings
+    are the elementwise operations of the plain expression, with their
+    operands in its order, and a real value cast into a complex array takes
+    +0 as imaginary part as promotion does, so the tier equals the plain
+    sum bit for bit.  No operand array is written.  None if no term is
+    present.
+    """
+    terms = [x for x in terms if x is not None]
+    if not terms:
         return None
-    return x + x.transpose(0, 1, 3, 2) + x.transpose(0, 3, 1, 2)
+    factors = []
+    for products, _, scale in terms:
+        for pair in products:
+            factors += pair
+        if scale is not None:
+            factors.append(scale)
+    out = np.empty(shape, np.result_type(*factors))
+    _fill(out, terms[0])
+    if len(terms) > 1:
+        scratch = np.empty_like(out)
+        for term in terms[1:]:
+            _fill(scratch, term)
+            out += scratch
+    return out
 
 
 class Jet:
@@ -166,18 +228,19 @@ class Jet:
         if m >= 1:
             g = a.v[:, None] * b.g + b.v[:, None] * a.g
         if m >= 2:
-            h = _lsum(
-                _scale(a.v, b.h),
-                _scale(b.v, a.h),
-                a.g[:, :, None] * b.g[:, None, :],
-                b.g[:, :, None] * a.g[:, None, :],
-            )
+            n, d = a.g.shape
+            h = _tier((n, d, d), [
+                _product(a.v[:, None, None], b.h),
+                _product(b.v[:, None, None], a.h),
+                _product(a.g[:, :, None], b.g[:, None, :]),
+                _product(b.g[:, :, None], a.g[:, None, :]),
+            ])
         if m >= 3:
-            t = _lsum(
-                _scale(a.v, b.t),
-                _scale(b.v, a.t),
-                _sym_hg(_lsum(_hg(a.h, b.g), _hg(b.h, a.g))),
-            )
+            t = _tier((n, d, d, d), [
+                _product(a.v[:, None, None, None], b.t),
+                _product(b.v[:, None, None, None], a.t),
+                _sym_hg([_hg(a.h, b.g), _hg(b.h, a.g)]),
+            ])
         return Jet(m, v, g, h, t)
 
     __rmul__ = __mul__
@@ -224,15 +287,18 @@ class Jet:
         if m >= 1:
             g = derivs[1][:, None] * self.g
         if m >= 2:
+            n, d = self.g.shape
             gg = self.g[:, :, None] * self.g[:, None, :]
-            h = _lsum(_scale(derivs[1], self.h), _scale(derivs[2], gg))
+            h = _tier((n, d, d), [
+                _product(derivs[1][:, None, None], self.h),
+                _product(derivs[2][:, None, None], gg),
+            ])
         if m >= 3:
-            ggg = gg[:, :, :, None] * self.g[:, None, None, :]
-            t = _lsum(
-                _scale(derivs[1], self.t),
-                _scale(derivs[2], _sym_hg(_hg(self.h, self.g))),
-                _scale(derivs[3], ggg),
-            )
+            t = _tier((n, d, d, d), [
+                _product(derivs[1][:, None, None, None], self.t),
+                _sym_hg([_hg(self.h, self.g)], derivs[2][:, None, None, None]),
+                _product(gg[:, :, :, None], self.g[:, None, None, :], derivs[3][:, None, None, None]),
+            ])
         return Jet(m, v, g, h, t)
 
     def reciprocal(self):

@@ -146,12 +146,9 @@ class LeePair:
         return np.real(s.omega.evaluate(pts, vb, vjb))
 
 
-def solve_linear_fields(A, b):
-    """Solve A x = b in field arithmetic by elimination without pivoting.
-
-    Requires nonvanishing diagonal pivots on the evaluation domain; metric
-    matrices (symmetric positive definite entries) qualify.
-    """
+def _eliminate(A, b):
+    """Forward elimination without pivoting: the rows of the upper
+    triangle (pivot k is ``U[k][k]``) and the reduced right-hand side."""
     n = len(b)
     A = [row[:] for row in A]
     b = b[:]
@@ -162,6 +159,26 @@ def solve_linear_fields(A, b):
             for j in range(k + 1, n):
                 A[i][j] = A[i][j] - factor * A[k][j]
             b[i] = b[i] - factor * b[k]
+    return A, b
+
+
+def solve_linear_fields(A, b):
+    """Solve A x = b in field arithmetic by elimination without pivoting.
+
+    Requires nonvanishing diagonal pivots on the evaluation domain.  For
+    a metric matrix G that holds wherever G is positive definite, i.e.
+    where its smallest eigenvalue (``LCKStructure.positivity_minima``, the
+    ``positivity_min_eig`` rows) is above 0: after k steps the trailing
+    block is the Schur complement of G's leading k x k block, a Schur
+    complement of a symmetric positive definite matrix is again symmetric
+    positive definite, and so its first diagonal entry, pivot k + 1, is
+    positive.  (Equivalently, pivot k is the ratio of the leading principal
+    minors of orders k and k - 1, all positive by Sylvester's criterion.)
+    So where the metric is positive definite, no pivot of the metric solve
+    vanishes and pivoting would change only the rounding.
+    """
+    A, b = _eliminate(A, b)
+    n = len(b)
     x = [None] * n
     for i in range(n - 1, -1, -1):
         acc = b[i]

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcklab.fields import (
+    _QUAD_POINT_BUDGET,
     Ctx,
     PointMap,
     ScalarField,
+    _eval_in_blocks,
     affine_quadrature_field,
     compose_field,
     constant,
     coordinate,
     evaluate,
+    lift_univariate,
     session,
     stacked,
 )
@@ -473,3 +476,161 @@ def test_quadrature_keeps_no_sub_context():
     assert not ctx.submaps
     # the outer jet is cached, so the node-stacked batch is not refilled
     assert quad.eval(ctx, 2) is jet and calls == [2]
+
+
+# -- tiers built in place ---------------------------------------------------
+
+# The Leibniz and chain rules with each term a fresh array, summed by _lsum:
+# the reference that the in-place rules must match bit for bit and in dtype.
+
+def _ref_lsum(*terms):
+    acc = None
+    for x in terms:
+        if x is not None:
+            acc = x if acc is None else acc + x
+    return acc
+
+
+def _ref_scale(v, x):
+    return None if x is None else v.reshape(v.shape + (1,) * (x.ndim - 1)) * x
+
+
+def _ref_hg(h, g):
+    return None if h is None else h[:, :, :, None] * g[:, None, None, :]
+
+
+def _ref_sym(x):
+    return None if x is None else x + x.transpose(0, 1, 3, 2) + x.transpose(0, 3, 1, 2)
+
+
+def _ref_mul(a, b):
+    m = a.order
+    h = t = None
+    if m >= 2:
+        h = _ref_lsum(_ref_scale(a.v, b.h), _ref_scale(b.v, a.h),
+                      a.g[:, :, None] * b.g[:, None, :],
+                      b.g[:, :, None] * a.g[:, None, :])
+    if m >= 3:
+        t = _ref_lsum(_ref_scale(a.v, b.t), _ref_scale(b.v, a.t),
+                      _ref_sym(_ref_lsum(_ref_hg(a.h, b.g), _ref_hg(b.h, a.g))))
+    return Jet(m, a.v * b.v, a.v[:, None] * b.g + b.v[:, None] * a.g, h, t)
+
+
+def _ref_chain(a, derivs):
+    m = a.order
+    gg = a.g[:, :, None] * a.g[:, None, :]
+    h = _ref_lsum(_ref_scale(derivs[1], a.h), _ref_scale(derivs[2], gg))
+    t = None
+    if m >= 3:
+        t = _ref_lsum(_ref_scale(derivs[1], a.t),
+                      _ref_scale(derivs[2], _ref_sym(_ref_hg(a.h, a.g))),
+                      _ref_scale(derivs[3], gg[:, :, :, None] * a.g[:, None, None, :]))
+    return Jet(m, derivs[0], derivs[1][:, None] * a.g, h, t)
+
+
+def _arrays(*jets):
+    return [x for j in jets for x in (j.v, j.g, j.h, j.t) if x is not None]
+
+
+def _assert_same_jet(got, want):
+    for name in ("v", "g", "h", "t"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def _assert_fresh_tiers(got, *operands):
+    for tier in (got.h, got.t):
+        assert tier is None or not any(np.shares_memory(tier, x) for x in _arrays(*operands))
+
+
+def _kernel_operands(rng, order):
+    """Order-``order`` jets with non-symmetric tiers: real, complex, a complex
+    value over real derivatives, absent tiers and, at order 2, partials of
+    an order-3 jet; and every array they are built on."""
+    n, d = 6, 3
+    real = _raw_jet(rng, n, d)
+    shifted = Jet(3, real.v + 0.5j, real.g, real.h, real.t)  # as x + 0.5j leaves it
+    jets = [real, shifted] + [_sparse_jet(rng, n, d, p, cplx=c)
+                              for p in TIER_PATTERNS for c in (False, True)]
+    jets = [Jet(order, j.v, j.g, j.h, j.t if order == 3 else None) for j in jets]
+    deeper = _raw_jet(rng, n, d)
+    if order == 2:
+        jets += [deeper.partial(0), deeper.partial(2)]  # views into deeper's h and t
+    return jets, _arrays(*jets, deeper)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_in_place_leibniz_rule_matches_the_summed_terms(order):
+    jets, arrays = _kernel_operands(np.random.default_rng(31), order)
+    held = [x.copy() for x in arrays]
+    for a in jets:
+        for b in jets:  # a * a included
+            got = a * b
+            _assert_same_jet(got, _ref_mul(a, b))
+            _assert_fresh_tiers(got, a, b)
+    assert all(np.array_equal(x, y) for x, y in zip(arrays, held))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_in_place_chain_rule_matches_the_summed_terms(order):
+    rng = np.random.default_rng(32)
+    jets, arrays = _kernel_operands(rng, order)
+    n = jets[0].v.shape[0]
+    tables = [[rng.normal(size=n) for _ in range(order + 1)],
+              [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(order + 1)]]
+    arrays += [x for table in tables for x in table]
+    held = [x.copy() for x in arrays]
+    for a in jets:
+        for derivs in tables:
+            got = a.chain(derivs)
+            _assert_same_jet(got, _ref_chain(a, derivs))
+            _assert_fresh_tiers(got, a)
+    assert all(np.array_equal(x, y) for x, y in zip(arrays, held))
+
+
+# -- quadrature integrands evaluated in blocks ------------------------------
+
+
+@pytest.fixture(scope="module")
+def orbit_integrand():
+    """The field f that the leeolo:n=3 orbit pipeline averages along the
+    JC-flow, taken from its first quadrature, and the fixture."""
+    from lcklab import manifolds as M
+    from lcklab import potential as P
+
+    class Captured(Exception):
+        pass
+
+    got = []
+
+    def capture(f, *args):
+        got.append(f)
+        raise Captured
+
+    m = M.gallery("leeolo", n=3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(P, "affine_quadrature_field", capture)
+        with pytest.raises(Captured):
+            P.leeolo_orbit_pipeline(m, points=m.sample(20, seed=42))
+    return got[0], m
+
+
+def _lifted_complex_field():
+    """A complex field pulled back by a nonlinear map (a deck sub-context)
+    and lifted by a univariate function."""
+    x = [coordinate(i, DIM) for i in range(DIM)]
+    pmap = PointMap([x[0] * x[1] + x[2], x[1] + x[3] ** 2, x[2].sin(), 0.5 * x[3] + x[0]])
+    inner = compose_field(_complex_field(DIM), pmap)
+    return lift_univariate(inner, lambda z, m: [np.exp(z)] * (m + 1)) * x[1]
+
+
+@pytest.mark.parametrize("rows", [100, 2 * _QUAD_POINT_BUDGET, _QUAD_POINT_BUDGET + 1],
+                         ids=["below", "multiple", "ragged"])
+def test_blocked_evaluation_matches_one_context(rows, orbit_integrand):
+    f_orbit, m = orbit_integrand
+    pts = np.random.default_rng(rows).uniform(-0.5, 0.5, size=(rows, DIM))
+    for f, at in ((f_orbit, m.sample(rows, seed=7)), (_lifted_complex_field(), pts)):
+        for order in range(4):
+            _assert_same_jet(_eval_in_blocks(f, at, order), f.eval(Ctx(at), order))

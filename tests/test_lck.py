@@ -265,3 +265,33 @@ def test_verify_unit_potential_chain(hopf, hopf_pts, leeolo, flat, flat_pts):
     assert rep2.verdict == "hypotheses not met"
     rep3 = L.verify_unit_potential(flat, flat_pts)
     assert rep3.verdict == "hypotheses not met"
+
+
+def test_metric_elimination_has_positive_pivots_on_every_default_fixture():
+    # solve_linear_fields eliminates without pivoting; on a positive definite
+    # metric every pivot is a Schur-complement diagonal entry, hence > 0
+    from lcklab import manifolds as M
+    from lcklab.cli import DEFAULT_FIXTURES
+    from lcklab.fields import evaluate
+
+    carried = set()
+    for name in DEFAULT_FIXTURES:
+        m = M.gallery(name)
+        extras = list(m.extras.values())
+        candidates = [m.structure, *extras, *(getattr(x, "structure", None) for x in extras)]
+        structures = {id(s): s for s in candidates if isinstance(s, L.LCKStructure)}
+        pts = m.sample(40, seed=42)
+        for s in structures.values():
+            carried.add(name)
+            assert s.positivity_minima(pts).min() > 0
+            G, theta = s.metric_entry_fields(), s.theta_components()
+            U, _ = L._eliminate(G, theta)
+            pivots = np.array([j.v for j in evaluate([U[k][k] for k in range(s.dim)], pts, 0)])
+            assert np.abs(pivots.imag).max() == 0.0
+            assert pivots.real.min() > 0, (name, s.name)
+            B = np.column_stack([j.v for j in evaluate(L.solve_linear_fields(G, theta), pts, 0)])
+            th = np.column_stack([j.v for j in evaluate(theta, pts, 0)])
+            g, _ = s.metric_jets(pts, 0)
+            assert np.abs(np.einsum("nab,nb->na", g, B) - th).max() <= 1e-10, (name, s.name)
+    # hopf_nondiag carries only a Lee class and hxc_cover no metric
+    assert carried == {"hopf_diag", "inoue_splus", "leeolo", "product"}

@@ -300,6 +300,43 @@ def test_orbit_pipeline_evaluates_each_quadrature_once_per_batch_and_order(
     assert set(runs.values()) == {1}
 
 
+def test_orbit_quadratures_evaluate_within_the_point_budget(monkeypatch):
+    from lcklab import cli, fields, torus
+
+    inside = [0]
+    sizes = []
+
+    class SpyCtx(fields.Ctx):
+        __slots__ = ()
+
+        def __init__(self, pts):
+            super().__init__(pts)
+            if inside[0]:
+                sizes.append(self.pts.shape[0])
+
+    def spying(f, mats, offsets, weights):
+        quad = fields.affine_quadrature_field(f, mats, offsets, weights)
+        inner = quad._fn
+
+        def fn(ctx, m):
+            inside[0] += 1
+            try:
+                return inner(ctx, m)
+            finally:
+                inside[0] -= 1
+
+        quad._fn = fn
+        return quad
+
+    monkeypatch.setattr(fields, "Ctx", SpyCtx)
+    monkeypatch.setattr(P, "affine_quadrature_field", spying)
+    monkeypatch.setattr(torus, "affine_quadrature_field", spying)
+    report, code = cli.run_potential("orbit", fixture="leeolo:n=3")
+    assert code == 0
+    # the 4096 node-stacked points of the order-3 average come in full blocks
+    assert max(sizes) == fields._QUAD_POINT_BUDGET
+
+
 def test_orbit_multi_period(leeolo):
     res = P.leeolo_orbit_pipeline(leeolo, n_periods=2)
     assert res.checks["min_g"] > 0
