@@ -9,6 +9,9 @@ arrays) are the one entry point from sample points: every caller outside
 this module evaluates through them, one fresh Ctx per call.  Inside a
 ``session`` block they (and ``PointMap.__call__``) instead share one Ctx
 per point batch, so checks on the same points reuse each other's jets.
+A Ctx answers a request for a lower order from a cached higher-order jet of
+the same field, truncated, so on one batch a field's closure runs once, at
+the first order asked for, and again only for a higher one.
 Fields may take complex values; chart coordinates are always real, ordered
 x1, y1, ..., xn, yn with z_j = x_j + i y_j.
 """
@@ -104,11 +107,23 @@ class ScalarField:
     # -- evaluation -----------------------------------------------------
 
     def eval(self, ctx: Ctx, order: int) -> Jet:
-        key = (self.uid, order)
-        jet = ctx.cache.get(key)
+        """The order-``order`` jet of this field on ``ctx``'s points, cached
+        in ``ctx`` under (uid, order).  On a miss, a cached jet of a higher
+        order is served truncated (its arrays shared, the tiers above
+        ``order`` dropped), so the closure runs only when no order at or
+        above ``order`` is cached.  Exact: no tier depends on a higher one.
+        """
+        cache = ctx.cache
+        jet = cache.get((self.uid, order))
         if jet is None:
-            jet = self._fn(ctx, order)
-            ctx.cache[key] = jet
+            for k in range(order + 1, MAX_ORDER + 1):
+                top = cache.get((self.uid, k))
+                if top is not None:
+                    jet = top.truncate(order)
+                    break
+            else:
+                jet = self._fn(ctx, order)
+            cache[self.uid, order] = jet
         return jet
 
     def jet(self, pts, order):
@@ -331,16 +346,26 @@ def compose_maps(outer: PointMap, inner: PointMap) -> PointMap:
 # Every jet operation acts row by row, so the blocks change no result; they
 # bound the intermediates of f's DAG that a Ctx caches to this many rows.
 _QUAD_POINT_BUDGET = 1024
+# Most entries of one block's top tier (d**order per row): 0.5 MiB of float64.
+# It shrinks the blocks only where that tier is large, as at order 3 and d = 6.
+_QUAD_TIER_BUDGET = 2**16
+
+
+def _block_rows(dim: int, order: int) -> int:
+    """Rows per block of an order-``order`` integrand on a dim-d chart."""
+    return max(1, min(_QUAD_POINT_BUDGET, _QUAD_TIER_BUDGET // dim**order))
 
 
 def _eval_in_blocks(f: ScalarField, pts, order: int) -> Jet:
     """The order-``order`` jet of f on the rows of pts, evaluated in
-    contiguous blocks of at most _QUAD_POINT_BUDGET rows, each on a fresh
-    Ctx that is dropped before the next block starts."""
+    contiguous blocks of ``_block_rows`` rows (at most _QUAD_POINT_BUDGET,
+    fewer where a block's top tier would pass _QUAD_TIER_BUDGET entries),
+    each on a fresh Ctx that is dropped before the next block starts."""
+    rows = _block_rows(pts.shape[1], order)
     blocks = []
     # an empty batch is evaluated as one empty block
-    for start in range(0, max(pts.shape[0], 1), _QUAD_POINT_BUDGET):
-        blocks.append(f.eval(Ctx(pts[start:start + _QUAD_POINT_BUDGET]), order))
+    for start in range(0, max(pts.shape[0], 1), rows):
+        blocks.append(f.eval(Ctx(pts[start:start + rows]), order))
     if len(blocks) == 1:
         return blocks[0]
     tiers = [None if getattr(blocks[0], k) is None
@@ -352,8 +377,9 @@ def affine_quadrature_field(f: ScalarField, mats, offsets, weights) -> ScalarFie
     """sum_s w_s (f o A_s) for affine maps A_s x = M_s x + b_s, vectorized.
 
     The node axis is flattened into the evaluation batch, so the DAG of the
-    (possibly expensive) field f is walked once per block of at most
-    ``_QUAD_POINT_BUDGET`` node-stacked points, not once per node; constant
+    (possibly expensive) field f is walked once per block of node-stacked
+    points (``_block_rows``: at most ``_QUAD_POINT_BUDGET``, 303 at order 3
+    on a d = 6 chart), not once per node; constant
     Jacobians make the chain rule three contractions, run once on the
     blocks' concatenated jets.  The order-2 and order-3 ones contract one
     Jacobian factor at a time (``optimize=True``), so order 3 costs
@@ -362,7 +388,8 @@ def affine_quadrature_field(f: ScalarField, mats, offsets, weights) -> ScalarFie
     arrays of their own, as the plain contraction returns them.  Each
     block's sub-context lives for that block only and the result is cached
     in the outer context under (uid, order), so at most one block of
-    intermediates of f is alive at a time.
+    intermediates of f is alive at a time, and the outer context serves
+    every lower order from it.
     """
     mats = np.asarray(mats, dtype=float)
     offsets = np.asarray(offsets, dtype=float)

@@ -18,12 +18,12 @@ the rule applied to zero-filled tiers bit for bit (x + 0 = x and 0 * x = 0
 for finite x).
 
 Jets share arrays: an operation may hand back an operand's tier or a view
-of it (``x + c``, ``partial``, ``real``, ``_lsum`` of one present term), so
-no operation ever writes into an array it was given.  The order-2 and
-order-3 tiers of a product of jets and of a univariate chain step are
-fresh arrays, built in place: the rule's terms are added into one output
-array in the rule's order, so they equal the plain sum of fresh terms bit
-for bit with a fraction of its temporaries.
+of it (``x + c``, ``partial``, ``real``, ``truncate``, ``_lsum`` of one
+present term), so no operation ever writes into an array it was given.
+The order-2 and order-3 tiers of a product of jets and of a univariate
+chain step are fresh arrays, built in place: the rule's terms are added
+into one output array in the rule's order, so they equal the plain sum of
+fresh terms bit for bit with a fraction of its temporaries.
 """
 
 from __future__ import annotations
@@ -155,6 +155,11 @@ class Jet:
         return Jet(order, v, g)
 
     # -- structure ----------------------------------------------------
+
+    def truncate(self, order):
+        """This jet at a lower ``order``: the same arrays, the tiers above
+        it dropped.  Exact, since no tier depends on a higher one."""
+        return Jet(order, self.v, *(self.g, self.h, self.t)[:order])
 
     def partial(self, i):
         """Jet of the i-th coordinate derivative, one order lower."""

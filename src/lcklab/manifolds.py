@@ -687,6 +687,9 @@ def product(a: ModelManifold | str | None = None,
             preferred = [n for n, fl in factor.flows.items()
                          if fl.period is not None]
         torus_names.extend(f"{n}@{side}" for n in preferred)
+    if not torus_names:
+        raise GalleryError(
+            f"product({a.name},{b.name}) has no periodic circle to act by")
     m.extras["torus_flows"] = torus_names
     return m
 

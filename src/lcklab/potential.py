@@ -497,8 +497,9 @@ def orbit_average_potential(
     the probe times; the averaged potential g is asserted positive; the
     output pair (g^{-1} dd^c g, -d ln g) is certified deck invariant with
     its own LCK and constant-potential residuals.  The checks run in one
-    evaluation session, so each quadrature field is evaluated once per
-    point batch and order.
+    evaluation session, and g is evaluated at order 3 on the heavy points
+    before any check uses them, so each quadrature field is evaluated once
+    per point batch: lower orders are served from the cached top jet.
     """
     with session():
         phi = phi if phi is not None else manifold.phi
@@ -540,6 +541,16 @@ def orbit_average_potential(
 
         djeta = exterior_d(apply_J(eta))
 
+        # averaged potential: single weighted quadrature over [0, 2 n pi]
+        span = TWO_PI * n_periods
+        panels = max(32 * n_periods, int(np.ceil(nodes / 16)))
+        s, w = _gl_nodes(0.0, span, panels)
+        g = affine_quadrature_field(f, *jc_flow.affine_stack(s),
+                                    (1.0 - np.cos(s)) * w / span)
+        # the checks on heavy need g up to order 3 there; cached first, the
+        # order-3 jet serves every lower order, so g's quadrature runs once
+        g.jet(heavy, 3)
+
         def g_t_field(t: float, qnodes: int = 257) -> ScalarField:
             s, w = _gl_nodes(0.0, t, max(8, qnodes // 16))
             return affine_quadrature_field(f, *jc_flow.affine_stack(s),
@@ -553,12 +564,6 @@ def orbit_average_potential(
             omega5 = max(omega5, (lhs - rhs).max_abs(heavy))
         checks["flow_expansion"] = omega5
 
-        # averaged potential: single weighted quadrature over [0, 2 n pi]
-        span = TWO_PI * n_periods
-        panels = max(32 * n_periods, int(np.ceil(nodes / 16)))
-        s, w = _gl_nodes(0.0, span, panels)
-        g = affine_quadrature_field(f, *jc_flow.affine_stack(s),
-                                    (1.0 - np.cos(s)) * w / span)
         gvals = g.values(pts).real
         checks["min_g"] = float(gvals.min())
         if checks["min_g"] <= 0:

@@ -70,6 +70,7 @@ def test_unknown_fixture_exits_2(capsys):
     ["verify", "leeolo:eps=0"],
     ["verify", "leeolo:eps=0.00001", "--seed", "7"],
     ["verify", "leeolo:eps=-0.00003", "--seed", "12345"],
+    ["verify", "product:a=hxc_cover,b=hxc_cover"],
 ])
 def test_bad_parameters_exit_2_without_traceback(argv, capsys):
     assert cli.main(argv) == 2
@@ -113,6 +114,11 @@ FIXTURE_DOMAINS = {
                               _complex_in_disc(1.05), st.floats(-2.0, 2.0),
                               st.integers(1, 6)),
     "leeolo": st.builds("leeolo:eps={!r}".format, st.floats(-1.2, 1.2)),
+    "inoue_splus": st.builds("inoue_splus:p={},q={},r={},t={}".format,
+                             st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2),
+                             st.one_of(st.floats(-2.0, 2.0), _complex_in_disc(1.0))),
+    "product": st.builds("product:a={},b={}".format,
+                         *[st.sampled_from([*sorted(M._BUILDERS), "no_such_fixture"])] * 2),
 }
 
 

@@ -9,6 +9,7 @@ from lcklab.fields import (
     Ctx,
     PointMap,
     ScalarField,
+    _block_rows,
     _eval_in_blocks,
     affine_quadrature_field,
     compose_field,
@@ -421,28 +422,29 @@ def test_session_shares_one_context_per_batch_and_resets_on_exit():
         # byte-identical points, another array: the same context
         evaluate(fields, pts.copy(), 1)
         assert calls == [1, 1]
+        # order 0 is served from the cached order-1 jet
         evaluate(fields, pts, 0)
         evaluate(fields, pts[:3], 1)
-        assert calls == [1, 1, 0, 1]
+        assert calls == [1, 1, 1]
         # a point map on the same batch reads the cached order-0 jets
         PointMap([shared, coordinate(1, DIM)])(pts)
-        assert calls == [1, 1, 0, 1]
+        assert calls == [1, 1, 1]
         with session():
             evaluate(fields, pts, 1)
-            assert calls == [1, 1, 0, 1, 1]
+            assert calls == [1, 1, 1, 1]
         # the outer session's contexts are back
         evaluate(fields, pts, 1)
-        assert calls == [1, 1, 0, 1, 1]
+        assert calls == [1, 1, 1, 1]
     for a, b in zip(outside, inside):
         assert np.array_equal(a.v, b.v) and np.array_equal(a.g, b.g)
     evaluate(fields, pts, 1)
-    assert calls == [1, 1, 0, 1, 1, 1]
+    assert calls == [1, 1, 1, 1, 1]
     with pytest.raises(RuntimeError):
         with session():
             evaluate(fields, pts, 1)
             raise RuntimeError("inside the session")
     evaluate(fields, pts, 1)
-    assert calls == [1, 1, 0, 1, 1, 1, 1, 1]
+    assert calls == [1, 1, 1, 1, 1, 1, 1]
 
 
 def test_a_thread_started_in_a_session_evaluates_on_fresh_contexts():
@@ -476,6 +478,31 @@ def test_quadrature_keeps_no_sub_context():
     assert not ctx.submaps
     # the outer jet is cached, so the node-stacked batch is not refilled
     assert quad.eval(ctx, 2) is jet and calls == [2]
+
+
+# -- lower orders served from a cached higher-order jet ---------------------
+
+
+def test_a_served_order_does_not_call_the_closure_again():
+    calls = []
+    f = _counted_exp(calls)
+    ctx = Ctx(np.random.default_rng(8).uniform(-1.0, 1.0, size=(5, DIM)))
+    top = f.eval(ctx, 3)
+    for order in (2, 0, 1):
+        served = f.eval(ctx, order)
+        assert served.order == order and served.t is None
+        # the top jet's arrays, shared; the tiers above the order dropped
+        assert served.v is top.v
+        assert served.g is (top.g if order >= 1 else None)
+        assert served.h is (top.h if order >= 2 else None)
+        assert f.eval(ctx, order) is served
+    assert calls == [3]
+    # a lower order cached first serves nothing above it
+    ctx = Ctx(ctx.pts)
+    f.eval(ctx, 1)
+    f.eval(ctx, 2)
+    f.eval(ctx, 0)
+    assert calls == [3, 1, 2]
 
 
 # -- tiers built in place ---------------------------------------------------
@@ -594,27 +621,14 @@ def test_in_place_chain_rule_matches_the_summed_terms(order):
 
 
 @pytest.fixture(scope="module")
-def orbit_integrand():
-    """The field f that the leeolo:n=3 orbit pipeline averages along the
-    JC-flow, taken from its first quadrature, and the fixture."""
+def leeolo_orbit():
+    """The leeolo:n=3 orbit pipeline's result (its integrand f along the
+    JC-flow, the averaged potential g, Omega') and the fixture."""
     from lcklab import manifolds as M
     from lcklab import potential as P
 
-    class Captured(Exception):
-        pass
-
-    got = []
-
-    def capture(f, *args):
-        got.append(f)
-        raise Captured
-
     m = M.gallery("leeolo", n=3)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(P, "affine_quadrature_field", capture)
-        with pytest.raises(Captured):
-            P.leeolo_orbit_pipeline(m, points=m.sample(20, seed=42))
-    return got[0], m
+    return P.leeolo_orbit_pipeline(m, points=m.sample(20, seed=42)), m
 
 
 def _lifted_complex_field():
@@ -626,11 +640,70 @@ def _lifted_complex_field():
     return lift_univariate(inner, lambda z, m: [np.exp(z)] * (m + 1)) * x[1]
 
 
-@pytest.mark.parametrize("rows", [100, 2 * _QUAD_POINT_BUDGET, _QUAD_POINT_BUDGET + 1],
-                         ids=["below", "multiple", "ragged"])
-def test_blocked_evaluation_matches_one_context(rows, orbit_integrand):
-    f_orbit, m = orbit_integrand
+def test_block_rows_bound_the_top_tier():
+    # the order-3 blocks of a d = 6 integrand hold 303 rows (0.5 MiB of top
+    # tier); every other case the pipelines meet keeps the full budget
+    assert _block_rows(6, 3) == 303
+    for dim in (2, 4, 6, 8):
+        for order in range(3):
+            assert _block_rows(dim, order) == _QUAD_POINT_BUDGET
+    assert _block_rows(4, 3) == _QUAD_POINT_BUDGET
+    assert _block_rows(50, 3) == 1
+
+
+_TIER_ROWS = _block_rows(6, 3)
+
+
+@pytest.mark.parametrize("rows", [100, 2 * _QUAD_POINT_BUDGET, _QUAD_POINT_BUDGET + 1,
+                                  _TIER_ROWS - 1, 3 * _TIER_ROWS, _TIER_ROWS + 1],
+                         ids=["below", "multiple", "ragged",
+                              "tier_below", "tier_multiple", "tier_ragged"])
+def test_blocked_evaluation_matches_one_context(rows, leeolo_orbit):
+    res, m = leeolo_orbit
     pts = np.random.default_rng(rows).uniform(-0.5, 0.5, size=(rows, DIM))
-    for f, at in ((f_orbit, m.sample(rows, seed=7)), (_lifted_complex_field(), pts)):
+    for f, at in ((res.f, m.sample(rows, seed=7)), (_lifted_complex_field(), pts)):
         for order in range(4):
             _assert_same_jet(_eval_in_blocks(f, at, order), f.eval(Ctx(at), order))
+
+
+def _assert_served_like_fresh(fields, pts, top):
+    """Each field at every order below ``top``, served in one Ctx after its
+    order-``top`` jet, equals a fresh evaluation at that order."""
+    ctx = Ctx(pts)
+    tops = [f.eval(ctx, top) for f in fields]
+    for order in range(top - 1, -1, -1):
+        fresh = evaluate(fields, pts, order)
+        for f, hi, want in zip(fields, tops, fresh):
+            got = f.eval(ctx, order)
+            assert got.v is hi.v
+            _assert_same_jet(got, want)
+
+
+def test_served_orders_equal_fresh_evaluations(leeolo_orbit):
+    res, m = leeolo_orbit
+    heavy = m.sample(8, seed=11)
+    _assert_served_like_fresh([res.f], heavy, 3)
+    _assert_served_like_fresh([res.g], heavy, 3)
+    omega = list(res.omega_prime.coeffs.values())
+    _assert_served_like_fresh(omega, heavy, 1)
+    pts = np.random.default_rng(12).uniform(-0.5, 0.5, size=(9, DIM))
+    _assert_served_like_fresh([_lifted_complex_field()], pts, 3)
+    # as in the pipeline: g cached at order 3 first, so Omega' reads its
+    # lower orders (through partials) as served jets
+    ctx = Ctx(heavy)
+    res.g.eval(ctx, 3)
+    for order in (1, 0):
+        for f, want in zip(omega, evaluate(omega, heavy, order)):
+            _assert_same_jet(f.eval(ctx, order), want)
+
+
+def test_partial_of_a_served_jet_equals_a_fresh_partial(leeolo_orbit):
+    res, m = leeolo_orbit
+    heavy = m.sample(8, seed=13)
+    ctx = Ctx(heavy)
+    res.g.eval(ctx, 3)
+    served = res.g.eval(ctx, 2)
+    fresh = res.g.jet(heavy, 2)
+    for i in range(m.dim):
+        _assert_same_jet(served.partial(i), fresh.partial(i))
+        _assert_same_jet(served.partial(i).partial(i), fresh.partial(i).partial(i))

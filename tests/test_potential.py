@@ -273,8 +273,7 @@ def test_orbit_twisted_run(orbit_twisted):
     assert ck["prep_avg_equals_invariant_rep"] < 1e-10
 
 
-def test_orbit_pipeline_evaluates_each_quadrature_once_per_batch_and_order(
-        leeolo, monkeypatch):
+def test_orbit_pipeline_evaluates_each_quadrature_once_per_batch(leeolo, monkeypatch):
     from collections import Counter
 
     from lcklab import fields, torus
@@ -286,44 +285,48 @@ def test_orbit_pipeline_evaluates_each_quadrature_once_per_batch_and_order(
         inner = quad._fn
 
         def fn(ctx, m):
-            runs[quad.uid, ctx.pts.shape, ctx.pts.tobytes(), m] += 1
+            runs[quad.uid, ctx.pts.shape, ctx.pts.tobytes()] += 1
+            orders.add(m)
             return inner(ctx, m)
 
         quad._fn = fn
         return quad
 
+    orders = set()
     monkeypatch.setattr(P, "affine_quadrature_field", counting)
     monkeypatch.setattr(torus, "affine_quadrature_field", counting)
     res = P.leeolo_orbit_pipeline(leeolo)
     assert res.checks["lck_prime"] < 1e-6
-    assert {m for _, _, _, m in runs} == {0, 1, 2, 3}
+    assert orders == {0, 1, 2, 3}
+    # each quadrature runs once per batch, at the highest order asked for
+    # there; its lower orders are served from that jet
     assert set(runs.values()) == {1}
 
 
 def test_orbit_quadratures_evaluate_within_the_point_budget(monkeypatch):
     from lcklab import cli, fields, torus
 
-    inside = [0]
-    sizes = []
+    inside = []  # the orders of the quadratures being evaluated
+    sizes = []  # (order, points) of every context built inside one
 
     class SpyCtx(fields.Ctx):
         __slots__ = ()
 
         def __init__(self, pts):
             super().__init__(pts)
-            if inside[0]:
-                sizes.append(self.pts.shape[0])
+            if inside:
+                sizes.append((inside[-1], self.pts.shape[0]))
 
     def spying(f, mats, offsets, weights):
         quad = fields.affine_quadrature_field(f, mats, offsets, weights)
         inner = quad._fn
 
         def fn(ctx, m):
-            inside[0] += 1
+            inside.append(m)
             try:
                 return inner(ctx, m)
             finally:
-                inside[0] -= 1
+                inside.pop()
 
         quad._fn = fn
         return quad
@@ -333,8 +336,10 @@ def test_orbit_quadratures_evaluate_within_the_point_budget(monkeypatch):
     monkeypatch.setattr(torus, "affine_quadrature_field", spying)
     report, code = cli.run_potential("orbit", fixture="leeolo:n=3")
     assert code == 0
-    # the 4096 node-stacked points of the order-3 average come in full blocks
-    assert max(sizes) == fields._QUAD_POINT_BUDGET
+    # the 4096 node-stacked points of the order-3 average come in blocks of
+    # 303 (a 0.5 MiB top tier at d = 6); every lower order in full blocks
+    assert max(n for m, n in sizes if m == 3) == fields._block_rows(6, 3) == 303
+    assert max(n for m, n in sizes) == fields._QUAD_POINT_BUDGET
 
 
 def test_orbit_multi_period(leeolo):
