@@ -235,23 +235,27 @@ def _leeolo_report(m, pts, tol, nodes):
               polarity="expect_large"),
     ]
     orbit = P.leeolo_orbit_pipeline(m, points=pts[: min(20, len(pts))])
-    checks += [
-        Check("orbit_flow_expansion", orbit.checks["flow_expansion"], 1e-6,
-              "omega_t = cos t omega + sin t dJ eta + dd^c g_t"),
-        Check("orbit_potential_positive", orbit.checks["min_g"], 0.0,
-              "averaged potential > 0", polarity="expect_large"),
-        Check("orbit_output_descends",
-              max(orbit.checks["omega_prime_descends"],
-                  orbit.checks["theta_prime_descends"]), 1e-6,
-              "averaged pair is deck invariant"),
-        Check("orbit_output_lck", orbit.checks["lck_prime"], 1e-6,
-              "d Omega' = theta' ^ Omega'"),
-        Check("orbit_unit_potential", orbit.checks["unit_potential"], 1e-6,
-              "Omega' = d_theta' d^c_theta' 1"),
-        Check("orbit_vs_duhamel", orbit.checks["average_vs_duhamel"], 1e-7,
-              "collapsed average matches the oscillator solution"),
-    ]
+    checks += _orbit_rows(orbit.checks, "orbit_")
+    checks.append(Check("orbit_vs_duhamel", orbit.checks["average_vs_duhamel"],
+                        1e-7, "collapsed average matches the oscillator solution"))
     return checks, []
+
+
+def _orbit_rows(checks, prefix):
+    """The orbit pipeline's output rows, each name led by ``prefix``."""
+    return [
+        Check(f"{prefix}flow_expansion", checks["flow_expansion"], 1e-6,
+              "omega_t = cos t omega + sin t dJ eta + dd^c g_t"),
+        Check(f"{prefix}potential_positive", checks["min_g"], 0.0,
+              "averaged potential > 0", polarity="expect_large"),
+        Check(f"{prefix}output_descends",
+              max(checks["omega_prime_descends"], checks["theta_prime_descends"]),
+              1e-6, "averaged pair is deck invariant"),
+        Check(f"{prefix}output_lck", checks["lck_prime"], 1e-6,
+              "d Omega' = theta' ^ Omega'"),
+        Check(f"{prefix}unit_potential", checks["unit_potential"], 1e-6,
+              "Omega' = d_theta' d^c_theta' 1"),
+    ]
 
 
 def _product_report(m, pts, tol, nodes):
@@ -312,6 +316,11 @@ def _check_points(points):
         raise GalleryError(f"need at least one sample point, got {points}")
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise GalleryError(f"need a non-negative seed, got {seed}")
+
+
 def run_verify(fixture: str, points=200, seed=42, tol=1e-8, nodes=512):
     """Run the full check suite of one fixture; returns (report, exit code)."""
     t0 = time.perf_counter()
@@ -319,6 +328,7 @@ def run_verify(fixture: str, points=200, seed=42, tol=1e-8, nodes=512):
     if name not in _REPORT_BUILDERS:
         raise GalleryError(f"unknown fixture {name!r}")
     _check_points(points)
+    _check_seed(seed)
     m = M.gallery(name, **params)
     pts = m.sample(points, seed)
     checks, verdicts = _REPORT_BUILDERS[name](m, pts, tol, nodes)
@@ -339,9 +349,13 @@ def run_potential(kind: str, f_profile="const:0", fixture="leeolo:eps=0.3",
                   periods=1, seed=42):
     """Drive one of the two potential pipelines; returns (report, exit code)."""
     t0 = time.perf_counter()
+    _check_seed(seed)
     if kind == "first-order":
         tag, _, val = f_profile.partition(":")
-        val = float(val or 0.0)
+        try:
+            val = float(val or 0.0)
+        except ValueError:
+            raise GalleryError(f"profile value {val!r} is not a number") from None
         if tag == "const":
             f = P.PeriodicFunction.constant(val)
         elif tag == "cos":
@@ -361,22 +375,12 @@ def run_potential(kind: str, f_profile="const:0", fixture="leeolo:eps=0.3",
         name, params = parse_fixture(fixture)
         if name != "leeolo":
             raise GalleryError("orbit pipeline is wired for the leeolo fixture")
+        if periods < 1:
+            raise GalleryError(f"need at least one period, got {periods}")
         m = M.gallery(name, **params)
         res = P.leeolo_orbit_pipeline(m, n_periods=periods,
                                       points=m.sample(20, seed))
-        checks = [
-            Check("flow_expansion", res.checks["flow_expansion"], 1e-6,
-                  "omega_t = cos t omega + sin t dJ eta + dd^c g_t"),
-            Check("potential_positive", res.checks["min_g"], 0.0,
-                  "averaged potential > 0", polarity="expect_large"),
-            Check("output_descends",
-                  max(res.checks["omega_prime_descends"],
-                      res.checks["theta_prime_descends"]), 1e-6,
-                  "averaged pair is deck invariant"),
-            Check("output_lck", res.checks["lck_prime"], 1e-6,
-                  "d Omega' = theta' ^ Omega'"),
-            Check("unit_potential", res.checks["unit_potential"], 1e-6,
-                  "Omega' = d_theta' d^c_theta' 1"),
+        checks = _orbit_rows(res.checks, "") + [
             Check("lee_class_preserved", res.checks["lee_class_loop_match"], 1e-6,
                   "loop integrals of theta' match theta"),
         ]
@@ -393,6 +397,7 @@ def run_report(points=200, seed=42, tol=1e-8, nodes=512, fixtures=DEFAULT_FIXTUR
     """Aggregate JSON over every gallery fixture (never aborts the batch)."""
     t0 = time.perf_counter()
     _check_points(points)
+    _check_seed(seed)
     out = {"seed": seed, "points": points, "nodes": nodes, "fixtures": [],
            "summary": {}}
     for fx in fixtures:

@@ -397,22 +397,20 @@ def affine_quadrature_field(f: ScalarField, mats, offsets, weights) -> ScalarFie
 
     def fn(ctx, m):
         pts = ctx.pts
-        n = pts.shape[0]
+        n, d = pts.shape
         s = mats.shape[0]
         big = np.einsum("sij,nj->sni", mats, pts) + offsets[:, None, :]
-        F = _eval_in_blocks(f, big.reshape(s * n, -1), m)
+        F = _eval_in_blocks(f, big.reshape(s * n, d), m)
         v = np.einsum("s,sn->n", weights, F.v.reshape(s, n))
         g = h = t = None
         if m >= 1:
-            G = F.g.reshape(s, n, -1)
+            G = F.g.reshape(s, n, d)
             g = np.einsum("s,sna,sap->np", weights, G, mats)
         if m >= 2 and F.h is not None:
-            d = pts.shape[1]
             H = F.h.reshape(s, n, d, d)
             h = np.ascontiguousarray(np.einsum(
                 "s,snab,sap,sbq->npq", weights, H, mats, mats, optimize=True))
         if m >= 3 and F.t is not None:
-            d = pts.shape[1]
             T = F.t.reshape(s, n, d, d, d)
             t = np.ascontiguousarray(np.einsum(
                 "s,snabc,sap,sbq,scr->npqr", weights, T, mats, mats, mats,

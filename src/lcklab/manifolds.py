@@ -708,7 +708,7 @@ def leeolo(eps=0.3, n=2):
 
     if int(n) < 2:
         raise GalleryError("leeolo needs n >= 2")
-    if abs(eps) < _LEEOLO_MIN_EPS:
+    if not abs(eps) >= _LEEOLO_MIN_EPS:  # NaN is refused too
         raise GalleryError(f"leeolo needs |eps| >= {_LEEOLO_MIN_EPS:g}")
     base = hopf_diag(n=n, beta=math.exp(-math.pi))
     base.name = "leeolo"

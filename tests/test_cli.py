@@ -4,6 +4,10 @@ import cmath
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +75,13 @@ def test_unknown_fixture_exits_2(capsys):
     ["verify", "leeolo:eps=0.00001", "--seed", "7"],
     ["verify", "leeolo:eps=-0.00003", "--seed", "12345"],
     ["verify", "product:a=hxc_cover,b=hxc_cover"],
+    ["potential", "first-order", "--f", "cos:abc"],
+    ["potential", "orbit", "--periods", "0"],
+    ["potential", "orbit", "--periods", "-1"],
+    ["verify", "hopf_diag", "--seed", "-1"],
+    ["report", "--all", "--seed", "-1"],
+    ["potential", "first-order", "--seed", "-1"],
+    ["verify", "leeolo:eps=nan"],
 ])
 def test_bad_parameters_exit_2_without_traceback(argv, capsys):
     assert cli.main(argv) == 2
@@ -154,6 +165,14 @@ def test_inadmissible_profile_exits_4(capsys):
     assert cli.main(["potential", "first-order", "--f", "const:-2"]) == 4
 
 
+@pytest.mark.parametrize("profile", ["cos:nan", "const:nan", "const:inf"])
+def test_non_finite_profile_exits_4(profile, capsys):
+    assert cli.main(["potential", "first-order", "--f", profile]) == 4
+    out = capsys.readouterr()
+    assert out.err.startswith("inadmissible input: ")
+    assert "Traceback" not in out.out + out.err
+
+
 def test_numerical_failure_exits_3(monkeypatch, capsys):
     from lcklab.errors import NumericalError
 
@@ -204,3 +223,23 @@ def test_report_all_schema_and_determinism(tmp_path):
     s2 = json.dumps(cli.strip_volatile(rep2), indent=2)
     assert s1 == s2
     assert "runtime_ms" not in s1
+
+
+def test_report_digest_script_on_wide_batch():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "report_digest.py"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(script.parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(script), "--seed", "42", "wide_batch"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    body = json.loads(done.stdout)
+    assert body["seed"] == 42 and list(body["workloads"]) == ["wide_batch"]
+    calls = body["workloads"]["wide_batch"]
+    assert [c["call"] for c in calls] == [
+        f"run_verify({fx},points=2000)" for fx in (
+            "hopf_diag:n=2", "hopf_diag:n=3", "hopf_diag:n=4", "inoue_splus",
+            "product", "hxc_cover")]
+    assert all(c["exit"] == 0 and c["report"]["seed"] == 42 for c in calls)
+    assert "runtime_ms" not in done.stdout
+    # canonical: sorted keys, so the same document prints the same bytes
+    assert done.stdout == json.dumps(body, indent=1, sort_keys=True) + "\n"

@@ -353,9 +353,11 @@ def test_absent_tiers_match_zero_filled_affine_quadrature(order):
               (0.3 + 1j) * x[1] * x[2] + x[0],      # no t
               _complex_field(dim)):                 # every tier
         dense_f = ScalarField(dim, lambda c, m, f=f: _dense(f.eval(c, m)))
-        got = affine_quadrature_field(f, mats, offs, weights).jet(pts, order)
-        want = affine_quadrature_field(dense_f, mats, offs, weights).jet(pts, order)
-        _assert_same_bits(got, want)
+        for at in (pts, pts[:0]):                   # and an empty batch
+            got = affine_quadrature_field(f, mats, offs, weights).jet(at, order)
+            want = affine_quadrature_field(dense_f, mats, offs, weights).jet(at, order)
+            _assert_same_bits(got, want)
+            assert got.v.shape == (len(at),)
 
 
 def test_coordinates_and_constants_carry_no_higher_tiers():

@@ -11,7 +11,7 @@ import pytest
 
 from lcklab import manifolds as M
 from lcklab import potential as P
-from lcklab.errors import InadmissibleInput
+from lcklab.errors import InadmissibleInput, NumericalError
 from lcklab.forms import lie_derivative
 
 TWO_PI = 2 * math.pi
@@ -61,6 +61,33 @@ def test_periodic_function_validation():
         )
 
 
+def _profiles():
+    rng = np.random.default_rng(3)
+    return {
+        "constant": P.PeriodicFunction.constant(0.7),
+        "cosine": P.PeriodicFunction.cosine(0.3),
+        "trig": P.PeriodicFunction.trig(rng.uniform(-0.3, 0.3, 4),
+                                        rng.uniform(-0.3, 0.3, 4)),
+    }
+
+
+@pytest.mark.parametrize("name", ["constant", "cosine", "trig"])
+def test_antiderivative_is_the_integral_from_zero(name):
+    f = _profiles()[name]
+    assert f.antiderivative(0.0) == 0.0
+    x, w = np.polynomial.legendre.leggauss(64)
+    for t in (0.4, 2.0, TWO_PI, 9.5):
+        quad = 0.5 * t * np.dot(w, f.fn(0.5 * t * (x + 1.0)))
+        assert abs(float(f.antiderivative(t)) - quad) < 1e-13
+
+
+def test_solver_refuses_a_profile_without_antiderivative():
+    f = P.PeriodicFunction.cosine(0.3)
+    bare = P.PeriodicFunction(f.fn, f.d1, f.d2, f.d3)
+    with pytest.raises(InadmissibleInput, match="antiderivative"):
+        P.solve_periodic_first_order(bare)
+
+
 def test_solver_zero_profile():
     sol = P.solve_periodic_first_order(P.PeriodicFunction.constant(0.0), a=0.0)
     assert abs(sol.b - TWO_PI) < 1e-14
@@ -71,10 +98,13 @@ def test_solver_zero_profile():
 
 
 def test_solver_constant_profile():
-    for kappa in (0.4, -0.5, 2.0):
+    # kappa = 200 puts e^b past the float range; c must not overflow
+    for kappa in (0.4, -0.5, 2.0, 200.0):
         sol = P.solve_periodic_first_order(P.PeriodicFunction.constant(kappa))
         ts = np.linspace(0, TWO_PI, 13)
         assert np.abs(sol.g(ts) - 1.0 / (1.0 + kappa)).max() < 1e-10
+        assert abs(sol.b - TWO_PI * (1.0 + kappa)) < 1e-12
+        assert abs(sol.K - (1.0 - math.exp(-sol.b)) / (1.0 + kappa)) < 1e-12
 
 
 def test_solver_against_frozen_oracle():
@@ -114,6 +144,9 @@ def test_solver_rejects_inadmissible_profile():
         P.solve_periodic_first_order(P.PeriodicFunction.constant(-2.0))
     with pytest.raises(InadmissibleInput):
         P.solve_periodic_first_order(P.PeriodicFunction.cosine(1.5))
+    # an infinite period integral leaves g NaN, which is not positive
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="positive"):
+        P.solve_periodic_first_order(P.PeriodicFunction.constant(1e308))
 
 
 def test_mode_sum_value_is_the_potential_bit_for_bit():
