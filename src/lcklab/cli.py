@@ -10,8 +10,11 @@ bad parameters, 3 numerical failure, 4 inadmissible potential input.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import math
 import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -321,98 +324,179 @@ def _check_seed(seed):
         raise GalleryError(f"need a non-negative seed, got {seed}")
 
 
+def _check_nodes(nodes):
+    if nodes < 1:
+        raise GalleryError(f"need at least one quadrature node, got {nodes}")
+
+
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol >= 0):
+        raise GalleryError(f"need a finite non-negative tolerance, got {tol}")
+
+
+_OPENBLAS = []  # memo of _openblas: empty until the first lookup
+
+
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None
+    when numpy uses another BLAS; looked up once.  dlsym on numpy's core
+    extension also searches the libraries it links, so this is the very
+    library numpy calls."""
+    if not _OPENBLAS:
+        try:
+            from numpy._core import _multiarray_umath as core
+        except ImportError:  # numpy < 2
+            from numpy.core import _multiarray_umath as core
+        lib = ctypes.CDLL(core.__file__)
+        found = None
+        for stem, tail in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                           ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{stem}_get_num_threads{tail}", None)
+            put = getattr(lib, f"{stem}_set_num_threads{tail}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found = (get, put)
+                break
+        _OPENBLAS.append(found)
+    return _OPENBLAS[0]
+
+
+class _one_blas_thread:
+    """Scope in which numpy's OpenBLAS runs every call on the calling thread.
+
+    lcklab's few threaded BLAS calls are small, and after each one the pool's
+    workers spin, burning CPU for no wall time; no result depends on the
+    thread count.  The count is process-wide, so the outermost of any nested
+    or concurrent scopes sets 1 on entry and the last to leave restores the
+    count it found, also after an exception.  Without OpenBLAS it does
+    nothing.
+    """
+
+    _lock = threading.Lock()
+    _depth = 0
+    _saved = None
+
+    def __enter__(self):
+        self._api = _openblas()
+        if self._api is not None:
+            get, put = self._api
+            with self._lock:
+                cls = type(self)
+                if cls._depth == 0:
+                    cls._saved = get()
+                    put(1)
+                cls._depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        if self._api is not None:
+            with self._lock:
+                cls = type(self)
+                cls._depth -= 1
+                if cls._depth == 0:
+                    self._api[1](cls._saved)
+
+
 def run_verify(fixture: str, points=200, seed=42, tol=1e-8, nodes=512):
     """Run the full check suite of one fixture; returns (report, exit code)."""
-    t0 = time.perf_counter()
-    name, params = parse_fixture(fixture)
-    if name not in _REPORT_BUILDERS:
-        raise GalleryError(f"unknown fixture {name!r}")
-    _check_points(points)
-    _check_seed(seed)
-    m = M.gallery(name, **params)
-    pts = m.sample(points, seed)
-    checks, verdicts = _REPORT_BUILDERS[name](m, pts, tol, nodes)
-    report = {
-        "fixture": fixture,
-        "seed": seed,
-        "points": points,
-        "nodes": nodes,
-        "checks": [c.to_json() for c in checks],
-        "verdicts": verdicts,
-        "runtime_ms": round(1000.0 * (time.perf_counter() - t0), 3),
-    }
-    code = 0 if all(c.passed for c in checks) else 1
-    return report, code
+    with _one_blas_thread():
+        t0 = time.perf_counter()
+        name, params = parse_fixture(fixture)
+        if name not in _REPORT_BUILDERS:
+            raise GalleryError(f"unknown fixture {name!r}")
+        _check_points(points)
+        _check_seed(seed)
+        _check_tol(tol)
+        _check_nodes(nodes)
+        m = M.gallery(name, **params)
+        pts = m.sample(points, seed)
+        checks, verdicts = _REPORT_BUILDERS[name](m, pts, tol, nodes)
+        report = {
+            "fixture": fixture,
+            "seed": seed,
+            "points": points,
+            "nodes": nodes,
+            "checks": [c.to_json() for c in checks],
+            "verdicts": verdicts,
+            "runtime_ms": round(1000.0 * (time.perf_counter() - t0), 3),
+        }
+        code = 0 if all(c.passed for c in checks) else 1
+        return report, code
 
 
 def run_potential(kind: str, f_profile="const:0", fixture="leeolo:eps=0.3",
                   periods=1, seed=42):
     """Drive one of the two potential pipelines; returns (report, exit code)."""
-    t0 = time.perf_counter()
-    _check_seed(seed)
-    if kind == "first-order":
-        tag, _, val = f_profile.partition(":")
-        try:
-            val = float(val or 0.0)
-        except ValueError:
-            raise GalleryError(f"profile value {val!r} is not a number") from None
-        if tag == "const":
-            f = P.PeriodicFunction.constant(val)
-        elif tag == "cos":
-            f = P.PeriodicFunction.cosine(val)
+    with _one_blas_thread():
+        t0 = time.perf_counter()
+        _check_seed(seed)
+        if kind == "first-order":
+            tag, _, val = f_profile.partition(":")
+            try:
+                val = float(val or 0.0)
+            except ValueError:
+                raise GalleryError(f"profile value {val!r} is not a number") from None
+            if tag == "const":
+                f = P.PeriodicFunction.constant(val)
+            elif tag == "cos":
+                f = P.PeriodicFunction.cosine(val)
+            else:
+                raise GalleryError(f"unknown profile {f_profile!r} (use const:K or cos:E)")
+            sol = P.solve_periodic_first_order(f)
+            checks = [
+                Check("periodicity", sol.periodicity_residual, 1e-9, "g(t+2pi) = g(t)"),
+                Check("first_order_ode", sol.ode1_residual, 1e-8, "g' = g(1+f) - 1"),
+                Check("second_order_ode", sol.ode2_residual, 1e-7,
+                      "differentiated potential equation"),
+                Check("positive", sol.min_g, 0.0, "g > 0", polarity="expect_large"),
+            ]
+            body = {"kind": kind, "f": f_profile, "solution": sol.diagnostics()}
+        elif kind == "orbit":
+            name, params = parse_fixture(fixture)
+            if name != "leeolo":
+                raise GalleryError("orbit pipeline is wired for the leeolo fixture")
+            if periods < 1:
+                raise GalleryError(f"need at least one period, got {periods}")
+            m = M.gallery(name, **params)
+            res = P.leeolo_orbit_pipeline(m, n_periods=periods,
+                                          points=m.sample(20, seed))
+            checks = _orbit_rows(res.checks, "") + [
+                Check("lee_class_preserved", res.checks["lee_class_loop_match"], 1e-6,
+                      "loop integrals of theta' match theta"),
+            ]
+            body = {"kind": kind, "fixture": fixture, "periods": periods,
+                    "orbit_checks": {k: float(v) for k, v in res.checks.items()}}
         else:
-            raise GalleryError(f"unknown profile {f_profile!r} (use const:K or cos:E)")
-        sol = P.solve_periodic_first_order(f)
-        checks = [
-            Check("periodicity", sol.periodicity_residual, 1e-9, "g(t+2pi) = g(t)"),
-            Check("first_order_ode", sol.ode1_residual, 1e-8, "g' = g(1+f) - 1"),
-            Check("second_order_ode", sol.ode2_residual, 1e-7,
-                  "differentiated potential equation"),
-            Check("positive", sol.min_g, 0.0, "g > 0", polarity="expect_large"),
-        ]
-        body = {"kind": kind, "f": f_profile, "solution": sol.diagnostics()}
-    elif kind == "orbit":
-        name, params = parse_fixture(fixture)
-        if name != "leeolo":
-            raise GalleryError("orbit pipeline is wired for the leeolo fixture")
-        if periods < 1:
-            raise GalleryError(f"need at least one period, got {periods}")
-        m = M.gallery(name, **params)
-        res = P.leeolo_orbit_pipeline(m, n_periods=periods,
-                                      points=m.sample(20, seed))
-        checks = _orbit_rows(res.checks, "") + [
-            Check("lee_class_preserved", res.checks["lee_class_loop_match"], 1e-6,
-                  "loop integrals of theta' match theta"),
-        ]
-        body = {"kind": kind, "fixture": fixture, "periods": periods,
-                "orbit_checks": {k: float(v) for k, v in res.checks.items()}}
-    else:
-        raise GalleryError(f"unknown potential pipeline {kind!r}")
-    body["checks"] = [c.to_json() for c in checks]
-    body["runtime_ms"] = round(1000.0 * (time.perf_counter() - t0), 3)
-    return body, (0 if all(c.passed for c in checks) else 1)
+            raise GalleryError(f"unknown potential pipeline {kind!r}")
+        body["checks"] = [c.to_json() for c in checks]
+        body["runtime_ms"] = round(1000.0 * (time.perf_counter() - t0), 3)
+        return body, (0 if all(c.passed for c in checks) else 1)
 
 
 def run_report(points=200, seed=42, tol=1e-8, nodes=512, fixtures=DEFAULT_FIXTURES):
     """Aggregate JSON over every gallery fixture (never aborts the batch)."""
-    t0 = time.perf_counter()
-    _check_points(points)
-    _check_seed(seed)
-    out = {"seed": seed, "points": points, "nodes": nodes, "fixtures": [],
-           "summary": {}}
-    for fx in fixtures:
-        try:
-            rep, code = run_verify(fx, points=points, seed=seed, tol=tol,
-                                   nodes=nodes)
-        except (GalleryError, NumericalError, InadmissibleInput) as exc:
-            rep = {"fixture": fx, "error": str(exc)}
-            code = _exit_code_for(exc)
-        out["fixtures"].append(rep)
-        out["summary"][fx] = code
-    out["total"] = len(out["fixtures"])
-    out["all_pass"] = all(v == 0 for v in out["summary"].values())
-    out["runtime_ms"] = round(1000.0 * (time.perf_counter() - t0), 3)
-    return out, (0 if out["all_pass"] else 1)
+    with _one_blas_thread():
+        t0 = time.perf_counter()
+        _check_points(points)
+        _check_seed(seed)
+        _check_tol(tol)
+        _check_nodes(nodes)
+        out = {"seed": seed, "points": points, "nodes": nodes, "fixtures": [],
+               "summary": {}}
+        for fx in fixtures:
+            try:
+                rep, code = run_verify(fx, points=points, seed=seed, tol=tol,
+                                       nodes=nodes)
+            except (GalleryError, NumericalError, InadmissibleInput) as exc:
+                rep = {"fixture": fx, "error": str(exc)}
+                code = _exit_code_for(exc)
+            out["fixtures"].append(rep)
+            out["summary"][fx] = code
+        out["total"] = len(out["fixtures"])
+        out["all_pass"] = all(v == 0 for v in out["summary"].values())
+        out["runtime_ms"] = round(1000.0 * (time.perf_counter() - t0), 3)
+        return out, (0 if out["all_pass"] else 1)
 
 
 def _exit_code_for(exc) -> int:

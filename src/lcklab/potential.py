@@ -150,6 +150,12 @@ class PeriodicFunction:
 # the solver checks f > -1, g > 0 and the residuals
 _SOLVER_MODES = 2048
 _PROBE_GRID = 1024
+# largest f the solver takes, so b = 2pi + A(2pi) <= 2pi (1 + 4000) ~ 2.5e4.
+# The e^{-Q} samples a + s + A(s) - mu s lose about eps b to cancellation,
+# which the second-order residual scales by (1 + f)^2.  For constant f that
+# residual first fails its 1e-7 tolerance at b ~ 6.6e4 and stays under 0.22
+# of it for b <= 3e4.
+_MAX_F = 4000.0
 
 
 @dataclass
@@ -238,9 +244,9 @@ class PotentialSolution:
 def solve_periodic_first_order(f: PeriodicFunction, a: float = 0.0) -> PotentialSolution:
     """Closed-form positive periodic solution of g' = g(1 + f) - 1.
 
-    Needs f's closed-form antiderivative and f > -1 on the 1024-point probe
-    grid (InadmissibleInput otherwise).  Takes the modes of e^{-Q} from 2048
-    samples once, so K = int_0^{2pi} e^{-F} = (1 - e^{-b}) S_0(0) (see
+    Needs f's closed-form antiderivative and -1 < f <= 4000 on the
+    1024-point probe grid (InadmissibleInput otherwise).  Takes the modes
+    of e^{-Q} from 2048 samples once, so K = int_0^{2pi} e^{-F} = (1 - e^{-b}) S_0(0) (see
     ``_mode_sums``) and c = K e^b/(e^b - 1) > 0,
     and reports periodicity, positivity and both ODE residuals measured
     against mode-sum derivatives (so truncation of the modes shows up
@@ -252,6 +258,10 @@ def solve_periodic_first_order(f: PeriodicFunction, a: float = 0.0) -> Potential
     f0 = f.fn(probe)
     if f0.min() <= -1.0:
         raise InadmissibleInput(f"need f > -1 everywhere; min f = {f0.min():.6f}")
+    if not f0.max() <= _MAX_F:  # NaN fails too
+        raise InadmissibleInput(
+            f"need f <= {_MAX_F:g}, where the solver's residuals are certified; "
+            f"max f = {f0.max():.6g}")
 
     b = TWO_PI + float(f.antiderivative(TWO_PI))
     sol = PotentialSolution(f=f, a=float(a), b=b, mu=b / TWO_PI)

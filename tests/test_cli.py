@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,12 @@ def test_unknown_fixture_exits_2(capsys):
     ["report", "--all", "--seed", "-1"],
     ["potential", "first-order", "--seed", "-1"],
     ["verify", "leeolo:eps=nan"],
+    ["verify", "inoue_splus", "--nodes", "0"],
+    ["verify", "hopf_diag", "--nodes", "-5"],
+    ["report", "--all", "--nodes", "0"],
+    ["verify", "hopf_diag", "--tol", "nan"],
+    ["verify", "hopf_diag", "--tol", "-1"],
+    ["report", "--all", "--tol", "nan"],
 ])
 def test_bad_parameters_exit_2_without_traceback(argv, capsys):
     assert cli.main(argv) == 2
@@ -171,6 +178,21 @@ def test_non_finite_profile_exits_4(profile, capsys):
     out = capsys.readouterr()
     assert out.err.startswith("inadmissible input: ")
     assert "Traceback" not in out.out + out.err
+
+
+@pytest.mark.parametrize("profile", ["const:1e10", "const:1e308"])
+def test_profile_past_the_certified_range_exits_4(profile, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["potential", "first-order", "--f", profile]) == 4
+    out = capsys.readouterr()
+    assert out.err.startswith("inadmissible input: need f <= 4000")
+    assert "Traceback" not in out.out + out.err
+
+
+def test_zero_tolerance_is_accepted():
+    body, code = cli.run_verify("hxc_cover", points=5, tol=0)
+    assert code == 0 and body["checks"]
 
 
 def test_numerical_failure_exits_3(monkeypatch, capsys):

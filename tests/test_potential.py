@@ -11,7 +11,7 @@ import pytest
 
 from lcklab import manifolds as M
 from lcklab import potential as P
-from lcklab.errors import InadmissibleInput, NumericalError
+from lcklab.errors import InadmissibleInput
 from lcklab.forms import lie_derivative
 
 TWO_PI = 2 * math.pi
@@ -144,9 +144,13 @@ def test_solver_rejects_inadmissible_profile():
         P.solve_periodic_first_order(P.PeriodicFunction.constant(-2.0))
     with pytest.raises(InadmissibleInput):
         P.solve_periodic_first_order(P.PeriodicFunction.cosine(1.5))
-    # an infinite period integral leaves g NaN, which is not positive
-    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="positive"):
-        P.solve_periodic_first_order(P.PeriodicFunction.constant(1e308))
+    # past f = 4000 the residuals are no longer certified; refused before
+    # the period integral b, which overflows at 1e308, is formed
+    for kappa in (4001.0, 1e10, 1e308):
+        with pytest.raises(InadmissibleInput, match="f <= 4000"):
+            P.solve_periodic_first_order(P.PeriodicFunction.constant(kappa))
+    sol = P.solve_periodic_first_order(P.PeriodicFunction.constant(4000.0))
+    assert sol.ode2_residual < 1e-7 and sol.min_g > 0
 
 
 def test_mode_sum_value_is_the_potential_bit_for_bit():
