@@ -240,7 +240,7 @@ def stacked(fields: Sequence[ScalarField], pts, order: int = 1):
     (N, k, d) of the k fields ``fields`` on ``pts`` (gradients None at 0)."""
     jets = evaluate(fields, pts, order)
     vals = np.real(np.column_stack([j.v for j in jets]))
-    return vals, (np.real(np.stack([j.g for j in jets], axis=1)) if order else None)
+    return vals, (np.real(np.stack([j.g.T for j in jets], axis=1)) if order else None)
 
 
 def constant(value, dim) -> ScalarField:
@@ -368,24 +368,28 @@ def _eval_in_blocks(f: ScalarField, pts, order: int) -> Jet:
         blocks.append(f.eval(Ctx(pts[start:start + rows]), order))
     if len(blocks) == 1:
         return blocks[0]
+    # every tier holds its points on the last axis
     tiers = [None if getattr(blocks[0], k) is None
-             else np.concatenate([getattr(b, k) for b in blocks]) for k in "vght"]
+             else np.concatenate([getattr(b, k) for b in blocks], axis=-1) for k in "vght"]
     return Jet(order, *tiers)
 
 
 def affine_quadrature_field(f: ScalarField, mats, offsets, weights) -> ScalarField:
     """sum_s w_s (f o A_s) for affine maps A_s x = M_s x + b_s, vectorized.
 
+    Like every jet, the result holds its tiers points-last: g (d, N),
+    h (d, d, N), t (d, d, d, N) for N points on the d-dimensional chart.
     The node axis is flattened into the evaluation batch, so the DAG of the
     (possibly expensive) field f is walked once per block of node-stacked
     points (``_block_rows``: at most ``_QUAD_POINT_BUDGET``, 303 at order 3
     on a d = 6 chart), not once per node; constant
     Jacobians make the chain rule three contractions, run once on the
-    blocks' concatenated jets.  The order-2 and order-3 ones contract one
-    Jacobian factor at a time (``optimize=True``), so order 3 costs
-    O(s n d^4) instead of O(s n d^6).  That path returns a strided view of
-    its last pairwise product; the results are copied into contiguous
-    arrays of their own, as the plain contraction returns them.  Each
+    blocks' concatenated jets.  The order-1 one runs on a points-first
+    copy of the gradients, which fixes its summation order.  The order-2
+    and order-3 ones contract one Jacobian factor at a time
+    (``optimize=True``), so order 3 costs O(s n d^4) instead of
+    O(s n d^6); their results are made C-contiguous where that path
+    returns a strided view.  Each
     block's sub-context lives for that block only and the result is cached
     in the outer context under (uid, order), so at most one block of
     intermediates of f is alive at a time, and the outer context serves
@@ -404,16 +408,19 @@ def affine_quadrature_field(f: ScalarField, mats, offsets, weights) -> ScalarFie
         v = np.einsum("s,sn->n", weights, F.v.reshape(s, n))
         g = h = t = None
         if m >= 1:
-            G = F.g.reshape(s, n, d)
-            g = np.einsum("s,sna,sap->np", weights, G, mats)
+            # contracted on a points-first copy: c_einsum takes the order
+            # in which it sums over a and s from the operands' layout, and
+            # a points-last operand moves the orbit residuals' last bits
+            G = np.ascontiguousarray(F.g.T).reshape(s, n, d)
+            g = np.ascontiguousarray(np.einsum("s,sna,sap->np", weights, G, mats).T)
         if m >= 2 and F.h is not None:
-            H = F.h.reshape(s, n, d, d)
+            H = F.h.reshape(d, d, s, n)
             h = np.ascontiguousarray(np.einsum(
-                "s,snab,sap,sbq->npq", weights, H, mats, mats, optimize=True))
+                "s,absn,sap,sbq->pqn", weights, H, mats, mats, optimize=True))
         if m >= 3 and F.t is not None:
-            T = F.t.reshape(s, n, d, d, d)
+            T = F.t.reshape(d, d, d, s, n)
             t = np.ascontiguousarray(np.einsum(
-                "s,snabc,sap,sbq,scr->npqr", weights, T, mats, mats, mats,
+                "s,abcsn,sap,sbq,scr->pqrn", weights, T, mats, mats, mats,
                 optimize=True))
         return Jet(m, v, g, h, t)
 

@@ -1,10 +1,12 @@
 """Batched forward-mode jets: values with exact derivatives to third order.
 
 A Jet holds the Taylor data of a scalar quantity at a batch of N chart
-points: value ``v`` of shape (N,), gradient ``g`` of shape (N, d), Hessian
-``h`` of shape (N, d, d) and third-derivative tensor ``t`` of shape
-(N, d, d, d), truncated at ``order``.  All derivative tensors are symmetric
-in their coordinate axes.  Arithmetic implements the truncated Leibniz and
+points: value ``v`` of shape (N,), gradient ``g`` of shape (d, N), Hessian
+``h`` of shape (d, d, N) and third-derivative tensor ``t`` of shape
+(d, d, d, N), truncated at ``order``.  The tiers are stored points-last, so
+every elementwise rule runs on contiguous rows of N points and
+``g[i]``, ``h[i]``, ``t[i]`` are contiguous views.  All derivative tensors
+are symmetric in their coordinate axes.  Arithmetic implements the truncated Leibniz and
 chain rules, so every quantity built from closed-form primitives carries
 exact derivatives (no finite differencing on the evaluation path).
 
@@ -53,7 +55,7 @@ def _product(x, y, scale=None):
 
 def _hg(h, g):
     """The factors of the outer product h_{pq} g_r, or None when h is absent."""
-    return None if h is None else (h[:, :, :, None], g[:, None, None, :])
+    return None if h is None else (h[:, :, None], g)
 
 
 def _sym_hg(pairs, scale=None):
@@ -78,8 +80,8 @@ def _fill(out, term):
         for pair in products[1:]:
             np.multiply(*pair, out=out)
             x += out
-        np.add(x, x.transpose(0, 1, 3, 2), out=out)
-        out += x.transpose(0, 3, 1, 2)
+        np.add(x, x.transpose(0, 2, 1, 3), out=out)
+        out += x.transpose(2, 0, 1, 3)
     else:
         np.multiply(*products[0], out=out)
     if scale is not None:
@@ -139,7 +141,7 @@ class Jet:
         if dtype is None:
             dtype = np.complex128 if isinstance(value, complex) else np.float64
         v = np.full(n, value, dtype=dtype)
-        g = np.zeros((n, dim), dtype=dtype) if order >= 1 else None
+        g = np.zeros((dim, n), dtype=dtype) if order >= 1 else None
         return Jet(order, v, g)
 
     @staticmethod
@@ -150,8 +152,8 @@ class Jet:
         v = pts[:, i].astype(np.float64, copy=True)
         g = None
         if order >= 1:
-            g = np.zeros((n, dim))
-            g[:, i] = 1.0
+            g = np.zeros((dim, n))
+            g[i] = 1.0
         return Jet(order, v, g)
 
     # -- structure ----------------------------------------------------
@@ -167,10 +169,10 @@ class Jet:
             raise JetOrderError("cannot slice a partial from an order-0 jet")
         g = h = None
         if self.order >= 2:
-            g = np.zeros_like(self.g) if self.h is None else self.h[:, i, :]
+            g = np.zeros_like(self.g) if self.h is None else self.h[i]
         if self.t is not None:
-            h = self.t[:, i, :, :]
-        return Jet(self.order - 1, self.g[:, i].copy(), g, h, None)
+            h = self.t[i]
+        return Jet(self.order - 1, self.g[i], g, h, None)
 
     def real(self):
         return self._map_linear(np.real)
@@ -231,19 +233,19 @@ class Jet:
         v = a.v * b.v
         g = h = t = None
         if m >= 1:
-            g = a.v[:, None] * b.g + b.v[:, None] * a.g
+            g = a.v * b.g + b.v * a.g
         if m >= 2:
-            n, d = a.g.shape
-            h = _tier((n, d, d), [
-                _product(a.v[:, None, None], b.h),
-                _product(b.v[:, None, None], a.h),
-                _product(a.g[:, :, None], b.g[:, None, :]),
-                _product(b.g[:, :, None], a.g[:, None, :]),
+            d, n = a.g.shape
+            h = _tier((d, d, n), [
+                _product(a.v, b.h),
+                _product(b.v, a.h),
+                _product(a.g[:, None], b.g),
+                _product(b.g[:, None], a.g),
             ])
         if m >= 3:
-            t = _tier((n, d, d, d), [
-                _product(a.v[:, None, None, None], b.t),
-                _product(b.v[:, None, None, None], a.t),
+            t = _tier((d, d, d, n), [
+                _product(a.v, b.t),
+                _product(b.v, a.t),
                 _sym_hg([_hg(a.h, b.g), _hg(b.h, a.g)]),
             ])
         return Jet(m, v, g, h, t)
@@ -274,7 +276,7 @@ class Jet:
                 base = base * base
         if result is None:  # k == 0
             n = self.v.shape[0]
-            dim = 0 if self.g is None else self.g.shape[1]
+            dim = 0 if self.g is None else self.g.shape[0]
             return Jet.constant(1.0, n, dim, self.order)
         return result
 
@@ -290,19 +292,19 @@ class Jet:
         v = derivs[0]
         g = h = t = None
         if m >= 1:
-            g = derivs[1][:, None] * self.g
+            g = derivs[1] * self.g
         if m >= 2:
-            n, d = self.g.shape
-            gg = self.g[:, :, None] * self.g[:, None, :]
-            h = _tier((n, d, d), [
-                _product(derivs[1][:, None, None], self.h),
-                _product(derivs[2][:, None, None], gg),
+            d, n = self.g.shape
+            gg = self.g[:, None] * self.g
+            h = _tier((d, d, n), [
+                _product(derivs[1], self.h),
+                _product(derivs[2], gg),
             ])
         if m >= 3:
-            t = _tier((n, d, d, d), [
-                _product(derivs[1][:, None, None, None], self.t),
-                _sym_hg([_hg(self.h, self.g)], derivs[2][:, None, None, None]),
-                _product(gg[:, :, :, None], self.g[:, None, None, :], derivs[3][:, None, None, None]),
+            t = _tier((d, d, d, n), [
+                _product(derivs[1], self.t),
+                _sym_hg([_hg(self.h, self.g)], derivs[2]),
+                _product(gg[:, :, None], self.g, derivs[3]),
             ])
         return Jet(m, v, g, h, t)
 
@@ -365,40 +367,41 @@ def compose_multi(outer, inners, order):
     m = order
     Yg = Yh = Yt = None
     if m >= 1:
-        Yg = np.stack([y.g for y in inners], axis=1)  # (N, k, ds)
+        Yg = np.stack([y.g for y in inners])  # (k, ds, N)
     if m >= 2:
-        Yh = _stack_tier([y.h for y in inners])  # (N, k, ds, ds)
+        Yh = _stack_tier([y.h for y in inners])  # (k, ds, ds, N)
     if m >= 3:
-        Yt = _stack_tier([y.t for y in inners])  # (N, k, ds, ds, ds)
+        Yt = _stack_tier([y.t for y in inners])  # (k, ds, ds, ds, N)
 
     v = outer.v
     g = h = t = None
     if m >= 1:
-        g = np.einsum("na,nap->np", outer.g, Yg)
+        g = np.einsum("an,apn->pn", outer.g, Yg)
     if m >= 2:
         h = _lsum(
-            None if Yh is None else np.einsum("na,napq->npq", outer.g, Yh),
-            None if outer.h is None else np.einsum("nab,nap,nbq->npq", outer.h, Yg, Yg),
+            None if Yh is None else np.einsum("an,apqn->pqn", outer.g, Yh),
+            None if outer.h is None else np.einsum("abn,apn,bqn->pqn", outer.h, Yg, Yg),
         )
     if m >= 3:
         cross = None
         if outer.h is not None and Yh is not None:
-            cross = np.einsum("nab,napq,nbr->npqr", outer.h, Yh, Yg)
+            cross = np.einsum("abn,apqn,brn->pqrn", outer.h, Yh, Yg)
         t = _lsum(
-            None if Yt is None else np.einsum("na,napqr->npqr", outer.g, Yt),
+            None if Yt is None else np.einsum("an,apqrn->pqrn", outer.g, Yt),
             cross,
-            None if cross is None else cross.transpose(0, 1, 3, 2),
-            None if cross is None else cross.transpose(0, 3, 1, 2),
+            None if cross is None else cross.transpose(0, 2, 1, 3),
+            None if cross is None else cross.transpose(2, 0, 1, 3),
             None if outer.t is None
-            else np.einsum("nabc,nap,nbq,ncr->npqr", outer.t, Yg, Yg, Yg),
+            else np.einsum("abcn,apn,bqn,crn->pqrn", outer.t, Yg, Yg, Yg),
         )
     return Jet(m, v, g, h, t)
 
 
 def _stack_tier(tiers):
-    """Stack the inners' tiers on axis 1, zeros for absent ones; None if all are."""
+    """Stack the inners' tiers on a new first axis, zeros for absent ones;
+    None if all are."""
     present = [x for x in tiers if x is not None]
     if not present:
         return None
     zero = np.zeros_like(present[0])
-    return np.stack([zero if x is None else x for x in tiers], axis=1)
+    return np.stack([zero if x is None else x for x in tiers])

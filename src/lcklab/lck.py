@@ -103,7 +103,7 @@ class LCKStructure:
         for (a, b), jet in zip(upper, jets):
             g[:, a, b] = g[:, b, a] = np.real(jet.v)
             if order:
-                dg[:, :, a, b] = dg[:, :, b, a] = np.real(jet.g)
+                dg[:, :, a, b] = dg[:, :, b, a] = np.real(jet.g.T)
         return g, dg
 
     def theta_components(self):

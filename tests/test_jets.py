@@ -71,8 +71,8 @@ def test_gradient_and_hessian_match_finite_differences(coeffs):
     f = poly_field(coeffs)
     p = np.array([0.4, -0.3, 0.7, 0.2])
     jet = f.jet(p, 2)
-    assert np.allclose(jet.g[0], fd_gradient(f, p), atol=5e-8)
-    assert np.allclose(jet.h[0], fd_hessian(f, p), atol=5e-5)
+    assert np.allclose(jet.g[:, 0], fd_gradient(f, p), atol=5e-8)
+    assert np.allclose(jet.h[..., 0], fd_hessian(f, p), atol=5e-5)
 
 
 @settings(max_examples=20, deadline=None)
@@ -81,24 +81,24 @@ def test_second_derivatives_are_symmetric(coeffs):
     f = poly_field(coeffs)
     pts = np.random.default_rng(0).uniform(-1, 1, (10, DIM))
     h = f.jet(pts, 2).h
-    assert np.abs(h - h.transpose(0, 2, 1)).max() < 1e-10
+    assert np.abs(h - h.transpose(1, 0, 2)).max() < 1e-10
 
 
 def test_third_order_tensor_symmetry_and_values():
     f = poly_field((0.3, 0.9, 1.1, 0.7))
     pts = np.array([[0.2, 0.5, -0.4, 0.3]])
     t = f.jet(pts, 3).t
-    for perm in [(0, 2, 1, 3), (0, 3, 2, 1), (0, 1, 3, 2)]:
+    for perm in [(1, 0, 2, 3), (2, 1, 0, 3), (0, 2, 1, 3)]:
         assert np.abs(t - t.transpose(perm)).max() < 1e-10
     # d^3/dx3^3 of c3 x3^3 = 6 c3 (+0 from the rest)
-    assert abs(t[0, 3, 3, 3] - 6 * 0.7) < 1e-10
+    assert abs(t[3, 3, 3, 0] - 6 * 0.7) < 1e-10
 
 
 def test_partial_field_matches_gradient_column():
     f = poly_field((0.1, 0.5, -0.8, 0.4))
     pts = np.random.default_rng(1).uniform(-1, 1, (8, DIM))
     for i in range(DIM):
-        assert np.allclose(f.partial(i).values(pts), f.jet(pts, 1).g[:, i])
+        assert np.allclose(f.partial(i).values(pts), f.jet(pts, 1).g[i])
 
 
 def test_derivative_depth_is_capped():
@@ -112,8 +112,8 @@ def test_quotient_and_chain_functions():
     x, y = coordinate(0, DIM), coordinate(1, DIM)
     f = (x**2 + y**2 + 1.0).log() / (x.cos() + 2.0)
     p = np.array([0.3, -0.6, 0.0, 0.0])
-    assert np.allclose(f.jet(p, 1).g[0], fd_gradient(f, p), atol=1e-8)
-    assert np.allclose(f.jet(p, 2).h[0], fd_hessian(f, p), atol=1e-4)
+    assert np.allclose(f.jet(p, 1).g[:, 0], fd_gradient(f, p), atol=1e-8)
+    assert np.allclose(f.jet(p, 2).h[..., 0], fd_hessian(f, p), atol=1e-4)
 
 
 def test_composition_chain_rule():
@@ -125,8 +125,8 @@ def test_composition_chain_rule():
     p = np.array([0.4, 0.2, -0.3, 0.6])
     direct = f.values(phi(p))
     assert np.allclose(g.values(p), direct)
-    assert np.allclose(g.jet(p, 1).g[0], fd_gradient(g, p), atol=5e-8)
-    assert np.allclose(g.jet(p, 2).h[0], fd_hessian(g, p), atol=5e-5)
+    assert np.allclose(g.jet(p, 1).g[:, 0], fd_gradient(g, p), atol=5e-8)
+    assert np.allclose(g.jet(p, 2).h[..., 0], fd_hessian(g, p), atol=5e-5)
 
 
 def test_complex_fields_and_real_projections():
@@ -138,7 +138,7 @@ def test_complex_fields_and_real_projections():
     z0 = 0.5 + 0.4j
     assert abs(f.values(p)[0] - (z0 ** 3).real) < 1e-14
     # holomorphic: dRe(z^3)/dx = Re(3z^2), dRe(z^3)/dy = Re(3i z^2)
-    g = f.jet(p, 1).g[0]
+    g = f.jet(p, 1).g[:, 0]
     assert abs(g[0] - (3 * z0 ** 2).real) < 1e-12
     assert abs(g[1] - (3 * z0 ** 2 * 1j).real) < 1e-12
 
@@ -184,20 +184,20 @@ def test_affine_quadrature_matches_per_node_composition(dim, order):
 
 def _raw_jet(rng, n, d):
     """An order-3 jet with deliberately non-symmetric derivative tensors."""
-    return Jet(3, rng.normal(size=n), rng.normal(size=(n, d)),
-               rng.normal(size=(n, d, d)), rng.normal(size=(n, d, d, d)))
+    return Jet(3, rng.normal(size=n), rng.normal(size=(d, n)),
+               rng.normal(size=(d, d, n)), rng.normal(size=(d, d, d, n)))
 
 
 def test_order3_leibniz_rule_index_order():
     rng = np.random.default_rng(11)
     a, b = _raw_jet(rng, 5, 3), _raw_jet(rng, 5, 3)
-    assert np.abs(a.h - a.h.transpose(0, 2, 1)).max() > 0.1
+    assert np.abs(a.h - a.h.transpose(1, 0, 2)).max() > 0.1
     e = np.einsum
     want = (
-        a.v[:, None, None, None] * b.t + b.v[:, None, None, None] * a.t
-        + e("npq,nr->npqr", a.h, b.g) + e("npr,nq->npqr", a.h, b.g)
-        + e("nqr,np->npqr", a.h, b.g) + e("npq,nr->npqr", b.h, a.g)
-        + e("npr,nq->npqr", b.h, a.g) + e("nqr,np->npqr", b.h, a.g)
+        a.v * b.t + b.v * a.t
+        + e("pqn,rn->pqrn", a.h, b.g) + e("prn,qn->pqrn", a.h, b.g)
+        + e("qrn,pn->pqrn", a.h, b.g) + e("pqn,rn->pqrn", b.h, a.g)
+        + e("prn,qn->pqrn", b.h, a.g) + e("qrn,pn->pqrn", b.h, a.g)
     )
     assert _rel_err((a * b).t, want) <= 1e-14
 
@@ -207,14 +207,74 @@ def test_order3_chain_rule_index_order():
     a = _raw_jet(rng, 5, 3)
     derivs = [rng.normal(size=5) for _ in range(4)]
     e = np.einsum
-    d1, d2, d3 = (d[:, None, None, None] for d in derivs[1:])
+    d1, d2, d3 = derivs[1:]
     want = (
         d1 * a.t
-        + d2 * (e("npq,nr->npqr", a.h, a.g) + e("npr,nq->npqr", a.h, a.g)
-                + e("nqr,np->npqr", a.h, a.g))
-        + d3 * e("np,nq,nr->npqr", a.g, a.g, a.g)
+        + d2 * (e("pqn,rn->pqrn", a.h, a.g) + e("prn,qn->pqrn", a.h, a.g)
+                + e("qrn,pn->pqrn", a.h, a.g))
+        + d3 * e("pn,qn,rn->pqrn", a.g, a.g, a.g)
     )
     assert _rel_err(a.chain(derivs).t, want) <= 1e-14
+
+
+# -- tier layout: points on the last axis -----------------------------------
+
+
+def test_partials_are_contiguous_views_of_the_tiers():
+    pts = np.random.default_rng(41).uniform(-0.5, 0.5, size=(7, DIM))
+    jet = _complex_field(DIM).jet(pts, 3)
+    for i in range(DIM):
+        first = jet.partial(i)
+        second = first.partial((i + 1) % DIM)
+        for view, tier in ((first.v, jet.g), (first.g, jet.h), (first.h, jet.t),
+                           (second.v, jet.h), (second.g, jet.t)):
+            assert view.flags.c_contiguous and not view.flags.owndata
+            assert np.shares_memory(view, tier)
+        assert np.array_equal(first.h, jet.t[i])
+        assert np.array_equal(second.g, jet.t[i, (i + 1) % DIM])
+
+
+def test_points_first_outputs_keep_their_shapes_and_values(hopf, hopf_pts):
+    pts = hopf_pts[:9]
+    x = [coordinate(i, DIM) for i in range(DIM)]
+    vals, grads = stacked([x[0] * x[1], x[2] * 3.0], pts)
+    assert vals.shape == (9, 2) and grads.shape == (9, 2, DIM)
+    want = np.zeros((9, 2, DIM))
+    want[:, 0, 0], want[:, 0, 1], want[:, 1, 2] = pts[:, 1], pts[:, 0], 3.0
+    assert np.array_equal(grads, want)
+    M = np.random.default_rng(42).normal(size=(DIM, DIM))  # not symmetric
+    jac = PointMap.affine(M, np.ones(DIM)).jacobian(pts)
+    assert jac.shape == (9, DIM, DIM)
+    assert np.array_equal(jac, np.broadcast_to(M, jac.shape))
+    s = hopf.structure
+    g, dg = s.metric_jets(pts)
+    assert g.shape == (9, DIM, DIM) and dg.shape == (9, DIM, DIM, DIM)
+    G = s.metric_entry_fields()
+    for a in range(DIM):
+        for b in range(DIM):
+            assert np.array_equal(g[:, a, b], np.real(G[min(a, b)][max(a, b)].values(pts)))
+            for i in range(DIM):
+                want = np.real(G[min(a, b)][max(a, b)].partial(i).values(pts))
+                assert np.array_equal(dg[:, i, a, b], want)
+
+
+def test_order1_quadrature_contracts_a_points_first_gradient():
+    # c_einsum picks its summation order from the operands' layout, so the
+    # gradient is contracted on a points-first copy: bit for bit this
+    # reference, as it was before the tiers moved their points last
+    rng = np.random.default_rng(43)
+    dim, s, n = 6, 32, 20
+    mats = rng.normal(size=(s, dim, dim))
+    offs = rng.normal(scale=0.3, size=(s, dim))
+    weights = rng.uniform(-1.0, 1.0, size=s)
+    pts = rng.uniform(-0.5, 0.5, size=(n, dim))
+    f = _complex_field(dim)
+    big = np.einsum("sij,nj->sni", mats, pts) + offs[:, None, :]
+    G = np.ascontiguousarray(f.jet(big.reshape(s * n, dim), 1).g.T).reshape(s, n, dim)
+    want = np.einsum("s,sna,sap->np", weights, G, mats)
+    got = affine_quadrature_field(f, mats, offs, weights).jet(pts, 1).g
+    assert got.shape == (dim, n) and got.flags.c_contiguous
+    assert np.array_equal(got.T, want)
 
 
 # -- absent (identically zero) tiers ---------------------------------------
@@ -226,7 +286,7 @@ TIER_PATTERNS = [(True, True), (True, False), (False, False), (False, True)]
 def _sparse_jet(rng, n, d, pattern, cplx=False):
     """An order-3 jet with the tiers of ``pattern`` present (non-symmetric)."""
     def draw(*shape):
-        x = rng.normal(size=(n,) + shape)
+        x = rng.normal(size=shape + (n,))
         return x + 1j * rng.normal(size=x.shape) if cplx else x
     has_h, has_t = pattern
     return Jet(3, draw(), draw(d), draw(d, d) if has_h else None,
@@ -235,12 +295,12 @@ def _sparse_jet(rng, n, d, pattern, cplx=False):
 
 def _dense(jet):
     """The same jet with every absent tier up to its order filled with zeros."""
-    n, d = jet.g.shape if jet.g is not None else (jet.v.shape[0], 0)
+    d, n = jet.g.shape if jet.g is not None else (0, jet.v.shape[0])
     dtype = np.result_type(jet.v, jet.g) if jet.g is not None else jet.v.dtype
     tiers = [jet.g, jet.h, jet.t]
     for k in range(1, jet.order + 1):
         if tiers[k - 1] is None:
-            tiers[k - 1] = np.zeros((n,) + (d,) * k, dtype=dtype)
+            tiers[k - 1] = np.zeros((d,) * k + (n,), dtype=dtype)
     return Jet(jet.order, jet.v, *tiers)
 
 
@@ -256,41 +316,38 @@ def _assert_same_bits(got, want):
 # dense implementation summed them: the reference for bit-for-bit equality.
 
 def _full_sym(x):
-    return x + x.transpose(0, 1, 3, 2) + x.transpose(0, 3, 1, 2)
+    return x + x.transpose(0, 2, 1, 3) + x.transpose(2, 0, 1, 3)
 
 
 def _full_mul(a, b):
     return Jet(
         3, a.v * b.v,
-        a.v[:, None] * b.g + b.v[:, None] * a.g,
-        a.v[:, None, None] * b.h + b.v[:, None, None] * a.h
-        + a.g[:, :, None] * b.g[:, None, :] + b.g[:, :, None] * a.g[:, None, :],
-        a.v[:, None, None, None] * b.t + b.v[:, None, None, None] * a.t
-        + _full_sym(a.h[:, :, :, None] * b.g[:, None, None, :]
-                    + b.h[:, :, :, None] * a.g[:, None, None, :]),
+        a.v * b.g + b.v * a.g,
+        a.v * b.h + b.v * a.h + a.g[:, None] * b.g + b.g[:, None] * a.g,
+        a.v * b.t + b.v * a.t
+        + _full_sym(a.h[:, :, None] * b.g + b.h[:, :, None] * a.g),
     )
 
 
 def _full_chain(a, d):
-    gg = a.g[:, :, None] * a.g[:, None, :]
+    gg = a.g[:, None] * a.g
     return Jet(
-        3, d[0], d[1][:, None] * a.g,
-        d[1][:, None, None] * a.h + d[2][:, None, None] * gg,
-        d[1][:, None, None, None] * a.t
-        + d[2][:, None, None, None] * _full_sym(a.h[:, :, :, None] * a.g[:, None, None, :])
-        + d[3][:, None, None, None] * (gg[:, :, :, None] * a.g[:, None, None, :]),
+        3, d[0], d[1] * a.g,
+        d[1] * a.h + d[2] * gg,
+        d[1] * a.t + d[2] * _full_sym(a.h[:, :, None] * a.g)
+        + d[3] * (gg[:, :, None] * a.g),
     )
 
 
 def _full_compose(outer, inners):
     e = np.einsum
-    Yg, Yh, Yt = (np.stack([getattr(y, k) for y in inners], axis=1) for k in "ght")
-    cross = e("nab,napq,nbr->npqr", outer.h, Yh, Yg)
+    Yg, Yh, Yt = (np.stack([getattr(y, k) for y in inners]) for k in "ght")
+    cross = e("abn,apqn,brn->pqrn", outer.h, Yh, Yg)
     return Jet(
-        3, outer.v, e("na,nap->np", outer.g, Yg),
-        e("na,napq->npq", outer.g, Yh) + e("nab,nap,nbq->npq", outer.h, Yg, Yg),
-        e("na,napqr->npqr", outer.g, Yt) + cross + cross.transpose(0, 1, 3, 2)
-        + cross.transpose(0, 3, 1, 2) + e("nabc,nap,nbq,ncr->npqr", outer.t, Yg, Yg, Yg),
+        3, outer.v, e("an,apn->pn", outer.g, Yg),
+        e("an,apqn->pqn", outer.g, Yh) + e("abn,apn,bqn->pqn", outer.h, Yg, Yg),
+        e("an,apqrn->pqrn", outer.g, Yt) + cross + cross.transpose(0, 2, 1, 3)
+        + cross.transpose(2, 0, 1, 3) + e("abcn,apn,bqn,crn->pqrn", outer.t, Yg, Yg, Yg),
     )
 
 
@@ -321,8 +378,8 @@ def test_absent_tiers_match_zero_filled_chain_and_partial(pattern):
     _assert_same_bits(a.chain(derivs), _full_chain(da, derivs))
     _assert_same_bits(a.exp(), _full_chain(da, [np.exp(a.v)] * 4))
     for i in range(3):
-        _assert_same_bits(a.partial(i), Jet(2, da.g[:, i], da.h[:, i], da.t[:, i]))
-        _assert_same_bits(a.partial(i).partial(i), Jet(1, da.h[:, i, i], da.t[:, i, i]))
+        _assert_same_bits(a.partial(i), Jet(2, da.g[i], da.h[i], da.t[i]))
+        _assert_same_bits(a.partial(i).partial(i), Jet(1, da.h[i, i], da.t[i, i]))
     _assert_same_bits(a.imag(), _full_map(np.imag, da))
 
 
@@ -368,7 +425,7 @@ def test_coordinates_and_constants_carry_no_higher_tiers():
     assert c.h is None and c.t is None and not c.g.any()
     prod = x0 * x1
     assert prod.t is None
-    assert np.array_equal(prod.h[:, 0, 1], np.ones(4))
+    assert np.array_equal(prod.h[0, 1], np.ones(4))
     assert (prod * x0).t is not None
 
 
@@ -409,7 +466,7 @@ def test_evaluate_computes_a_shared_subexpression_once_per_call():
         assert np.array_equal(a.v, b.v) and np.array_equal(a.g, b.g)
     vals, grads = stacked(fields, pts)
     assert vals.shape == (5, 2) and grads.shape == (5, 2, DIM)
-    assert np.array_equal(grads[:, 1], first[1].g)
+    assert np.array_equal(grads[:, 1], first[1].g.T)
     assert stacked(fields, pts, 0)[1] is None
 
 
@@ -521,15 +578,15 @@ def _ref_lsum(*terms):
 
 
 def _ref_scale(v, x):
-    return None if x is None else v.reshape(v.shape + (1,) * (x.ndim - 1)) * x
+    return None if x is None else v * x
 
 
 def _ref_hg(h, g):
-    return None if h is None else h[:, :, :, None] * g[:, None, None, :]
+    return None if h is None else h[:, :, None] * g
 
 
 def _ref_sym(x):
-    return None if x is None else x + x.transpose(0, 1, 3, 2) + x.transpose(0, 3, 1, 2)
+    return None if x is None else x + x.transpose(0, 2, 1, 3) + x.transpose(2, 0, 1, 3)
 
 
 def _ref_mul(a, b):
@@ -537,24 +594,23 @@ def _ref_mul(a, b):
     h = t = None
     if m >= 2:
         h = _ref_lsum(_ref_scale(a.v, b.h), _ref_scale(b.v, a.h),
-                      a.g[:, :, None] * b.g[:, None, :],
-                      b.g[:, :, None] * a.g[:, None, :])
+                      a.g[:, None] * b.g, b.g[:, None] * a.g)
     if m >= 3:
         t = _ref_lsum(_ref_scale(a.v, b.t), _ref_scale(b.v, a.t),
                       _ref_sym(_ref_lsum(_ref_hg(a.h, b.g), _ref_hg(b.h, a.g))))
-    return Jet(m, a.v * b.v, a.v[:, None] * b.g + b.v[:, None] * a.g, h, t)
+    return Jet(m, a.v * b.v, a.v * b.g + b.v * a.g, h, t)
 
 
 def _ref_chain(a, derivs):
     m = a.order
-    gg = a.g[:, :, None] * a.g[:, None, :]
+    gg = a.g[:, None] * a.g
     h = _ref_lsum(_ref_scale(derivs[1], a.h), _ref_scale(derivs[2], gg))
     t = None
     if m >= 3:
         t = _ref_lsum(_ref_scale(derivs[1], a.t),
                       _ref_scale(derivs[2], _ref_sym(_ref_hg(a.h, a.g))),
-                      _ref_scale(derivs[3], gg[:, :, :, None] * a.g[:, None, None, :]))
-    return Jet(m, derivs[0], derivs[1][:, None] * a.g, h, t)
+                      _ref_scale(derivs[3], gg[:, :, None] * a.g))
+    return Jet(m, derivs[0], derivs[1] * a.g, h, t)
 
 
 def _arrays(*jets):
