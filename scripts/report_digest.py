@@ -13,6 +13,13 @@ exactly where a reported value moved:
 
 With no workload named, every workload is run.  An lcklab error is recorded
 as the message and exit code the command line would give it.
+
+``--against FILE`` compares the digest with one written earlier instead of
+printing it: each leaf that moved is printed as ``path: old -> new``
+(``<absent>`` where a side lacks it), and the exit status is 1 if any exit
+code, ``pass``/``all_pass`` flag or verdict moved, else 0:
+
+    python3 scripts/report_digest.py --seed 42 --against parent.json
 """
 
 import argparse
@@ -24,6 +31,9 @@ from lcklab import cli
 from lcklab.errors import GalleryError, InadmissibleInput, NumericalError
 
 ANSWERS = Path(__file__).resolve().parents[1] / "bench" / "known_answers.json"
+# leaves whose move changes an outcome, not only a value
+GATES = {"exit", "pass", "all_pass", "verdict"}
+LABELS = ("name", "call", "fixture")
 
 
 def run_call(call, seed):
@@ -50,14 +60,58 @@ def digest(workloads, seed):
                           for name in workloads or sorted(known)}}
 
 
+def leaves(doc, path=""):
+    """{path: value} of every leaf of a digest.  A list item is named by its
+    ``name``, ``call`` or ``fixture`` when that is unique in the list, else
+    by index."""
+    if isinstance(doc, dict):
+        items = [(f"{path}.{k}" if path else k, v) for k, v in doc.items()]
+    elif isinstance(doc, list):
+        labels = [next((x[k] for k in LABELS if k in x), None)
+                  if isinstance(x, dict) else None for x in doc]
+        items = [(f"{path}[{i if lab is None or labels.count(lab) > 1 else lab}]", x)
+                 for i, (lab, x) in enumerate(zip(labels, doc))]
+    else:
+        return {path: doc}
+    out = {}
+    for p, v in items:
+        out.update(leaves(v, p))
+    return out
+
+
+def compare(old, new):
+    """The lines ``path: old -> new`` of the leaves that moved between two
+    digests, and whether any of them is a gate (exit code, pass flag or
+    verdict)."""
+    before, after = leaves(old), leaves(new)
+    lines, gated = [], False
+    for path in sorted(before.keys() | after.keys()):
+        # compared as written, so 1 and 1.0 differ and NaN equals NaN
+        x, y = (json.dumps(side[path]) if path in side else "<absent>"
+                for side in (before, after))
+        if x != y:
+            lines.append(f"{path}: {x} -> {y}")
+            gated |= path.rsplit(".", 1)[-1] in GATES
+    return lines, gated
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workloads", nargs="*", help="workload names (default: all)")
     parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--against", metavar="FILE",
+                        help="print the leaves that moved since this digest")
     args = parser.parse_args(argv)
-    json.dump(digest(args.workloads, args.seed), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
-    return 0
+    doc = digest(args.workloads, args.seed)
+    if args.against is None:
+        json.dump(doc, sys.stdout, indent=1, sort_keys=True)
+        sys.stdout.write("\n")
+        return 0
+    with open(args.against) as fh:
+        lines, gated = compare(json.load(fh), doc)
+    for line in lines:
+        print(line)
+    return 1 if gated else 0
 
 
 if __name__ == "__main__":

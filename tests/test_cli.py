@@ -247,8 +247,20 @@ def test_report_all_schema_and_determinism(tmp_path):
     assert "runtime_ms" not in s1
 
 
-def test_report_digest_script_on_wide_batch():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "report_digest.py"
+DIGEST_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "report_digest.py"
+
+
+def _digest_module():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("report_digest", DIGEST_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_digest_script_on_wide_batch(tmp_path, capsys):
+    script = DIGEST_SCRIPT
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(script.parents[1] / "src"), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, str(script), "--seed", "42", "wide_batch"],
@@ -265,3 +277,37 @@ def test_report_digest_script_on_wide_batch():
     assert "runtime_ms" not in done.stdout
     # canonical: sorted keys, so the same document prints the same bytes
     assert done.stdout == json.dumps(body, indent=1, sort_keys=True) + "\n"
+    # --against names each moved leaf; a moved residual is not a gate
+    check = calls[4]["report"]["checks"][0]
+    moved = check["residual"]
+    check["residual"] = moved + 1.0
+    earlier = tmp_path / "earlier.json"
+    earlier.write_text(json.dumps(body))
+    code = _digest_module().main(["--seed", "42", "--against", str(earlier), "wide_batch"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"workloads.wide_batch[run_verify(product,points=2000)].report.checks"
+        f"[{check['name']}].residual: {moved + 1.0!r} -> {moved!r}"]
+
+
+def test_report_digest_comparison_gates_exit_codes_pass_flags_and_verdicts():
+    compare = _digest_module().compare
+
+    def doc(residual=1e-15, passed=True, verdict="V", code=0, extra=None):
+        checks = [{"name": "a", "pass": passed, "residual": residual},
+                  {"name": "b", "pass": True, "residual": 0.0}]
+        report = {"checks": checks, "verdict": verdict, "all_pass": True}
+        if extra is not None:
+            report["extra"] = extra
+        return {"seed": 42, "workloads": {"w": [
+            {"call": "run_verify(x)", "exit": code, "report": report}]}}
+
+    head = "workloads.w[run_verify(x)]"
+    assert compare(doc(), doc()) == ([], False)
+    assert compare(doc(), doc(residual=2e-15)) == (
+        [f"{head}.report.checks[a].residual: 1e-15 -> 2e-15"], False)
+    assert compare(doc(), doc(extra=0.5)) == ([f"{head}.report.extra: <absent> -> 0.5"], False)
+    assert compare(doc(), doc(passed=False)) == (
+        [f"{head}.report.checks[a].pass: true -> false"], True)
+    assert compare(doc(), doc(verdict="W")) == ([f'{head}.report.verdict: "V" -> "W"'], True)
+    assert compare(doc(), doc(code=3)) == ([f"{head}.exit: 0 -> 3"], True)
