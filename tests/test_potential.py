@@ -61,6 +61,24 @@ def test_periodic_function_validation():
         )
 
 
+def test_periodicity_gap_is_measured_against_the_profile_scale():
+    from lcklab.cli import _exit_code_for
+
+    # Fejer-type weights over 300 harmonics: sup f = f(0) = 270, and f(t)
+    # and f(t + 2pi) round apart by about 1e-12
+    j = np.arange(1, 301)
+    fejer = P.PeriodicFunction.trig(1.8 * (1.0 - j / 301), np.zeros(300))
+    assert abs(float(fejer.fn(0.0)) - 270.0) < 1e-9
+    with pytest.raises(InadmissibleInput, match="not 2pi-periodic") as refused:
+        P.PeriodicFunction(
+            fn=lambda t: np.cos(0.5 * np.asarray(t, dtype=float)),
+            d1=lambda t: -0.5 * np.sin(0.5 * np.asarray(t, dtype=float)),
+            d2=lambda t: -0.25 * np.cos(0.5 * np.asarray(t, dtype=float)),
+            d3=lambda t: 0.125 * np.sin(0.5 * np.asarray(t, dtype=float)),
+        )
+    assert _exit_code_for(refused.value) == 4
+
+
 def _profiles():
     rng = np.random.default_rng(3)
     return {
