@@ -136,6 +136,9 @@ def test_solver_against_frozen_oracle():
     assert sol.periodicity_residual < 1e-9
     assert sol.ode1_residual < 1e-8
     assert sol.ode2_residual < 1e-7
+    # e^{-Q} is sampled as g evaluates Q, so few round-off modes pass the
+    # 1e-17 cutoff (61 of 2048 here); each costs every evaluation of g
+    assert sol.ik.size <= 64
 
 
 def test_solver_against_dense_oracle_grid():
