@@ -4,11 +4,12 @@ A Jet holds the Taylor data of a scalar quantity at a batch of N chart
 points: value ``v`` of shape (N,), gradient ``g`` of shape (d, N), Hessian
 ``h`` of shape (d, d, N) and third-derivative tensor ``t`` of shape
 (d, d, d, N), truncated at ``order``.  The tiers are stored points-last, so
-every elementwise rule runs on contiguous rows of N points and
-``g[i]``, ``h[i]``, ``t[i]`` are contiguous views.  All derivative tensors
-are symmetric in their coordinate axes.  Arithmetic implements the truncated Leibniz and
-chain rules, so every quantity built from closed-form primitives carries
-exact derivatives (no finite differencing on the evaluation path).
+every elementwise rule runs on contiguous rows of N points and ``g[i]``,
+``h[i]``, ``t[i]`` are contiguous views.  All derivative tensors are
+symmetric in their coordinate axes.  Arithmetic implements the truncated
+Leibniz and chain rules, so every quantity built from closed-form
+primitives carries exact derivatives (no finite differencing on the
+evaluation path).
 
 A tier ``h`` or ``t`` that is ``None`` at or below ``order`` is identically
 zero: coordinates carry no ``h`` or ``t``, constants carry neither, and a
