@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from lcklab import cli
-from lcklab.errors import GalleryError, InadmissibleInput, NumericalError
+from lcklab.errors import EXIT_ERRORS
 
 ANSWERS = Path(__file__).resolve().parents[1] / "bench" / "known_answers.json"
 # leaves whose move changes an outcome, not only a value
@@ -42,8 +42,8 @@ def run_call(call, seed):
     kwargs = call.get("kwargs", {})
     try:
         report, code = getattr(cli, call["entry"])(*args, seed=seed, **kwargs)
-    except (GalleryError, NumericalError, InadmissibleInput) as exc:
-        report, code = {"error": str(exc)}, cli._exit_code_for(exc)
+    except EXIT_ERRORS as exc:
+        report, code = {"error": str(exc)}, exc.exit_code
     label = ",".join([*map(str, args), *(f"{k}={v}" for k, v in kwargs.items())])
     return {"call": f"{call['entry']}({label})", "exit": code,
             "report": cli.strip_volatile(report)}

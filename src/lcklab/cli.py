@@ -20,23 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GalleryError, InadmissibleInput, NumericalError
+from .errors import EXIT_ERRORS, GalleryError
 from . import lck as L
 from . import manifolds as M
 from . import torus as T
 from . import potential as P
 from .fields import constant, coordinate, stacked
 from .forms import Form, apply_J, dc, exterior_d, interior_product, twisted_d
-
-DEFAULT_FIXTURES = (
-    "hopf_diag",
-    "hopf_nondiag",
-    "inoue_splus",
-    "leeolo",
-    "product",
-    "hxc_cover",
-)
-
 
 @dataclass
 class Check:
@@ -312,6 +302,7 @@ _REPORT_BUILDERS = {
     "product": _product_report,
     "hxc_cover": _hxc_report,
 }
+DEFAULT_FIXTURES = tuple(_REPORT_BUILDERS)
 
 
 def _check_points(points):
@@ -488,25 +479,15 @@ def run_report(points=200, seed=42, tol=1e-8, nodes=512, fixtures=DEFAULT_FIXTUR
             try:
                 rep, code = run_verify(fx, points=points, seed=seed, tol=tol,
                                        nodes=nodes)
-            except (GalleryError, NumericalError, InadmissibleInput) as exc:
+            except EXIT_ERRORS as exc:
                 rep = {"fixture": fx, "error": str(exc)}
-                code = _exit_code_for(exc)
+                code = exc.exit_code
             out["fixtures"].append(rep)
             out["summary"][fx] = code
         out["total"] = len(out["fixtures"])
         out["all_pass"] = all(v == 0 for v in out["summary"].values())
         out["runtime_ms"] = round(1000.0 * (time.perf_counter() - t0), 3)
         return out, (0 if out["all_pass"] else 1)
-
-
-def _exit_code_for(exc) -> int:
-    if isinstance(exc, GalleryError):
-        return 2
-    if isinstance(exc, NumericalError):
-        return 3
-    if isinstance(exc, InadmissibleInput):
-        return 4
-    return 1
 
 
 def strip_volatile(report):
@@ -577,16 +558,11 @@ def main(argv=None) -> int:
             for fx, rc in report["summary"].items():
                 print(f"  {fx:<16s} exit {rc}")
             print(f"fixtures: {report['total']}, all pass: {report['all_pass']}")
-    except GalleryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        where = "" if exc.point is None else f" at point {exc.point!r}"
-        print(f"numerical failure: {exc}{where}", file=sys.stderr)
-        return 3
-    except InadmissibleInput as exc:
-        print(f"inadmissible input: {exc}", file=sys.stderr)
-        return 4
+    except EXIT_ERRORS as exc:
+        point = getattr(exc, "point", None)
+        where = "" if point is None else f" at point {point!r}"
+        print(f"{exc.label}: {exc}{where}", file=sys.stderr)
+        return exc.exit_code
     if args.json_path:
         with open(args.json_path, "w") as fh:
             json.dump(report, fh, indent=2)

@@ -315,7 +315,7 @@ class PointMap:
         return PointMap(comps, name=name)
 
     @staticmethod
-    def from_complex(components, dim_in, name=""):
+    def from_complex(components, name=""):
         """Build a real point map from complex component fields (z'_j)."""
         comps = []
         for zc in components:
@@ -476,7 +476,7 @@ class VectorField:
         return VectorField(comps, name=name)
 
     @staticmethod
-    def from_holomorphic(hol_components, dim, name=""):
+    def from_holomorphic(hol_components, name=""):
         """Real field Z + Zbar of a holomorphic field with components h_j(z).
 
         ``hol_components`` are complex scalar fields; the chart convention
@@ -517,16 +517,8 @@ def complex_jmatrix(dim):
 
 
 def apply_J_vector(X: VectorField) -> VectorField:
-    J = complex_jmatrix(X.dim)
+    """JX: (JX)_{2j} = -X_{2j+1} and (JX)_{2j+1} = X_{2j}."""
     comps = []
-    for i in range(X.dim):
-        terms, weights = [], []
-        for c in range(X.dim):
-            if J[i, c] != 0.0:
-                terms.append(X.components[c])
-                weights.append(J[i, c])
-        if not terms:
-            comps.append(constant(0.0, X.dim))
-        else:
-            comps.append(ScalarField.nsum(terms, weights))
+    for j in range(X.dim // 2):
+        comps += [-1.0 * X.components[2 * j + 1], X.components[2 * j]]
     return VectorField(comps, name=f"J{X.name}")

@@ -155,21 +155,6 @@ class Form:
             out = out.real
         return out
 
-    def as_matrix(self, pts):
-        """Antisymmetric coefficient matrix of a 2-form at sample points."""
-        if self.degree != 2:
-            raise FormDegreeError("as_matrix needs a 2-form")
-        pts = as_batch(pts, self.dim)
-        vals = self.coefficient_values(pts)
-        n = pts.shape[0]
-        some = next(iter(vals.values())) if vals else np.zeros(n)
-        dt = complex if np.iscomplexobj(some) else float
-        A = np.zeros((n, self.dim, self.dim), dtype=dt)
-        for (i, j), c in vals.items():
-            A[:, i, j] = c
-            A[:, j, i] = -c
-        return A.real if dt is complex and np.abs(A.imag).max() < 1e-10 else A
-
 
 def _gather(dim, degree, frame, terms) -> Form:
     """The form whose coefficient at each index is the weighted sum of the
@@ -365,20 +350,10 @@ def dc(a: Form) -> Form:
     return to_real(res, drop_imag=True)
 
 
-def twisted_d(a: Form, theta: Form, conjugated=False, check_pts=None, tol=1e-8) -> Form:
+def twisted_d(a: Form, theta: Form, conjugated=False) -> Form:
     """d_theta a = da - theta ^ a, or d^c_theta a = d^c a - J theta ^ a."""
     if theta.degree != 1:
         raise FormDegreeError("twisting form must be a 1-form")
-    if check_pts is not None:
-        r = exterior_d(theta).max_abs(check_pts)
-        if r > tol:
-            import warnings
-
-            warnings.warn(
-                f"twisting 1-form is not closed (|d theta| = {r:.2e}); "
-                "the twisted differential no longer squares to zero",
-                stacklevel=2,
-            )
     if conjugated:
         return dc(a) - wedge(apply_J(theta), a)
     return exterior_d(a) - wedge(theta, a)
@@ -388,7 +363,7 @@ def dd_c(f: ScalarField) -> Form:
     return exterior_d(dc(Form.from_function(f)))
 
 
-def twisted_potential_form(f: ScalarField, theta: Form, check_pts=None) -> Form:
+def twisted_potential_form(f: ScalarField, theta: Form) -> Form:
     """d_theta d^c_theta f for a scalar potential f."""
-    inner = twisted_d(Form.from_function(f), theta, conjugated=True, check_pts=check_pts)
+    inner = twisted_d(Form.from_function(f), theta, conjugated=True)
     return twisted_d(inner, theta, conjugated=False)

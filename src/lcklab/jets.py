@@ -138,9 +138,8 @@ class Jet:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def constant(value, n, dim, order, dtype=None):
-        if dtype is None:
-            dtype = np.complex128 if isinstance(value, complex) else np.float64
+    def constant(value, n, dim, order):
+        dtype = np.complex128 if isinstance(value, complex) else np.float64
         v = np.full(n, value, dtype=dtype)
         g = np.zeros((dim, n), dtype=dtype) if order >= 1 else None
         return Jet(order, v, g)

@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalError
 from .fields import (
     ScalarField,
     VectorField,
@@ -35,23 +34,19 @@ from .forms import (
     wedge,
 )
 
-DEFAULT_TOL = 1e-8
-
 
 class LCKStructure:
     """A pair (Omega, theta) on a chart, with cached metric data."""
 
     def __init__(self, omega: Form, theta: Form, name="", manifold=None,
                  lee_B: Optional[VectorField] = None,
-                 lee_A: Optional[VectorField] = None,
-                 tol: float = DEFAULT_TOL):
+                 lee_A: Optional[VectorField] = None):
         if omega.degree != 2 or theta.degree != 1:
             raise ValueError("need a 2-form and a 1-form")
         self.omega = omega
         self.theta = theta
         self.name = name
         self.manifold = manifold
-        self.tol = tol
         self._lee = (lee_B, lee_A) if lee_B is not None else None
         self._metric_fields = None
 
@@ -209,12 +204,12 @@ class ExtractedLeeForm:
     is_lck: bool
 
 
-def extract_lee_form(omega: Form, pts, tol=1e-6) -> ExtractedLeeForm:
+def extract_lee_form(omega: Form, pts) -> ExtractedLeeForm:
     """Pointwise least-squares solve of d Omega = theta ^ Omega.
 
     The wedge with Omega is injective on 1-forms for complex dimension at
     least two, so the solve determines theta and its residual certifies the
-    LCK identity at the sampled points.
+    LCK identity at the sampled points (``is_lck``: residual below 1e-6).
     """
     d = omega.dim
     if d < 4:
@@ -245,21 +240,7 @@ def extract_lee_form(omega: Form, pts, tol=1e-6) -> ExtractedLeeForm:
         sol, *_ = np.linalg.lstsq(M[i], rhs[i], rcond=None)
         theta[i] = sol
         resid = max(resid, float(np.abs(M[i] @ sol - rhs[i]).max()))
-    return ExtractedLeeForm(values=theta, residual=resid, is_lck=resid < tol)
-
-
-def lee_vector_fields(s: LCKStructure, pts=None) -> LeePair:
-    """Lee pair by pointwise linear solve, as exact field expressions."""
-    if pts is not None:
-        g, _ = s.metric_jets(pts, 0)
-        dets = np.linalg.det(g)
-        bad = np.abs(dets) < 1e-12
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NumericalError(
-                "singular fundamental form at a sample point", point=pts[i]
-            )
-    return s.lee_pair()
+    return ExtractedLeeForm(values=theta, residual=resid, is_lck=resid < 1e-6)
 
 
 def _christoffel(g, dg):
@@ -353,7 +334,7 @@ def conformal_rescale(s: LCKStructure, h: ScalarField) -> LCKStructure:
     omega = s.omega.scale(h.exp())
     theta = s.theta + exterior_d(Form.from_function(h))
     return LCKStructure(omega, theta, name=f"{s.name}~rescaled",
-                        manifold=s.manifold, tol=s.tol)
+                        manifold=s.manifold)
 
 
 @dataclass
@@ -365,9 +346,9 @@ class UnitPotentialReport:
     verdict: str
 
 
-def verify_unit_potential(s: LCKStructure, pts, tol=1e-6) -> UnitPotentialReport:
+def verify_unit_potential(s: LCKStructure, pts) -> UnitPotentialReport:
     """Checks, in order: Omega = -dJtheta + theta^Jtheta; B holomorphic;
-    then asserts |B| = 1 and parallel Lee form.
+    then asserts |B| = 1 and parallel Lee form, each to 1e-6.
 
     An LCK form of this shape with real-holomorphic Lee field must be
     Vaisman, so the chain upgrades the two cheap checks to the full one.
@@ -376,9 +357,9 @@ def verify_unit_potential(s: LCKStructure, pts, tol=1e-6) -> UnitPotentialReport
     shape = (s.omega - (exterior_d(jt).scale(-1.0) + wedge(s.theta, jt))).max_abs(pts)
     pair = s.lee_pair()
     holo = holomorphy_residual(pair.B, pts)
-    if shape > tol or holo > tol:
+    if shape > 1e-6 or holo > 1e-6:
         return UnitPotentialReport(shape, holo, None, None, "hypotheses not met")
     norm_dev = float(np.abs(pair.norm_squared(pts) - 1.0).max())
     vr = vaisman_residual(s, pts)
-    verdict = "vaisman-confirmed" if (norm_dev < tol and vr < tol) else "chain failed"
+    verdict = "vaisman-confirmed" if (norm_dev < 1e-6 and vr < 1e-6) else "chain failed"
     return UnitPotentialReport(shape, holo, norm_dev, vr, verdict)

@@ -46,10 +46,11 @@ class DeckTransformation:
 class FlowMap:
     """A registered closed-form flow of a vector field.
 
-    ``affine``, when present, returns (M, b) with Phi_t(x) = M x + b; it is
-    then the flow's only description (``at`` is derived from it), and the
-    quadrature pipelines need it to batch flow pullbacks.  Flows without it
-    (polynomial or embedded ones) give the point map ``at`` directly.
+    ``affine``, when present, maps times t of any shape to (M, b) of shapes
+    t.shape + (d, d) and t.shape + (d,), Phi_t(x) = M x + b; it is then the
+    flow's only description (``at`` is derived from it), and the quadrature
+    pipelines take whole node grids from it.  Flows without it (polynomial
+    or embedded ones) give the point map ``at`` directly.
     """
 
     name: str
@@ -64,12 +65,6 @@ class FlowMap:
             self.at = lambda t: PointMap.affine(*self.affine(t),
                                                 name=f"{self.name}{t:.3f}")
 
-    def affine_stack(self, ts):
-        """The affine data at each time in ``ts``, stacked: (M, b) of shapes
-        (s, d, d) and (s, d)."""
-        mats, offs = zip(*(self.affine(float(t)) for t in ts))
-        return np.stack(mats), np.stack(offs)
-
 
 @dataclass
 class LeeClass:
@@ -81,7 +76,6 @@ class LeeClass:
 
     theta: Form
     admits_lck: bool = True
-    note: str = ""
 
 
 class ModelManifold:
@@ -170,8 +164,9 @@ def flow_group_residual(flow: FlowMap, s: float, t: float, pts) -> float:
     return float(np.abs(a - b).max())
 
 
-def flow_generator_residual(flow: FlowMap, t: float, pts, h=2e-6) -> float:
-    """Central-difference check that d/dt Phi_t = X o Phi_t (oracle only)."""
+def flow_generator_residual(flow: FlowMap, t: float, pts) -> float:
+    """Central-difference check, step 2e-6, that d/dt Phi_t = X o Phi_t."""
+    h = 2e-6
     fwd = flow.at(t + h)(pts)
     bwd = flow.at(t - h)(pts)
     vel = (fwd - bwd) / (2 * h)
@@ -191,18 +186,18 @@ def flow_closure_residual(m: ModelManifold, flow: FlowMap, pts) -> float:
     return float(np.abs(end - target).max())
 
 
-def deck_loop_integral(m: ModelManifold, a: Form, deck_name: str,
-                       base=None, nodes=64) -> float:
-    """Integral of a 1-form along the straight segment x -> gamma(x).
+def deck_loop_integral(m: ModelManifold, a: Form, deck_name: str) -> float:
+    """Integral of a 1-form along the straight segment from ``m.loop_base``
+    to its image under the deck map, by 64-node Gauss-Legendre quadrature.
 
     For closed invariant 1-forms this is the pairing of the de Rham class
     with the deck loop.
     """
     if a.degree != 1:
         raise ValueError("loop integrals are for 1-forms")
-    x0 = np.asarray(base if base is not None else m.loop_base, dtype=float)
+    x0 = np.asarray(m.loop_base, dtype=float)
     x1 = m.deck(deck_name).map(x0)[0]
-    glx, glw = np.polynomial.legendre.leggauss(nodes)
+    glx, glw = np.polynomial.legendre.leggauss(64)
     ts = 0.5 * (glx + 1.0)
     ws = 0.5 * glw
     path = x0[None, :] * (1 - ts)[:, None] + x1[None, :] * ts[:, None]
@@ -225,22 +220,25 @@ def _annulus_sampler(dim, r_lo, r_hi):
     return sampler
 
 
-def _complex_multiplier(dim, u: complex):
-    """The real matrix of z -> u z on every complex coordinate."""
-    M = np.zeros((dim, dim))
+def _complex_multiplier(dim, u):
+    """The real matrices of z -> u z on every complex coordinate, one per
+    entry of the complex array ``u``: shape u.shape + (dim, dim)."""
+    u = np.asarray(u, dtype=complex)
+    M = np.zeros(u.shape + (dim, dim))
     for j in range(dim // 2):
-        M[2 * j, 2 * j] = u.real
-        M[2 * j, 2 * j + 1] = -u.imag
-        M[2 * j + 1, 2 * j] = u.imag
-        M[2 * j + 1, 2 * j + 1] = u.real
+        M[..., 2 * j, 2 * j] = u.real
+        M[..., 2 * j, 2 * j + 1] = -u.imag
+        M[..., 2 * j + 1, 2 * j] = u.imag
+        M[..., 2 * j + 1, 2 * j + 1] = u.real
     return M
 
 
 def _scaled_rotation_affine(dim, a: complex):
     """Phi_t(z) = e^{a t} z applied to every complex coordinate."""
 
-    def affine(t: float):
-        return _complex_multiplier(dim, complex(np.exp(a * t))), np.zeros(dim)
+    def affine(t):
+        t = np.asarray(t, dtype=float)
+        return _complex_multiplier(dim, np.exp(a * t)), np.zeros(t.shape + (dim,))
 
     return affine
 
@@ -410,18 +408,17 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0, m=2):
     b2 = lam / beta**mm
 
     gamma = PointMap.from_complex([beta * z1, (beta**mm) * z2 + lam * z1**mm],
-                                  dim_in=dim, name="gamma")
+                                  name="gamma")
 
     Z1_hol = [z1, float(mm) * z2]
     Z2_hol = [0.0 * z1, z1**mm]
-    xi1 = VectorField.from_holomorphic([2j * math.pi * h for h in Z1_hol], dim, "xi1")
+    xi1 = VectorField.from_holomorphic([2j * math.pi * h for h in Z1_hol], "xi1")
     xi2 = VectorField.from_holomorphic(
-        [c * Z1_hol[0], c * Z1_hol[1] + b2 * Z2_hol[1]], dim, "xi2"
-    )
-    Z1_re = VectorField.from_holomorphic(Z1_hol, dim, "Z1_re")
-    Z1_im = VectorField.from_holomorphic([1j * h for h in Z1_hol], dim, "Z1_im")
-    Z2_re = VectorField.from_holomorphic(Z2_hol, dim, "Z2_re")
-    Z2_im = VectorField.from_holomorphic([1j * h for h in Z2_hol], dim, "Z2_im")
+        [c * Z1_hol[0], c * Z1_hol[1] + b2 * Z2_hol[1]], "xi2")
+    Z1_re = VectorField.from_holomorphic(Z1_hol, "Z1_re")
+    Z1_im = VectorField.from_holomorphic([1j * h for h in Z1_hol], "Z1_im")
+    Z2_re = VectorField.from_holomorphic(Z2_hol, "Z2_re")
+    Z2_im = VectorField.from_holomorphic([1j * h for h in Z2_hol], "Z2_im")
 
     def complex_flow(a_coef: complex, b_coef: complex):
         """Flow map of a Z1 + b Z2 at complex time u."""
@@ -430,10 +427,7 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0, m=2):
             e1 = np.exp(a_coef * u)
             e2 = np.exp(a_coef * mm * u)
             return PointMap.from_complex(
-                [e1 * z1, e2 * (z2 + (b_coef * u) * z1**mm)],
-                dim_in=dim,
-                name=f"flow{u}",
-            )
+                [e1 * z1, e2 * (z2 + (b_coef * u) * z1**mm)], name=f"flow{u}")
 
         return at
 
@@ -474,8 +468,7 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0, m=2):
         decks=[DeckTransformation("gamma", gamma, rho=1.0 / ab2)],
         phi=phi_nd,
         structure=None,
-        lee_class=LeeClass(theta_nd, admits_lck=True,
-                           note="series potential; metric existence assumed"),
+        lee_class=LeeClass(theta_nd, admits_lck=True),
         loop_base=np.array([0.9, 0.05, 0.3, -0.2]),
         params={"beta": beta, "lam": lam, "m": mm, "c": c},
     )
@@ -568,10 +561,11 @@ def inoue_splus(p=0, q=0, r=1, t=0.0, N=((2, 1), (1, 1))):
         name="xi",
     )
 
-    def xi_affine(tt: float):
-        off = np.zeros(dim)
-        off[2] = (lam0 / 2.0) * tt
-        return np.eye(dim), off
+    def xi_affine(tt):
+        tt = np.asarray(tt, dtype=float)
+        off = np.zeros(tt.shape + (dim,))
+        off[..., 2] = (lam0 / 2.0) * tt
+        return np.tile(np.eye(dim), tt.shape + (1, 1)), off
 
     m = ModelManifold(
         name="inoue_splus",
@@ -676,7 +670,6 @@ def product(a: ModelManifold | str | None = None,
         m.extras["sum_structure"] = LCKStructure(
             sum_omega, sum_theta, name="product-sum"
         )
-    m.extras["projections"] = (proj1, proj2)
     # canonical torus: the Lee-plane circles of each factor when present,
     # otherwise every registered periodic circle of that factor
     torus_names = []
@@ -712,12 +705,10 @@ def leeolo(eps=0.3, n=2):
         raise GalleryError(f"leeolo needs |eps| >= {_LEEOLO_MIN_EPS:g}")
     base = hopf_diag(n=n, beta=math.exp(-math.pi))
     base.name = "leeolo"
-    F = PeriodicFunction.cosine(float(eps))
-    res = build_leeolo(base, F)
+    res = build_leeolo(base, PeriodicFunction.cosine(float(eps)))
     base.extras["leeolo"] = res
     base.extras["vaisman_base"] = base.structure
     base.extras["base_phi"] = base.phi
-    base.extras["periodic_f"] = F
     base.structure = res.structure
     base.structure.manifold = base
     base.phi = res.psi

@@ -160,6 +160,13 @@ _PROBE_GRID = 1024
 # stays under 0.23 of its 1e-7 tolerance, and under 0.031 of it for
 # f <= 4000; the bound keeps every b the solver forms that small.
 _MAX_F = 4000.0
+# a mode of e^{-Q} at |k| >= 768 (the top quarter of the band) above this
+# fraction of the largest means 2048 samples do not resolve e^{-Q}: the modes
+# past the band alias onto the kept ones, and the second-order residual weighs
+# mode k by k^2.  Over Fejer profiles sum_j 1.8 (1 - j/(H+1)) cos(jt) fraction
+# and residual (tolerance 1e-7) are 6.7e-11 and 7.2e-9 at H = 160, 2.7e-10 and
+# 1.7e-7 at H = 170, 1.8e-6 and 0.12 at H = 300; cos, const stay below 1e-15.
+_MAX_TOP_MODE = 1e-10
 
 
 @dataclass
@@ -249,12 +256,13 @@ def solve_periodic_first_order(f: PeriodicFunction, a: float = 0.0) -> Potential
     """Closed-form positive periodic solution of g' = g(1 + f) - 1.
 
     Needs f's closed-form antiderivative and -1 < f <= 4000 on the
-    1024-point probe grid (InadmissibleInput otherwise).  Takes the modes
-    of e^{-Q} from 2048 samples once, so K = int_0^{2pi} e^{-F} = (1 - e^{-b}) S_0(0) (see
-    ``_mode_sums``) and c = K e^b/(e^b - 1) > 0,
-    and reports periodicity, positivity and both ODE residuals measured
-    against mode-sum derivatives (so truncation of the modes shows up
-    honestly instead of cancelling).
+    1024-point probe grid, and 2048 samples that resolve e^{-Q} (modes at
+    |k| >= 768 at most 1e-10 of the largest); InadmissibleInput otherwise.
+    Takes the modes of e^{-Q} from those samples once, so
+    K = int_0^{2pi} e^{-F} = (1 - e^{-b}) S_0(0) (see ``_mode_sums``) and
+    c = K e^b/(e^b - 1) > 0, and reports periodicity, positivity and both
+    ODE residuals measured against mode-sum derivatives (so truncation of
+    the modes shows up honestly instead of cancelling).
     """
     if f.antiderivative is None:
         raise InadmissibleInput("f needs a closed-form antiderivative")
@@ -271,8 +279,15 @@ def solve_periodic_first_order(f: PeriodicFunction, a: float = 0.0) -> Potential
     sol = PotentialSolution(f=f, a=float(a), b=b, mu=b / TWO_PI)
     s = np.arange(_SOLVER_MODES) * (TWO_PI / _SOLVER_MODES)
     d = np.fft.fft(np.exp(-sol.Q(s))) / _SOLVER_MODES
-    keep = np.abs(d) > 1e-17 * np.abs(d).max()
-    sol.ik = 1j * np.fft.fftfreq(_SOLVER_MODES, d=1.0 / _SOLVER_MODES)[keep]
+    freqs = np.fft.fftfreq(_SOLVER_MODES, d=1.0 / _SOLVER_MODES)
+    peak = np.abs(d).max()
+    top = np.abs(d[np.abs(freqs) >= 3 * _SOLVER_MODES // 8]).max()
+    if top > _MAX_TOP_MODE * peak:
+        raise InadmissibleInput(
+            f"{_SOLVER_MODES} samples do not resolve e^(-Q): a mode at |k| >= "
+            f"{3 * _SOLVER_MODES // 8} is {top / peak:.2e} of the largest")
+    keep = np.abs(d) > 1e-17 * peak
+    sol.ik = 1j * freqs[keep]
     sol.dk = d[keep]
     sol.K = float((1.0 - math.exp(-b)) * sol._mode_sums(0.0)[0])
     sol.c = sol.K / (1.0 - math.exp(-b))  # K e^b/(e^b - 1), free of overflow
@@ -373,7 +388,6 @@ def build_leeolo(base: ModelManifold, f: PeriodicFunction) -> LeeoloResult:
 
     checks: Dict[str, float] = {}
     checks["df_colinear"] = colinear
-    checks["lck_prime"] = lck_residual(structure, pts)
     pair = structure.lee_pair()
     checks["lee_field_is_B"] = float(
         np.abs(pair.B.values(pts) - B.values(pts)).max()
@@ -383,7 +397,6 @@ def build_leeolo(base: ModelManifold, f: PeriodicFunction) -> LeeoloResult:
     checks["norm_sq_matches_1_plus_f"] = float(np.abs(norm2 - (1.0 + fv)).max())
     checks["positivity_min_eig"] = float(structure.positivity_minima(pts).min())
     checks["potential"] = potential_residual(structure, g_field, pts)
-    checks["theta_prime_closed"] = exterior_d(theta_p).max_abs(pts)
     return LeeoloResult(structure, solution, psi, g_field, checks)
 
 
@@ -426,9 +439,9 @@ class OrbitPotentialResult:
     checks: Dict[str, float]
 
 
-def _gl_nodes(a: float, b: float, panels: int, order: int = 16):
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+def _gl_nodes(a: float, b: float, panels: int):
+    """Composite 16-point Gauss-Legendre nodes/weights on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(16)
     edges = np.linspace(a, b, panels + 1)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -504,7 +517,7 @@ def orbit_average_potential(
         # averaged potential: single weighted quadrature over [0, 2 n pi]
         span = TWO_PI * n_periods
         s, w = _gl_nodes(0.0, span, 32 * n_periods)
-        g = affine_quadrature_field(f, *jc_flow.affine_stack(s),
+        g = affine_quadrature_field(f, *jc_flow.affine(s),
                                     (1.0 - np.cos(s)) * w / span)
         # the checks on heavy need g up to order 3 there; cached first, the
         # order-3 jet serves every lower order, so g's quadrature runs once
@@ -512,7 +525,7 @@ def orbit_average_potential(
 
         def g_t_field(t: float) -> ScalarField:
             s, w = _gl_nodes(0.0, t, 16)
-            return affine_quadrature_field(f, *jc_flow.affine_stack(s),
+            return affine_quadrature_field(f, *jc_flow.affine(s),
                                            np.sin(t - s) * w)
 
         omega5 = 0.0
@@ -533,7 +546,7 @@ def orbit_average_potential(
         x0 = pts[:1]
         mg = 1536 * n_periods
         sgrid = np.linspace(0.0, span, mg + 1)
-        mats, offs = jc_flow.affine_stack(sgrid)
+        mats, offs = jc_flow.affine(sgrid)
         f_along = f.values(np.einsum("sij,j->si", mats, x0[0]) + offs).real
         checks["min_f_along_flow"] = float(f_along.min())
         if checks["min_f_along_flow"] <= 0:

@@ -110,7 +110,7 @@ def average_over_circle(a: Form, flow: FlowMap, nodes: int) -> Form:
         raise ValueError("averaging acts on real-frame forms")
     if flow.affine is None:
         raise GalleryError(f"flow {flow.name} has no affine form to average over")
-    mats, offs = flow.affine_stack(np.arange(nodes) * (flow.period / nodes))
+    mats, offs = flow.affine(np.arange(nodes) * (flow.period / nodes))
     parts: Dict[Index, list] = {}
     for J, f in a.coeffs.items():
         rows = mats[:, list(J)]
@@ -224,16 +224,16 @@ class TorusPairings:
     theta_minus_dphi: Optional[float]
 
 
-def torus_pairings(act: TorusAction, theta: Form, pts, nodes=16,
-                   constancy_tol=1e-8) -> TorusPairings:
+def torus_pairings(act: TorusAction, theta: Form, pts, nodes=16) -> TorusPairings:
     """The deck-jump pairings when they are exact, else the node sweep.
 
     The deck jump is taken when the manifold has its cover potential phi,
     every flow names its closure, and |theta - d phi| on the probes is at
     most ``_EXACT_TOL``; otherwise ``averaged_pairings`` runs.  The
     ``*_period_closes`` rows of a suite certify that each flow at its
-    period is its closure map.  Non-constant pairings signal a broken
-    action or non-invariant input and raise NumericalError on either route.
+    period is its closure map.  Non-constant pairings (constancy residual
+    above 1e-8) signal a broken action or non-invariant input and raise
+    NumericalError on either route.
     """
     phi = act.manifold.phi
     gap = None
@@ -244,36 +244,36 @@ def torus_pairings(act: TorusAction, theta: Form, pts, nodes=16,
     else:
         res = TorusPairings(*averaged_pairings(act, theta, pts, nodes),
                             "torus_sweep", gap)
-    if not res.constancy <= constancy_tol:
+    if not res.constancy <= 1e-8:
         raise NumericalError(
             f"averaged pairing is not constant (residual {res.constancy:.2e})"
         )
     return res
 
 
-def _labels(pairings, vertical_tol):
-    return ["vertical" if abs(p) > vertical_tol else "horizontal" for p in pairings]
+def _labels(pairings):
+    return ["vertical" if abs(p) > 1e-6 else "horizontal" for p in pairings]
 
 
-def classify_vertical(act: TorusAction, theta: Form, pts, nodes=16,
-                      constancy_tol=1e-8, vertical_tol=1e-6):
+def classify_vertical(act: TorusAction, theta: Form, pts, nodes=16):
     """Average theta over the action, then label each generator.
 
-    A generator is vertical when the (constant) pairing theta(xi) is nonzero;
-    the pairings come from ``torus_pairings``.
+    A generator is vertical when the (constant) pairing theta(xi) is nonzero,
+    above 1e-6; the pairings come from ``torus_pairings``.
     """
-    res = torus_pairings(act, theta, pts, nodes, constancy_tol)
-    return _labels(res.values, vertical_tol), res.values, res.constancy
+    res = torus_pairings(act, theta, pts, nodes)
+    return _labels(res.values), res.values, res.constancy
 
 
-def intersection_dimension(act: TorusAction, pts, cutoff=1e-8) -> int:
+def intersection_dimension(act: TorusAction, pts) -> int:
     """dim(t ^ Jt) from the generic rank of [Xi | J Xi] over the samples.
 
     rank[Xi | J Xi] = dim(t + Jt) = 2k - dim(t ^ Jt) at a point where the
     action is free.  t ^ Jt is a subspace of the Lie algebra, so it is read
     off the largest rank over the samples: a sample on a locus where the
     generators degenerate (xi2 a complex multiple of xi1 near z1 = 0 on the
-    non-diagonal Hopf surface) has a lower rank and is outvoted.
+    non-diagonal Hopf surface) has a lower rank and is outvoted.  A
+    singular value counts when it is above 1e-8 times the largest.
     """
     pts = as_batch(pts, act.manifold.dim)
     k = len(act.generators)
@@ -282,7 +282,7 @@ def intersection_dimension(act: TorusAction, pts, cutoff=1e-8) -> int:
     Xi = np.stack(cols, axis=2)  # (N, d, k)
     M = np.concatenate([Xi, np.einsum("ij,njk->nik", J, Xi)], axis=2)
     svals = np.linalg.svd(M, compute_uv=False)
-    ranks = (svals > cutoff * svals[:, :1]).sum(axis=1)
+    ranks = (svals > 1e-8 * svals[:, :1]).sum(axis=1)
     return int(2 * k - ranks.max())
 
 
@@ -354,7 +354,7 @@ def verdict(act: TorusAction, s=None, pts=None, nodes=32) -> ActionReport:
     if theta is not None:
         # the pairings are constants; a small probe subset suffices
         found = torus_pairings(act, theta, pts[: min(12, len(pts))], nodes=nodes)
-        labels = _labels(found.values, vertical_tol=1e-6)
+        labels = _labels(found.values)
         witnesses.update(
             pairings=dict(zip(names, found.values)),
             vertical=[n for n, lab in zip(names, labels) if lab == "vertical"],

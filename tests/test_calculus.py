@@ -1,7 +1,5 @@
 """Exterior-calculus laws: the operator table and its cross-identities."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -240,15 +238,6 @@ def test_twisted_d_squares_to_zero(box_pts):
         a = random_form(rng, int(rng.integers(0, 3)))
         dda = twisted_d(twisted_d(a, theta), theta)
         assert max_norm(dda, box_pts) < 1e-10
-
-
-def test_twisted_d_warns_on_nonclosed_theta(box_pts):
-    theta = Form(DIM, 1, {(0,): coordinate(1, DIM)})  # y dx is not closed
-    a = Form.from_function(constant(1.0, DIM))
-    with warnings.catch_warnings(record=True) as log:
-        warnings.simplefilter("always")
-        twisted_d(a, theta, check_pts=box_pts)
-    assert any("not closed" in str(w.message) for w in log)
 
 
 def test_unit_twisted_potential_reproduces_hopf_omega(hopf, hopf_pts):

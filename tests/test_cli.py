@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from lcklab import cli
 from lcklab import manifolds as M
+from lcklab.errors import GalleryError, InadmissibleInput
 
 
 def test_parse_fixture_strings():
@@ -154,7 +155,7 @@ def test_fixtures_verify_or_refuse_their_parameters(name):
         assert code in (0, 2, 4), out.getvalue()
         if code:
             fx, params = cli.parse_fixture(fixture)
-            with pytest.raises((cli.GalleryError, cli.InadmissibleInput)):
+            with pytest.raises((GalleryError, InadmissibleInput)):
                 M.gallery(fx, **params)
 
     verify_or_refuse()
@@ -311,3 +312,34 @@ def test_report_digest_comparison_gates_exit_codes_pass_flags_and_verdicts():
         [f"{head}.report.checks[a].pass: true -> false"], True)
     assert compare(doc(), doc(verdict="W")) == ([f'{head}.report.verdict: "V" -> "W"'], True)
     assert compare(doc(), doc(code=3)) == ([f"{head}.exit: 0 -> 3"], True)
+
+
+def test_bench_pairs_summary_counts_wins_and_checks_bounds():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    end_to_end = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+                  {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1}]
+
+    def runs(walls, rates):
+        return [{"failed": 0, "metrics": {"wall_s": {"value": w}, "rate": {"value": r}}}
+                for w, r in zip(walls, rates)]
+
+    parent = runs([1.0, 2.0, 3.0, 4.0, 5.0], [10.0, 10.0, 10.0, 10.0, 10.0])
+    # wall_s: one tie, three wins, one loss; rate: 20% lower breaches 0.1
+    change = runs([1.0, 1.5, 2.5, 3.5, 6.0], [8.0, 8.0, 8.0, 8.0, 11.0])
+    wall, rate = module.summarize(end_to_end, parent, change)
+    assert (wall["parent_median"], wall["change_median"]) == (3.0, 2.5)
+    assert wall["change_wins"] == 3 and wall["pairs"] == 5
+    assert wall["parent_iqr"] == 2.0 and wall["within_bound"]
+    assert rate["change_wins"] == 1 and not rate["within_bound"]
+    # worse by exactly the bound still holds; past it does not
+    at_bound = runs([3.75] * 5, [9.0] * 5)
+    wall, rate = module.summarize(end_to_end, parent, at_bound)
+    assert wall["within_bound"] and rate["within_bound"] and wall["change_wins"] == 2
+    wall, _ = module.summarize(end_to_end, parent, runs([3.76] * 5, [9.0] * 5))
+    assert not wall["within_bound"]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lcklab import lck as L
-from lcklab.errors import NumericalError
 from lcklab.fields import (
     VectorField,
     bracket,
@@ -67,7 +66,7 @@ def test_extract_lee_form_rejects_curves():
 
 
 def test_lee_fields_unit_norm_on_hopf(hopf, hopf_pts):
-    pair = L.lee_vector_fields(hopf.structure, hopf_pts[:60])
+    pair = hopf.structure.lee_pair()
     res = pair.defining_residuals(hopf_pts[:60])
     assert max(res.values()) < 1e-9
     assert np.abs(pair.norm_squared(hopf_pts[:60]) - 1.0).max() < 1e-9
@@ -77,16 +76,6 @@ def test_lee_fields_vanish_for_kaehler(flat, flat_pts):
     pair = flat.lee_pair()
     assert np.abs(pair.B.values(flat_pts)).max() < 1e-14
     assert np.abs(pair.A.values(flat_pts)).max() < 1e-14
-
-
-def test_lee_solve_reports_singular_point():
-    x = coordinate(0, DIM)
-    omega = Form(DIM, 2, {(0, 1): x * x, (2, 3): constant(1.0, DIM)})
-    theta = Form.zero(DIM, 1)
-    s = L.LCKStructure(omega, theta, name="degenerate")
-    bad = np.array([[0.0, 0.3, 0.2, 0.1]])
-    with pytest.raises(NumericalError):
-        L.lee_vector_fields(s, bad)
 
 
 def test_leeolo_lee_field_is_base_lee_field(leeolo, leeolo_pts):

@@ -1,5 +1,6 @@
 """Gallery fixtures: samplers, deck groups, flows, derived constants."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from lcklab import manifolds as M
 from lcklab.errors import GalleryError
-from lcklab.fields import VectorField, complex_jmatrix
+from lcklab.fields import PointMap, VectorField, complex_jmatrix
 
 
 def test_gallery_rejects_unknown_and_bad_params():
@@ -111,6 +112,61 @@ def test_flow_group_law_and_generator(hopf, inoue, nondiag, leeolo):
             assert np.abs(zero - pts).max() < 1e-14, name
             if fl.period is not None:
                 assert M.flow_closure_residual(m, fl, pts) < 1e-9, name
+
+
+def _per_time_affine(m, flow, t):
+    """(M_t, b_t) of an affine flow at one float time, built one time at a
+    time as the flows did before they took whole node grids: the oracle of
+    ``FlowMap.affine``."""
+    dim = m.dim
+    if m.name == "inoue_splus":
+        off = np.zeros(dim)
+        off[2] = (m.params["lam0"] / 2.0) * t
+        return np.eye(dim), off
+    # Phi_t z = e^{a t} z on every complex coordinate
+    beta = m.params["beta"]
+    lee_period = -2.0 * math.log(abs(beta))
+    rate = {"B": -0.5, "A": -0.5j, "R": 1.0j, "C": -0.5 + 1.0j, "JC": -1.0 - 0.5j,
+            "L": -0.5 + cmath.phase(beta) / lee_period * 1j}[flow]
+    u = complex(np.exp(rate * t))
+    M = np.zeros((dim, dim))
+    for j in range(dim // 2):
+        M[2 * j, 2 * j] = u.real
+        M[2 * j, 2 * j + 1] = -u.imag
+        M[2 * j + 1, 2 * j] = u.imag
+        M[2 * j + 1, 2 * j + 1] = u.real
+    return M, np.zeros(dim)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("hopf_diag", {"n": 2, "beta": 0.5}),
+    ("hopf_diag", {"n": 2, "beta": 0.3 + 0.2j}),
+    ("hopf_diag", {"n": 3, "beta": 0.5}),
+    ("hopf_diag", {"n": 3, "beta": -0.4 + 0.1j}),
+    ("leeolo", {}),
+    ("inoue_splus", {}),
+])
+def test_affine_flows_take_time_grids_bit_for_bit(name, params):
+    m = M.gallery(name, **params)
+    d = m.dim
+    ts = np.concatenate([np.arange(64) * (4 * math.pi / 64), np.linspace(-3.0, 7.0, 37)])
+    pts = m.sample(6, seed=3)
+    assert all(fl.affine is not None for fl in m.flows.values())
+    for fname, fl in m.flows.items():
+        want = [_per_time_affine(m, fname, float(t)) for t in ts]
+        mats, offs = fl.affine(ts)
+        assert mats.shape == (len(ts), d, d) and offs.shape == (len(ts), d), fname
+        assert mats.tobytes() == np.stack([w[0] for w in want]).tobytes(), fname
+        assert offs.tobytes() == np.stack([w[1] for w in want]).tobytes(), fname
+        for t in (0.0, 0.7, -2.3):
+            M_t, b_t = _per_time_affine(m, fname, t)
+            got = fl.affine(t)
+            assert got[0].tobytes() == M_t.tobytes() and got[1].tobytes() == b_t.tobytes()
+            assert got[0].shape == (d, d) and got[1].shape == (d,)
+            mapped = PointMap.affine(M_t, b_t)(pts)
+            assert fl.at(t)(pts).tobytes() == mapped.tobytes(), fname
+        empty = fl.affine(np.zeros(0))
+        assert empty[0].shape == (0, d, d) and empty[1].shape == (0, d), fname
 
 
 def test_flow_closures(hopf, inoue, nondiag):

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lcklab import lck as L
 from lcklab import manifolds as M
 from lcklab import potential as P
-from lcklab.errors import InadmissibleInput
+from lcklab.errors import GalleryError, InadmissibleInput, NumericalError
 from lcklab.forms import lie_derivative
 
 TWO_PI = 2 * math.pi
@@ -61,14 +62,26 @@ def test_periodic_function_validation():
         )
 
 
-def test_periodicity_gap_is_measured_against_the_profile_scale():
-    from lcklab.cli import _exit_code_for
+def _fejer(harmonics, scale):
+    j = np.arange(1, harmonics + 1)
+    return P.PeriodicFunction.trig(scale * (1.0 - j / (harmonics + 1)),
+                                   np.zeros(harmonics))
 
+
+def test_periodicity_gap_is_measured_against_the_profile_scale():
     # Fejer-type weights over 300 harmonics: sup f = f(0) = 270, and f(t)
     # and f(t + 2pi) round apart by about 1e-12
-    j = np.arange(1, 301)
-    fejer = P.PeriodicFunction.trig(1.8 * (1.0 - j / 301), np.zeros(300))
+    fejer = _fejer(300, 1.8)
     assert abs(float(fejer.fn(0.0)) - 270.0) < 1e-9
+    # periodic, but 2048 samples do not resolve e^{-Q}: its modes at
+    # |k| >= 768 reach 1.8e-6 of the largest, and the second-order residual
+    # would be 0.12 against 1e-7
+    with pytest.raises(InadmissibleInput, match="do not resolve") as unresolved:
+        P.solve_periodic_first_order(fejer)
+    assert unresolved.value.exit_code == 4
+    # 100 harmonics decay to round-off below |k| = 768
+    sol = P.solve_periodic_first_order(_fejer(100, 1.5))
+    assert sol.ode2_residual < 1e-7 and sol.min_g > 0
     with pytest.raises(InadmissibleInput, match="not 2pi-periodic") as refused:
         P.PeriodicFunction(
             fn=lambda t: np.cos(0.5 * np.asarray(t, dtype=float)),
@@ -76,7 +89,9 @@ def test_periodicity_gap_is_measured_against_the_profile_scale():
             d2=lambda t: -0.25 * np.cos(0.5 * np.asarray(t, dtype=float)),
             d3=lambda t: 0.125 * np.sin(0.5 * np.asarray(t, dtype=float)),
         )
-    assert _exit_code_for(refused.value) == 4
+    assert refused.value.exit_code == 4
+    codes = [cls("x").exit_code for cls in (GalleryError, NumericalError, InadmissibleInput)]
+    assert codes == [2, 3, 4]
 
 
 def _profiles():
@@ -269,7 +284,7 @@ def test_build_leeolo_refuses_large_profile():
 
 def test_leeolo_checks(leeolo):
     res = leeolo.extras["leeolo"]
-    assert res.checks["lck_prime"] < 1e-8
+    assert L.lck_residual(res.structure, leeolo.sample(60, 11)) < 1e-8
     assert res.checks["lee_field_is_B"] < 1e-9
     assert res.checks["norm_sq_matches_1_plus_f"] < 1e-8
     assert res.checks["potential"] < 1e-6
