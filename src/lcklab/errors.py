@@ -16,13 +16,9 @@ class GalleryError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A pointwise solve failed; carries the offending point when known."""
+    """A pointwise solve failed."""
 
     exit_code, label = 3, "numerical failure"
-
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
 
 
 class InadmissibleInput(ValueError):

@@ -80,7 +80,7 @@ class LeeClass:
 
 class ModelManifold:
     def __init__(self, name, dim, contains, sampler, decks=None, phi=None,
-                 structure=None, lee_class=None, loop_base=None, params=None):
+                 structure=None, lee_class=None, params=None):
         self.name = name
         self.dim = dim
         self.complex_dim = dim // 2
@@ -93,7 +93,6 @@ class ModelManifold:
         self.flows: Dict[str, FlowMap] = {}
         self.fields: Dict[str, VectorField] = {}
         self.extras: Dict[str, object] = {}
-        self.loop_base = loop_base
         self.params = params or {}
         if structure is not None:
             structure.manifold = self
@@ -184,26 +183,6 @@ def flow_closure_residual(m: ModelManifold, flow: FlowMap, pts) -> float:
     else:
         target = m.deck(flow.closes_via).map(pts)
     return float(np.abs(end - target).max())
-
-
-def deck_loop_integral(m: ModelManifold, a: Form, deck_name: str) -> float:
-    """Integral of a 1-form along the straight segment from ``m.loop_base``
-    to its image under the deck map, by 64-node Gauss-Legendre quadrature.
-
-    For closed invariant 1-forms this is the pairing of the de Rham class
-    with the deck loop.
-    """
-    if a.degree != 1:
-        raise ValueError("loop integrals are for 1-forms")
-    x0 = np.asarray(m.loop_base, dtype=float)
-    x1 = m.deck(deck_name).map(x0)[0]
-    glx, glw = np.polynomial.legendre.leggauss(64)
-    ts = 0.5 * (glx + 1.0)
-    ws = 0.5 * glw
-    path = x0[None, :] * (1 - ts)[:, None] + x1[None, :] * ts[:, None]
-    tangent = np.broadcast_to(x1 - x0, path.shape)
-    vals = a.evaluate(path, tangent)
-    return float(np.real(np.sum(ws * vals)))
 
 
 # -- fixture builders ---------------------------------------------------------
@@ -302,7 +281,6 @@ def hopf_diag(n=2, beta=0.5 + 0j):
         decks=[deck],
         phi=phi,
         structure=LCKStructure(omega, theta, name="hopf_diag", lee_B=B, lee_A=A),
-        loop_base=np.array([0.9, 0.05, 0.3, -0.2] * n)[:dim],
         params={"n": n, "beta": beta},
     )
 
@@ -383,6 +361,8 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0, m=2):
     beta = complex(beta)
     lam = complex(lam)
     mm = int(m)
+    if not cmath.isfinite(lam):
+        raise GalleryError("hopf_nondiag needs a finite lam")
     if not 0 < abs(beta) < 1:
         raise GalleryError("hopf_nondiag needs 0 < |beta| < 1")
     if not 1 <= mm <= _NONDIAG_MAX_M:
@@ -392,8 +372,8 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0, m=2):
     # The xi2 flow shears z2 by (lam / beta^m) u z1^m, so its orbits through the
     # unit annulus stretch by up to |lam| / |beta|^m.  The torus verdict takes
     # its pairings from the deck jump of phi; the cap keeps the parameters
-    # where the node sweep confirms them (constancy 5.5e-14 at m = 3, stretch
-    # 14.3, and 6.7e-14 at lam = 2, 11.8, with 64 nodes) and where the
+    # where the node sweep confirms them (constancy 1.3e-15 at m = 3, stretch
+    # 14.3, and 9.6e-16 at lam = 2, 11.8, with 64 nodes) and where the
     # central-difference flow_generator row holds (3.6e-8 at lam = 1000).
     with np.errstate(over="ignore"):
         stretch = float(np.exp(math.log(abs(lam)) - mm * math.log(abs(beta))))
@@ -469,7 +449,6 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0, m=2):
         phi=phi_nd,
         structure=None,
         lee_class=LeeClass(theta_nd, admits_lck=True),
-        loop_base=np.array([0.9, 0.05, 0.3, -0.2]),
         params={"beta": beta, "lam": lam, "m": mm, "c": c},
     )
     mfd.register_flow(FlowMap("xi1", xi1, complex_flow(2j * math.pi, 0.0),
@@ -498,6 +477,8 @@ def inoue_splus(p=0, q=0, r=1, t=0.0, N=((2, 1), (1, 1))):
     if isinstance(t, complex) and t.imag != 0:
         raise GalleryError("the Inoue LCK fixture needs t real")
     t = float(np.real(t))
+    if not math.isfinite(t):
+        raise GalleryError("inoue_splus needs a finite t")
     p, q, r = int(p), int(q), int(r)
 
     evals = np.linalg.eigvals(N).real
@@ -575,7 +556,6 @@ def inoue_splus(p=0, q=0, r=1, t=0.0, N=((2, 1), (1, 1))):
         decks=decks,
         phi=y1.log(),
         structure=LCKStructure(omega, theta, name="inoue_splus"),
-        loop_base=np.array([0.2, 1.3, 0.4, 0.3]),
         params={"p": p, "q": q, "r": r, "t": t, "alpha": alpha,
                 "a": a, "b": b, "c": cvec, "lam0": lam0},
     )
@@ -598,7 +578,6 @@ def hxc_cover():
         dim=dim,
         contains=lambda pts: pts[:, 1] > 0,
         sampler=sampler,
-        loop_base=np.array([0.0, 1.0, 0.0, 0.0]),
     )
 
 

@@ -51,7 +51,6 @@ from .lck import LCKStructure, lck_residual, potential_residual
 from .manifolds import (
     FlowMap,
     ModelManifold,
-    deck_loop_integral,
     flow_of,
     invariance_residual,
 )
@@ -330,7 +329,14 @@ class LeeoloResult:
     solution: PotentialSolution
     psi: ScalarField            # cover potential of theta' = (1 + f) theta
     g_field: ScalarField
-    checks: Dict[str, float]
+    f_field: ScalarField        # f of the Lee-orbit parameter phi
+
+
+def _df_colinear(s0: LCKStructure, f_field: ScalarField, pts) -> float:
+    """|df - B(f) theta| for the Vaisman pair s0: zero when f depends only on
+    the Lee orbit parameter."""
+    df = exterior_d(Form.from_function(f_field))
+    return (df - s0.theta.scale(s0.lee_pair().B.apply_to(f_field))).max_abs(pts)
 
 
 def build_leeolo(base: ModelManifold, f: PeriodicFunction) -> LeeoloResult:
@@ -340,7 +346,9 @@ def build_leeolo(base: ModelManifold, f: PeriodicFunction) -> LeeoloResult:
     period 2pi; f is a 2pi-periodic function of the Lee-orbit parameter with
     f > -1.  The returned structure has Lee form (1 + f) theta, Lee field B,
     non-constant |B| (so it is not Vaisman), and the periodic-ODE potential g.
-    The checks run on 60 points of the base's sampler (seed 11).
+    An f whose df is not colinear with theta on 60 points of the base's
+    sampler (seed 11) is InadmissibleInput; ``leeolo_residuals`` checks the
+    structure on a run's points.
     """
     if base.structure is None or base.phi is None:
         raise GalleryError("leeolo needs a base fixture with a Vaisman pair")
@@ -353,15 +361,10 @@ def build_leeolo(base: ModelManifold, f: PeriodicFunction) -> LeeoloResult:
     # refuses f <= -1 somewhere and an f without an antiderivative
     solution = solve_periodic_first_order(f)
 
-    pts = base.sample(60, 11)
     s0 = base.structure
     phi = base.phi
-    B = s0.lee_pair().B
-
     f_field = lift_univariate(phi, f.derivs)
-    # df = B(f) theta  (f depends only on the Lee orbit parameter)
-    df = exterior_d(Form.from_function(f_field))
-    colinear = (df - s0.theta.scale(B.apply_to(f_field))).max_abs(pts)
+    colinear = _df_colinear(s0, f_field, base.sample(60, 11))
     if colinear > 1e-8:
         raise InadmissibleInput(
             f"df is not colinear with theta (residual {colinear:.2e})"
@@ -384,20 +387,26 @@ def build_leeolo(base: ModelManifold, f: PeriodicFunction) -> LeeoloResult:
         return out
 
     psi = lift_univariate(phi, psi_derivs)
-    g_field = solution.as_field(phi)
+    return LeeoloResult(structure, solution, psi, solution.as_field(phi), f_field)
 
-    checks: Dict[str, float] = {}
-    checks["df_colinear"] = colinear
-    pair = structure.lee_pair()
-    checks["lee_field_is_B"] = float(
-        np.abs(pair.B.values(pts) - B.values(pts)).max()
-    )
-    norm2 = pair.norm_squared(pts)
-    fv = f_field.values(pts).real
-    checks["norm_sq_matches_1_plus_f"] = float(np.abs(norm2 - (1.0 + fv)).max())
-    checks["positivity_min_eig"] = float(structure.positivity_minima(pts).min())
-    checks["potential"] = potential_residual(structure, g_field, pts)
-    return LeeoloResult(structure, solution, psi, g_field, checks)
+
+def leeolo_residuals(m: ModelManifold, pts) -> Dict[str, float]:
+    """The leeolo fixture's residuals at ``pts``: df against B(f) theta, the
+    structure's Lee field against the base's B, its |B|^2 against 1 + f,
+    its twisted potential g, and the smallest eigenvalue of its metric."""
+    res = m.extras["leeolo"]
+    base = m.extras["vaisman_base"]
+    pair = res.structure.lee_pair()
+    fv = res.f_field.values(pts).real
+    return {
+        "df_colinear": _df_colinear(base, res.f_field, pts),
+        "lee_field_is_B": float(
+            np.abs(pair.B.values(pts) - base.lee_pair().B.values(pts)).max()),
+        "norm_sq_matches_1_plus_f": float(
+            np.abs(pair.norm_squared(pts) - (1.0 + fv)).max()),
+        "potential": potential_residual(res.structure, res.g_field, pts),
+        "positivity_min_eig": float(res.structure.positivity_minima(pts).min()),
+    }
 
 
 # -- Duhamel solver for g'' + g = f ------------------------------------------
@@ -468,11 +477,13 @@ def orbit_average_potential(
     1e-7).  The expansion omega_t = cos t omega + sin t dJ eta + dd^c g_t is
     verified at t = 0.5, 1 and 2.7; the average over n_periods periods runs
     on 32 Gauss-Legendre panels per period, and the averaged potential g is
-    asserted positive; the output pair (g^{-1} dd^c g, -d ln g) is certified deck invariant with
-    its own LCK and constant-potential residuals.  The checks run in one
-    evaluation session, and g is evaluated at order 3 on the heavy points
-    before any check uses them, so each quadrature field is evaluated once
-    per point batch: lower orders are served from the cached top jet.
+    asserted positive; the output pair (g^{-1} dd^c g, -d ln g) is certified
+    deck invariant with its own LCK and constant-potential residuals, and its
+    Lee class against d phi by the jumps of ln g and phi across every deck
+    map at the points.  The checks run in one evaluation session, and g is
+    evaluated at order 3 on the heavy points before any check uses them, so
+    each quadrature field is evaluated once per point batch: lower orders
+    are served from the cached top jet.
     """
     with session():
         phi = phi if phi is not None else manifold.phi
@@ -576,10 +587,14 @@ def orbit_average_potential(
         ).max_abs(heavy)
         checks["positivity_min_eig"] = float(out.positivity_minima(heavy).min())
         if manifold.decks:
-            base_theta = exterior_d(Form.from_function(phi))
-            li_new = deck_loop_integral(manifold, theta_prime, manifold.decks[0].name)
-            li_old = deck_loop_integral(manifold, base_theta, manifold.decks[0].name)
-            checks["lee_class_loop_match"] = abs(li_new - li_old)
+            # theta' = -d ln g and the base theta = d phi, so their periods
+            # across a deck map gamma are the primitives' jumps
+            # ln g(y) - ln g(gamma y) and phi(gamma y) - phi(y)
+            ln_g, phi0 = np.log(gvals), phi.values(pts).real
+            checks["lee_class_loop_match"] = max(
+                float(np.abs(ln_g - np.log(g.values(there).real)
+                             - (phi.values(there).real - phi0)).max())
+                for there in (d.map(pts) for d in manifold.decks))
         return OrbitPotentialResult(g, omega_prime, f, checks)
 
 

@@ -28,7 +28,6 @@ from .fields import (
     as_batch,
     bracket,
     complex_jmatrix,
-    stacked,
 )
 from .forms import Form, Index, exterior_d
 from .lck import LCKStructure
@@ -133,60 +132,38 @@ _EXACT_TOL = 1e-10
 def averaged_pairings(act: TorusAction, theta: Form, pts, nodes=16):
     """Pointwise pairings of the action-averaged theta with each generator.
 
-    Returns (pairings array of shape (k,), constancy residual).  Computed by
-    quadrature over the node grid of the torus without materializing the
-    averaged form: the sweep pushes the probes along one circle per level,
-    stacking the nodes of a level into the batch, and stacks only as many
-    nodes at a time as keep every batch theta is evaluated on within
-    ``_SWEEP_POINT_BUDGET`` points.
+    Returns (pairings array of shape (k,), constancy residual).  Flow j
+    carries its generator xi_j to itself, and for closed theta the period
+    of theta along circle j is the same through every point of a torus
+    orbit, so the torus average of theta(xi_j) at a probe is the average of
+    the scalar theta(xi_j) over the ``nodes`` trapezoid nodes of circle j
+    through it.  theta is evaluated on the probes pushed to those nodes, on
+    at most ``_SWEEP_POINT_BUDGET`` points at a time: k * nodes * P points
+    for k circles and P probes.  The generators' mix is applied afterwards,
+    as in ``deck_jump_pairings``.
     """
     pts = as_batch(pts, act.manifold.dim)
-    d = act.manifold.dim
-    xi_vals = [g.values(pts) for g in act.generators]
-    maps = [[fl.at(float(t)) for t in np.arange(nodes) * (fl.period / nodes)]
-            for fl in act.flows]
-    acc = np.zeros((len(xi_vals), pts.shape[0]))
-    for lo in range(0, pts.shape[0], _SWEEP_POINT_BUDGET):
-        block = slice(lo, lo + _SWEEP_POINT_BUDGET)
-        jac = np.broadcast_to(np.eye(d), (len(pts[block]), d, d)).copy()
-        _sweep(theta, maps, pts[block], jac, [x[block] for x in xi_vals],
-               acc[:, block])
-    acc /= nodes ** len(maps)
-    pairings = acc.mean(axis=1)
-    constancy = float(np.abs(acc - pairings[:, None]).max())
-    return pairings, constancy
+    sums = np.zeros((len(act.flows), pts.shape[0]))
+    for j, fl in enumerate(act.flows):
+        maps = [fl.at(float(t)) for t in np.arange(nodes) * (fl.period / nodes)]
+        for lo in range(0, pts.shape[0], _SWEEP_POINT_BUDGET):
+            block = pts[lo:lo + _SWEEP_POINT_BUDGET]
+            group = max(1, _SWEEP_POINT_BUDGET // len(block))
+            for first in range(0, nodes, group):
+                moved = np.concatenate([pm(block) for pm in maps[first:first + group]])
+                vals = np.real(theta.evaluate(moved, fl.generator.values(moved)))
+                sums[j, lo:lo + len(block)] += vals.reshape(-1, len(block)).sum(axis=0)
+    return _mixed_mean(act, sums / nodes)
 
 
-def _sweep(theta, maps, batch, jac, xi_vals, acc):
-    """Add theta(DPhi xi_g) summed over the node grid of the circles
-    ``maps`` to acc[g], per probe.
-
-    ``batch`` holds the probes pushed along the earlier circles, node-major
-    with the probe index fastest, and ``jac`` the Jacobians of those pushes.
-    """
-    n_pts = acc.shape[1]
-    if not maps:
-        d = batch.shape[1]
-        tvec = np.zeros(batch.shape)
-        for (i,), v in theta.coefficient_values(batch).items():
-            tvec[:, i] = np.real(v)
-        tvec = tvec.reshape(-1, n_pts, d)
-        jac = jac.reshape(-1, n_pts, d, d)
-        for g, xi in enumerate(xi_vals):
-            pushed = np.einsum("cnij,nj->cni", jac, xi)
-            acc[g] += np.einsum("cni,cni->n", tvec, pushed)
-        return
-    nodes = len(maps[0])
-    below = batch.shape[0] * nodes ** (len(maps) - 1)  # theta points per node
-    group = max(1, _SWEEP_POINT_BUDGET // below)
-    for lo in range(0, nodes, group):
-        moved, moved_jac = [], []
-        for pmap in maps[0][lo:lo + group]:
-            vals, step_jac = stacked(pmap.components, batch)
-            moved.append(vals)
-            moved_jac.append(np.einsum("bij,bjk->bik", step_jac, jac))
-        _sweep(theta, maps[1:], np.concatenate(moved), np.concatenate(moved_jac),
-               xi_vals, acc)
+def _mixed_mean(act: TorusAction, per_flow):
+    """(pairings, constancy residual) from the per-probe pairings of the
+    flows, shape (flows, probes): generator i pairs to sum_g mix[i, g] times
+    those of flow g; a pairing is the mean over the probes, the residual
+    the largest deviation from it."""
+    mixed = act.mix @ per_flow
+    pairings = mixed.mean(axis=1)
+    return pairings, float(np.abs(mixed - pairings[:, None]).max())
 
 
 def deck_jump_pairings(act: TorusAction, pts):
@@ -196,9 +173,7 @@ def deck_jump_pairings(act: TorusAction, pts):
     the identity), Fubini and Stokes turn the torus average of
     d phi(xi_g) at y into (phi(gamma_g y) - phi(y)) / T_g, the jump of
     log rho along the circle (0 for the identity).  The pairing is linear
-    in the generator, so generator i pairs to sum_g mix[i, g] times the
-    jump of circle g.  Returns (pairings, constancy residual): a pairing is
-    the mean over the probes, the residual the largest deviation from it.
+    in the generator, so the mix is applied to the jumps (``_mixed_mean``).
     """
     m = act.manifold
     pts = as_batch(pts, m.dim)
@@ -208,9 +183,7 @@ def deck_jump_pairings(act: TorusAction, pts):
         if fl.closes_via != "identity":
             there = np.real(m.phi.values(m.deck(fl.closes_via).map(pts)))
             jumps[g] = (there - phi0) / fl.period
-    jumps = act.mix @ jumps
-    pairings = jumps.mean(axis=1)
-    return pairings, float(np.abs(jumps - pairings[:, None]).max())
+    return _mixed_mean(act, jumps)
 
 
 @dataclass

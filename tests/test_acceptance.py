@@ -240,17 +240,17 @@ def test_criterion_06_periodic_ode():
 
 
 def test_criterion_07_leeolo_end_to_end(leeolo, leeolo_pts):
-    res = leeolo.extras["leeolo"]
     pts = leeolo_pts
-    lck_p = L.lck_residual(res.structure, pts)
-    vais = L.vaisman_residual(res.structure, pts[:60])
+    ck = P.leeolo_residuals(leeolo, pts)
+    lck_p = L.lck_residual(leeolo.structure, pts)
+    vais = L.vaisman_residual(leeolo.structure, pts[:60])
     assert lck_p < 1e-8
-    assert res.checks["lee_field_is_B"] < 1e-9
-    assert res.checks["norm_sq_matches_1_plus_f"] < 1e-8
-    assert res.checks["potential"] < 1e-6
+    assert ck["lee_field_is_B"] < 1e-9
+    assert ck["norm_sq_matches_1_plus_f"] < 1e-8
+    assert ck["potential"] < 1e-6
     assert vais > 0.01  # expected-fail polarity
     _ok(7, f"norm-modulated structure end to end (lck {lck_p:.2e}, "
-           f"potential {res.checks['potential']:.2e}, non-Vaisman {vais:.2e})")
+           f"potential {ck['potential']:.2e}, non-Vaisman {vais:.2e})")
 
 
 def test_criterion_08_orbit_averaging(hopf, leeolo):

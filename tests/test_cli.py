@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from lcklab import cli
 from lcklab import manifolds as M
+from lcklab import potential as P
 from lcklab.errors import GalleryError, InadmissibleInput
 
 
@@ -90,6 +91,9 @@ def test_unknown_fixture_exits_2(capsys):
     ["verify", "hopf_diag", "--tol", "nan"],
     ["verify", "hopf_diag", "--tol", "-1"],
     ["report", "--all", "--tol", "nan"],
+    ["verify", "inoue_splus:t=nan"],
+    ["verify", "inoue_splus:t=inf"],
+    ["verify", "hopf_nondiag:lam=nan"],
 ])
 def test_bad_parameters_exit_2_without_traceback(argv, capsys):
     assert cli.main(argv) == 2
@@ -200,11 +204,34 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     from lcklab.errors import NumericalError
 
     def boom(*args, **kwargs):
-        raise NumericalError("singular solve", point=[0.0, 0.0])
+        raise NumericalError("singular solve")
 
     monkeypatch.setattr(cli, "run_verify", boom)
     assert cli.main(["verify", "hopf_diag"]) == 3
     assert "singular solve" in capsys.readouterr().err
+
+
+def test_leeolo_structure_rows_run_on_the_run_points():
+    # df_colinear and twisted_potential read the same round-off residual
+    # (1.8e-15, 4.5e-13) on both point sets, so each row is matched against
+    # its residual on the run's own points, and the rows must move as a set
+    rows = {"df_colinear_with_theta": "df_colinear",
+            "lee_field_unchanged": "lee_field_is_B",
+            "lee_norm_is_1_plus_f": "norm_sq_matches_1_plus_f",
+            "twisted_potential": "potential",
+            "positivity": "positivity_min_eig"}
+    runs = ((30, 1), (90, 2))
+    seen = []
+    for points, seed in runs:
+        body, code = cli.run_verify("leeolo", points=points, seed=seed)
+        assert code == 0
+        seen.append({c["name"]: c["residual"] for c in body["checks"]
+                     if c["name"] in rows})
+    assert seen[0] != seen[1]
+    m = M.gallery("leeolo")
+    for (points, seed), got in zip(runs, seen):
+        own = P.leeolo_residuals(m, m.sample(points, seed))
+        assert got == {name: own[key] for name, key in rows.items()}
 
 
 def test_expected_fail_checks_are_labeled(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from lcklab import manifolds as M
 from lcklab.errors import GalleryError
 from lcklab.fields import PointMap, VectorField, complex_jmatrix
+from lcklab.forms import Form, exterior_d
 
 
 def test_gallery_rejects_unknown_and_bad_params():
@@ -282,12 +283,16 @@ def test_inoue_real_coefficients_hand_expansion(inoue):
 
 
 def test_deck_loop_integrals(hopf, inoue):
-    th_h = hopf.structure.theta
-    got = M.deck_loop_integral(hopf, th_h, "gamma")
-    assert abs(got - 2 * math.log(2.0)) < 1e-10
-    th_i = inoue.structure.theta
-    assert abs(M.deck_loop_integral(inoue, th_i, "g0") - math.log(inoue.params["alpha"])) < 1e-10
-    assert abs(M.deck_loop_integral(inoue, th_i, "g3")) < 1e-12
+    # theta = d phi, so its period across a deck map gamma is the jump
+    # phi(gamma y) - phi(y), the same at every y
+    for m, deck, want, tol in ((hopf, "gamma", 2 * math.log(2.0), 1e-10),
+                               (inoue, "g0", math.log(inoue.params["alpha"]), 1e-10),
+                               (inoue, "g3", 0.0, 1e-12)):
+        pts = m.sample(20, seed=4)
+        dphi = exterior_d(Form.from_function(m.phi))
+        assert (m.structure.theta - dphi).max_abs(pts) <= 1e-10
+        jump = np.real(m.phi.values(m.deck(deck).map(pts)) - m.phi.values(pts))
+        assert np.abs(jump - want).max() < tol
 
 
 def test_product_fixture_embeds_factors(hopf):

@@ -283,13 +283,14 @@ def test_build_leeolo_refuses_large_profile():
 
 
 def test_leeolo_checks(leeolo):
-    res = leeolo.extras["leeolo"]
-    assert L.lck_residual(res.structure, leeolo.sample(60, 11)) < 1e-8
-    assert res.checks["lee_field_is_B"] < 1e-9
-    assert res.checks["norm_sq_matches_1_plus_f"] < 1e-8
-    assert res.checks["potential"] < 1e-6
-    assert res.checks["positivity_min_eig"] > 0
-    assert res.checks["df_colinear"] < 1e-8
+    pts = leeolo.sample(60, 11)
+    ck = P.leeolo_residuals(leeolo, pts)
+    assert L.lck_residual(leeolo.structure, pts) < 1e-8
+    assert ck["lee_field_is_B"] < 1e-9
+    assert ck["norm_sq_matches_1_plus_f"] < 1e-8
+    assert ck["potential"] < 1e-6
+    assert ck["positivity_min_eig"] > 0
+    assert ck["df_colinear"] < 1e-8
 
 
 # -- orbit averaging -----------------------------------------------------------
@@ -370,7 +371,7 @@ def test_orbit_pipeline_evaluates_each_quadrature_once_per_batch(leeolo, monkeyp
     monkeypatch.setattr(torus, "affine_quadrature_field", counting)
     res = P.leeolo_orbit_pipeline(leeolo)
     assert res.checks["lck_prime"] < 1e-6
-    assert orders == {0, 1, 2, 3}
+    assert orders == {0, 2, 3}
     # each quadrature runs once per batch, at the highest order asked for
     # there; its lower orders are served from that jet
     assert set(runs.values()) == {1}

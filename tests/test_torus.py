@@ -446,6 +446,23 @@ def test_verdict_on_hopf_nondiag_never_sweeps(monkeypatch):
     assert witnesses["theta_minus_dphi"] == 0.0
 
 
+def test_sweep_evaluates_theta_once_per_circle_node_and_probe(hopf, monkeypatch):
+    # three commuting circles: theta runs on k nodes P points, not nodes^k P
+    act = T.TorusAction(hopf, [hopf.flows[c] for c in ("A", "R", "B")])
+    pts = hopf.sample(4, seed=2)
+    batches = []
+    values = Form.coefficient_values
+
+    def spy(self, at):
+        batches.append(len(at))
+        return values(self, at)
+
+    monkeypatch.setattr(Form, "coefficient_values", spy)
+    found, konst = T.averaged_pairings(act, hopf.structure.theta, pts, 8)
+    assert sum(batches) == 3 * 8 * len(pts)
+    assert np.abs(found - [0.0, 0.0, 1.0]).max() < 1e-12 and konst < 1e-12
+
+
 @pytest.mark.parametrize("case,budget", [("hopf", 3), ("nondiag", 100)])
 def test_chunked_sweep_matches_one_batch_within_its_budget(case, budget, hopf,
                                                            nondiag, monkeypatch):
@@ -467,7 +484,7 @@ def test_chunked_sweep_matches_one_batch_within_its_budget(case, budget, hopf,
     monkeypatch.setattr(T, "_SWEEP_POINT_BUDGET", budget)
     chunked, konst = T.averaged_pairings(act, theta, pts, 16)
     assert len(batches) > 1 and max(batches) <= budget
-    assert sum(batches) == len(pts) * 16 ** 2
+    assert sum(batches) == len(pts) * 16 * 2
     scale = np.abs(whole).max()
     assert np.abs(chunked - whole).max() <= 1e-13 * scale
     assert abs(konst - whole_konst) <= 1e-13 * scale
