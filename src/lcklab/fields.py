@@ -337,11 +337,6 @@ def compose_field(field: ScalarField, pmap: PointMap) -> ScalarField:
     return ScalarField(pmap.dim_in, fn)
 
 
-def compose_maps(outer: PointMap, inner: PointMap) -> PointMap:
-    comps = [compose_field(c, inner) for c in outer.components]
-    return PointMap(comps, dim_out=outer.dim_out, name=f"{outer.name}o{inner.name}")
-
-
 # Most node-stacked points one Ctx of an affine quadrature evaluates at once.
 # Every jet operation acts row by row, so the blocks change no result; they
 # bound the intermediates of f's DAG that a Ctx caches to this many rows.
@@ -460,10 +455,6 @@ class VectorField:
 
     def scale(self, c):
         return VectorField([comp * c for comp in self.components], name=self.name)
-
-    @staticmethod
-    def from_constant(vec, dim, name=""):
-        return VectorField([constant(v, dim) for v in vec], name=name)
 
     @staticmethod
     def linear_combination(fields, coeffs, name=""):

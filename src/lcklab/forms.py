@@ -306,17 +306,6 @@ def _change_frame(a: Form, expansion, new_frame) -> Form:
     return _gather(a.dim, a.degree, new_frame, expanded())
 
 
-def bidegree_parts(a_complex: Form):
-    """Split a complex-frame form into its (p, q) components."""
-    parts: Dict[Tuple[int, int], Form] = {}
-    for idx, f in a_complex.coeffs.items():
-        p = sum(1 for i in idx if i % 2 == 0)
-        q = len(idx) - p
-        part = parts.setdefault((p, q), Form.zero(a_complex.dim, a_complex.degree, "complex"))
-        part.coeffs[idx] = part.coeffs[idx] + f if idx in part.coeffs else f
-    return parts
-
-
 def _wirtinger(f: ScalarField, j: int, conjugated: bool) -> ScalarField:
     """d/dz_j or d/dzbar_j of a coefficient field on the real chart."""
     fx = f.partial(2 * j)

@@ -129,12 +129,13 @@ def test_criterion_03_vaisman_suite(hopf, hopf_pts):
     s = hopf.structure
     pts = hopf_pts
     pair = s.lee_pair()
-    vais = L.vaisman_residual(s, pts)
-    gaud = L.gauduchon_residual(s, pts)
+    metric = L.MetricBundle(s, pts)
+    vais = L.vaisman_residual(metric)
+    gaud = L.gauduchon_residual(metric)
     norm = float(np.abs(pair.norm_squared(pts) - 1.0).max())
     pot = L.potential_residual(s, constant(1.0, DIM), pts)
     holo = max(L.holomorphy_residual(pair.B, pts), L.holomorphy_residual(pair.A, pts))
-    kill = max(L.killing_residual(s, pair.B, pts), L.killing_residual(s, pair.A, pts))
+    kill = max(L.killing_residual(metric, pair.B), L.killing_residual(metric, pair.A))
     assert vais < 1e-7
     assert gaud < 1e-7
     assert norm < 1e-9
@@ -156,7 +157,7 @@ def test_criterion_04_inoue_suite(inoue, inoue_pts):
     ).max_abs(pts)
     act = T.TorusAction(inoue, [inoue.flows["xi"]])
     labels, pairings, _ = T.classify_vertical(act, s.theta, pts[:15], nodes=16)
-    vais = L.vaisman_residual(s, pts)
+    vais = L.vaisman_residual(L.MetricBundle(s, pts))
     assert inv < 1e-8
     assert contraction < 1e-8
     assert labels == ["horizontal"] and abs(pairings[0]) < 1e-6
@@ -243,7 +244,7 @@ def test_criterion_07_leeolo_end_to_end(leeolo, leeolo_pts):
     pts = leeolo_pts
     ck = P.leeolo_residuals(leeolo, pts)
     lck_p = L.lck_residual(leeolo.structure, pts)
-    vais = L.vaisman_residual(leeolo.structure, pts[:60])
+    vais = L.vaisman_residual(L.MetricBundle(leeolo.structure, pts[:60]))
     assert lck_p < 1e-8
     assert ck["lee_field_is_B"] < 1e-9
     assert ck["norm_sq_matches_1_plus_f"] < 1e-8

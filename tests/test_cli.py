@@ -341,14 +341,18 @@ def test_report_digest_comparison_gates_exit_codes_pass_flags_and_verdicts():
     assert compare(doc(), doc(code=3)) == ([f"{head}.exit: 0 -> 3"], True)
 
 
-def test_bench_pairs_summary_counts_wins_and_checks_bounds():
+def _bench_pairs():
     import importlib.util
 
     path = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
 
+
+def test_bench_pairs_summary_counts_wins_and_checks_bounds():
+    module = _bench_pairs()
     end_to_end = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
                   {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1}]
 
@@ -370,3 +374,33 @@ def test_bench_pairs_summary_counts_wins_and_checks_bounds():
     assert wall["within_bound"] and rate["within_bound"] and wall["change_wins"] == 2
     wall, _ = module.summarize(end_to_end, parent, runs([3.76] * 5, [9.0] * 5))
     assert not wall["within_bound"]
+
+
+def test_bench_pairs_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr():
+    module = _bench_pairs()
+    end_to_end = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+                  {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1}]
+
+    def runs(walls, rates):
+        return [{"failed": 0, "metrics": {"wall_s": {"value": w}, "rate": {"value": r}}}
+                for w, r in zip(walls, rates)]
+
+    # the parent's wall_s quartiles are 3.25 and 7.75: an IQR of 4.5
+    walls = [float(v) for v in range(1, 11)]
+    parent = runs(walls, walls)
+
+    def gains(change_walls, change_rates):
+        rows = module.summarize(end_to_end, parent, runs(change_walls, change_rates))
+        return [(r["change_wins"], r["gain"]) for r in rows]
+
+    # 10/10 wins with a gap of 4.75 on each side
+    assert gains([0.75] * 10, [v + 4.75 for v in walls]) == [(10, True), (10, True)]
+    # 9/10 wins (one loss) still gains
+    assert gains([0.5] * 9 + [11.0], [10.25] * 9 + [0.0]) == [(9, True), (9, True)]
+    # 8/10 wins does not, however wide the gap
+    assert gains([0.5] * 8 + [11.0] * 2, [100.0] * 8 + [0.0] * 2) == [(8, False), (8, False)]
+    # a tie counts for neither side: 9 wins and one tie gain, 8 and two do not
+    assert gains([0.5] * 9 + [10.0], [100.0] * 9 + [10.0])[0] == (9, True)
+    assert gains([0.5] * 8 + [9.0, 10.0], walls)[0] == (8, False)
+    # every pair won, but a gap of exactly the IQR, or less, is no gain
+    assert gains([1.0] * 10, [v + 0.1 for v in walls]) == [(9, False), (10, False)]

@@ -235,6 +235,8 @@ def test_partials_are_contiguous_views_of_the_tiers():
 
 
 def test_points_first_outputs_keep_their_shapes_and_values(hopf, hopf_pts):
+    # stacked and jacobian keep their points first; the metric arrays, like
+    # the jet tiers they are copied from, hold them last
     pts = hopf_pts[:9]
     x = [coordinate(i, DIM) for i in range(DIM)]
     vals, grads = stacked([x[0] * x[1], x[2] * 3.0], pts)
@@ -248,14 +250,14 @@ def test_points_first_outputs_keep_their_shapes_and_values(hopf, hopf_pts):
     assert np.array_equal(jac, np.broadcast_to(M, jac.shape))
     s = hopf.structure
     g, dg = s.metric_jets(pts)
-    assert g.shape == (9, DIM, DIM) and dg.shape == (9, DIM, DIM, DIM)
+    assert g.shape == (DIM, DIM, 9) and dg.shape == (DIM, DIM, DIM, 9)
     G = s.metric_entry_fields()
     for a in range(DIM):
         for b in range(DIM):
-            assert np.array_equal(g[:, a, b], np.real(G[min(a, b)][max(a, b)].values(pts)))
+            assert np.array_equal(g[a, b], np.real(G[min(a, b)][max(a, b)].values(pts)))
             for i in range(DIM):
                 want = np.real(G[min(a, b)][max(a, b)].partial(i).values(pts))
-                assert np.array_equal(dg[:, i, a, b], want)
+                assert np.array_equal(dg[i, a, b], want)
 
 
 def test_order1_quadrature_contracts_a_points_first_gradient():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from lcklab import lck as L
+from lcklab import manifolds as M
 from lcklab.fields import (
     VectorField,
     bracket,
     constant,
     coordinate,
+    stacked,
 )
 from lcklab.forms import Form, exterior_d
 
@@ -28,11 +30,59 @@ def flat_pts():
     return np.random.default_rng(0).uniform(-1, 1, (40, DIM))
 
 
+# -- oracles: the full Levi-Civita connection, which the engine never forms,
+# and a conformal change of structure ----------------------------------------
+
+
+def christoffel(s, pts):
+    """Gamma[n, k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), the
+    Koszul formula on coordinate fields."""
+    g, dg = s.metric_jets(pts)
+    g, dg = g.transpose(2, 0, 1), dg.transpose(3, 0, 1, 2)  # points first
+    sym = dg + np.einsum("njil->nijl", dg) - np.einsum("nlij->nijl", dg)
+    return 0.5 * np.einsum("nkl,nijl->nkij", np.linalg.inv(g), sym)
+
+
+def covariant_derivative(s, X, Y, pts):
+    """(nabla_X Y)^k = X(Y^k) + Gamma^k_ij X^i Y^j at the samples."""
+    xv, _ = stacked(X.components, pts, 0)
+    yv, dy = stacked(Y.components, pts)  # dy[n, k, i] = d_i Y^k
+    gam = christoffel(s, pts)
+    return np.einsum("nki,ni->nk", dy, xv) + np.einsum("nkij,ni,nj->nk", gam, xv, yv)
+
+
+def nabla_theta(s, pts):
+    """(nabla theta)[n, a, b] = d_a theta_b - Gamma^k_ab theta_k."""
+    tv, dt = stacked(s.theta_components(), pts)  # dt[n, b, a] = d_a theta_b
+    return dt.transpose(0, 2, 1) - np.einsum("nkab,nk->nab", christoffel(s, pts), tv)
+
+
+def gram_schmidt_codifferential(s, pts):
+    """d* theta = -sum_j (nabla_{E_j} theta)(E_j) over the orthonormal frame E
+    that batched Gram-Schmidt makes from the coordinate fields."""
+    g = s.metric_jets(pts, 0)[0].transpose(2, 0, 1)
+    n, d = g.shape[0], s.dim
+    E = np.zeros((n, d, d))
+    for j in range(d):
+        v = np.broadcast_to(np.eye(d)[j], (n, d)).copy()
+        for i in range(j):
+            v = v - np.einsum("na,nab,nb->n", E[:, i], g, v)[:, None] * E[:, i]
+        E[:, j] = v / np.sqrt(np.einsum("na,nab,nb->n", v, g, v))[:, None]
+    return -np.einsum("nja,njb,nab->n", E, E, nabla_theta(s, pts))
+
+
+def conformal_rescale(s, h):
+    """(Omega, theta) -> (e^h Omega, theta + dh)."""
+    return L.LCKStructure(s.omega.scale(h.exp()),
+                          s.theta + exterior_d(Form.from_function(h)),
+                          name=f"{s.name}~rescaled", manifold=s.manifold)
+
+
 def test_metric_is_symmetric_J_invariant_positive(hopf, hopf_pts, inoue, inoue_pts):
     from lcklab.fields import complex_jmatrix
 
     for m, pts in ((hopf, hopf_pts[:50]), (inoue, inoue_pts[:50])):
-        g, _ = m.structure.metric_jets(pts, 0)
+        g = m.structure.metric_jets(pts, 0)[0].transpose(2, 0, 1)
         assert np.abs(g - g.transpose(0, 2, 1)).max() < 1e-12
         J = complex_jmatrix(m.dim)
         gj = np.einsum("ia,nab,bj->nij", J.T, g, J)
@@ -87,9 +137,9 @@ def test_leeolo_lee_field_is_base_lee_field(leeolo, leeolo_pts):
 
 
 def test_covariant_derivative_euclidean(flat, flat_pts):
-    dx = VectorField.from_constant([1, 0, 0, 0], DIM)
-    dy = VectorField.from_constant([0, 1, 0, 0], DIM)
-    out = L.covariant_derivative(flat, dx, dy, flat_pts[:10])
+    dx = VectorField([constant(v, DIM) for v in (1, 0, 0, 0)])
+    dy = VectorField([constant(v, DIM) for v in (0, 1, 0, 0)])
+    out = covariant_derivative(flat, dx, dy, flat_pts[:10])
     assert np.abs(out).max() < 1e-13
 
 
@@ -116,8 +166,8 @@ def test_connection_is_torsion_free(hopf, hopf_pts):
     for _ in range(3):
         X, Y = _random_fields(rng)
         t = (
-            L.covariant_derivative(s, X, Y, pts)
-            - L.covariant_derivative(s, Y, X, pts)
+            covariant_derivative(s, X, Y, pts)
+            - covariant_derivative(s, Y, X, pts)
             - bracket(X, Y).values(pts)
         )
         assert np.abs(t).max() < 1e-8
@@ -130,7 +180,8 @@ def test_connection_is_metric_compatible(hopf, inoue):
         s = m.structure
         pts = m.sample(6, seed=3)
         g, dg = s.metric_jets(pts)
-        gam = L.christoffel(s, pts)
+        g, dg = g.transpose(2, 0, 1), dg.transpose(3, 0, 1, 2)
+        gam = christoffel(s, pts)
         for _ in range(50):
             i, j, k = rng.integers(0, m.dim, 3)
             lhs = dg[:, i, j, k]
@@ -141,37 +192,62 @@ def test_connection_is_metric_compatible(hopf, inoue):
 
 
 def test_vaisman_residuals(hopf, hopf_pts, leeolo, leeolo_pts, flat, flat_pts):
-    assert L.vaisman_residual(hopf.structure, hopf_pts) < 1e-7
-    assert L.vaisman_residual(leeolo.structure, leeolo_pts[:60]) > 0.05
-    assert L.vaisman_residual(flat, flat_pts) < 1e-14
+    assert L.vaisman_residual(L.MetricBundle(hopf.structure, hopf_pts)) < 1e-7
+    assert L.vaisman_residual(L.MetricBundle(leeolo.structure, leeolo_pts[:60])) > 0.05
+    assert L.vaisman_residual(L.MetricBundle(flat, flat_pts)) < 1e-14
 
 
 def test_gauduchon_residuals(hopf, hopf_pts, flat, flat_pts, leeolo, leeolo_pts):
-    assert L.gauduchon_residual(hopf.structure, hopf_pts) < 1e-7
-    assert L.gauduchon_residual(flat, flat_pts) < 1e-14
-    val = L.gauduchon_residual(leeolo.structure, leeolo_pts[:40])
+    assert L.gauduchon_residual(L.MetricBundle(hopf.structure, hopf_pts)) < 1e-7
+    assert L.gauduchon_residual(L.MetricBundle(flat, flat_pts)) < 1e-14
+    val = L.gauduchon_residual(L.MetricBundle(leeolo.structure, leeolo_pts[:40]))
     assert np.isfinite(val)  # informational only
 
 
-@pytest.mark.parametrize("residual", [L.vaisman_residual, L.gauduchon_residual],
-                         ids=["vaisman", "gauduchon"])
-def test_nabla_theta_residuals_build_the_metric_jets_once(residual, hopf, hopf_pts,
-                                                          monkeypatch):
-    calls = []
-    metric_jets = L.LCKStructure.metric_jets
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("fixture, params", [
+    ("hopf_diag", {"n": 2}), ("hopf_diag", {"n": 3}), ("hopf_diag", {"n": 4}),
+    ("inoue_splus", {}), ("leeolo", {})], ids=["n2", "n3", "n4", "inoue", "leeolo"])
+def test_contracted_nabla_theta_and_trace_match_the_full_connection(fixture, params, seed):
+    # the bundle contracts Gamma with theta before it is formed and takes
+    # d* theta as a trace; the oracles form Gamma and an orthonormal frame
+    m = M.gallery(fixture, **params)
+    pts = m.sample(40, seed)
+    bundle = L.MetricBundle(m.structure, pts)
+    want = nabla_theta(m.structure, pts)
+    tol = 1e-12 * max(1.0, float(np.abs(want).max()))
+    assert np.abs(bundle.nabla_theta.transpose(2, 0, 1) - want).max() <= tol
+    assert np.abs(bundle.codifferential()
+                  - gram_schmidt_codifferential(m.structure, pts)).max() <= tol
 
-    def spy(self, *args):
-        calls.append(args)
-        return metric_jets(self, *args)
 
-    monkeypatch.setattr(L.LCKStructure, "metric_jets", spy)
-    assert residual(hopf.structure, hopf_pts[:20]) < 1e-7
-    assert len(calls) == 1
+def test_hopf_diag_suite_evaluates_the_metric_entries_once_per_batch(hopf, monkeypatch):
+    # the Vaisman, Gauduchon and both Killing rows read one MetricBundle on
+    # the run's points, and the unit-potential chain one on its own 60
+    from lcklab import cli
+
+    entries = {f.uid for f in hopf.structure.upper_metric_fields()}
+    batches = []
+    evaluate = L.evaluate
+
+    def spy(fields, pts, order):
+        if entries & {f.uid for f in fields}:
+            batches.append(len(pts))
+        return evaluate(fields, pts, order)
+
+    monkeypatch.setattr(L, "evaluate", spy)
+    checks, _ = cli._hopf_diag_report(hopf, hopf.sample(80, seed=42), 1e-8, 512)
+    rows = {c.name: c.passed for c in checks}
+    for name in ("vaisman_parallel_lee", "gauduchon_coclosed", "lee_killing",
+                 "unit_potential_vaisman_chain"):
+        assert rows[name], name
+    assert sorted(batches) == [60, 80]
 
 
 def test_vaisman_implies_gauduchon(hopf, hopf_pts):
-    if L.vaisman_residual(hopf.structure, hopf_pts) < 1e-7:
-        assert L.gauduchon_residual(hopf.structure, hopf_pts) < 1e-6
+    metric = L.MetricBundle(hopf.structure, hopf_pts)
+    if L.vaisman_residual(metric) < 1e-7:
+        assert L.gauduchon_residual(metric) < 1e-6
 
 
 def test_holomorphy_residual_examples(nondiag, flat_pts):
@@ -187,14 +263,15 @@ def test_holomorphy_residual_examples(nondiag, flat_pts):
 
 def test_killing_residual_examples(hopf, hopf_pts, flat, flat_pts):
     pair = hopf.structure.lee_pair()
-    assert L.killing_residual(hopf.structure, pair.B, hopf_pts) < 1e-8
+    assert L.killing_residual(L.MetricBundle(hopf.structure, hopf_pts), pair.B) < 1e-8
     rot = VectorField(
         [-1.0 * coordinate(1, DIM), coordinate(0, DIM),
          -1.0 * coordinate(3, DIM), coordinate(2, DIM)]
     )
-    assert L.killing_residual(flat, rot, flat_pts) < 1e-12
+    metric = L.MetricBundle(flat, flat_pts)
+    assert L.killing_residual(metric, rot) < 1e-12
     radial = VectorField([coordinate(i, DIM) for i in range(DIM)])
-    assert abs(L.killing_residual(flat, radial, flat_pts) - 2.0 * 4.0) < 1e-12
+    assert abs(L.killing_residual(metric, radial) - 2.0 * 4.0) < 1e-12
 
 
 def test_potential_residuals(hopf, hopf_pts, leeolo, flat, flat_pts):
@@ -210,14 +287,14 @@ def test_potential_residuals(hopf, hopf_pts, leeolo, flat, flat_pts):
 def test_conformal_rescale(hopf, hopf_pts):
     s = hopf.structure
     zero = constant(0.0, DIM)
-    same = L.conformal_rescale(s, zero)
+    same = conformal_rescale(s, zero)
     assert (same.omega - s.omega).max_abs(hopf_pts) < 1e-14
     h = coordinate(0, DIM) * 0.3 + (coordinate(2, DIM) ** 2) * 0.1
-    up = L.conformal_rescale(s, h)
+    up = conformal_rescale(s, h)
     assert L.lck_residual(up, hopf_pts[:60]) < 1e-8
     pair = up.lee_pair()
     assert max(pair.defining_residuals(hopf_pts[:60]).values()) < 1e-9
-    down = L.conformal_rescale(up, -1.0 * h)
+    down = conformal_rescale(up, -1.0 * h)
     assert (down.omega - s.omega).max_abs(hopf_pts) < 1e-10
     assert (down.theta - s.theta).max_abs(hopf_pts) < 1e-10
 
@@ -240,7 +317,7 @@ def test_conformal_rescale_by_field_norm(hopf, hopf_pts):
     normsq = ScalarField.nsum(
         [eta.coeffs[(i,)] * jc.components[i] for i in range(DIM) if (i,) in eta.coeffs]
     )
-    re = L.conformal_rescale(s, -1.0 * normsq.log())
+    re = conformal_rescale(s, -1.0 * normsq.log())
     assert L.lck_residual(re, pts) < 1e-8
     want = s.theta - exterior_d(Form.from_function(normsq.log()))
     assert (re.theta - want).max_abs(pts) < 1e-12
@@ -259,7 +336,6 @@ def test_verify_unit_potential_chain(hopf, hopf_pts, leeolo, flat, flat_pts):
 def test_metric_elimination_has_positive_pivots_on_every_default_fixture():
     # solve_linear_fields eliminates without pivoting; on a positive definite
     # metric every pivot is a Schur-complement diagonal entry, hence > 0
-    from lcklab import manifolds as M
     from lcklab.cli import DEFAULT_FIXTURES
     from lcklab.fields import evaluate
 
@@ -281,6 +357,6 @@ def test_metric_elimination_has_positive_pivots_on_every_default_fixture():
             B = np.column_stack([j.v for j in evaluate(L.solve_linear_fields(G, theta), pts, 0)])
             th = np.column_stack([j.v for j in evaluate(theta, pts, 0)])
             g, _ = s.metric_jets(pts, 0)
-            assert np.abs(np.einsum("nab,nb->na", g, B) - th).max() <= 1e-10, (name, s.name)
+            assert np.abs(np.einsum("abn,nb->na", g, B) - th).max() <= 1e-10, (name, s.name)
     # hopf_nondiag carries only a Lee class and hxc_cover no metric
     assert carried == {"hopf_diag", "inoue_splus", "leeolo", "product"}

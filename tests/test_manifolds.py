@@ -8,7 +8,7 @@ import pytest
 
 from lcklab import manifolds as M
 from lcklab.errors import GalleryError
-from lcklab.fields import PointMap, VectorField, complex_jmatrix
+from lcklab.fields import PointMap, VectorField, complex_jmatrix, constant
 from lcklab.forms import Form, exterior_d
 
 
@@ -218,7 +218,7 @@ def test_deck_quotient_check(hopf, nondiag):
     for name in ("Z1_re", "Z1_im", "Z2_re", "Z2_im"):
         assert M.deck_quotient_check(nondiag, nondiag.fields[name], pts) < 1e-10
     # a constant field does not descend through z -> z/2
-    const = VectorField.from_constant([0, 0, 1, 0], hopf.dim)
+    const = VectorField([constant(v, hopf.dim) for v in (0, 0, 1, 0)])
     assert M.deck_quotient_check(hopf, const, hopf.sample(40, seed=6)) > 0.4
 
 
