@@ -221,6 +221,25 @@ def test_contracted_nabla_theta_and_trace_match_the_full_connection(fixture, par
                   - gram_schmidt_codifferential(m.structure, pts)).max() <= tol
 
 
+@pytest.mark.parametrize("residual", [L.vaisman_residual, L.gauduchon_residual],
+                         ids=["vaisman", "gauduchon"])
+def test_nabla_theta_residuals_build_the_metric_jets_once(residual, hopf, hopf_pts,
+                                                          monkeypatch):
+    # building the bundle evaluates the entries once; the residual reads it
+    entries = {f.uid for f in hopf.structure.upper_metric_fields()}
+    calls = []
+    evaluate = L.evaluate
+
+    def spy(fields, pts, order):
+        if entries & {f.uid for f in fields}:
+            calls.append(order)
+        return evaluate(fields, pts, order)
+
+    monkeypatch.setattr(L, "evaluate", spy)
+    assert residual(L.MetricBundle(hopf.structure, hopf_pts[:20])) < 1e-7
+    assert calls == [1]
+
+
 def test_hopf_diag_suite_evaluates_the_metric_entries_once_per_batch(hopf, monkeypatch):
     # the Vaisman, Gauduchon and both Killing rows read one MetricBundle on
     # the run's points, and the unit-potential chain one on its own 60
