@@ -643,12 +643,6 @@ def product(a: ModelManifold | str | None = None,
                 closes_via=None if fl.closes_via in (None, "identity")
                 else f"{fl.closes_via}@{side}",
             ))
-    if a.structure is not None and b.structure is not None:
-        sum_omega = pullback(proj1, a.structure.omega) + pullback(proj2, b.structure.omega)
-        sum_theta = pullback(proj1, a.structure.theta) + pullback(proj2, b.structure.theta)
-        m.extras["sum_structure"] = LCKStructure(
-            sum_omega, sum_theta, name="product-sum"
-        )
     # canonical torus: the Lee-plane circles of each factor when present,
     # otherwise every registered periodic circle of that factor
     torus_names = []

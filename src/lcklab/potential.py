@@ -21,9 +21,10 @@ Two pipelines produce positive potentials for LCK structures:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -59,93 +60,61 @@ from .torus import average_over_circle
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass
 class PeriodicFunction:
-    """A smooth 2pi-periodic function with exact derivatives and, optionally,
-    its closed-form antiderivative vanishing at 0 (the ODE solver and the
-    leeolo cover potential need it).  Non-finite values are refused, and so
-    is a gap between f(t) and f(t + 2pi) above 1e-12 max(1, max|f|) on 17
-    probes."""
+    """The 2pi-periodic trigonometric polynomial
+    f(t) = c0 + sum_{j>=1} a_j cos(jt) + b_j sin(jt), with exact derivatives
+    and its closed-form antiderivative vanishing at 0.  Non-finite
+    coefficients are refused.  A constant term c0 = None is absent, so it
+    adds no signed zero to the sums."""
 
-    fn: Callable
-    d1: Callable
-    d2: Callable
-    d3: Callable
-    antiderivative: Optional[Callable] = None
-
-    def __post_init__(self):
-        probes = np.linspace(0.0, TWO_PI, 17)
-        here, there = self.fn(probes), self.fn(probes + TWO_PI)
-        if not (np.isfinite(here).all() and np.isfinite(there).all()):
+    def __init__(self, cos_coeffs=(), sin_coeffs=(), c0=None):
+        self.a = np.asarray(cos_coeffs, dtype=float)
+        self.b = np.asarray(sin_coeffs, dtype=float)
+        self.c0 = c0 if c0 is None else float(c0)
+        if self.a.ndim != 1 or self.a.shape != self.b.shape:
+            raise ValueError("need one cos and one sin coefficient per harmonic")
+        if not np.isfinite([self.c0 or 0.0, *self.a, *self.b]).all():
             raise InadmissibleInput("function takes non-finite values")
-        # the values at t and t + 2pi round differently by about eps |f|
-        gap = np.abs(there - here).max()
-        if gap > 1e-12 * max(1.0, np.abs(here).max()):
-            raise InadmissibleInput(f"function is not 2pi-periodic (gap {gap:.2e})")
+        self.j = np.arange(1.0, len(self.a) + 1.0)
 
-    def derivs(self, x, order):
-        out = [self.fn(x)]
-        if order >= 1:
-            out.append(self.d1(x))
-        if order >= 2:
-            out.append(self.d2(x))
-        if order >= 3:
-            out.append(self.d3(x))
+    def derivs(self, t, order):
+        """[f, f', ..., f^(order)] at t from one cos/sin table: each order
+        rotates the coefficients, (a_j, b_j) -> (j b_j, -j a_j)."""
+        t = np.asarray(t, dtype=float)
+        phase = np.multiply.outer(t, self.j)
+        cos, sin = np.cos(phase), np.sin(phase)
+        a, b = self.a, self.b
+        head = None if self.c0 is None else np.full_like(t, self.c0)
+        out = [_series(head, cos, a, sin, b)]
+        for _ in range(order):
+            a, b = self.j * b, -self.j * a
+            out.append(_series(None, cos, a, sin, b))
         return out
+
+    def antiderivative(self, t):
+        """int_0^t f = c0 t + sum_j (a_j sin(jt) + b_j (1 - cos(jt))) / j."""
+        t = np.asarray(t, dtype=float)
+        phase = np.multiply.outer(t, self.j)
+        return _series(None if self.c0 is None else self.c0 * t, np.sin(phase),
+                       self.a / self.j, 1.0 - np.cos(phase), self.b / self.j)
 
     @staticmethod
     def constant(kappa: float) -> "PeriodicFunction":
-        kappa = float(kappa)
-        return PeriodicFunction(
-            fn=lambda t: np.full_like(np.asarray(t, dtype=float), kappa),
-            d1=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            d2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            d3=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            antiderivative=lambda t: kappa * np.asarray(t, dtype=float),
-        )
+        return PeriodicFunction(c0=kappa)
 
     @staticmethod
     def cosine(eps: float) -> "PeriodicFunction":
-        eps = float(eps)
-        return PeriodicFunction(
-            fn=lambda t: eps * np.cos(t),
-            d1=lambda t: -eps * np.sin(t),
-            d2=lambda t: -eps * np.cos(t),
-            d3=lambda t: eps * np.sin(t),
-            antiderivative=lambda t: eps * np.sin(t),
-        )
+        return PeriodicFunction([eps], [0.0])
 
-    @staticmethod
-    def trig(cos_coeffs, sin_coeffs) -> "PeriodicFunction":
-        """Trigonometric polynomial sum_j a_j cos(j t) + b_j sin(j t), j >= 1."""
-        a = np.asarray(cos_coeffs, dtype=float)
-        b = np.asarray(sin_coeffs, dtype=float)
-        js = np.arange(1, len(a) + 1, dtype=float)
 
-        def deriv(order):
-            def f(t):
-                t = np.asarray(t, dtype=float)
-                phase = np.multiply.outer(t, js)
-                ca = a * js**order
-                cb = b * js**order
-                c, s = np.cos(phase), np.sin(phase)
-                table = {
-                    0: (c * ca + s * cb),
-                    1: (-s * ca + c * cb),
-                    2: (-c * ca - s * cb),
-                    3: (s * ca - c * cb),
-                }[order % 4]
-                return table.sum(axis=-1)
-
-            return f
-
-        def anti(t):
-            t = np.asarray(t, dtype=float)
-            phase = np.multiply.outer(t, js)
-            return (np.sin(phase) * (a / js) - (np.cos(phase) - 1.0) * (b / js)).sum(axis=-1)
-
-        return PeriodicFunction(deriv(0), deriv(1), deriv(2), deriv(3),
-                                antiderivative=anti)
+def _series(head, cos, a, sin, b):
+    """head + sum_j a_j cos_j + b_j sin_j, the tables' last axis indexing j.
+    A zero coefficient's term is left out rather than added as a signed
+    zero, so f = eps cos t gives eps cos t, -eps sin t, ... bit for bit."""
+    terms = [] if head is None else [head]
+    terms += [table[..., j] * c for table, coeffs in ((cos, a), (sin, b))
+              for j, c in enumerate(coeffs) if c]
+    return functools.reduce(np.add, terms) if terms else np.zeros(cos.shape[:-1])
 
 
 # samples of e^{-Q} taken for its Fourier modes, and the probe grid on which
@@ -223,14 +192,14 @@ class PotentialSolution:
         g0 = self.g(x)
         out = [g0]
         if order >= 1:
-            fx = self.f.fn(x)
-            g1 = g0 * (1.0 + fx) - 1.0
+            fd = self.f.derivs(x, order - 1)
+            g1 = g0 * (1.0 + fd[0]) - 1.0
             out.append(g1)
         if order >= 2:
-            g2 = g1 * (1.0 + fx) + g0 * self.f.d1(x)
+            g2 = g1 * (1.0 + fd[0]) + g0 * fd[1]
             out.append(g2)
         if order >= 3:
-            g3 = g2 * (1.0 + fx) + 2.0 * g1 * self.f.d1(x) + g0 * self.f.d2(x)
+            g3 = g2 * (1.0 + fd[0]) + 2.0 * g1 * fd[1] + g0 * fd[2]
             out.append(g3)
         return out
 
@@ -254,19 +223,17 @@ class PotentialSolution:
 def solve_periodic_first_order(f: PeriodicFunction, a: float = 0.0) -> PotentialSolution:
     """Closed-form positive periodic solution of g' = g(1 + f) - 1.
 
-    Needs f's closed-form antiderivative and -1 < f <= 4000 on the
-    1024-point probe grid, and 2048 samples that resolve e^{-Q} (modes at
-    |k| >= 768 at most 1e-10 of the largest); InadmissibleInput otherwise.
+    Needs -1 < f <= 4000 on the 1024-point probe grid, and 2048 samples
+    that resolve e^{-Q} (modes at |k| >= 768 at most 1e-10 of the largest);
+    InadmissibleInput otherwise.
     Takes the modes of e^{-Q} from those samples once, so
     K = int_0^{2pi} e^{-F} = (1 - e^{-b}) S_0(0) (see ``_mode_sums``) and
     c = K e^b/(e^b - 1) > 0, and reports periodicity, positivity and both
     ODE residuals measured against mode-sum derivatives (so truncation of
     the modes shows up honestly instead of cancelling).
     """
-    if f.antiderivative is None:
-        raise InadmissibleInput("f needs a closed-form antiderivative")
     probe = np.linspace(0.0, TWO_PI, _PROBE_GRID, endpoint=False)
-    f0 = f.fn(probe)
+    f0, f1 = f.derivs(probe, 1)
     if f0.min() <= -1.0:
         raise InadmissibleInput(f"need f > -1 everywhere; min f = {f0.min():.6f}")
     if not f0.max() <= _MAX_F:  # NaN fails too
@@ -296,7 +263,6 @@ def solve_periodic_first_order(f: PeriodicFunction, a: float = 0.0) -> Potential
     sol.min_g = float(gv.min())
     sol.periodicity_residual = float(np.abs(sol.g(probe + TWO_PI) - gv).max())
 
-    f1 = f.d1(probe)
     sol.ode1_residual = float(np.abs(g1m - gv * (1.0 + f0) + 1.0).max())
     sol.ode2_residual = float(np.abs(
         g2m - 2.0 * (1.0 + f0) * g1m - gv * f1 + gv * (1.0 + f0) ** 2 - (1.0 + f0)
@@ -313,8 +279,8 @@ def _mode_gprimes(sol: PotentialSolution, t):
     s0, s1, s2 = sol._mode_sums(t, orders=(0, 1, 2))
     eQ = np.exp(sol.Q(t))
     g0 = eQ * s0
-    q1 = 1.0 + sol.f.fn(t) - sol.mu
-    q2 = sol.f.d1(t)
+    f0, q2 = sol.f.derivs(t, 1)
+    q1 = 1.0 + f0 - sol.mu
     g1 = q1 * g0 + eQ * s1
     g2 = q2 * g0 + q1 * g1 + eQ * (q1 * s1 + s2)
     return g0, g1, g2
@@ -358,7 +324,7 @@ def build_leeolo(base: ModelManifold, f: PeriodicFunction) -> LeeoloResult:
             "the Lee flow must close with period 2pi "
             f"(registered period: {flow_B.period})"
         )
-    # refuses f <= -1 somewhere and an f without an antiderivative
+    # refuses f <= -1 somewhere
     solution = solve_periodic_first_order(f)
 
     s0 = base.structure
@@ -375,18 +341,10 @@ def build_leeolo(base: ModelManifold, f: PeriodicFunction) -> LeeoloResult:
     theta_p = s0.theta.scale(1.0 + f_field)
     structure = LCKStructure(omega_p, theta_p, name="leeolo", manifold=base)
 
-    # cover potential of theta': psi = phi + (antiderivative of f)(phi)
-    def psi_derivs(x, order):
-        out = [x + f.antiderivative(x)]
-        if order >= 1:
-            out.append(1.0 + f.fn(x))
-        if order >= 2:
-            out.append(f.d1(x))
-        if order >= 3:
-            out.append(f.d2(x))
-        return out
-
-    psi = lift_univariate(phi, psi_derivs)
+    # cover potential of theta': psi = phi + A(phi), A the antiderivative
+    # of f, so psi' = 1 + f and psi^(r) = f^(r-1) above
+    psi = lift_univariate(phi, lambda x, order: [x + f.antiderivative(x)] + [
+        1.0 + d if r == 0 else d for r, d in enumerate(f.derivs(x, order - 1))])
     return LeeoloResult(structure, solution, psi, solution.as_field(phi), f_field)
 
 
@@ -409,21 +367,7 @@ def leeolo_residuals(m: ModelManifold, pts) -> Dict[str, float]:
     }
 
 
-# -- Duhamel solver for g'' + g = f ------------------------------------------
-
-
-def duhamel_g(f_sampler: Callable, t: float, nodes: int = 256):
-    """g(t) = int_0^t sin(t - s) f(s) ds by composite Simpson quadrature.
-
-    Solves g'' + g = f with g(0) = g'(0) = 0 (variation of constants); no
-    error accumulation, trivially parallel over t.
-    """
-    if nodes < 64:
-        raise ValueError("duhamel_g needs nodes >= 64")
-    panels = nodes if nodes % 2 == 0 else nodes + 1
-    s = np.linspace(0.0, t, panels + 1)
-    vals = np.asarray([f_sampler(si) for si in s], dtype=float)
-    return float(_simpson(np.sin(t - s) * vals, t / panels))
+# -- Orbit averaging ----------------------------------------------------------
 
 
 def _simpson(y, h):
@@ -431,9 +375,6 @@ def _simpson(y, h):
     w = np.ones(len(y))
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     return h / 3.0 * np.sum(w * y)
-
-
-# -- Orbit averaging ----------------------------------------------------------
 
 
 @dataclass

@@ -228,16 +228,6 @@ def _labels(pairings):
     return ["vertical" if abs(p) > 1e-6 else "horizontal" for p in pairings]
 
 
-def classify_vertical(act: TorusAction, theta: Form, pts, nodes=16):
-    """Average theta over the action, then label each generator.
-
-    A generator is vertical when the (constant) pairing theta(xi) is nonzero,
-    above 1e-6; the pairings come from ``torus_pairings``.
-    """
-    res = torus_pairings(act, theta, pts, nodes)
-    return _labels(res.values), res.values, res.constancy
-
-
 def intersection_dimension(act: TorusAction, pts) -> int:
     """dim(t ^ Jt) from the generic rank of [Xi | J Xi] over the samples.
 
@@ -338,21 +328,3 @@ def verdict(act: TorusAction, s=None, pts=None, nodes=32) -> ActionReport:
         return ActionReport("PositivePotentialExists", dim, names, **witnesses,
                             notes="maximal purely real torus with a vertical circle")
     return ActionReport("PurelyReal", dim, names, **witnesses)
-
-
-def isotropy_residual(act: TorusAction, s, pts, nodes=16) -> float:
-    """max |Omega(xi_i, xi_j)| for a horizontal action (orbits are isotropic)."""
-    theta = _theta_of(s)
-    labels, _, _ = classify_vertical(act, theta, pts, nodes=nodes)
-    if any(lab == "vertical" for lab in labels):
-        raise GalleryError("isotropy applies to horizontal actions")
-    omega = s.omega if isinstance(s, LCKStructure) else None
-    if omega is None:
-        raise TypeError("isotropy needs a structure carrying a 2-form")
-    worst = 0.0
-    vals = [g.values(pts) for g in act.generators]
-    for i in range(len(vals)):
-        for j in range(i, len(vals)):
-            w = omega.evaluate(pts, vals[i], vals[j])
-            worst = max(worst, float(np.abs(w).max()))
-    return worst

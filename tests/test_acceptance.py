@@ -156,14 +156,15 @@ def test_criterion_04_inoue_suite(inoue, inoue_pts):
         - twisted_d(imz, s.theta).scale(lam0)
     ).max_abs(pts)
     act = T.TorusAction(inoue, [inoue.flows["xi"]])
-    labels, pairings, _ = T.classify_vertical(act, s.theta, pts[:15], nodes=16)
+    found = T.torus_pairings(act, s.theta, pts[:15], nodes=16)
+    labels = T.verdict(act, s, pts[:15], nodes=16).vertical
     vais = L.vaisman_residual(L.MetricBundle(s, pts))
     assert inv < 1e-8
     assert contraction < 1e-8
-    assert labels == ["horizontal"] and abs(pairings[0]) < 1e-6
+    assert labels == [] and abs(found.values[0]) < 1e-6
     assert vais > 1e-3  # expected-fail polarity
     _ok(4, f"Inoue suite (deck invariance {inv:.2e}, contraction {contraction:.2e}, "
-           f"horizontal pairing {abs(pairings[0]):.2e}, non-Vaisman {vais:.2e})")
+           f"horizontal pairing {abs(found.values[0]):.2e}, non-Vaisman {vais:.2e})")
 
 
 def test_criterion_05_nondiag_suite(nondiag, nondiag_pts):

@@ -195,6 +195,33 @@ def test_profile_past_the_certified_range_exits_4(profile, capsys):
     assert "Traceback" not in out.out + out.err
 
 
+@pytest.mark.parametrize("fixture", ["hopf_diag", "inoue_splus", "hopf_nondiag"])
+def test_torus_verdicts_take_the_runs_nodes(fixture, monkeypatch):
+    # with the deck jump ruled out, each suite's verdict sweeps once at the
+    # run's --nodes; the hopf_diag torus is VaismanExists before any pairing
+    # is taken, so there only the verdict's own nodes can be seen
+    import numpy as np
+    from lcklab import torus as T
+
+    seen = {"verdict": [], "sweep": []}
+    verdict = T.verdict
+
+    def spy_verdict(act, s=None, pts=None, nodes=32):
+        seen["verdict"].append(nodes)
+        return verdict(act, s, pts, nodes)
+
+    def spy_sweep(act, theta, pts, nodes=16):
+        seen["sweep"].append(nodes)
+        return np.zeros(len(act.flows)), 0.0
+
+    monkeypatch.setattr(T, "_EXACT_TOL", -1.0)
+    monkeypatch.setattr(T, "verdict", spy_verdict)
+    monkeypatch.setattr(T, "averaged_pairings", spy_sweep)
+    cli.run_verify(fixture, points=12, nodes=16)
+    assert seen["verdict"] == [16]
+    assert seen["sweep"] == ([] if fixture == "hopf_diag" else [16])
+
+
 def test_zero_tolerance_is_accepted():
     body, code = cli.run_verify("hxc_cover", points=5, tol=0)
     assert code == 0 and body["checks"]

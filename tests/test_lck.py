@@ -263,6 +263,28 @@ def test_hopf_diag_suite_evaluates_the_metric_entries_once_per_batch(hopf, monke
     assert sorted(batches) == [60, 80]
 
 
+def test_hopf_diag_suite_evaluates_the_lee_field_once_per_batch(hopf, monkeypatch):
+    # the Killing and holomorphy rows share one session, so B's order-1 jets,
+    # on which A = JB is built, are evaluated once on the run's 80 points,
+    # and once on the unit-potential chain's 60
+    from lcklab import cli
+
+    runs = []
+    comps = hopf.structure.lee_pair().B.components
+    for comp in comps:
+        def spy(ctx, order, _fn=comp._fn, _uid=comp.uid):
+            if order >= 1:
+                runs.append((_uid, len(ctx.pts)))
+            return _fn(ctx, order)
+
+        monkeypatch.setattr(comp, "_fn", spy)
+    checks, _ = cli._hopf_diag_report(hopf, hopf.sample(80, seed=42), 1e-8, 512)
+    rows = {c.name: c.passed for c in checks}
+    assert rows["lee_holomorphic"] and rows["lee_killing"]
+    uids = {c.uid for c in comps}
+    assert sorted(runs) == sorted((u, n) for u in uids for n in (60, 80))
+
+
 def test_vaisman_implies_gauduchon(hopf, hopf_pts):
     metric = L.MetricBundle(hopf.structure, hopf_pts)
     if L.vaisman_residual(metric) < 1e-7:
@@ -377,5 +399,5 @@ def test_metric_elimination_has_positive_pivots_on_every_default_fixture():
             th = np.column_stack([j.v for j in evaluate(theta, pts, 0)])
             g, _ = s.metric_jets(pts, 0)
             assert np.abs(np.einsum("abn,nb->na", g, B) - th).max() <= 1e-10, (name, s.name)
-    # hopf_nondiag carries only a Lee class and hxc_cover no metric
-    assert carried == {"hopf_diag", "inoue_splus", "leeolo", "product"}
+    # hopf_nondiag carries only a Lee class, hxc_cover and product no metric
+    assert carried == {"hopf_diag", "inoue_splus", "leeolo"}

@@ -1,4 +1,4 @@
-"""Torus diagnostics: averaging, rank probes, verdicts, isotropy."""
+"""Torus diagnostics: averaging, rank probes, pairings, verdicts."""
 
 import dataclasses
 
@@ -220,23 +220,19 @@ def test_intersection_dimension_invariant_under_recombination(nondiag_action):
 
 def test_classify_vertical(inoue_action, hopf, hopf_pts):
     m = inoue_action.manifold
-    labels, pairings, _ = T.classify_vertical(
-        inoue_action, m.structure.theta, m.sample(15, seed=3), nodes=16)
-    assert labels == ["horizontal"] and abs(pairings[0]) < 1e-10
+    rep = T.verdict(inoue_action, m.structure, m.sample(15, seed=3), nodes=16)
+    assert rep.vertical == [] and abs(rep.pairings["xi"]) < 1e-10
     # the Lee circle of the diagonal Hopf is vertical with pairing 1
     act = T.TorusAction(hopf, [hopf.flows["B"]])
-    labels, pairings, _ = T.classify_vertical(
-        act, hopf.structure.theta, hopf_pts[:15], nodes=16)
-    assert labels == ["vertical"]
-    assert abs(pairings[0] - 1.0) < 1e-10
+    rep = T.verdict(act, hopf.structure, hopf_pts[:15], nodes=16)
+    assert rep.vertical == ["B"]
+    assert abs(rep.pairings["B"] - 1.0) < 1e-10
 
 
 def test_classify_against_zero_form(inoue_action):
     m = inoue_action.manifold
-    zero = Form.zero(4, 1)
-    labels, _, _ = T.classify_vertical(inoue_action, zero, m.sample(10, seed=3),
-                                       nodes=16)
-    assert labels == ["horizontal"]
+    rep = T.verdict(inoue_action, Form.zero(4, 1), m.sample(10, seed=3), nodes=16)
+    assert rep.vertical == []
 
 
 def test_classify_invariance_under_representative_choice(inoue_action):
@@ -245,18 +241,16 @@ def test_classify_invariance_under_representative_choice(inoue_action):
     m = inoue_action.manifold
     pts = m.sample(12, seed=4)
     theta = m.structure.theta
-    lab1, _, _ = T.classify_vertical(inoue_action, theta.scale(3.7), pts, nodes=16)
     f = coordinate(1, 4).log()  # function of Im w: invariant under the circle
-    theta2 = theta + exterior_d(Form.from_function(f))
-    lab2, _, _ = T.classify_vertical(inoue_action, theta2, pts, nodes=16)
-    assert lab1 == lab2 == ["horizontal"]
+    for rep in (theta.scale(3.7), theta + exterior_d(Form.from_function(f))):
+        assert T.verdict(inoue_action, rep, pts, nodes=16).vertical == []
 
 
 def test_classify_rejects_nonconstant_pairing(inoue_action):
     m = inoue_action.manifold
     bad = Form(4, 1, {(2,): coordinate(3, 4)})  # not invariant, not closed
     with pytest.raises(NumericalError):
-        T.classify_vertical(inoue_action, bad, m.sample(10, seed=3), nodes=16)
+        T.torus_pairings(inoue_action, bad, m.sample(10, seed=3), nodes=16)
 
 
 def test_verdicts(hopf_action, nondiag_action, product_action, inoue_action):
@@ -304,18 +298,6 @@ def test_verdict_total_and_invariant_under_recombination(hopf_action,
             done += 1
 
 
-def test_isotropy_residual_errors_on_vertical(hopf):
-    act = T.TorusAction(hopf, [hopf.flows["B"]])
-    with pytest.raises(GalleryError, match="horizontal"):
-        T.isotropy_residual(act, hopf.structure, hopf.sample(10, seed=2))
-
-
-def test_isotropy_single_horizontal_circle(inoue_action):
-    m = inoue_action.manifold
-    assert T.isotropy_residual(inoue_action, m.structure,
-                               m.sample(15, seed=2), nodes=16) < 1e-12
-
-
 def test_unregistered_flow_lookup_errors(hopf):
     with pytest.raises(GalleryError, match="no registered flow"):
         M.flow_of(hopf, "nonexistent")
@@ -339,18 +321,6 @@ def test_intersection_dimension_takes_the_generic_rank():
     # only on the vanishing locus is the whole of t complex-isotropic
     assert T.intersection_dimension(act, pts[:1]) == 2
     assert T.intersection_dimension(act, [[0.0, -2.0, 0.7, 1.1], pts[0]]) == 2
-
-
-def test_isotropy_on_product_horizontal_torus():
-    # two Inoue circles acting on the product: both horizontal for the sum
-    # pair, with isotropic orbits
-    ia = M.gallery("inoue_splus")
-    ib = M.gallery("inoue_splus")
-    prod = M.gallery("product", a=ia, b=ib)
-    s = prod.extras["sum_structure"]
-    act = T.TorusAction(prod, [prod.flows["xi@0"], prod.flows["xi@1"]])
-    pts = prod.sample(12, seed=7)
-    assert T.isotropy_residual(act, s, pts, nodes=12) < 1e-7
 
 
 # -- pairings: the deck jump of the cover potential and the node sweep -------
@@ -429,7 +399,7 @@ def test_non_constant_deck_jump_raises(monkeypatch):
 
     monkeypatch.setattr(T, "averaged_pairings", no_sweep)
     with pytest.raises(NumericalError, match="not constant"):
-        T.classify_vertical(act, theta, m.sample(10, seed=3))
+        T.torus_pairings(act, theta, m.sample(10, seed=3))
 
 
 def test_verdict_on_hopf_nondiag_never_sweeps(monkeypatch):
