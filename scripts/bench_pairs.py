@@ -12,10 +12,14 @@ For every end-to-end metric of CHANGE's ``BENCHMARK.json`` it prints both
 medians over the pairs, the pairs the change wins (a tie counts for neither
 side), the parent's interquartile range, whether the change's median
 stays within the metric's bound (worse than the parent's median by at most
-that fraction) and whether the change shows a gain, then every run's value.
-A gain needs both: the change wins at least nine tenths of the pairs, and
-its median is better than the parent's by more than the parent's
-interquartile range.  Exit status 1 if any run reports a
+that fraction), whether the metric is unresolved and whether the change
+shows a gain, then every run's value.  A metric is unresolved when the
+parent's interquartile range is wider than its bound times the parent's
+median, so that the runs spread too widely for the bound to tell a
+regression, unless every run of the change is better than every run of the
+parent.  A gain needs both: the change wins at least nine tenths of the
+pairs, and its median is better than the parent's by more than the
+parent's interquartile range.  Exit status 1 if any run reports a
 failed check.  Nothing outside ``BENCHMARK.json`` and ``bench/`` of the two
 checkouts is read or run.
 """
@@ -50,11 +54,13 @@ def summarize(end_to_end, parent, change):
         new_med = statistics.median(new)
         worse_by = (new_med - old_med) if lower else (old_med - new_med)
         wins = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
+        all_better = max(new) < min(old) if lower else min(new) > max(old)
         rows.append({
             "metric": name, "unit": metric["unit"], "bound": bound,
             "parent_median": old_med, "change_median": new_med,
             "change_wins": wins, "pairs": len(old), "parent_iqr": q3 - q1,
             "within_bound": worse_by <= bound * abs(old_med),
+            "unresolved": q3 - q1 > bound * abs(old_med) and not all_better,
             "gain": 10 * wins >= 9 * len(old) and -worse_by > q3 - q1,
             "parent": old, "change": new,
         })
@@ -94,12 +100,13 @@ def main(argv=None):
     print(f"workload {args.workload}: {args.pairs} pairs, seeds 1..{args.pairs}, "
           f"{seconds:g} s per run")
     print(f"  {'metric':<12s} {'parent':>10s} {'change':>10s} {'wins':>7s} "
-          f"{'parent_iqr':>10s} {'bound':>6s}  within  gain")
+          f"{'parent_iqr':>10s} {'bound':>6s}  within  unresolved  gain")
     rows = summarize(spec["end_to_end"], parent, change)
     for r in rows:
         print(f"  {r['metric']:<12s} {r['parent_median']:10.4g} {r['change_median']:10.4g} "
               f"{r['change_wins']:>3d}/{r['pairs']:<3d} {r['parent_iqr']:10.3g} "
               f"{r['bound']:6g}  {'yes' if r['within_bound'] else 'NO':6s}  "
+              f"{'YES' if r['unresolved'] else 'no':10s}  "
               f"{'yes' if r['gain'] else 'no'}")
     for r in rows:
         for side in ("parent", "change"):

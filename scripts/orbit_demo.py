@@ -23,14 +23,15 @@ def main():
     hopf = M.gallery("hopf_diag")
     pts = hopf.sample(25, seed=9)
     res = P.orbit_average_potential(
-        hopf, hopf.kahler_lift(), hopf.fields["B"], hopf.flows["A"], points=pts
+        hopf, hopf.kahler_lift(), hopf.fields["B"], hopf.flows["A"], points=pts,
+        phi=hopf.phi,
     )
     gap = np.abs(res.g.values(pts).real - res.f.values(pts).real).max()
     print(f"   |g - f| = {gap:.3e} (the potential is unchanged)")
 
     print("== twisted vertical circle on the norm-modulated fixture")
     lee = M.gallery("leeolo", eps=0.3)
-    orbit = P.leeolo_orbit_pipeline(lee)
+    orbit = P.leeolo_orbit_pipeline(lee, lee.sample(25, seed=9))
     for k, v in sorted(orbit.checks.items()):
         print(f"   {k:>28s} = {v:.3e}")
     return 0

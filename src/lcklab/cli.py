@@ -134,7 +134,7 @@ def _hopf_diag_report(m, pts, tol, nodes):
                             rep.norm_deviation or 0.0, rep.vaisman or 0.0),
                         1e-6, "unit potential + holomorphic Lee field forces Vaisman"))
     act = T.TorusAction(m, [m.flows["A"], m.flows[m.extras["lee_circle"]]])
-    verdict = T.verdict(act, s, pts[: min(40, len(pts))], nodes=nodes)
+    verdict = T.verdict(act, s.theta, True, pts[:40], nodes)
     return checks, [verdict.to_json()]
 
 
@@ -153,7 +153,7 @@ def _inoue_report(m, pts, tol, nodes):
               "no parallel Lee form on this surface", polarity="expect_large"),
     ]
     act = T.TorusAction(m, [m.flows["xi"]])
-    verdict = T.verdict(act, s, pts[: min(25, len(pts))], nodes=nodes)
+    verdict = T.verdict(act, s.theta, True, pts[:25], nodes)
     checks.append(Check("circle_horizontal", abs(verdict.pairings["xi"]), 1e-6,
                         "theta(xi) = 0"))
     return checks, [verdict.to_json()]
@@ -182,7 +182,7 @@ def _nondiag_report(m, pts, tol, nodes):
                   M.flow_generator_residual(fl2, 0.3, pts[:20])), 1e-8,
               "d/dt Phi_t = X(Phi_t)"),
     ]
-    th = m.lee_class.theta
+    th = m.lee_class
     checks.append(Check("lee_class_closed", exterior_d(th).max_abs(pts[:20]),
                         1e-10, "d theta = 0"))
     checks.append(Check("lee_class_descends", M.invariance_residual(m, th, pts[:20]),
@@ -193,7 +193,8 @@ def _nondiag_report(m, pts, tol, nodes):
     dim = T.intersection_dimension(act, pts)
     checks.append(Check("purely_real", float(dim), 0.5,
                         "t ^ Jt = 0 for the maximal torus"))
-    verdict = T.verdict(act, m.lee_class, pts[: min(20, len(pts))], nodes=nodes)
+    # no metric is wired into this fixture: LCK type is its declared hypothesis
+    verdict = T.verdict(act, th, True, pts[:20], nodes)
     return checks, [verdict.to_json()]
 
 
@@ -259,7 +260,7 @@ def _product_report(m, pts, tol, nodes):
               "periods close the orbits"),
     ]
     dim = T.intersection_dimension(act, pts)
-    verdict = T.verdict(act, None, pts[: min(30, len(pts))])
+    verdict = T.verdict(act, None, False, pts[:30], nodes)
     expected = ("NoLCKPossible" if dim > 2
                 else "VaismanExists" if dim in (1, 2) else "PurelyReal")
     checks.append(Check("verdict_matches_table",

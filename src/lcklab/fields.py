@@ -275,10 +275,10 @@ class PointMap:
 
     __slots__ = ("dim_in", "dim_out", "components", "uid", "name")
 
-    def __init__(self, components: Sequence[ScalarField], dim_out=None, name=""):
+    def __init__(self, components: Sequence[ScalarField], name=""):
         self.components = tuple(components)
         self.dim_in = self.components[0].dim
-        self.dim_out = dim_out if dim_out is not None else len(self.components)
+        self.dim_out = len(self.components)
         self.uid = next(_uid)
         self.name = name
 

@@ -137,24 +137,6 @@ class Form:
             return 0.0
         return max(float(np.abs(v).max()) for v in vals.values())
 
-    def evaluate(self, pts, *vectors):
-        """Evaluate the k-form on k vector-value arrays of shape (N, dim)."""
-        if len(vectors) != self.degree:
-            raise FormDegreeError("wrong number of vector arguments")
-        pts = as_batch(pts, self.dim)
-        vals = self.coefficient_values(pts)
-        n = pts.shape[0]
-        if self.degree == 0:
-            return vals.get((), np.zeros(n))
-        out = np.zeros(n, dtype=complex)
-        V = np.stack(vectors, axis=2)  # (N, dim, k)
-        for idx, c in vals.items():
-            minor = V[:, idx, :]  # (N, k, k)
-            out = out + c * np.linalg.det(minor)
-        if np.abs(out.imag).max() < 1e-10:
-            out = out.real
-        return out
-
 
 def _gather(dim, degree, frame, terms) -> Form:
     """The form whose coefficient at each index is the weighted sum of the

@@ -46,7 +46,7 @@ from .forms import (
 class LCKStructure:
     """A pair (Omega, theta) on a chart, with cached metric data."""
 
-    def __init__(self, omega: Form, theta: Form, name="", manifold=None,
+    def __init__(self, omega: Form, theta: Form, name="",
                  lee_B: Optional[VectorField] = None,
                  lee_A: Optional[VectorField] = None):
         if omega.degree != 2 or theta.degree != 1:
@@ -54,7 +54,6 @@ class LCKStructure:
         self.omega = omega
         self.theta = theta
         self.name = name
-        self.manifold = manifold
         self._lee = (lee_B, lee_A) if lee_B is not None else None
         self._metric_fields = None
 
@@ -137,11 +136,10 @@ class LeePair:
         return {"iota_B": rB, "iota_A": rA, "A_equals_JB": rJ}
 
     def norm_squared(self, pts):
-        """|B|_g^2 = Omega(B, JB) at the sample points."""
-        s = self.structure
-        vb = self.B.values(pts)
-        vjb = apply_J_vector(self.B).values(pts)
-        return np.real(s.omega.evaluate(pts, vb, vjb))
+        """|B|_g^2 = Omega(B, JB) = iota_JB iota_B Omega at the sample points."""
+        pairing = interior_product(apply_J_vector(self.B),
+                                   interior_product(self.B, self.structure.omega))
+        return np.real(pairing.coefficient_values(pts)[()])
 
 
 def _eliminate(A, b):

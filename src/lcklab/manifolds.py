@@ -66,18 +66,6 @@ class FlowMap:
                                                 name=f"{self.name}{t:.3f}")
 
 
-@dataclass
-class LeeClass:
-    """An invariant closed 1-form representing a Lee de Rham class.
-
-    ``admits_lck`` records, as a hypothesis, that the underlying manifold is
-    of LCK type even when no explicit metric is wired into the fixture.
-    """
-
-    theta: Form
-    admits_lck: bool = True
-
-
 class ModelManifold:
     def __init__(self, name, dim, contains, sampler, decks=None, phi=None,
                  structure=None, lee_class=None, params=None):
@@ -89,13 +77,13 @@ class ModelManifold:
         self.decks: List[DeckTransformation] = decks or []
         self.phi: Optional[ScalarField] = phi
         self.structure: Optional[LCKStructure] = structure
-        self.lee_class: Optional[LeeClass] = lee_class
+        # an invariant closed 1-form representing the Lee class, for a
+        # fixture that carries no structure
+        self.lee_class: Optional[Form] = lee_class
         self.flows: Dict[str, FlowMap] = {}
         self.fields: Dict[str, VectorField] = {}
         self.extras: Dict[str, object] = {}
         self.params = params or {}
-        if structure is not None:
-            structure.manifold = self
 
     def contains(self, pts):
         return self._contains(as_batch(pts, self.dim))
@@ -448,7 +436,7 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0, m=2):
         decks=[DeckTransformation("gamma", gamma, rho=1.0 / ab2)],
         phi=phi_nd,
         structure=None,
-        lee_class=LeeClass(theta_nd, admits_lck=True),
+        lee_class=theta_nd,
         params={"beta": beta, "lam": lam, "m": mm, "c": c},
     )
     mfd.register_flow(FlowMap("xi1", xi1, complex_flow(2j * math.pi, 0.0),
@@ -683,7 +671,6 @@ def leeolo(eps=0.3, n=2):
     base.extras["vaisman_base"] = base.structure
     base.extras["base_phi"] = base.phi
     base.structure = res.structure
-    base.structure.manifold = base
     base.phi = res.psi
     return base
 

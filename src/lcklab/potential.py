@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -339,7 +340,7 @@ def build_leeolo(base: ModelManifold, f: PeriodicFunction) -> LeeoloResult:
     jt = apply_J(s0.theta)
     omega_p = s0.omega + wedge(s0.theta, jt).scale(f_field)
     theta_p = s0.theta.scale(1.0 + f_field)
-    structure = LCKStructure(omega_p, theta_p, name="leeolo", manifold=base)
+    structure = LCKStructure(omega_p, theta_p, name="leeolo")
 
     # cover potential of theta': psi = phi + A(phi), A the antiderivative
     # of f, so psi' = 1 + f and psi^(r) = f^(r-1) above
@@ -401,15 +402,18 @@ def _gl_nodes(a: float, b: float, panels: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+# the orbit checks that need order-3 jets run on this many leading points
+_HEAVY_POINTS = 8
+
+
 def orbit_average_potential(
     manifold: ModelManifold,
     omega: Form,
     C: VectorField,
-    jc_flow: Optional[FlowMap] = None,
-    points=None,
+    jc_flow: FlowMap,
+    points,
+    phi: ScalarField,
     n_periods: int = 1,
-    heavy_points: int = 12,
-    phi: Optional[ScalarField] = None,
 ) -> OrbitPotentialResult:
     """Average the JC-flow family into an LCK metric with positive potential.
 
@@ -421,30 +425,26 @@ def orbit_average_potential(
     asserted positive; the output pair (g^{-1} dd^c g, -d ln g) is certified
     deck invariant with its own LCK and constant-potential residuals, and its
     Lee class against d phi by the jumps of ln g and phi across every deck
-    map at the points.  The checks run in one evaluation session, and g is
-    evaluated at order 3 on the heavy points before any check uses them, so
-    each quadrature field is evaluated once per point batch: lower orders
-    are served from the cached top jet.
+    map at the points.  The checks of order-3 jets run on the first
+    ``_HEAVY_POINTS`` points.  The checks run in one evaluation session, and
+    g is evaluated at order 3 on the heavy points before any check uses
+    them, so each quadrature field is evaluated once per point batch: lower
+    orders are served from the cached top jet.
     """
     with session():
-        phi = phi if phi is not None else manifold.phi
-        if phi is None:
-            raise GalleryError("orbit averaging needs a cover potential phi")
-        jc_flow = jc_flow if jc_flow is not None else flow_of(manifold, "JC")
         if jc_flow.affine is None:
             raise GalleryError(
                 f"flow {jc_flow.name} has no affine form to average over")
-        pts = points if points is not None else manifold.sample(40, seed=5)
-        heavy = pts[: min(heavy_points, len(pts))]
+        heavy = points[:_HEAVY_POINTS]
 
         checks: Dict[str, float] = {}
         # theta(C) = 1 after normalization
-        pairing = C.apply_to(phi).values(pts).real
+        pairing = C.apply_to(phi).values(points).real
         checks["theta_C_minus_1"] = float(np.abs(pairing - 1.0).max())
         if checks["theta_C_minus_1"] > 1e-8:
             raise InadmissibleInput("normalize the circle generator to theta(C) = 1")
         # omega1: L_C omega = -omega
-        checks["scaling_identity"] = (lie_derivative(C, omega) + omega).max_abs(pts)
+        checks["scaling_identity"] = (lie_derivative(C, omega) + omega).max_abs(points)
         if checks["scaling_identity"] > 1e-7:
             raise InadmissibleInput(
                 "input form does not satisfy L_C omega = -omega "
@@ -457,12 +457,12 @@ def orbit_average_potential(
             [eta.coeffs[(i,)] * JC.components[i] for i in range(manifold.dim)
              if (i,) in eta.coeffs]
         )
-        fvals = f.values(pts).real
+        fvals = f.values(points).real
         checks["min_f"] = float(fvals.min())
         if checks["min_f"] <= 0:
             raise NumericalError("the squared-norm function f must be positive")
         # exactness: omega = -d eta
-        checks["exactness"] = (omega + exterior_d(eta)).max_abs(pts)
+        checks["exactness"] = (omega + exterior_d(eta)).max_abs(points)
 
         djeta = exterior_d(apply_J(eta))
 
@@ -488,14 +488,14 @@ def orbit_average_potential(
             omega5 = max(omega5, (lhs - rhs).max_abs(heavy))
         checks["flow_expansion"] = omega5
 
-        gvals = g.values(pts).real
+        gvals = g.values(points).real
         checks["min_g"] = float(gvals.min())
         if checks["min_g"] <= 0:
             raise NumericalError("averaged potential failed to be positive")
 
         # cross-check the collapsed average against the literal double-quadrature
         # route (1/span) int_0^span dt int_0^t sin(t - s) f(Phi_s x) ds
-        x0 = pts[:1]
+        x0 = points[:1]
         mg = 1536 * n_periods
         sgrid = np.linspace(0.0, span, mg + 1)
         mats, offs = jc_flow.affine(sgrid)
@@ -519,8 +519,7 @@ def orbit_average_potential(
                                                              heavy)
         checks["theta_prime_descends"] = invariance_residual(manifold, theta_prime,
                                                              heavy)
-        out = LCKStructure(omega_prime, theta_prime, name="orbit-average",
-                           manifold=manifold)
+        out = LCKStructure(omega_prime, theta_prime, name="orbit-average")
         checks["lck_prime"] = lck_residual(out, heavy)
         checks["unit_potential"] = (
             omega_prime
@@ -531,16 +530,24 @@ def orbit_average_potential(
             # theta' = -d ln g and the base theta = d phi, so their periods
             # across a deck map gamma are the primitives' jumps
             # ln g(y) - ln g(gamma y) and phi(gamma y) - phi(y)
-            ln_g, phi0 = np.log(gvals), phi.values(pts).real
+            ln_g, phi0 = np.log(gvals), phi.values(points).real
             checks["lee_class_loop_match"] = max(
                 float(np.abs(ln_g - np.log(g.values(there).real)
                              - (phi.values(there).real - phi0)).max())
-                for there in (d.map(pts) for d in manifold.decks))
+                for there in (d.map(points) for d in manifold.decks))
         return OrbitPotentialResult(g, omega_prime, f, checks)
 
 
-def leeolo_orbit_pipeline(m: ModelManifold, n_periods: int = 1,
-                          points=None) -> OrbitPotentialResult:
+# The JC flow contracts |z| by e^{-s}, so after p periods a point at the
+# leeolo sampler's inner radius |beta| = e^{-pi} sits at e^{-pi (1 + 2p)};
+# there the order-3 table of 1/x at x = |z|^2 reaches 6 / x^4, about
+# e^{8 pi (1 + 2p)}.  This is the largest p that keeps it inside double
+# range (e^{709.78}): 13, at e^{678.6}.
+_ORBIT_MAX_PERIODS = int((math.log(sys.float_info.max) / (8 * math.pi) - 1) / 2)
+
+
+def leeolo_orbit_pipeline(m: ModelManifold, points,
+                          n_periods: int = 1) -> OrbitPotentialResult:
     """Full vertical-circle pipeline for the leeolo fixture.
 
     Averages the norm-modulated structure over the twisted vertical circle C
@@ -548,13 +555,19 @@ def leeolo_orbit_pipeline(m: ModelManifold, n_periods: int = 1,
     representative, certified by residuals on the first 10 points), lifts
     that representative with the base cover potential, and runs the orbit
     construction with the JC-flow, which does not preserve the lift, on 8
-    heavy points.
+    heavy points.  More than ``_ORBIT_MAX_PERIODS`` periods are refused: the
+    jets of the flowed integrand would leave double range.
     """
     if "leeolo" not in m.extras:
         raise GalleryError("pipeline needs the leeolo fixture")
+    if n_periods > _ORBIT_MAX_PERIODS:
+        raise GalleryError(
+            f"the orbit pipeline certifies at most {_ORBIT_MAX_PERIODS} periods, "
+            f"got {n_periods}: the JC flow contracts |z| by e^(-2pi) per period, "
+            f"and past that count the order-3 jets of 1/|z|^2 at the sampler's "
+            f"inner radius leave double range")
     base = m.extras["vaisman_base"]
     phi_b = m.extras["base_phi"]
-    pts = points if points is not None else m.sample(25, seed=9)
     circle = flow_of(m, "C")
     # one session, so the three checks share the averaged theta's jets
     with session():
@@ -562,16 +575,14 @@ def leeolo_orbit_pipeline(m: ModelManifold, n_periods: int = 1,
         theta_avg = average_over_circle(m.structure.theta, circle, 32)
         dphi = exterior_d(Form.from_function(phi_b))
         prep = {
-            "averaged_theta_matches_dphi": (theta_avg - dphi).max_abs(pts[:10]),
-            "avg_equals_invariant_rep": (omega_avg - base.omega).max_abs(pts[:10]),
-            "avg_theta_equals_rep": (theta_avg - base.theta).max_abs(pts[:10]),
+            "averaged_theta_matches_dphi": (theta_avg - dphi).max_abs(points[:10]),
+            "avg_equals_invariant_rep": (omega_avg - base.omega).max_abs(points[:10]),
+            "avg_theta_equals_rep": (theta_avg - base.theta).max_abs(points[:10]),
         }
     # run on the certified invariant representative (identical to the average
     # within the residuals above, and a much smaller expression)
     omega_input = base.omega.scale((-1.0 * phi_b).exp())
     res = orbit_average_potential(
-        m, omega_input, m.fields["C"], flow_of(m, "JC"), points=pts,
-        heavy_points=8, n_periods=n_periods, phi=phi_b,
-    )
+        m, omega_input, m.fields["C"], flow_of(m, "JC"), points, phi_b, n_periods)
     res.checks.update({f"prep_{k}": v for k, v in prep.items()})
     return res

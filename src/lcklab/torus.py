@@ -29,9 +29,8 @@ from .fields import (
     bracket,
     complex_jmatrix,
 )
-from .forms import Form, Index, exterior_d
-from .lck import LCKStructure
-from .manifolds import FlowMap, LeeClass, ModelManifold, flow_closure_residual
+from .forms import Form, Index, exterior_d, interior_product
+from .manifolds import FlowMap, ModelManifold, flow_closure_residual
 
 VERDICTS = (
     "NoLCKPossible",
@@ -129,29 +128,32 @@ _SWEEP_POINT_BUDGET = 4096
 _EXACT_TOL = 1e-10
 
 
-def averaged_pairings(act: TorusAction, theta: Form, pts, nodes=16):
+def averaged_pairings(act: TorusAction, theta: Form, pts, nodes):
     """Pointwise pairings of the action-averaged theta with each generator.
 
     Returns (pairings array of shape (k,), constancy residual).  Flow j
     carries its generator xi_j to itself, and for closed theta the period
     of theta along circle j is the same through every point of a torus
     orbit, so the torus average of theta(xi_j) at a probe is the average of
-    the scalar theta(xi_j) over the ``nodes`` trapezoid nodes of circle j
-    through it.  theta is evaluated on the probes pushed to those nodes, on
-    at most ``_SWEEP_POINT_BUDGET`` points at a time: k * nodes * P points
-    for k circles and P probes.  The generators' mix is applied afterwards,
-    as in ``deck_jump_pairings``.
+    the scalar field iota_{xi_j} theta over the ``nodes`` trapezoid nodes of
+    circle j through it.  That field is evaluated on the probes pushed to
+    those nodes, on at most ``_SWEEP_POINT_BUDGET`` points at a time:
+    k * nodes * P points for k circles and P probes.  The generators' mix is
+    applied afterwards, as in ``deck_jump_pairings``.
     """
     pts = as_batch(pts, act.manifold.dim)
     sums = np.zeros((len(act.flows), pts.shape[0]))
     for j, fl in enumerate(act.flows):
+        pairing = interior_product(fl.generator, theta)
+        if not pairing.coeffs:  # theta vanishes identically
+            continue
         maps = [fl.at(float(t)) for t in np.arange(nodes) * (fl.period / nodes)]
         for lo in range(0, pts.shape[0], _SWEEP_POINT_BUDGET):
             block = pts[lo:lo + _SWEEP_POINT_BUDGET]
             group = max(1, _SWEEP_POINT_BUDGET // len(block))
             for first in range(0, nodes, group):
                 moved = np.concatenate([pm(block) for pm in maps[first:first + group]])
-                vals = np.real(theta.evaluate(moved, fl.generator.values(moved)))
+                vals = np.real(pairing.coefficient_values(moved)[()])
                 sums[j, lo:lo + len(block)] += vals.reshape(-1, len(block)).sum(axis=0)
     return _mixed_mean(act, sums / nodes)
 
@@ -197,7 +199,7 @@ class TorusPairings:
     theta_minus_dphi: Optional[float]
 
 
-def torus_pairings(act: TorusAction, theta: Form, pts, nodes=16) -> TorusPairings:
+def torus_pairings(act: TorusAction, theta: Form, pts, nodes) -> TorusPairings:
     """The deck-jump pairings when they are exact, else the node sweep.
 
     The deck jump is taken when the manifold has its cover potential phi,
@@ -280,33 +282,17 @@ class ActionReport:
         return out
 
 
-def _theta_of(s):
-    if s is None:
-        return None
-    if isinstance(s, LCKStructure):
-        return s.theta
-    if isinstance(s, LeeClass):
-        return s.theta
-    if isinstance(s, Form):
-        return s
-    raise TypeError("expected an LCKStructure, LeeClass or 1-form")
-
-
-def verdict(act: TorusAction, s=None, pts=None, nodes=32) -> ActionReport:
+def verdict(act: TorusAction, theta: Optional[Form], lck_present: bool, pts,
+            nodes) -> ActionReport:
     """Existence/obstruction verdict for the action (decision table above).
 
-    ``s`` supplies the LCK hypothesis: an LCKStructure is direct evidence,
-    a LeeClass carries it as a declared assumption (admits_lck), and the
-    positive-potential row fires only when that hypothesis is present.
+    ``theta`` is the Lee form whose pairings with the generators label them
+    vertical or horizontal (None: no pairings are taken); ``lck_present``
+    is the theorems' hypothesis that (M, J) is of LCK type, and the
+    positive-potential row fires only when it holds.
     """
-    if pts is None:
-        pts = act.manifold.sample(60, seed=23)
     dim = intersection_dimension(act, pts)
     names = act.names
-    theta = _theta_of(s)
-    lck_present = isinstance(s, LCKStructure) or (
-        isinstance(s, LeeClass) and s.admits_lck
-    )
     if dim > 2:
         return ActionReport("NoLCKPossible", dim, names,
                             notes="intersection exceeds the Lee plane")
@@ -316,7 +302,7 @@ def verdict(act: TorusAction, s=None, pts=None, nodes=32) -> ActionReport:
     witnesses = {"lck_present": lck_present}
     if theta is not None:
         # the pairings are constants; a small probe subset suffices
-        found = torus_pairings(act, theta, pts[: min(12, len(pts))], nodes=nodes)
+        found = torus_pairings(act, theta, pts[:12], nodes)
         labels = _labels(found.values)
         witnesses.update(
             pairings=dict(zip(names, found.values)),

@@ -157,7 +157,7 @@ def test_criterion_04_inoue_suite(inoue, inoue_pts):
     ).max_abs(pts)
     act = T.TorusAction(inoue, [inoue.flows["xi"]])
     found = T.torus_pairings(act, s.theta, pts[:15], nodes=16)
-    labels = T.verdict(act, s, pts[:15], nodes=16).vertical
+    labels = T.verdict(act, s.theta, True, pts[:15], 16).vertical
     vais = L.vaisman_residual(L.MetricBundle(s, pts))
     assert inv < 1e-8
     assert contraction < 1e-8
@@ -256,7 +256,7 @@ def test_criterion_07_leeolo_end_to_end(leeolo, leeolo_pts):
 
 
 def test_criterion_08_orbit_averaging(hopf, leeolo):
-    res = P.leeolo_orbit_pipeline(leeolo)
+    res = P.leeolo_orbit_pipeline(leeolo, leeolo.sample(25, seed=9))
     ck = res.checks
     assert ck["flow_expansion"] < 1e-6
     assert ck["min_g"] > 0
@@ -267,12 +267,12 @@ def test_criterion_08_orbit_averaging(hopf, leeolo):
     pts = hopf.sample(25, seed=9)
     fixed = P.orbit_average_potential(
         hopf, hopf.kahler_lift(), hopf.fields["B"], hopf.flows["A"],
-        points=pts, heavy_points=8,
+        points=pts, phi=hopf.phi,
     )
     fp_gap = float(np.abs(fixed.g.values(pts).real - fixed.f.values(pts).real).max())
     assert fp_gap < 1e-9
 
-    res2 = P.leeolo_orbit_pipeline(leeolo, n_periods=2)
+    res2 = P.leeolo_orbit_pipeline(leeolo, leeolo.sample(25, seed=9), n_periods=2)
     assert res2.checks["min_g"] > 0
     assert res2.checks["lck_prime"] < 1e-6
     assert res2.checks["unit_potential"] < 1e-6
@@ -282,20 +282,26 @@ def test_criterion_08_orbit_averaging(hopf, leeolo):
 
 
 def test_criterion_09_verdict_table(hopf, nondiag):
+    # (action, theta, LCK hypothesis, expected verdict); hopf_nondiag carries
+    # no metric, so its LCK type is the declared hypothesis
     acts = {
         "hopf": (T.TorusAction(hopf, [hopf.flows["A"], hopf.flows["B"]]),
-                 hopf.structure, "VaismanExists"),
+                 hopf.structure.theta, True, "VaismanExists"),
         "nondiag": (T.TorusAction(nondiag,
                                   [nondiag.flows["xi1"], nondiag.flows["xi2"]]),
-                    nondiag.lee_class, "PositivePotentialExists"),
+                    nondiag.lee_class, True, "PositivePotentialExists"),
     }
     prod = M.gallery("product")
     acts["product"] = (
         T.TorusAction(prod, [prod.flows[k] for k in ("A@0", "B@0", "A@1", "B@1")]),
-        None, "NoLCKPossible",
+        None, False, "NoLCKPossible",
     )
-    for label, (act, s, expected) in acts.items():
-        rep = T.verdict(act, s)
+
+    def verdict(act, theta, lck):
+        return T.verdict(act, theta, lck, act.manifold.sample(60, seed=23), 32)
+
+    for label, (act, theta, lck, expected) in acts.items():
+        rep = verdict(act, theta, lck)
         assert rep.verdict == expected, label
         if label == "product":
             assert rep.intersection_dim == 4
@@ -307,8 +313,8 @@ def test_criterion_09_verdict_table(hopf, nondiag):
         mix = rng.uniform(-1.5, 1.5, (k, k))
         if abs(np.linalg.det(mix)) < 0.25:
             continue
-        act, s, expected = acts["hopf" if done % 2 == 0 else "nondiag"]
-        rep = T.verdict(act.recombine(mix), s)
+        act, theta, lck, expected = acts["hopf" if done % 2 == 0 else "nondiag"]
+        rep = verdict(act.recombine(mix), theta, lck)
         assert rep.verdict == expected
         assert rep.verdict in T.VERDICTS
         done += 1

@@ -60,11 +60,10 @@ def test_wedge_basis_pairing(box_pts):
     a = Form.basis(DIM, (0,))
     b = Form.basis(DIM, (1,))
     w = wedge(a, b)
-    X = np.zeros((len(box_pts), DIM))
-    Y = np.zeros((len(box_pts), DIM))
-    X[:, 0] = 1.0
-    Y[:, 1] = 1.0
-    assert np.allclose(w.evaluate(box_pts, X, Y), 1.0)
+    X = VectorField([constant(v, DIM) for v in (1, 0, 0, 0)])
+    Y = VectorField([constant(v, DIM) for v in (0, 1, 0, 0)])
+    pairing = interior_product(Y, interior_product(X, w))
+    assert np.allclose(pairing.coefficient_values(box_pts)[()], 1.0)
 
 
 def test_wedge_self_of_odd_degree_vanishes(box_pts):
@@ -174,12 +173,12 @@ def test_J_is_a_derivation(box_pts):
 def test_J_pairs_lee_data_on_hopf(hopf, hopf_pts):
     s = hopf.structure
     pair = s.lee_pair()
-    jb = pair.B.values(hopf_pts)
     jtheta = apply_J(s.theta)
     iota = interior_product(pair.B, s.omega)
     assert (iota - jtheta).max_abs(hopf_pts) < 1e-12
     # J theta evaluated on B equals Omega(B, B) = 0
-    assert np.abs(jtheta.evaluate(hopf_pts, jb)).max() < 1e-12
+    on_b = interior_product(pair.B, jtheta).coefficient_values(hopf_pts)[()]
+    assert np.abs(on_b).max() < 1e-12
 
 
 # -- d^c -------------------------------------------------------------------
@@ -264,7 +263,7 @@ def test_twisted_injectivity_probe(hopf, inoue, nondiag, leeolo):
     cases = [
         (hopf, hopf.structure.theta),
         (inoue, inoue.structure.theta),
-        (nondiag, nondiag.lee_class.theta),
+        (nondiag, nondiag.lee_class),
         (leeolo, leeolo.structure.theta),
     ]
     for m, theta in cases:
@@ -283,6 +282,33 @@ def test_interior_basis(box_pts):
     X = VectorField([constant(v, DIM) for v in (1, 0, 0, 0)])
     out = interior_product(X, Form.basis(DIM, (0, 1)))
     assert max_norm(out - Form.basis(DIM, (1,)), box_pts) == 0.0
+
+
+def det_of_minors(a, pts, *vectors):
+    """a(v_1, ..., v_k) = sum_I a_I det[v_j^i]_{i in I}, for vector-value
+    arrays v_j of shape (N, dim): the oracle for contractions."""
+    V = np.stack(vectors, axis=2)  # (N, dim, k)
+    return sum(c * np.linalg.det(V[:, idx, :])
+               for idx, c in a.coefficient_values(pts).items())
+
+
+@pytest.mark.parametrize("coefficients", ["real", "complex"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_contraction_matches_the_det_of_minors(box_pts, degree, coefficients):
+    # iota_{X_k} ... iota_{X_1} a = a(X_1, ..., X_k), slot order included
+    rng = np.random.default_rng(40 + degree)
+    a = random_form(rng, degree)
+    if coefficients == "complex":
+        a = a + random_form(rng, degree).scale(1j)
+    fields = [VectorField([random_field(rng) for _ in range(DIM)])
+              for _ in range(degree)]
+    pairing = a
+    for X in fields:
+        pairing = interior_product(X, pairing)
+    got = pairing.coefficient_values(box_pts)[()]
+    want = det_of_minors(a, box_pts, *(X.values(box_pts) for X in fields))
+    assert np.iscomplexobj(got) == (coefficients == "complex")
+    assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
 
 
 def test_interior_squares_to_zero(box_pts):

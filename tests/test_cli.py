@@ -102,6 +102,22 @@ def test_bad_parameters_exit_2_without_traceback(argv, capsys):
     assert "Traceback" not in out.out + out.err
 
 
+def test_orbit_periods_are_refused_past_the_certified_edge(capsys):
+    # 13 periods keep the order-3 jets inside double range; at 14 they
+    # overflowed into a NaN output_lck row, at 32 into a LinAlgError
+    edge = P._ORBIT_MAX_PERIODS
+    assert edge == 13
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["potential", "orbit", "--periods", str(edge)]) == 0
+    capsys.readouterr()
+    for periods in (edge + 1, 32):
+        assert cli.main(["potential", "orbit", "--periods", str(periods)]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith(f"error: the orbit pipeline certifies at most {edge}")
+        assert "Traceback" not in out.out + out.err
+
+
 @pytest.mark.parametrize("fixture", ["hopf_nondiag:lam=1.3", "hopf_nondiag:m=1"])
 def test_hopf_nondiag_inside_its_domain_verifies(fixture):
     body, code = cli.run_verify(fixture, points=40)
@@ -206,11 +222,11 @@ def test_torus_verdicts_take_the_runs_nodes(fixture, monkeypatch):
     seen = {"verdict": [], "sweep": []}
     verdict = T.verdict
 
-    def spy_verdict(act, s=None, pts=None, nodes=32):
+    def spy_verdict(act, theta, lck_present, pts, nodes):
         seen["verdict"].append(nodes)
-        return verdict(act, s, pts, nodes)
+        return verdict(act, theta, lck_present, pts, nodes)
 
-    def spy_sweep(act, theta, pts, nodes=16):
+    def spy_sweep(act, theta, pts, nodes):
         seen["sweep"].append(nodes)
         return np.zeros(len(act.flows)), 0.0
 
@@ -401,6 +417,35 @@ def test_bench_pairs_summary_counts_wins_and_checks_bounds():
     assert wall["within_bound"] and rate["within_bound"] and wall["change_wins"] == 2
     wall, _ = module.summarize(end_to_end, parent, runs([3.76] * 5, [9.0] * 5))
     assert not wall["within_bound"]
+
+
+def test_bench_pairs_marks_a_metric_unresolved_when_the_parent_spreads_past_its_bound():
+    module = _bench_pairs()
+    end_to_end = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+                  {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1}]
+
+    def runs(walls, rates):
+        return [{"failed": 0, "metrics": {"wall_s": {"value": w}, "rate": {"value": r}}}
+                for w, r in zip(walls, rates)]
+
+    def unresolved(parent, change):
+        return [r["unresolved"] for r in module.summarize(end_to_end, parent, change)]
+
+    # wall_s quartiles 3.0 and 3.5 on a 3.0 median: IQR 0.5 <= 0.75; rate
+    # quartiles 9.0 and 11.0 on a 10.0 median: IQR 2.0 > 1.0
+    parent = runs([2.0, 3.0, 3.0, 3.5, 4.0], [8.0, 9.0, 10.0, 11.0, 12.0])
+    assert unresolved(parent, runs([3.0] * 5, [10.0] * 5)) == [False, True]
+    # an IQR of exactly 0.25 * median is resolved, one past it is not
+    at_bound = runs([2.0, 3.0, 3.0, 3.75, 4.0], [10.0] * 5)
+    past = runs([2.0, 3.0, 3.0, 3.76, 4.0], [10.0] * 5)
+    assert unresolved(at_bound, runs([3.0] * 5, [10.0] * 5)) == [False, False]
+    assert unresolved(past, runs([3.0] * 5, [10.0] * 5)) == [True, False]
+    # every change run better than every parent run resolves the metric;
+    # a change run tying the parent's best does not
+    assert unresolved(past, runs([1.9] * 5, [10.0] * 5)) == [False, False]
+    assert unresolved(parent, runs([3.0] * 5, [12.5] * 5)) == [False, False]
+    assert unresolved(past, runs([1.9] * 4 + [2.0], [10.0] * 5)) == [True, False]
+    assert unresolved(parent, runs([3.0] * 5, [12.5] * 4 + [12.0])) == [False, True]
 
 
 def test_bench_pairs_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr():

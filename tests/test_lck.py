@@ -75,7 +75,7 @@ def conformal_rescale(s, h):
     """(Omega, theta) -> (e^h Omega, theta + dh)."""
     return L.LCKStructure(s.omega.scale(h.exp()),
                           s.theta + exterior_d(Form.from_function(h)),
-                          name=f"{s.name}~rescaled", manifold=s.manifold)
+                          name=f"{s.name}~rescaled")
 
 
 def test_metric_is_symmetric_J_invariant_positive(hopf, hopf_pts, inoue, inoue_pts):
@@ -346,18 +346,14 @@ def test_conformal_rescale_by_field_norm(hopf, hopf_pts):
     C = hopf.fields["C"]
     from lcklab.fields import apply_J_vector
 
-    jc = apply_J_vector(C)
-    pts = hopf_pts[:50]
-    cn = s.omega.evaluate(pts, C.values(pts), jc.values(pts))
-    assert cn.min() > 0
-    # |C|^2 as a field: contract eta = iota_C Omega with JC
-    from lcklab.fields import ScalarField
     from lcklab.forms import interior_product
 
-    eta = interior_product(C, s.omega)
-    normsq = ScalarField.nsum(
-        [eta.coeffs[(i,)] * jc.components[i] for i in range(DIM) if (i,) in eta.coeffs]
-    )
+    jc = apply_J_vector(C)
+    pts = hopf_pts[:50]
+    # |C|^2 = Omega(C, JC) as a field: contract eta = iota_C Omega with JC
+    normsq = interior_product(jc, interior_product(C, s.omega)).coeffs[()]
+    cn = normsq.values(pts)
+    assert cn.min() > 0
     re = conformal_rescale(s, -1.0 * normsq.log())
     assert L.lck_residual(re, pts) < 1e-8
     want = s.theta - exterior_d(Form.from_function(normsq.log()))

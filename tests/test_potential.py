@@ -270,7 +270,7 @@ def orbit_fixed_point(hopf):
     pts = hopf.sample(25, seed=9)
     return P.orbit_average_potential(
         hopf, hopf.kahler_lift(), hopf.fields["B"], hopf.flows["A"],
-        points=pts, heavy_points=8,
+        points=pts, phi=hopf.phi,
     ), pts
 
 
@@ -292,7 +292,7 @@ def test_orbit_fixed_point_checks(orbit_fixed_point):
 
 @pytest.fixture(scope="module")
 def orbit_twisted(leeolo):
-    return P.leeolo_orbit_pipeline(leeolo)
+    return P.leeolo_orbit_pipeline(leeolo, leeolo.sample(25, seed=9))
 
 
 def test_orbit_twisted_input_is_not_jc_invariant(leeolo, orbit_twisted):
@@ -338,7 +338,7 @@ def test_orbit_pipeline_evaluates_each_quadrature_once_per_batch(leeolo, monkeyp
     orders = set()
     monkeypatch.setattr(P, "affine_quadrature_field", counting)
     monkeypatch.setattr(torus, "affine_quadrature_field", counting)
-    res = P.leeolo_orbit_pipeline(leeolo)
+    res = P.leeolo_orbit_pipeline(leeolo, leeolo.sample(25, seed=9))
     assert res.checks["lck_prime"] < 1e-6
     assert orders == {0, 2, 3}
     # each quadrature runs once per batch, at the highest order asked for
@@ -386,7 +386,7 @@ def test_orbit_quadratures_evaluate_within_the_point_budget(monkeypatch):
 
 
 def test_orbit_multi_period(leeolo):
-    res = P.leeolo_orbit_pipeline(leeolo, n_periods=2)
+    res = P.leeolo_orbit_pipeline(leeolo, leeolo.sample(25, seed=9), n_periods=2)
     assert res.checks["min_g"] > 0
     assert res.checks["lck_prime"] < 1e-6
     assert res.checks["unit_potential"] < 1e-6
@@ -397,7 +397,7 @@ def test_orbit_rejects_unnormalized_circle(hopf):
     with pytest.raises(InadmissibleInput, match="theta\\(C\\) = 1"):
         P.orbit_average_potential(
             hopf, hopf.kahler_lift(), hopf.fields["R"], hopf.flows["A"],
-            points=hopf.sample(10, seed=1),
+            points=hopf.sample(10, seed=1), phi=hopf.phi,
         )
 
 
@@ -406,7 +406,7 @@ def test_orbit_rejects_non_equivariant_input(hopf):
     with pytest.raises(InadmissibleInput, match="L_C"):
         P.orbit_average_potential(
             hopf, hopf.structure.omega, hopf.fields["B"], hopf.flows["A"],
-            points=hopf.sample(10, seed=1),
+            points=hopf.sample(10, seed=1), phi=hopf.phi,
         )
 
 

@@ -137,7 +137,8 @@ def test_flow_quadrature_rejects_flows_without_affine_form(hopf, leeolo):
     jc = dataclasses.replace(leeolo.flows["JC"], affine=None)
     with pytest.raises(GalleryError, match="no affine form"):
         P.orbit_average_potential(leeolo, leeolo.structure.omega,
-                                  leeolo.fields["C"], jc)
+                                  leeolo.fields["C"], jc, leeolo.sample(40, seed=5),
+                                  leeolo.phi)
 
 
 def test_batched_average_size_is_independent_of_nodes(leeolo_n3, monkeypatch):
@@ -220,18 +221,18 @@ def test_intersection_dimension_invariant_under_recombination(nondiag_action):
 
 def test_classify_vertical(inoue_action, hopf, hopf_pts):
     m = inoue_action.manifold
-    rep = T.verdict(inoue_action, m.structure, m.sample(15, seed=3), nodes=16)
+    rep = T.verdict(inoue_action, m.structure.theta, True, m.sample(15, seed=3), 16)
     assert rep.vertical == [] and abs(rep.pairings["xi"]) < 1e-10
     # the Lee circle of the diagonal Hopf is vertical with pairing 1
     act = T.TorusAction(hopf, [hopf.flows["B"]])
-    rep = T.verdict(act, hopf.structure, hopf_pts[:15], nodes=16)
+    rep = T.verdict(act, hopf.structure.theta, True, hopf_pts[:15], 16)
     assert rep.vertical == ["B"]
     assert abs(rep.pairings["B"] - 1.0) < 1e-10
 
 
 def test_classify_against_zero_form(inoue_action):
     m = inoue_action.manifold
-    rep = T.verdict(inoue_action, Form.zero(4, 1), m.sample(10, seed=3), nodes=16)
+    rep = T.verdict(inoue_action, Form.zero(4, 1), False, m.sample(10, seed=3), 16)
     assert rep.vertical == []
 
 
@@ -243,7 +244,7 @@ def test_classify_invariance_under_representative_choice(inoue_action):
     theta = m.structure.theta
     f = coordinate(1, 4).log()  # function of Im w: invariant under the circle
     for rep in (theta.scale(3.7), theta + exterior_d(Form.from_function(f))):
-        assert T.verdict(inoue_action, rep, pts, nodes=16).vertical == []
+        assert T.verdict(inoue_action, rep, False, pts, 16).vertical == []
 
 
 def test_classify_rejects_nonconstant_pairing(inoue_action):
@@ -253,25 +254,34 @@ def test_classify_rejects_nonconstant_pairing(inoue_action):
         T.torus_pairings(inoue_action, bad, m.sample(10, seed=3), nodes=16)
 
 
+def _probes(act):
+    return act.manifold.sample(60, seed=23)
+
+
 def test_verdicts(hopf_action, nondiag_action, product_action, inoue_action):
-    assert T.verdict(hopf_action, hopf_action.manifold.structure).verdict == "VaismanExists"
+    hopf = hopf_action.manifold
+    assert T.verdict(hopf_action, hopf.structure.theta, True,
+                     _probes(hopf_action), 32).verdict == "VaismanExists"
     nd = nondiag_action.manifold
-    assert T.verdict(nondiag_action, nd.lee_class).verdict == "PositivePotentialExists"
-    assert T.verdict(product_action, None).verdict == "NoLCKPossible"
+    assert T.verdict(nondiag_action, nd.lee_class, True,
+                     _probes(nondiag_action), 32).verdict == "PositivePotentialExists"
+    assert T.verdict(product_action, None, False,
+                     _probes(product_action), 32).verdict == "NoLCKPossible"
     ino = inoue_action.manifold
-    assert T.verdict(inoue_action, ino.structure).verdict == "PurelyReal"
+    assert T.verdict(inoue_action, ino.structure.theta, True,
+                     _probes(inoue_action), 32).verdict == "PurelyReal"
 
 
 def test_verdict_needs_the_lck_hypothesis(nondiag_action):
     # the same torus without the declared LCK hypothesis stays PurelyReal
     nd = nondiag_action.manifold
-    bare = M.LeeClass(nd.lee_class.theta, admits_lck=False)
-    assert T.verdict(nondiag_action, bare).verdict == "PurelyReal"
+    assert T.verdict(nondiag_action, nd.lee_class, False,
+                     _probes(nondiag_action), 32).verdict == "PurelyReal"
 
 
 def test_verdict_carries_witnesses(nondiag_action):
     nd = nondiag_action.manifold
-    rep = T.verdict(nondiag_action, nd.lee_class)
+    rep = T.verdict(nondiag_action, nd.lee_class, True, _probes(nondiag_action), 32)
     body = rep.to_json()
     assert body["intersection_dim"] == 0
     assert body["vertical"] == ["xi2"]
@@ -292,7 +302,7 @@ def test_verdict_total_and_invariant_under_recombination(hopf_action,
             Mx = rng.uniform(-1.5, 1.5, (k, k))
             if abs(np.linalg.det(Mx)) < 0.2:
                 continue
-            rep = T.verdict(act.recombine(Mx), None)
+            rep = T.verdict(act.recombine(Mx), None, False, _probes(act), 32)
             assert rep.verdict == expected
             assert rep.verdict in T.VERDICTS
             done += 1
@@ -335,8 +345,8 @@ def test_deck_jump_matches_the_sweep_on_hopf_nondiag(params, nodes):
     m = M.gallery("hopf_nondiag", **params)
     act = T.TorusAction(m, [m.flows["xi1"], m.flows["xi2"]])
     pts = m.sample(3, seed=23)
-    exact = T.torus_pairings(act, m.lee_class.theta, pts)
-    swept, konst = T.averaged_pairings(act, m.lee_class.theta, pts, nodes)
+    exact = T.torus_pairings(act, m.lee_class, pts, 16)
+    swept, konst = T.averaged_pairings(act, m.lee_class, pts, nodes)
     assert exact.route == "deck_jump" and exact.theta_minus_dphi <= 1e-10
     assert konst < 1e-8 and exact.constancy < 1e-12
     assert np.abs(exact.values - swept).max() < 1e-10
@@ -348,7 +358,7 @@ def test_deck_jump_matches_the_sweep_on_the_lee_circles(inoue_action, hopf):
     for act, theta, want in ((inoue_action, ino.structure.theta, 0.0),
                              (lee, hopf.structure.theta, 1.0)):
         pts = act.manifold.sample(8, seed=3)
-        exact = T.torus_pairings(act, theta, pts)
+        exact = T.torus_pairings(act, theta, pts, 16)
         assert exact.route == "deck_jump"
         swept, _ = T.averaged_pairings(act, theta, pts, 16)
         assert np.abs(exact.values - swept).max() < 1e-10
@@ -358,8 +368,8 @@ def test_deck_jump_matches_the_sweep_on_the_lee_circles(inoue_action, hopf):
 def test_deck_jump_pairing_is_the_log_of_the_homothety(nondiag_action):
     # xi2 closes through gamma at time 1, where phi jumps by -ln |beta|^2
     nd = nondiag_action.manifold
-    found = T.torus_pairings(nondiag_action, nd.lee_class.theta,
-                             nd.sample(12, seed=23))
+    found = T.torus_pairings(nondiag_action, nd.lee_class,
+                             nd.sample(12, seed=23), 16)
     beta = nd.params["beta"]
     assert found.values[0] == 0.0
     assert abs(found.values[1] + np.log(abs(beta) ** 2)) < 1e-12
@@ -370,8 +380,8 @@ def test_pairings_fall_back_to_the_sweep(inoue_action, nondiag_action):
     pts = m.sample(10, seed=3)
     theta = m.structure.theta
     df = exterior_d(Form.from_function(coordinate(1, 4).log()))
-    zero = T.torus_pairings(inoue_action, Form.zero(4, 1), pts)
-    shifted = T.torus_pairings(inoue_action, theta + df, pts)
+    zero = T.torus_pairings(inoue_action, Form.zero(4, 1), pts, 16)
+    shifted = T.torus_pairings(inoue_action, theta + df, pts, 16)
     for found in (zero, shifted):
         assert found.route == "torus_sweep" and found.theta_minus_dphi > 1e-10
     # a recombined action takes the deck jump: the pairing is linear in the
@@ -379,11 +389,11 @@ def test_pairings_fall_back_to_the_sweep(inoue_action, nondiag_action):
     nd = nondiag_action.manifold
     mixed = nondiag_action.recombine([[1.0, 0.5], [0.0, 1.0]])
     probes = nd.sample(3, seed=4)
-    found = T.torus_pairings(mixed, nd.lee_class.theta, probes, nodes=32)
+    found = T.torus_pairings(mixed, nd.lee_class, probes, nodes=32)
     assert found.route == "deck_jump"
     want = -np.log(abs(nd.params["beta"]) ** 2)
     assert np.abs(found.values - [want / 2, want]).max() < 1e-12
-    swept, _ = T.averaged_pairings(mixed, nd.lee_class.theta, probes, 48)
+    swept, _ = T.averaged_pairings(mixed, nd.lee_class, probes, 48)
     assert np.abs(found.values - swept).max() < 1e-12
 
 
@@ -399,7 +409,7 @@ def test_non_constant_deck_jump_raises(monkeypatch):
 
     monkeypatch.setattr(T, "averaged_pairings", no_sweep)
     with pytest.raises(NumericalError, match="not constant"):
-        T.torus_pairings(act, theta, m.sample(10, seed=3))
+        T.torus_pairings(act, theta, m.sample(10, seed=3), 16)
 
 
 def test_verdict_on_hopf_nondiag_never_sweeps(monkeypatch):
@@ -439,7 +449,7 @@ def test_chunked_sweep_matches_one_batch_within_its_budget(case, budget, hopf,
     if case == "hopf":
         m, theta, circles = hopf, hopf.structure.theta, ("A", "B")
     else:
-        m, theta, circles = nondiag, nondiag.lee_class.theta, ("xi1", "xi2")
+        m, theta, circles = nondiag, nondiag.lee_class, ("xi1", "xi2")
     act = T.TorusAction(m, [m.flows[c] for c in circles])
     pts = m.sample(5, seed=11)
     whole, whole_konst = T.averaged_pairings(act, theta, pts, 16)
