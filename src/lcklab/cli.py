@@ -86,8 +86,8 @@ def _structure_checks(m, s, pts, tol):
         Check("omega_descends", M.invariance_residual(m, s.omega, pts), tol,
               "gamma^* Omega = Omega"),
     ]
-    ext = L.extract_lee_form(s.omega, pts[: min(40, len(pts))])
-    stored, _ = stacked(s.theta_components(), pts[: min(40, len(pts))], 0)
+    ext = L.extract_lee_form(s.omega, pts[:40])
+    stored, _ = stacked(s.theta_components(), pts[:40], 0)
     checks.append(Check("lee_form_recovery",
                         float(np.abs(ext.values - stored).max()), tol,
                         "theta solves d Omega = theta ^ Omega"))
@@ -128,7 +128,7 @@ def _hopf_diag_report(m, pts, tol, nodes):
               L.potential_residual(s, constant(1.0, m.dim), pts), tol,
               "Omega = d_theta d^c_theta 1"),
     ]
-    rep = L.verify_unit_potential(s, pts[: min(60, len(pts))])
+    rep = L.verify_unit_potential(s, pts[:60])
     checks.append(Check("unit_potential_vaisman_chain",
                         max(rep.shape_residual, rep.holomorphy_B,
                             rep.norm_deviation or 0.0, rep.vaisman or 0.0),
@@ -226,7 +226,7 @@ def _leeolo_report(m, pts, tol, nodes):
               1e-2, "non-constant |B| obstructs a parallel Lee form",
               polarity="expect_large"),
     ]
-    orbit = P.leeolo_orbit_pipeline(m, points=pts[: min(20, len(pts))])
+    orbit = P.leeolo_orbit_pipeline(m, points=pts[:20])
     checks += _orbit_rows(orbit.checks, "orbit_")
     checks.append(Check("orbit_vs_duhamel", orbit.checks["average_vs_duhamel"],
                         1e-7, "collapsed average matches the oscillator solution"))

@@ -273,14 +273,13 @@ def lift_univariate(inner: ScalarField, derivs_fn: Callable) -> ScalarField:
 class PointMap:
     """A smooth map between real charts, given by component scalar fields."""
 
-    __slots__ = ("dim_in", "dim_out", "components", "uid", "name")
+    __slots__ = ("dim_in", "dim_out", "components", "uid")
 
-    def __init__(self, components: Sequence[ScalarField], name=""):
+    def __init__(self, components: Sequence[ScalarField]):
         self.components = tuple(components)
         self.dim_in = self.components[0].dim
         self.dim_out = len(self.components)
         self.uid = next(_uid)
-        self.name = name
 
     def __call__(self, pts):
         return self.values_from_ctx(_context(as_batch(pts, self.dim_in)))
@@ -300,10 +299,10 @@ class PointMap:
 
     @staticmethod
     def identity(dim):
-        return PointMap([coordinate(i, dim) for i in range(dim)], name="id")
+        return PointMap([coordinate(i, dim) for i in range(dim)])
 
     @staticmethod
-    def affine(M, b, name=""):
+    def affine(M, b):
         """The map x -> M x + b: component i is sum_j M[i, j] x_j + b[i],
         zero entries left out."""
         dim = M.shape[1]
@@ -312,16 +311,16 @@ class PointMap:
             cols = np.flatnonzero(row)
             comp = ScalarField.nsum([coordinate(j, dim) for j in cols], row[cols])
             comps.append(comp + off if off else comp)
-        return PointMap(comps, name=name)
+        return PointMap(comps)
 
     @staticmethod
-    def from_complex(components, name=""):
+    def from_complex(components):
         """Build a real point map from complex component fields (z'_j)."""
         comps = []
         for zc in components:
             comps.append(zc.real_part())
             comps.append(zc.imag_part())
-        return PointMap(comps, name=name)
+        return PointMap(comps)
 
 
 def compose_field(field: ScalarField, pmap: PointMap) -> ScalarField:

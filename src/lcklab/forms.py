@@ -249,8 +249,9 @@ def to_complex(a: Form) -> Form:
     return _change_frame(a, expansion, "complex")
 
 
-def to_real(a: Form, drop_imag=False) -> Form:
-    """Rewrite a complex-frame form over the real coframe."""
+def to_real(a: Form) -> Form:
+    """Rewrite a complex-frame form over the real coframe, keeping the real
+    part of each coefficient (the form is taken to be real)."""
     if a.frame != "complex":
         raise ValueError("form is already real-frame")
     # dz_j = dx_j + i dy_j ; dzbar_j = dx_j - i dy_j
@@ -259,9 +260,7 @@ def to_real(a: Form, drop_imag=False) -> Form:
         expansion[2 * j] = [(2 * j, 1.0), (2 * j + 1, 1.0j)]
         expansion[2 * j + 1] = [(2 * j, 1.0), (2 * j + 1, -1.0j)]
     out = _change_frame(a, expansion, "real")
-    if drop_imag:
-        out = out.copy_with({i: f.real_part() for i, f in out.coeffs.items()})
-    return out
+    return out.copy_with({i: f.real_part() for i, f in out.coeffs.items()})
 
 
 def _change_frame(a: Form, expansion, new_frame) -> Form:
@@ -318,7 +317,7 @@ def dc(a: Form) -> Form:
     """d^c = i(delbar - del), computed through the bidegree decomposition."""
     ca = to_complex(a)
     res = del_bar(ca).scale(1.0j) + del_(ca).scale(-1.0j)
-    return to_real(res, drop_imag=True)
+    return to_real(res)
 
 
 def twisted_d(a: Form, theta: Form, conjugated=False) -> Form:

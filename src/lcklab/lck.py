@@ -46,14 +46,13 @@ from .forms import (
 class LCKStructure:
     """A pair (Omega, theta) on a chart, with cached metric data."""
 
-    def __init__(self, omega: Form, theta: Form, name="",
+    def __init__(self, omega: Form, theta: Form,
                  lee_B: Optional[VectorField] = None,
                  lee_A: Optional[VectorField] = None):
         if omega.degree != 2 or theta.degree != 1:
             raise ValueError("need a 2-form and a 1-form")
         self.omega = omega
         self.theta = theta
-        self.name = name
         self._lee = (lee_B, lee_A) if lee_B is not None else None
         self._metric_fields = None
 

@@ -62,8 +62,7 @@ class FlowMap:
 
     def __post_init__(self):
         if self.at is None:
-            self.at = lambda t: PointMap.affine(*self.affine(t),
-                                                name=f"{self.name}{t:.3f}")
+            self.at = lambda t: PointMap.affine(*self.affine(t))
 
 
 class ModelManifold:
@@ -258,7 +257,7 @@ def hopf_diag(n=2, beta=0.5 + 0j):
     JC = apply_J_vector(C)
     JC.name = "JC"
 
-    gamma = PointMap.affine(_complex_multiplier(dim, beta), np.zeros(dim), "gamma")
+    gamma = PointMap.affine(_complex_multiplier(dim, beta), np.zeros(dim))
     deck = DeckTransformation("gamma", gamma, rho=1.0 / abs(beta) ** 2)
 
     m = ModelManifold(
@@ -268,7 +267,7 @@ def hopf_diag(n=2, beta=0.5 + 0j):
         sampler=_annulus_sampler(dim, abs(beta), 1.0),
         decks=[deck],
         phi=phi,
-        structure=LCKStructure(omega, theta, name="hopf_diag", lee_B=B, lee_A=A),
+        structure=LCKStructure(omega, theta, lee_B=B, lee_A=A),
         params={"n": n, "beta": beta},
     )
 
@@ -375,8 +374,7 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0, m=2):
     c = complex(np.log(beta))  # principal branch, e^c = beta
     b2 = lam / beta**mm
 
-    gamma = PointMap.from_complex([beta * z1, (beta**mm) * z2 + lam * z1**mm],
-                                  name="gamma")
+    gamma = PointMap.from_complex([beta * z1, (beta**mm) * z2 + lam * z1**mm])
 
     Z1_hol = [z1, float(mm) * z2]
     Z2_hol = [0.0 * z1, z1**mm]
@@ -395,7 +393,7 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0, m=2):
             e1 = np.exp(a_coef * u)
             e2 = np.exp(a_coef * mm * u)
             return PointMap.from_complex(
-                [e1 * z1, e2 * (z2 + (b_coef * u) * z1**mm)], name=f"flow{u}")
+                [e1 * z1, e2 * (z2 + (b_coef * u) * z1**mm)])
 
         return at
 
@@ -457,7 +455,10 @@ def inoue_splus(p=0, q=0, r=1, t=0.0, N=((2, 1), (1, 1))):
     entry 1, and (c1, c2) solves the displayed linear system.  The LCK pair
     (Omega, theta = d Im w / Im w) requires t real.
     """
-    N = np.asarray(N, dtype=float)
+    try:
+        N = np.asarray(N, dtype=float)
+    except (TypeError, ValueError):
+        raise GalleryError("inoue_splus needs N a real 2x2 matrix") from None
     if N.shape != (2, 2) or abs(np.linalg.det(N) - 1.0) > 1e-12:
         raise GalleryError("inoue_splus needs an SL(2, Z) matrix")
     if int(r) == 0:
@@ -492,12 +493,10 @@ def inoue_splus(p=0, q=0, r=1, t=0.0, N=((2, 1), (1, 1))):
     x1, y1 = coordinate(0, dim), coordinate(1, dim)
     x2, y2 = coordinate(2, dim), coordinate(3, dim)
 
-    g0 = PointMap([x1 * alpha, y1 * alpha, x2 + t, y2 * 1.0], name="g0")
-    g1 = PointMap([x1 + a[0], y1 * 1.0, x2 + b[0] * x1 + cvec[0], y2 + b[0] * y1],
-                  name="g1")
-    g2 = PointMap([x1 + a[1], y1 * 1.0, x2 + b[1] * x1 + cvec[1], y2 + b[1] * y1],
-                  name="g2")
-    g3 = PointMap([x1 * 1.0, y1 * 1.0, x2 + lam0, y2 * 1.0], name="g3")
+    g0 = PointMap([x1 * alpha, y1 * alpha, x2 + t, y2 * 1.0])
+    g1 = PointMap([x1 + a[0], y1 * 1.0, x2 + b[0] * x1 + cvec[0], y2 + b[0] * y1])
+    g2 = PointMap([x1 + a[1], y1 * 1.0, x2 + b[1] * x1 + cvec[1], y2 + b[1] * y1])
+    g3 = PointMap([x1 * 1.0, y1 * 1.0, x2 + lam0, y2 * 1.0])
     decks = [
         DeckTransformation("g0", g0, rho=alpha),
         DeckTransformation("g1", g1, rho=1.0),
@@ -512,7 +511,7 @@ def inoue_splus(p=0, q=0, r=1, t=0.0, N=((2, 1), (1, 1))):
         (1, 2): 1.0j * y2 * inv_y1,
         (2, 3): constant(1.0j, dim),
     }, frame="complex")
-    omega = to_real(omega_c, drop_imag=True)
+    omega = to_real(omega_c)
     theta = Form(dim, 1, {(1,): inv_y1})
 
     def sampler(count, seed):
@@ -543,7 +542,7 @@ def inoue_splus(p=0, q=0, r=1, t=0.0, N=((2, 1), (1, 1))):
         sampler=sampler,
         decks=decks,
         phi=y1.log(),
-        structure=LCKStructure(omega, theta, name="inoue_splus"),
+        structure=LCKStructure(omega, theta),
         params={"p": p, "q": q, "r": r, "t": t, "alpha": alpha,
                 "a": a, "b": b, "c": cvec, "lam0": lam0},
     )
@@ -569,18 +568,24 @@ def hxc_cover():
     )
 
 
+def _factor(x) -> ModelManifold:
+    if x is None:
+        return hopf_diag()
+    if isinstance(x, str):
+        return gallery(x)
+    if isinstance(x, ModelManifold):
+        return x
+    raise GalleryError(f"product factors are fixture ids or manifolds, not {x!r}")
+
+
 def product(a: ModelManifold | str | None = None,
             b: ModelManifold | str | None = None):
-    """Product chart of two fixtures with the product deck group."""
-    if isinstance(a, str):
-        a = gallery(a)
-    if isinstance(b, str):
-        b = gallery(b)
-    a = a if a is not None else hopf_diag()
-    b = b if b is not None else hopf_diag()
+    """Product chart of two fixtures with the product deck group; a factor
+    is a fixture id, a ModelManifold or None (the default hopf_diag)."""
+    a, b = _factor(a), _factor(b)
     dim = a.dim + b.dim
-    proj1 = PointMap([coordinate(i, dim) for i in range(a.dim)], name="p1")
-    proj2 = PointMap([coordinate(a.dim + i, dim) for i in range(b.dim)], name="p2")
+    proj1 = PointMap([coordinate(i, dim) for i in range(a.dim)])
+    proj2 = PointMap([coordinate(a.dim + i, dim) for i in range(b.dim)])
 
     factors = ((0, a), (1, b))
 
@@ -593,8 +598,7 @@ def product(a: ModelManifold | str | None = None,
         return [pad(i) for i in range(a.dim)] + own
 
     def embed_map(pm: PointMap, side: int) -> PointMap:
-        return PointMap(embed(pm.components, side, lambda i: coordinate(i, dim)),
-                        name=f"{pm.name}x{side}")
+        return PointMap(embed(pm.components, side, lambda i: coordinate(i, dim)))
 
     def embed_field(X: VectorField, side: int) -> VectorField:
         return VectorField(embed(X.components, side, lambda i: constant(0.0, dim)),
@@ -701,6 +705,7 @@ def gallery(fixture_id: str, **params) -> ModelManifold:
     Parameters must be named in the builder's signature.  A parameter with
     a numeric default takes a number no wider than that default (int ->
     float -> complex widening is allowed); anything else is a GalleryError.
+    The builder checks the other parameters where it reads them.
     """
     if fixture_id not in _BUILDERS:
         raise GalleryError(f"unknown fixture {fixture_id!r}")

@@ -4,7 +4,7 @@ Two pipelines produce positive potentials for LCK structures:
 
 * ``solve_periodic_first_order``: the closed-form 2pi-periodic solution of
   g' = g(1 + f) - 1, with the periodizing constant c = K e^b / (e^b - 1).
-  F = a + t + int_0^t f comes in closed form from f's antiderivative; the
+  F = t + int_0^t f comes in closed form from f's antiderivative; the
   periodic part Q of F is exponentiated and its Fourier modes are taken
   once, by the periodic trapezoid rule (as a DFT).  Every integral of
   e^{-F}, full-period or partial, is then an exact per-mode sum, which
@@ -142,8 +142,8 @@ _MAX_TOP_MODE = 1e-10
 class PotentialSolution:
     """The periodic potential with its diagnostics.
 
-    g(t) = (c - int_0^t e^{-F}) e^{F(t)},  F(t) = a + t + A(t) with A the
-    antiderivative of f, b = F(2pi) - F(0) = 2pi + A(2pi),
+    g(t) = (c - int_0^t e^{-F}) e^{F(t)},  F(t) = t + A(t) with A the
+    antiderivative of f (A(0) = 0), b = F(2pi) = 2pi + A(2pi),
     K = int_0^{2pi} e^{-F}, c = K e^b / (e^b - 1).  With mu = b/2pi,
     F = mu t + Q for a periodic Q; ``dk`` holds the Fourier modes d_k of
     e^{-Q} at the frequencies ``ik`` (those with |d_k| > 1e-17 max|d|), so
@@ -151,7 +151,6 @@ class PotentialSolution:
     """
 
     f: PeriodicFunction
-    a: float
     b: float
     mu: float
     ik: np.ndarray = field(repr=False, default=None)
@@ -175,7 +174,7 @@ class PotentialSolution:
     def Q(self, t):
         """Periodic part of F: F(t) = mu t + Q(t)."""
         t = np.asarray(t, dtype=float)
-        return self.a + (1.0 - self.mu) * t + self.f.antiderivative(t)
+        return (1.0 - self.mu) * t + self.f.antiderivative(t)
 
     def g(self, t):
         """g(t) = e^{Q(t)} sum_k d_k e^{ikt}/(mu - ik).
@@ -210,7 +209,7 @@ class PotentialSolution:
 
     def diagnostics(self) -> Dict[str, float]:
         return {
-            "a": self.a,
+            "a": 0.0,  # F(0), fixed by the solver
             "b": self.b,
             "K": self.K,
             "c": self.c,
@@ -221,7 +220,7 @@ class PotentialSolution:
         }
 
 
-def solve_periodic_first_order(f: PeriodicFunction, a: float = 0.0) -> PotentialSolution:
+def solve_periodic_first_order(f: PeriodicFunction) -> PotentialSolution:
     """Closed-form positive periodic solution of g' = g(1 + f) - 1.
 
     Needs -1 < f <= 4000 on the 1024-point probe grid, and 2048 samples
@@ -243,7 +242,7 @@ def solve_periodic_first_order(f: PeriodicFunction, a: float = 0.0) -> Potential
             f"max f = {f0.max():.6g}")
 
     b = TWO_PI + float(f.antiderivative(TWO_PI))
-    sol = PotentialSolution(f=f, a=float(a), b=b, mu=b / TWO_PI)
+    sol = PotentialSolution(f=f, b=b, mu=b / TWO_PI)
     s = np.arange(_SOLVER_MODES) * (TWO_PI / _SOLVER_MODES)
     d = np.fft.fft(np.exp(-sol.Q(s))) / _SOLVER_MODES
     freqs = np.fft.fftfreq(_SOLVER_MODES, d=1.0 / _SOLVER_MODES)
@@ -340,7 +339,7 @@ def build_leeolo(base: ModelManifold, f: PeriodicFunction) -> LeeoloResult:
     jt = apply_J(s0.theta)
     omega_p = s0.omega + wedge(s0.theta, jt).scale(f_field)
     theta_p = s0.theta.scale(1.0 + f_field)
-    structure = LCKStructure(omega_p, theta_p, name="leeolo")
+    structure = LCKStructure(omega_p, theta_p)
 
     # cover potential of theta': psi = phi + A(phi), A the antiderivative
     # of f, so psi' = 1 + f and psi^(r) = f^(r-1) above
@@ -519,7 +518,7 @@ def orbit_average_potential(
                                                              heavy)
         checks["theta_prime_descends"] = invariance_residual(manifold, theta_prime,
                                                              heavy)
-        out = LCKStructure(omega_prime, theta_prime, name="orbit-average")
+        out = LCKStructure(omega_prime, theta_prime)
         checks["lck_prime"] = lck_residual(out, heavy)
         checks["unit_potential"] = (
             omega_prime

@@ -24,6 +24,7 @@ from .errors import GalleryError, NumericalError
 from .fields import (
     ScalarField,
     VectorField,
+    _eval_in_blocks,
     affine_quadrature_field,
     as_batch,
     bracket,
@@ -120,9 +121,6 @@ def average_over_circle(a: Form, flow: FlowMap, nodes: int) -> Form:
     return a.copy_with({I: ScalarField.nsum(fs) for I, fs in parts.items()})
 
 
-# theta is evaluated on at most this many points of the torus sweep at a time
-_SWEEP_POINT_BUDGET = 4096
-
 # |theta - d phi| up to which theta counts as d of the cover potential (the
 # tolerance of the lee_form_closed rows)
 _EXACT_TOL = 1e-10
@@ -136,9 +134,9 @@ def averaged_pairings(act: TorusAction, theta: Form, pts, nodes):
     of theta along circle j is the same through every point of a torus
     orbit, so the torus average of theta(xi_j) at a probe is the average of
     the scalar field iota_{xi_j} theta over the ``nodes`` trapezoid nodes of
-    circle j through it.  That field is evaluated on the probes pushed to
-    those nodes, on at most ``_SWEEP_POINT_BUDGET`` points at a time:
-    k * nodes * P points for k circles and P probes.  The generators' mix is
+    circle j through it.  That field is evaluated once on the probes pushed
+    to those nodes, k * nodes * P points for k circles and P probes, in the
+    fields layer's blocks (``_eval_in_blocks``).  The generators' mix is
     applied afterwards, as in ``deck_jump_pairings``.
     """
     pts = as_batch(pts, act.manifold.dim)
@@ -147,14 +145,10 @@ def averaged_pairings(act: TorusAction, theta: Form, pts, nodes):
         pairing = interior_product(fl.generator, theta)
         if not pairing.coeffs:  # theta vanishes identically
             continue
-        maps = [fl.at(float(t)) for t in np.arange(nodes) * (fl.period / nodes)]
-        for lo in range(0, pts.shape[0], _SWEEP_POINT_BUDGET):
-            block = pts[lo:lo + _SWEEP_POINT_BUDGET]
-            group = max(1, _SWEEP_POINT_BUDGET // len(block))
-            for first in range(0, nodes, group):
-                moved = np.concatenate([pm(block) for pm in maps[first:first + group]])
-                vals = np.real(pairing.coefficient_values(moved)[()])
-                sums[j, lo:lo + len(block)] += vals.reshape(-1, len(block)).sum(axis=0)
+        moved = np.concatenate([fl.at(float(t))(pts)
+                                for t in np.arange(nodes) * (fl.period / nodes)])
+        vals = np.real(_eval_in_blocks(pairing.coeffs[()], moved, 0).v)
+        sums[j] = vals.reshape(nodes, -1).sum(axis=0)
     return _mixed_mean(act, sums / nodes)
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -94,9 +95,33 @@ def test_unknown_fixture_exits_2(capsys):
     ["verify", "inoue_splus:t=nan"],
     ["verify", "inoue_splus:t=inf"],
     ["verify", "hopf_nondiag:lam=nan"],
+    ["verify", "product:a=3"],
+    ["verify", "product:b=3.5"],
+    ["verify", "inoue_splus:N=abc"],
+    ["verify", "inoue_splus:N=1j"],
 ])
 def test_bad_parameters_exit_2_without_traceback(argv, capsys):
     assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ")
+    assert "Traceback" not in out.out + out.err
+
+
+def _values_of_the_wrong_kind(default):
+    """CLI values that a parameter with this default cannot take."""
+    rank = M._numeric_rank(default)
+    if rank is None:
+        return ["3", "1j"]
+    return ["abc"] if rank == 2 else ["abc", "1j"]
+
+
+@pytest.mark.parametrize("fixture,param,bad", [
+    (fx, p, bad) for fx, builder in M._BUILDERS.items()
+    for p, spec in inspect.signature(builder).parameters.items()
+    for bad in _values_of_the_wrong_kind(spec.default)])
+def test_every_fixture_parameter_refuses_a_value_of_the_wrong_kind(fixture, param, bad,
+                                                                   capsys):
+    assert cli.main(["verify", f"{fixture}:{param}={bad}"]) == 2
     out = capsys.readouterr()
     assert out.err.startswith("error: ")
     assert "Traceback" not in out.out + out.err

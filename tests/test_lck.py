@@ -22,7 +22,7 @@ def flat():
     # flat Kaehler chart with theta = 0: omega = 2i sum dz ^ dzbar
     omega = Form(DIM, 2, {(0, 1): constant(4.0, DIM), (2, 3): constant(4.0, DIM)})
     theta = Form.zero(DIM, 1)
-    return L.LCKStructure(omega, theta, name="flat")
+    return L.LCKStructure(omega, theta)
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +74,7 @@ def gram_schmidt_codifferential(s, pts):
 def conformal_rescale(s, h):
     """(Omega, theta) -> (e^h Omega, theta + dh)."""
     return L.LCKStructure(s.omega.scale(h.exp()),
-                          s.theta + exterior_d(Form.from_function(h)),
-                          name=f"{s.name}~rescaled")
+                          s.theta + exterior_d(Form.from_function(h)))
 
 
 def test_metric_is_symmetric_J_invariant_positive(hopf, hopf_pts, inoue, inoue_pts):
@@ -390,10 +389,10 @@ def test_metric_elimination_has_positive_pivots_on_every_default_fixture():
             U, _ = L._eliminate(G, theta)
             pivots = np.array([j.v for j in evaluate([U[k][k] for k in range(s.dim)], pts, 0)])
             assert np.abs(pivots.imag).max() == 0.0
-            assert pivots.real.min() > 0, (name, s.name)
+            assert pivots.real.min() > 0, name
             B = np.column_stack([j.v for j in evaluate(L.solve_linear_fields(G, theta), pts, 0)])
             th = np.column_stack([j.v for j in evaluate(theta, pts, 0)])
             g, _ = s.metric_jets(pts, 0)
-            assert np.abs(np.einsum("abn,nb->na", g, B) - th).max() <= 1e-10, (name, s.name)
+            assert np.abs(np.einsum("abn,nb->na", g, B) - th).max() <= 1e-10, name
     # hopf_nondiag carries only a Lee class, hxc_cover and product no metric
     assert carried == {"hopf_diag", "inoue_splus", "leeolo"}

@@ -143,7 +143,7 @@ def test_antiderivative_is_the_integral_from_zero(name):
 
 
 def test_solver_zero_profile():
-    sol = P.solve_periodic_first_order(P.PeriodicFunction.constant(0.0), a=0.0)
+    sol = P.solve_periodic_first_order(P.PeriodicFunction.constant(0.0))
     assert abs(sol.b - TWO_PI) < 1e-14
     assert abs(sol.K - (1.0 - math.exp(-TWO_PI))) < 1e-12
     assert abs(sol.c - 1.0) < 1e-12

@@ -1,10 +1,12 @@
 """Torus diagnostics: averaging, rank probes, pairings, verdicts."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
+from lcklab import fields
 from lcklab import manifolds as M
 from lcklab import potential as P
 from lcklab import torus as T
@@ -14,6 +16,7 @@ from lcklab.forms import (
     Form,
     dc,
     exterior_d,
+    interior_product,
     lie_derivative,
     pullback,
     to_complex,
@@ -193,7 +196,7 @@ def test_average_preserves_positivity(leeolo):
     avg = T.average_over_circle(m.structure.omega, m.flows["C"], nodes=16)
     from lcklab.lck import LCKStructure
 
-    s = LCKStructure(avg, m.extras["vaisman_base"].theta, name="avg")
+    s = LCKStructure(avg, m.extras["vaisman_base"].theta)
     assert s.positivity_minima(pts).min() > 0
 
 
@@ -426,45 +429,76 @@ def test_verdict_on_hopf_nondiag_never_sweeps(monkeypatch):
     assert witnesses["theta_minus_dphi"] == 0.0
 
 
+def _spy_on_sweep_blocks(monkeypatch):
+    """Record the rows of each ``_eval_in_blocks`` call of the sweep and of
+    each block (a fresh Ctx) it evaluates."""
+    calls, blocks, inside = [], [], []
+    inner = T._eval_in_blocks
+
+    class SpyCtx(fields.Ctx):
+        def __init__(self, pts):
+            super().__init__(pts)
+            if inside:
+                blocks.append(len(self.pts))
+
+    def spy(f, pts, order):
+        calls.append(len(pts))
+        inside.append(True)
+        try:
+            return inner(f, pts, order)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(fields, "Ctx", SpyCtx)
+    monkeypatch.setattr(T, "_eval_in_blocks", spy)
+    return calls, blocks
+
+
 def test_sweep_evaluates_theta_once_per_circle_node_and_probe(hopf, monkeypatch):
     # three commuting circles: theta runs on k nodes P points, not nodes^k P
     act = T.TorusAction(hopf, [hopf.flows[c] for c in ("A", "R", "B")])
     pts = hopf.sample(4, seed=2)
-    batches = []
-    values = Form.coefficient_values
-
-    def spy(self, at):
-        batches.append(len(at))
-        return values(self, at)
-
-    monkeypatch.setattr(Form, "coefficient_values", spy)
+    calls, _ = _spy_on_sweep_blocks(monkeypatch)
     found, konst = T.averaged_pairings(act, hopf.structure.theta, pts, 8)
-    assert sum(batches) == 3 * 8 * len(pts)
+    assert calls == [8 * len(pts)] * 3
     assert np.abs(found - [0.0, 0.0, 1.0]).max() < 1e-12 and konst < 1e-12
 
 
 @pytest.mark.parametrize("case,budget", [("hopf", 3), ("nondiag", 100)])
 def test_chunked_sweep_matches_one_batch_within_its_budget(case, budget, hopf,
                                                            nondiag, monkeypatch):
+    # the values are per point and each probe's node sum is one reduction,
+    # so the fields layer's blocks leave the pairings bit for bit
     if case == "hopf":
         m, theta, circles = hopf, hopf.structure.theta, ("A", "B")
     else:
         m, theta, circles = nondiag, nondiag.lee_class, ("xi1", "xi2")
     act = T.TorusAction(m, [m.flows[c] for c in circles])
-    pts = m.sample(5, seed=11)
+    pts = m.sample(8, seed=11)
     whole, whole_konst = T.averaged_pairings(act, theta, pts, 16)
-    batches = []
-    values = Form.coefficient_values
-
-    def spy(self, at):
-        batches.append(len(at))
-        return values(self, at)
-
-    monkeypatch.setattr(Form, "coefficient_values", spy)
-    monkeypatch.setattr(T, "_SWEEP_POINT_BUDGET", budget)
+    calls, blocks = _spy_on_sweep_blocks(monkeypatch)
+    monkeypatch.setattr(fields, "_QUAD_POINT_BUDGET", budget)
     chunked, konst = T.averaged_pairings(act, theta, pts, 16)
-    assert len(batches) > 1 and max(batches) <= budget
-    assert sum(batches) == len(pts) * 16 * 2
-    scale = np.abs(whole).max()
-    assert np.abs(chunked - whole).max() <= 1e-13 * scale
-    assert abs(konst - whole_konst) <= 1e-13 * scale
+    assert calls == [len(pts) * 16] * 2
+    assert len(blocks) > len(calls) and max(blocks) <= budget
+    assert sum(blocks) == sum(calls)
+    assert np.array_equal(chunked, whole) and konst == whole_konst
+
+
+@pytest.mark.parametrize("nodes", [8, 16, 32])
+def test_sweep_matches_the_circle_average_of_the_pairing(hopf, nodes):
+    # the sweep's per-probe node means of iota_xi theta, read through their
+    # mean and largest deviation, against the affine quadrature of the same
+    # 0-form; theta + d(x0 x1) pairs non-constantly along both circles and
+    # its B-average varies between probes, so a misplaced node or probe shows
+    theta = hopf.structure.theta
+    bent = theta + exterior_d(Form.from_function(coordinate(0, 4) * coordinate(1, 4)))
+    pts = hopf.sample(6, seed=5)
+    for circle, form in itertools.product(("A", "B"), (theta, bent)):
+        fl = hopf.flows[circle]
+        swept, konst = T.averaged_pairings(T.TorusAction(hopf, [fl]), form, pts, nodes)
+        pairing = interior_product(fl.generator, form)
+        avg = T.average_over_circle(pairing, fl, nodes).coefficient_values(pts)[()]
+        scale = max(1.0, abs(swept[0]))
+        assert abs(avg.mean() - swept[0]) <= 1e-13 * scale
+        assert abs(np.abs(avg - avg.mean()).max() - konst) <= 1e-13 * scale
