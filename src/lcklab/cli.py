@@ -490,10 +490,10 @@ def run_report(points=200, seed=42, tol=1e-8, nodes=512, fixtures=DEFAULT_FIXTUR
 
 
 def strip_volatile(report):
-    """Drop wall-clock fields (for byte-level reproducibility diffs)."""
+    """Drop runtime_ms, the wall-clock field (for byte-level diffs)."""
     if isinstance(report, dict):
         return {k: strip_volatile(v) for k, v in report.items()
-                if k not in ("runtime_ms", "timestamp")}
+                if k != "runtime_ms"}
     if isinstance(report, list):
         return [strip_volatile(v) for v in report]
     return report

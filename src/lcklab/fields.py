@@ -304,12 +304,12 @@ class PointMap:
     @staticmethod
     def affine(M, b):
         """The map x -> M x + b: component i is sum_j M[i, j] x_j + b[i],
-        zero entries left out."""
-        dim = M.shape[1]
+        zero entries left out; the rows share one field per coordinate."""
+        xs = [coordinate(j, M.shape[1]) for j in range(M.shape[1])]
         comps = []
         for row, off in zip(M, b):
             cols = np.flatnonzero(row)
-            comp = ScalarField.nsum([coordinate(j, dim) for j in cols], row[cols])
+            comp = ScalarField.nsum([xs[j] for j in cols], row[cols])
             comps.append(comp + off if off else comp)
         return PointMap(comps)
 
@@ -440,21 +440,6 @@ class VectorField:
             [self.components[j] * f.partial(j) for j in range(self.dim)]
         )
 
-    def __add__(self, other):
-        return VectorField(
-            [a + b for a, b in zip(self.components, other.components)],
-            name=f"{self.name}+{other.name}",
-        )
-
-    def __sub__(self, other):
-        return VectorField(
-            [a - b for a, b in zip(self.components, other.components)],
-            name=f"{self.name}-{other.name}",
-        )
-
-    def scale(self, c):
-        return VectorField([comp * c for comp in self.components], name=self.name)
-
     @staticmethod
     def linear_combination(fields, coeffs, name=""):
         dim = fields[0].dim
@@ -472,11 +457,7 @@ class VectorField:
         ``hol_components`` are complex scalar fields; the chart convention
         Re(d/dz_j) = d/dx_j makes the real components (Re h_j, Im h_j).
         """
-        comps = []
-        for h in hol_components:
-            comps.append(h.real_part())
-            comps.append(h.imag_part())
-        return VectorField(comps, name=name)
+        return VectorField(PointMap.from_complex(hol_components).components, name=name)
 
 
 def bracket(X: VectorField, Y: VectorField) -> VectorField:

@@ -82,8 +82,8 @@ class Form:
         return Form(dim, degree, {}, frame)
 
     @staticmethod
-    def from_function(f: ScalarField, frame="real"):
-        return Form(f.dim, 0, {(): f}, frame)
+    def from_function(f: ScalarField):
+        return Form(f.dim, 0, {(): f})
 
     @staticmethod
     def basis(dim, idx: Index):

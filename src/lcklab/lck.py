@@ -217,23 +217,17 @@ def extract_lee_form(omega: Form, pts) -> ExtractedLeeForm:
     pts = as_batch(pts, d)
     n = pts.shape[0]
     dO = exterior_d(omega).coefficient_values(pts)
-    Ov = omega.coefficient_values(pts)
-
-    def oval(i, j):
-        if i == j:
-            return np.zeros(n)
-        if i < j:
-            return np.real(Ov.get((i, j), np.zeros(n)))
-        return -np.real(Ov.get((j, i), np.zeros(n)))
-
-    rows = list(combinations(range(d), 3))
+    # column k holds the coefficients of dx_k ^ Omega, one evaluation for all k
+    terms = [(K, k, f) for k in range(d)
+             for K, f in wedge(Form.basis(d, (k,)), omega).coeffs.items()]
+    jets = evaluate([f for _, _, f in terms], pts, 0)
+    rows = {K: r for r, K in enumerate(combinations(range(d), 3))}
     M = np.zeros((n, len(rows), d))
     rhs = np.zeros((n, len(rows)))
-    for r, K in enumerate(rows):
+    for K, r in rows.items():
         rhs[:, r] = np.real(dO.get(K, np.zeros(n)))
-        for pos, k in enumerate(K):
-            rest = tuple(x for x in K if x != k)
-            M[:, r, k] += (-1.0) ** pos * oval(*rest)
+    for (K, k, _), jet in zip(terms, jets):
+        M[:, rows[K], k] += np.real(jet.v)
     theta = np.zeros((n, d))
     resid = 0.0
     for i in range(n):

@@ -22,7 +22,6 @@ from .fields import (
     PointMap,
     ScalarField,
     VectorField,
-    apply_J_vector,
     as_batch,
     complex_coordinate,
     compose_field,
@@ -219,10 +218,13 @@ _HOPF_DIAG_MIN_BETA = 0.01
 def hopf_diag(n=2, beta=0.5 + 0j):
     """Diagonal Hopf manifold (C^n - 0)/(z -> beta z) with its Vaisman pair.
 
-    ``n >= 2`` and ``beta`` is complex with 0.01 <= |beta| < 1.  The Lee
-    circle that closes via gamma is B for real positive beta and
-    L = B + (arg beta / T) R otherwise, T = -2 ln |beta| (its time-T map is
-    z -> beta z); ``extras["lee_circle"]`` names it.
+    ``n >= 2`` and ``beta`` is complex with 0.01 <= |beta| < 1.  Each
+    registered circle is z -> e^{rate t} z on every coordinate, and its
+    generator is rate z: B -1/2, A -i/2 (= JB), R i, C -1/2 + i (= B + R),
+    JC -1 - i/2 and, unless beta is real positive, L -1/2 + i arg(beta)/T
+    with T = -2 ln |beta|.  The Lee circle that closes via gamma (its
+    time-T map is z -> beta z) is B for real positive beta and L otherwise;
+    ``extras["lee_circle"]`` names it.
 
     The fundamental form is normalized so the Lee field has unit norm:
     Omega = 2|z|^{-2} sum_j i dz_j ^ dzbar_j, theta = -d ln |z|^2.
@@ -244,18 +246,22 @@ def hopf_diag(n=2, beta=0.5 + 0j):
     omega = Form(dim, 2, {(2 * j, 2 * j + 1): 4.0 * inv for j in range(n)})
     theta = Form(dim, 1, {(i,): -2.0 * coordinate(i, dim) * inv for i in range(dim)})
 
-    B = VectorField([-0.5 * coordinate(i, dim) for i in range(dim)], name="B")
-    A = apply_J_vector(B)
-    A.name = "A"
-    rot = []
-    for j in range(n):
-        rot.append(-1.0 * coordinate(2 * j + 1, dim))
-        rot.append(coordinate(2 * j, dim))
-    R = VectorField(rot, name="R")
-    C = B + R
-    C.name = "C"
-    JC = apply_J_vector(C)
-    JC.name = "JC"
+    lee_period = -2.0 * math.log(abs(beta))
+    b_closes = beta.imag == 0 and beta.real > 0
+    # name -> (rate, period, closes_via) of the circle z -> e^{rate t} z
+    circles = {"B": (-0.5, None, None), "A": (-0.5j, 4 * math.pi, "identity"),
+               "R": (1.0j, 2 * math.pi, "identity"), "C": (-0.5 + 1.0j, None, None),
+               "JC": (-1.0 - 0.5j, None, None)}
+    if b_closes:
+        circles["B"] = (-0.5, lee_period, "gamma")
+    else:
+        circles["L"] = (-0.5 + cmath.phase(beta) / lee_period * 1j, lee_period, "gamma")
+    if abs(beta - math.exp(-math.pi)) < 1e-12:
+        circles["C"] = (-0.5 + 1.0j, 2 * math.pi, "gamma")
+    # each generator is rate z, the matrix rows of _complex_multiplier
+    gens = {name: VectorField(PointMap.affine(_complex_multiplier(dim, rate),
+                                              np.zeros(dim)).components, name=name)
+            for name, (rate, _, _) in circles.items()}
 
     gamma = PointMap.affine(_complex_multiplier(dim, beta), np.zeros(dim))
     deck = DeckTransformation("gamma", gamma, rho=1.0 / abs(beta) ** 2)
@@ -267,33 +273,13 @@ def hopf_diag(n=2, beta=0.5 + 0j):
         sampler=_annulus_sampler(dim, abs(beta), 1.0),
         decks=[deck],
         phi=phi,
-        structure=LCKStructure(omega, theta, lee_B=B, lee_A=A),
+        structure=LCKStructure(omega, theta, lee_B=gens["B"], lee_A=gens["A"]),
         params={"n": n, "beta": beta},
     )
 
-    lee_period = -2.0 * math.log(abs(beta))
-    b_closes = beta.imag == 0 and beta.real > 0
-    m.register_flow(FlowMap("B", B, period=lee_period if b_closes else None,
-                            closes_via="gamma" if b_closes else None,
-                            affine=_scaled_rotation_affine(dim, -0.5)))
-    m.register_flow(FlowMap("A", A, period=4 * math.pi, closes_via="identity",
-                            affine=_scaled_rotation_affine(dim, -0.5j)))
-    m.register_flow(FlowMap("R", R, period=2 * math.pi, closes_via="identity",
-                            affine=_scaled_rotation_affine(dim, 1.0j)))
-    c_period = None
-    c_closes = None
-    if abs(beta - math.exp(-math.pi)) < 1e-12:
-        c_period = 2 * math.pi
-        c_closes = "gamma"
-    m.register_flow(FlowMap("C", C, period=c_period, closes_via=c_closes,
-                            affine=_scaled_rotation_affine(dim, -0.5 + 1.0j)))
-    m.register_flow(FlowMap("JC", JC, affine=_scaled_rotation_affine(dim, -1.0 - 0.5j)))
-    if not b_closes:
-        c = cmath.phase(beta) / lee_period
-        L = B + R.scale(c)
-        L.name = "L"
-        m.register_flow(FlowMap("L", L, period=lee_period, closes_via="gamma",
-                                affine=_scaled_rotation_affine(dim, -0.5 + c * 1j)))
+    for name, (rate, period, closes_via) in circles.items():
+        m.register_flow(FlowMap(name, gens[name], period=period, closes_via=closes_via,
+                                affine=_scaled_rotation_affine(dim, rate)))
     m.extras["lee_circle"] = "B" if b_closes else "L"
     return m
 
@@ -338,12 +324,14 @@ def _nondiag_tail_bound(b, lam, m, K):
         return float(np.exp(log_tail + math.log(2.0) - 4 * lb))
 
 
-def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0, m=2):
+def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0 + 0j, m=2):
     """Non-diagonal Hopf surface: deck (z1, z2) -> (b z1, b^m z2 + lam z1^m).
 
-    Carries the purely-real maximal torus generated by xi1, xi2 and an
-    invariant Lee-class representative built from a deck-weighted series
-    potential (no explicit metric is wired in).
+    Carries the purely-real maximal torus generated by xi1 = 2 pi i Z1 and
+    xi2 = c Z1 + (lam / beta^m) Z2 (Z1 = z1 d/dz1 + m z2 d/dz2,
+    Z2 = z1^m d/dz2, e^c = beta) and an invariant Lee-class representative
+    built from a deck-weighted series potential (no explicit metric is
+    wired in).
     """
     beta = complex(beta)
     lam = complex(lam)
@@ -378,9 +366,6 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0, m=2):
 
     Z1_hol = [z1, float(mm) * z2]
     Z2_hol = [0.0 * z1, z1**mm]
-    xi1 = VectorField.from_holomorphic([2j * math.pi * h for h in Z1_hol], "xi1")
-    xi2 = VectorField.from_holomorphic(
-        [c * Z1_hol[0], c * Z1_hol[1] + b2 * Z2_hol[1]], "xi2")
     Z1_re = VectorField.from_holomorphic(Z1_hol, "Z1_re")
     Z1_im = VectorField.from_holomorphic([1j * h for h in Z1_hol], "Z1_im")
     Z2_re = VectorField.from_holomorphic(Z2_hol, "Z2_re")
@@ -437,10 +422,14 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0, m=2):
         lee_class=theta_nd,
         params={"beta": beta, "lam": lam, "m": mm, "c": c},
     )
-    mfd.register_flow(FlowMap("xi1", xi1, complex_flow(2j * math.pi, 0.0),
-                              period=1.0, closes_via="identity"))
-    mfd.register_flow(FlowMap("xi2", xi2, complex_flow(c, b2),
-                              period=1.0, closes_via="gamma"))
+    # each circle is a Z1 + b Z2 with its flow complex_flow(a, b) at real time;
+    # Z2 has no z1 component, and its z2 term is left out where b = 0
+    for name, a, b, closes_via in (("xi1", 2j * math.pi, 0.0, "identity"),
+                                   ("xi2", c, b2, "gamma")):
+        h2 = a * Z1_hol[1] + b * Z2_hol[1] if b else a * Z1_hol[1]
+        gen = VectorField.from_holomorphic([a * Z1_hol[0], h2], name)
+        mfd.register_flow(FlowMap(name, gen, complex_flow(a, b),
+                                  period=1.0, closes_via=closes_via))
     for f in (Z1_re, Z1_im, Z2_re, Z2_im):
         mfd.fields[f.name] = f
     mfd.extras["holomorphic_flow"] = complex_flow

@@ -220,10 +220,6 @@ def torus_pairings(act: TorusAction, theta: Form, pts, nodes) -> TorusPairings:
     return res
 
 
-def _labels(pairings):
-    return ["vertical" if abs(p) > 1e-6 else "horizontal" for p in pairings]
-
-
 def intersection_dimension(act: TorusAction, pts) -> int:
     """dim(t ^ Jt) from the generic rank of [Xi | J Xi] over the samples.
 
@@ -297,10 +293,9 @@ def verdict(act: TorusAction, theta: Optional[Form], lck_present: bool, pts,
     if theta is not None:
         # the pairings are constants; a small probe subset suffices
         found = torus_pairings(act, theta, pts[:12], nodes)
-        labels = _labels(found.values)
         witnesses.update(
             pairings=dict(zip(names, found.values)),
-            vertical=[n for n, lab in zip(names, labels) if lab == "vertical"],
+            vertical=[n for n, p in zip(names, found.values) if abs(p) > 1e-6],
             pairing_route=found.route, theta_minus_dphi=found.theta_minus_dphi)
     k = len(act.generators)
     n = act.manifold.complex_dim

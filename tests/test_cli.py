@@ -143,7 +143,8 @@ def test_orbit_periods_are_refused_past_the_certified_edge(capsys):
         assert "Traceback" not in out.out + out.err
 
 
-@pytest.mark.parametrize("fixture", ["hopf_nondiag:lam=1.3", "hopf_nondiag:m=1"])
+@pytest.mark.parametrize("fixture", ["hopf_nondiag:lam=1.3", "hopf_nondiag:m=1",
+                                     "hopf_nondiag:lam=0.6+0.6j", "hopf_nondiag:lam=1j"])
 def test_hopf_nondiag_inside_its_domain_verifies(fixture):
     body, code = cli.run_verify(fixture, points=40)
     assert code == 0
@@ -355,12 +356,25 @@ def _digest_module():
     return module
 
 
-def test_report_digest_script_on_wide_batch(tmp_path, capsys):
-    script = DIGEST_SCRIPT
+def _run_script(script, *args):
+    """Run a script of scripts/ with this checkout's src/ on the path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(script.parents[1] / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, str(script), "--seed", "42", "wide_batch"],
+    return subprocess.run([sys.executable, str(script), *args],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_orbit_demo_script_runs():
+    done = _run_script(DIGEST_SCRIPT.parent / "orbit_demo.py")
+    assert done.returncode == 0, done.stderr
+    headers = [ln for ln in done.stdout.splitlines() if ln.startswith("==")]
+    assert headers == ["== periodic ODE potential, f = 0.3 cos t",
+                       "== invariant input (fixed point of the averaging)",
+                       "== twisted vertical circle on the norm-modulated fixture"]
+
+
+def test_report_digest_script_on_wide_batch(tmp_path, capsys):
+    done = _run_script(DIGEST_SCRIPT, "--seed", "42", "wide_batch")
     assert done.returncode == 0, done.stderr
     body = json.loads(done.stdout)
     assert body["seed"] == 42 and list(body["workloads"]) == ["wide_batch"]

@@ -115,6 +115,14 @@ def test_flow_group_law_and_generator(hopf, inoue, nondiag, leeolo):
                 assert M.flow_closure_residual(m, fl, pts) < 1e-9, name
 
 
+def _hopf_diag_rates(beta):
+    """name -> rate a of each hopf_diag circle z -> e^{a t} z; L is
+    registered only when beta is not real positive."""
+    lee_period = -2.0 * math.log(abs(beta))
+    return {"B": -0.5, "A": -0.5j, "R": 1.0j, "C": -0.5 + 1.0j, "JC": -1.0 - 0.5j,
+            "L": -0.5 + cmath.phase(beta) / lee_period * 1j}
+
+
 def _per_time_affine(m, flow, t):
     """(M_t, b_t) of an affine flow at one float time, built one time at a
     time as the flows did before they took whole node grids: the oracle of
@@ -125,11 +133,7 @@ def _per_time_affine(m, flow, t):
         off[2] = (m.params["lam0"] / 2.0) * t
         return np.eye(dim), off
     # Phi_t z = e^{a t} z on every complex coordinate
-    beta = m.params["beta"]
-    lee_period = -2.0 * math.log(abs(beta))
-    rate = {"B": -0.5, "A": -0.5j, "R": 1.0j, "C": -0.5 + 1.0j, "JC": -1.0 - 0.5j,
-            "L": -0.5 + cmath.phase(beta) / lee_period * 1j}[flow]
-    u = complex(np.exp(rate * t))
+    u = complex(np.exp(_hopf_diag_rates(m.params["beta"])[flow] * t))
     M = np.zeros((dim, dim))
     for j in range(dim // 2):
         M[2 * j, 2 * j] = u.real
@@ -168,6 +172,39 @@ def test_affine_flows_take_time_grids_bit_for_bit(name, params):
             assert fl.at(t)(pts).tobytes() == mapped.tobytes(), fname
         empty = fl.affine(np.zeros(0))
         assert empty[0].shape == (0, d, d) and empty[1].shape == (0, d), fname
+
+
+def _real(w):
+    """(N, n) complex coordinates as (N, 2n) real ones x1, y1, ..., xn, yn."""
+    return np.stack([w.real, w.imag], axis=2).reshape(len(w), -1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("beta", [0.5, 0.3 + 0.2j, -0.4 + 0.1j])
+def test_hopf_diag_generators_are_their_rates_times_z(n, beta):
+    m = M.gallery("hopf_diag", n=n, beta=beta)
+    rates = _hopf_diag_rates(m.params["beta"])
+    assert list(m.flows) == [k for k in rates if k != "L" or beta != 0.5]
+    pts = m.sample(40, seed=4)
+    z = pts[:, 0::2] + 1j * pts[:, 1::2]
+    for name, fl in m.flows.items():
+        err = np.abs(fl.generator.values(pts) - _real(rates[name] * z)).max()
+        assert err <= 1e-15 * np.abs(z).max(), name
+
+
+@pytest.mark.parametrize("params", [{}, {"lam": 0.6 + 0.6j}, {"m": 1}, {"m": 3},
+                                    {"beta": 0.5, "lam": 0.75, "m": 4}])
+def test_hopf_nondiag_generators_are_a_z1_plus_b_z2(params):
+    m = M.gallery("hopf_nondiag", **params)
+    beta, lam, mm, c = (m.params[k] for k in ("beta", "lam", "m", "c"))
+    pts = m.sample(40, seed=4)
+    z1, z2 = pts[:, 0] + 1j * pts[:, 1], pts[:, 2] + 1j * pts[:, 3]
+    for name, a, b in (("xi1", 2j * math.pi, 0.0), ("xi2", c, lam / beta**mm)):
+        w = np.stack([a * z1, a * (mm * z2) + b * z1**mm], axis=1)
+        # |a| = 2 pi and |b| up to 16 scale the values past |z|; the bound
+        # follows the values
+        err = np.abs(m.flows[name].generator.values(pts) - _real(w)).max()
+        assert err <= 1e-15 * np.abs(w).max(), name
 
 
 def test_flow_closures(hopf, inoue, nondiag):
