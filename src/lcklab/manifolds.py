@@ -227,7 +227,11 @@ def hopf_diag(n=2, beta=0.5 + 0j):
     ``extras["lee_circle"]`` names it.
 
     The fundamental form is normalized so the Lee field has unit norm:
-    Omega = 2|z|^{-2} sum_j i dz_j ^ dzbar_j, theta = -d ln |z|^2.
+    Omega = 2|z|^{-2} sum_j i dz_j ^ dzbar_j, theta = -d ln |z|^2.  The
+    cover's Kaehler form e^{-phi} Omega = 4 sum_j dx_j ^ dy_j (the generic
+    ``kahler_lift``, whose factors cancel) is registered in closed form as
+    ``extras["cover_kahler"]``; the orbit pipeline integrates it and
+    certifies it against the generic lift on its points.
     """
     n = int(n)
     beta = complex(beta)
@@ -281,6 +285,8 @@ def hopf_diag(n=2, beta=0.5 + 0j):
         m.register_flow(FlowMap(name, gens[name], period=period, closes_via=closes_via,
                                 affine=_scaled_rotation_affine(dim, rate)))
     m.extras["lee_circle"] = "B" if b_closes else "L"
+    m.extras["cover_kahler"] = Form(
+        dim, 2, {(2 * j, 2 * j + 1): constant(4.0, dim) for j in range(n)})
     return m
 
 

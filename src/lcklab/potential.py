@@ -377,6 +377,13 @@ def _simpson(y, h):
     return h / 3.0 * np.sum(w * y)
 
 
+def _cumulative_simpson(y, h):
+    """Composite Simpson integrals of samples y at spacing h (an odd count)
+    from the first sample to each even-indexed one: entry k ends at y[2k]."""
+    panels = h / 3.0 * (y[:-2:2] + 4.0 * y[1::2] + y[2::2])
+    return np.concatenate([[0.0], np.cumsum(panels)])
+
+
 @dataclass
 class OrbitPotentialResult:
     """The averaged potential g, the output form omega' = g^{-1} dd^c g, the
@@ -502,12 +509,12 @@ def orbit_average_potential(
         checks["min_f_along_flow"] = float(f_along.min())
         if checks["min_f_along_flow"] <= 0:
             raise NumericalError("f stopped being positive along the flow")
+        # g_t at every 8th sample t, with sin(t - s) = sin t cos s - cos t sin s
+        # so that one cumulative Simpson sum per factor serves every t
         h = span / mg
-        t_idx = np.arange(0, mg + 1, 8)
-        g_ts = np.zeros(t_idx.shape[0])
-        for r, it in enumerate(t_idx[1:], start=1):
-            g_ts[r] = _simpson(
-                np.sin(sgrid[it] - sgrid[: it + 1]) * f_along[: it + 1], h)
+        t = sgrid[::8]
+        g_ts = (np.sin(t) * _cumulative_simpson(np.cos(sgrid) * f_along, h)[::4]
+                - np.cos(t) * _cumulative_simpson(np.sin(sgrid) * f_along, h)[::4])
         double = _simpson(g_ts, sgrid[8] - sgrid[0]) / span
         checks["average_vs_duhamel"] = abs(double - float(gvals[0]))
 
@@ -537,12 +544,21 @@ def orbit_average_potential(
         return OrbitPotentialResult(g, omega_prime, f, checks)
 
 
-# The JC flow contracts |z| by e^{-s}, so after p periods a point at the
-# leeolo sampler's inner radius |beta| = e^{-pi} sits at e^{-pi (1 + 2p)};
-# there the order-3 table of 1/x at x = |z|^2 reaches 6 / x^4, about
-# e^{8 pi (1 + 2p)}.  This is the largest p that keeps it inside double
-# range (e^{709.78}): 13, at e^{678.6}.
-_ORBIT_MAX_PERIODS = int((math.log(sys.float_info.max) / (8 * math.pi) - 1) / 2)
+# The cover's Kaehler form is 4 sum_j dx_j ^ dy_j and C = c z with
+# c = -1/2 + i, so the integrand f = omega(C, JC) = 4 |c|^2 |z|^2 = 5 |z|^2.
+# The JC flow contracts |z| by e^{-s}, so f(Phi_s x) = 5 |x|^2 e^{-2s}, and
+# after p periods at the leeolo sampler's inner radius |beta| = e^{-pi} it
+# reads 5 e^{-2 pi (1 + 2p)}.  This is the largest p that keeps it a normal
+# double (at least 2.2e-308 = e^{-708.4}): 56, at e^{-708.39}.  Uncapped,
+# the flowed f of the first seed-42 probe was subnormal from 57 periods on
+# and rounded to 0 at 60.
+_ORBIT_MAX_PERIODS = int(
+    ((math.log(5.0) - math.log(sys.float_info.min)) / (2 * math.pi) - 1) / 2)
+# largest gap between the registered closed-form Kaehler form and the generic
+# lift e^{-phi} Omega at the run's points: the lift's exp(ln |z|^2) loses
+# about |ln |z|^2| ulps, 1e-15 on the sampler's annulus, and a gap enters
+# the orbit rows linearly, far below their 1e-6 tolerances
+_COVER_KAHLER_TOL = 1e-10
 
 
 def leeolo_orbit_pipeline(m: ModelManifold, points,
@@ -554,17 +570,21 @@ def leeolo_orbit_pipeline(m: ModelManifold, points,
     representative, certified by residuals on the first 10 points), lifts
     that representative with the base cover potential, and runs the orbit
     construction with the JC-flow, which does not preserve the lift, on 8
-    heavy points.  More than ``_ORBIT_MAX_PERIODS`` periods are refused: the
-    jets of the flowed integrand would leave double range.
+    heavy points.  The lift is the base's closed-form cover Kaehler form
+    ``extras["cover_kahler"]``, certified against the generic lift
+    e^{-phi} Omega on the points (InadmissibleInput past
+    ``_COVER_KAHLER_TOL``; the gap is ``checks["cover_kahler_gap"]``).
+    More than ``_ORBIT_MAX_PERIODS`` periods are refused: the flowed
+    integrand would leave the normal double range.
     """
     if "leeolo" not in m.extras:
         raise GalleryError("pipeline needs the leeolo fixture")
     if n_periods > _ORBIT_MAX_PERIODS:
         raise GalleryError(
             f"the orbit pipeline certifies at most {_ORBIT_MAX_PERIODS} periods, "
-            f"got {n_periods}: the JC flow contracts |z| by e^(-2pi) per period, "
-            f"and past that count the order-3 jets of 1/|z|^2 at the sampler's "
-            f"inner radius leave double range")
+            f"got {n_periods}: the JC flow contracts |z|^2 by e^(-4pi) per "
+            f"period, and past that count the flowed integrand at the sampler's "
+            f"inner radius falls below the normal double range")
     base = m.extras["vaisman_base"]
     phi_b = m.extras["base_phi"]
     circle = flow_of(m, "C")
@@ -579,9 +599,16 @@ def leeolo_orbit_pipeline(m: ModelManifold, points,
             "avg_theta_equals_rep": (theta_avg - base.theta).max_abs(points[:10]),
         }
     # run on the certified invariant representative (identical to the average
-    # within the residuals above, and a much smaller expression)
-    omega_input = base.omega.scale((-1.0 * phi_b).exp())
+    # within the residuals above), lifted in closed form and certified
+    # against the generic lift
+    omega_input = m.extras["cover_kahler"]
+    gap = (omega_input - base.omega.scale((-1.0 * phi_b).exp())).max_abs(points)
+    if not gap <= _COVER_KAHLER_TOL:  # NaN fails too
+        raise InadmissibleInput(
+            f"the closed-form cover Kaehler form differs from e^(-phi) Omega "
+            f"by {gap:.2e} > {_COVER_KAHLER_TOL:g}")
     res = orbit_average_potential(
         m, omega_input, m.fields["C"], flow_of(m, "JC"), points, phi_b, n_periods)
     res.checks.update({f"prep_{k}": v for k, v in prep.items()})
+    res.checks["cover_kahler_gap"] = gap
     return res

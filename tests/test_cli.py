@@ -127,19 +127,25 @@ def test_every_fixture_parameter_refuses_a_value_of_the_wrong_kind(fixture, para
     assert "Traceback" not in out.out + out.err
 
 
-def test_orbit_periods_are_refused_past_the_certified_edge(capsys):
-    # 13 periods keep the order-3 jets inside double range; at 14 they
-    # overflowed into a NaN output_lck row, at 32 into a LinAlgError
+def test_orbit_periods_are_refused_past_the_certified_edge(tmp_path, capsys):
+    # 56 periods keep the flowed integrand 5 |z|^2 e^{-2s} at the sampler's
+    # inner radius a normal double; uncapped, the seed-42 probe's was
+    # subnormal at 57 and rounded to 0 at 60 (exit 3)
     edge = P._ORBIT_MAX_PERIODS
-    assert edge == 13
+    assert edge == 56
+    out_json = tmp_path / "edge.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert cli.main(["potential", "orbit", "--periods", str(edge)]) == 0
+        assert cli.main(["potential", "orbit", "--periods", str(edge),
+                         "--json", str(out_json)]) == 0
     capsys.readouterr()
-    for periods in (edge + 1, 32):
+    checks = json.loads(out_json.read_text())["orbit_checks"]
+    assert sys.float_info.min <= checks["min_f_along_flow"]
+    for periods in (edge + 1, 60):
         assert cli.main(["potential", "orbit", "--periods", str(periods)]) == 2
         out = capsys.readouterr()
         assert out.err.startswith(f"error: the orbit pipeline certifies at most {edge}")
+        assert "falls below the normal double range" in out.err
         assert "Traceback" not in out.out + out.err
 
 
@@ -330,6 +336,9 @@ def test_potential_orbit(tmp_path):
     body = json.loads((tmp_path / "o.json").read_text())
     by_name = {c["name"]: c for c in body["checks"]}
     assert by_name["flow_expansion"]["residual"] < 1e-6
+    # the closed-form certification is a recorded value, not a check row
+    assert body["orbit_checks"]["cover_kahler_gap"] <= P._COVER_KAHLER_TOL
+    assert not any("cover_kahler" in name for name in by_name)
 
 
 def test_report_all_schema_and_determinism(tmp_path):

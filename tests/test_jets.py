@@ -682,13 +682,24 @@ def test_in_place_chain_rule_matches_the_summed_terms(order):
 
 @pytest.fixture(scope="module")
 def leeolo_orbit():
-    """The leeolo:n=3 orbit pipeline's result (its integrand f along the
-    JC-flow, the averaged potential g, Omega') and the fixture."""
+    """The leeolo:n=3 orbit pipeline's result (its averaged potential g and
+    Omega'), the fixture, and a nonlinear d = 6 integrand with its average
+    over 32 nodes of the JC-flow.  The pipeline integrates the closed-form
+    cover Kaehler form, whose integrand is quadratic (its order-3 tier is
+    all zero); the integrand (iota_C omega)(JC) of the generic lift
+    e^{-phi} Omega carries the jets of 1/|z|^2, ln and exp in every tier."""
     from lcklab import manifolds as M
     from lcklab import potential as P
+    from lcklab.forms import interior_product
 
     m = M.gallery("leeolo", n=3)
-    return P.leeolo_orbit_pipeline(m, points=m.sample(20, seed=42)), m
+    res = P.leeolo_orbit_pipeline(m, points=m.sample(20, seed=42))
+    lift = m.extras["vaisman_base"].omega.scale((-1.0 * m.extras["base_phi"]).exp())
+    jc = m.flows["JC"]
+    (f,) = interior_product(jc.generator,
+                            interior_product(m.fields["C"], lift)).coeffs.values()
+    s, w = P._gl_nodes(0.0, 2 * np.pi, 2)
+    return res, m, f, affine_quadrature_field(f, *jc.affine(s), w)
 
 
 def _lifted_complex_field():
@@ -719,9 +730,9 @@ _TIER_ROWS = _block_rows(6, 3)
                          ids=["below", "multiple", "ragged",
                               "tier_below", "tier_multiple", "tier_ragged"])
 def test_blocked_evaluation_matches_one_context(rows, leeolo_orbit):
-    res, m = leeolo_orbit
+    _, m, lifted, _ = leeolo_orbit
     pts = np.random.default_rng(rows).uniform(-0.5, 0.5, size=(rows, DIM))
-    for f, at in ((res.f, m.sample(rows, seed=7)), (_lifted_complex_field(), pts)):
+    for f, at in ((lifted, m.sample(rows, seed=7)), (_lifted_complex_field(), pts)):
         for order in range(4):
             _assert_same_jet(_eval_in_blocks(f, at, order), f.eval(Ctx(at), order))
 
@@ -740,9 +751,10 @@ def _assert_served_like_fresh(fields, pts, top):
 
 
 def test_served_orders_equal_fresh_evaluations(leeolo_orbit):
-    res, m = leeolo_orbit
+    res, m, lifted, lifted_avg = leeolo_orbit
     heavy = m.sample(8, seed=11)
-    _assert_served_like_fresh([res.f], heavy, 3)
+    _assert_served_like_fresh([lifted], heavy, 3)
+    _assert_served_like_fresh([lifted_avg], heavy, 3)
     _assert_served_like_fresh([res.g], heavy, 3)
     omega = list(res.omega_prime.coeffs.values())
     _assert_served_like_fresh(omega, heavy, 1)
@@ -758,12 +770,13 @@ def test_served_orders_equal_fresh_evaluations(leeolo_orbit):
 
 
 def test_partial_of_a_served_jet_equals_a_fresh_partial(leeolo_orbit):
-    res, m = leeolo_orbit
+    res, m, _, lifted_avg = leeolo_orbit
     heavy = m.sample(8, seed=13)
-    ctx = Ctx(heavy)
-    res.g.eval(ctx, 3)
-    served = res.g.eval(ctx, 2)
-    fresh = res.g.jet(heavy, 2)
-    for i in range(m.dim):
-        _assert_same_jet(served.partial(i), fresh.partial(i))
-        _assert_same_jet(served.partial(i).partial(i), fresh.partial(i).partial(i))
+    for g in (res.g, lifted_avg):
+        ctx = Ctx(heavy)
+        g.eval(ctx, 3)
+        served = g.eval(ctx, 2)
+        fresh = g.jet(heavy, 2)
+        for i in range(m.dim):
+            _assert_same_jet(served.partial(i), fresh.partial(i))
+            _assert_same_jet(served.partial(i).partial(i), fresh.partial(i).partial(i))

@@ -345,3 +345,23 @@ def test_product_fixture_embeds_factors(hopf):
 def test_leeolo_base_period_is_two_pi(leeolo):
     assert abs(leeolo.flows["B"].period - 2 * math.pi) < 1e-12
     assert abs(abs(leeolo.params["beta"]) - math.exp(-math.pi)) < 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("beta", [0.5, 0.4 + 0.1j])
+def test_cover_kahler_form_is_the_generic_lift(n, beta):
+    # 4 sum_j dx_j ^ dy_j is e^{-phi} Omega = (4 / |z|^2) e^{ln |z|^2} with the
+    # factors cancelled; the lift's jets of 1/|z|^2, ln and exp cancel to
+    # rounding, about one ulp of 4 |z|^{-k} at order k (measured up to 1.2e-15)
+    m = M.gallery("hopf_diag", n=n, beta=beta)
+    pts = m.sample(200, seed=42)
+    closed, lift = m.extras["cover_kahler"], m.kahler_lift()
+    assert set(closed.coeffs) == set(lift.coeffs) == {(2 * j, 2 * j + 1)
+                                                      for j in range(n)}
+    r = np.linalg.norm(pts, axis=1).min()
+    for idx, f in lift.coeffs.items():
+        want, got = f.jet(pts, 2), closed.coeffs[idx].jet(pts, 2)
+        for k, name in enumerate("vgh"):
+            tier = getattr(got, name)
+            tier = 0.0 if tier is None else tier
+            assert np.abs(tier - getattr(want, name)).max() <= 1e-14 * 4.0 / r**k, name

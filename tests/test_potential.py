@@ -314,6 +314,7 @@ def test_orbit_twisted_run(orbit_twisted):
     assert ck["lee_class_loop_match"] < 1e-6
     assert ck["average_vs_duhamel"] < 1e-7
     assert ck["prep_avg_equals_invariant_rep"] < 1e-10
+    assert 0.0 <= ck["cover_kahler_gap"] <= P._COVER_KAHLER_TOL
 
 
 def test_orbit_pipeline_evaluates_each_quadrature_once_per_batch(leeolo, monkeypatch):
@@ -383,6 +384,34 @@ def test_orbit_quadratures_evaluate_within_the_point_budget(monkeypatch):
     # 303 (a 0.5 MiB top tier at d = 6); every lower order in full blocks
     assert max(n for m, n in sizes if m == 3) == fields._block_rows(6, 3) == 303
     assert max(n for m, n in sizes) == fields._QUAD_POINT_BUDGET
+
+
+def test_orbit_pipeline_refuses_a_closed_form_off_the_lift():
+    # a closed form scaled by 1 + 1e-6 sits 4e-6 from the generic lift
+    m = M.gallery("leeolo")
+    m.extras["cover_kahler"] = m.extras["cover_kahler"].scale(1.0 + 1e-6)
+    with pytest.raises(InadmissibleInput,
+                       match=r"differs from e\^\(-phi\) Omega by 4\.00e-06 > 1e-10"):
+        P.leeolo_orbit_pipeline(m, m.sample(20, seed=42))
+
+
+def test_duhamel_cross_check_matches_the_per_t_simpson_loop(leeolo, orbit_twisted):
+    # the reference route: g_t re-integrated from 0 by Simpson for every 8th
+    # sample t; the pipeline's cumulative sums change only the summation
+    # order, so the two averages agree to a few ulps of g
+    span, mg = TWO_PI, 1536
+    x0 = leeolo.sample(25, seed=9)[:1]
+    sgrid = np.linspace(0.0, span, mg + 1)
+    mats, offs = leeolo.flows["JC"].affine(sgrid)
+    f_along = orbit_twisted.f.values(np.einsum("sij,j->si", mats, x0[0]) + offs).real
+    g_ts = np.zeros(mg // 8 + 1)
+    for r, it in enumerate(range(8, mg + 1, 8), start=1):
+        g_ts[r] = P._simpson(np.sin(sgrid[it] - sgrid[: it + 1]) * f_along[: it + 1],
+                             span / mg)
+    g0 = float(orbit_twisted.g.values(x0).real[0])
+    loop_gap = abs(P._simpson(g_ts, sgrid[8]) / span - g0)
+    assert orbit_twisted.checks["average_vs_duhamel"] == pytest.approx(
+        loop_gap, rel=0, abs=64 * np.spacing(g0))
 
 
 def test_orbit_multi_period(leeolo):
