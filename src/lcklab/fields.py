@@ -14,6 +14,31 @@ the same field, truncated, so on one batch a field's closure runs once, at
 the first order asked for, and again only for a higher one.
 Fields may take complex values; chart coordinates are always real, ordered
 x1, y1, ..., xn, yn with z_j = x_j + i y_j.
+
+A field built by ``constant`` records its value in ``const``, and the
+algebra folds constants when the DAG is built, so a structurally zero term
+is never evaluated and a constant factor grows no zero tier:
+
+- ``f * 0`` and ``f * constant(0)`` (either side) are ``constant(0.0)``;
+  ``f * 1`` and ``f * constant(1)`` are f itself.  Any other constant
+  field c scales f as the product rule does with c's jet: the value in the
+  operands' order, c * tier for each derivative tier, an absent tier
+  left absent.
+- ``f + 0`` and ``f - 0`` are f; any other constant field is added or
+  subtracted as its value, so the sum shares f's tiers, and
+  ``f / constant(c)`` is ``f * (1 / constant(c))``.
+- Two constants (or a constant and a scalar) combine to a constant whose
+  value is the operation on one-point jets, rounded as at every point.
+- ``partial`` of a constant is ``constant(0.0)``; ``nsum`` drops terms of
+  weight 0 and zero constants, and a one-term unweighted sum is its term.
+  A ``Form`` built by ``forms._gather`` omits coefficients that fold to
+  ``constant(0.0)``.
+
+Folding is exact for finite values, except for the sign of a zero: the
+unfolded rule adds c's zero tiers (and 0 * f), which may turn a -0.0 into
++0.0 or back, and a function that tells the zeros apart (``log``, ``sqrt``,
+``1/x``) shows it.  ``constant(0) * f`` is 0 where f is inf or NaN, where
+the unfolded product gave NaN; the same holds for a dropped ``nsum`` term.
 """
 
 from __future__ import annotations
@@ -97,12 +122,14 @@ def as_batch(pts, dim):
 
 
 class ScalarField:
-    __slots__ = ("dim", "_fn", "uid")
+    __slots__ = ("dim", "_fn", "uid", "const")
 
-    def __init__(self, dim: int, fn: Callable):
+    def __init__(self, dim: int, fn: Callable, const=None):
         self.dim = dim
         self._fn = fn
         self.uid = next(_uid)
+        # the value of a constant field, None for any other field
+        self.const = const
 
     # -- evaluation -----------------------------------------------------
 
@@ -135,31 +162,58 @@ class ScalarField:
     # -- algebra ----------------------------------------------------------
 
     def _binary(self, other, op):
+        """op(self, other) for a field or scalar ``other``; a constant and
+        a constant or scalar fold to a constant."""
+        if self.const is not None and _value(other) is not None:
+            return constant(op(_point(self), _point(other)).v[0].item(), self.dim)
         if isinstance(other, ScalarField):
             return ScalarField(self.dim, lambda c, m: op(self.eval(c, m), other.eval(c, m)))
         return ScalarField(self.dim, lambda c, m: op(self.eval(c, m), other))
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        b = _value(other)
+        if b == 0:
+            return self
+        if b is None and self.const is not None:
+            return other + self.const
+        return self._binary(other if b is None else b, lambda a, b: a + b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        b = _value(other)
+        if b == 0:
+            return self
+        if b is None and self.const is not None:
+            return other.__rsub__(self.const)
+        return self._binary(other if b is None else b, lambda a, b: a - b)
 
     def __rsub__(self, other):
         return self._binary(other, lambda a, b: b - a)
 
     def __mul__(self, other):
+        a, b = self.const, _value(other)
+        if a == 0 or b == 0:
+            return constant(0.0, self.dim)
+        if b == 1:
+            return self
+        if a == 1 and b is None:
+            return other
+        if a is not None and b is None:
+            return _scaled(other, a, True)
+        if a is None and b is not None and isinstance(other, ScalarField):
+            return _scaled(self, b, False)
         return self._binary(other, lambda a, b: a * b)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if self.const is None and isinstance(other, ScalarField) and other.const is not None:
+            return self * (1.0 / other)
         return self._binary(other, lambda a, b: a / b)
 
     def __rtruediv__(self, other):
-        return ScalarField(self.dim, lambda c, m: other / self.eval(c, m))
+        return self._binary(other, lambda a, b: b / a)
 
     def __neg__(self):
         return ScalarField(self.dim, lambda c, m: -self.eval(c, m))
@@ -195,6 +249,8 @@ class ScalarField:
 
     def partial(self, i: int):
         """Exact coordinate-derivative field d/dx_i (one jet order deeper)."""
+        if self.const is not None:
+            return constant(0.0, self.dim)
 
         def fn(ctx, m):
             if m + 1 > MAX_ORDER:
@@ -212,6 +268,15 @@ class ScalarField:
         if not fields:
             raise ValueError("empty sum")
         dim = fields[0].dim
+        keep = [i for i, f in enumerate(fields)
+                if f.const != 0 and (weights is None or weights[i] != 0)]
+        if not keep:
+            return constant(0.0, dim)
+        fields = [fields[i] for i in keep]
+        if weights is not None:
+            weights = [weights[i] for i in keep]
+        elif len(fields) == 1:
+            return fields[0]
 
         def fn(ctx, m):
             if weights is None:
@@ -244,7 +309,32 @@ def stacked(fields: Sequence[ScalarField], pts, order: int = 1):
 
 
 def constant(value, dim) -> ScalarField:
-    return ScalarField(dim, lambda c, m: Jet.constant(value, c.pts.shape[0], dim, m))
+    return ScalarField(dim, lambda c, m: Jet.constant(value, c.pts.shape[0], dim, m),
+                       const=value)
+
+
+def _value(x):
+    """The value of a constant field or scalar x; None for another field."""
+    return x.const if isinstance(x, ScalarField) else x
+
+
+def _point(x):
+    """A constant field as its jet at one point, a scalar as itself."""
+    return Jet.constant(x.const, 1, 0, 0) if isinstance(x, ScalarField) else x
+
+
+def _scaled(f: ScalarField, c, c_first: bool) -> ScalarField:
+    """c * f (``c_first``) or f * c for the value c of a constant field, as
+    the product rule forms it from c's jet: the value in the operands'
+    order, every derivative tier as c * tier (a complex product may round
+    differently with its factors swapped), an absent tier left absent."""
+
+    def fn(ctx, m):
+        x = f.eval(ctx, m)
+        return Jet(m, c * x.v if c_first else x.v * c,
+                   *[None if y is None else c * y for y in (x.g, x.h, x.t)[:m]])
+
+    return ScalarField(f.dim, fn)
 
 
 def coordinate(i, dim) -> ScalarField:
@@ -304,14 +394,9 @@ class PointMap:
     @staticmethod
     def affine(M, b):
         """The map x -> M x + b: component i is sum_j M[i, j] x_j + b[i],
-        zero entries left out; the rows share one field per coordinate."""
+        zero terms folded away; the rows share one field per coordinate."""
         xs = [coordinate(j, M.shape[1]) for j in range(M.shape[1])]
-        comps = []
-        for row, off in zip(M, b):
-            cols = np.flatnonzero(row)
-            comp = ScalarField.nsum([xs[j] for j in cols], row[cols])
-            comps.append(comp + off if off else comp)
-        return PointMap(comps)
+        return PointMap([ScalarField.nsum(xs, row) + off for row, off in zip(M, b)])
 
     @staticmethod
     def from_complex(components):

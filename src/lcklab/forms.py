@@ -140,14 +140,15 @@ class Form:
 
 def _gather(dim, degree, frame, terms) -> Form:
     """The form whose coefficient at each index is the weighted sum of the
-    ``(idx, field, weight)`` terms landing there, in arrival order."""
+    ``(idx, field, weight)`` terms landing there, in arrival order; a
+    coefficient that folds to ``constant(0.0)`` is left out."""
     groups: Dict[Index, tuple] = {}
     for idx, f, w in terms:
         fields, weights = groups.setdefault(idx, ([], []))
         fields.append(f)
         weights.append(w)
-    return Form(dim, degree, {idx: ScalarField.nsum(fs, ws)
-                              for idx, (fs, ws) in groups.items()}, frame)
+    sums = {idx: ScalarField.nsum(fs, ws) for idx, (fs, ws) in groups.items()}
+    return Form(dim, degree, {idx: f for idx, f in sums.items() if f.const != 0}, frame)
 
 
 # -- wedge, d, interior, Lie, pullback ----------------------------------

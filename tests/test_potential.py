@@ -317,6 +317,20 @@ def test_orbit_twisted_run(orbit_twisted):
     assert 0.0 <= ck["cover_kahler_gap"] <= P._COVER_KAHLER_TOL
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"n": 3}], ids=["leeolo", "leeolo_n3"])
+def test_orbit_integrand_and_potential_carry_no_third_tier(kwargs):
+    # f = sum eta_i JC_i is quadratic: the constant 4 of the cover Kaehler
+    # form folds into eta_i as a scale, so f's jet (and g's, the average of
+    # f over affine maps) has no order-3 tier to fill or contract
+    m = M.gallery("leeolo", **kwargs)
+    pts = m.sample(20, seed=42)
+    res = P.leeolo_orbit_pipeline(m, pts)
+    heavy = pts[:P._HEAVY_POINTS]
+    for field in (res.f, res.g):
+        jet = field.jet(heavy, 3)
+        assert jet.h is not None and jet.t is None
+
+
 def test_orbit_pipeline_evaluates_each_quadrature_once_per_batch(leeolo, monkeypatch):
     from collections import Counter
 
