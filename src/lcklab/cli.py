@@ -513,14 +513,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="lcklab",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options verify and report share
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--points", type=int, default=200)
+    run.add_argument("--seed", type=int, default=42)
+    run.add_argument("--tol", type=float, default=1e-8)
+    run.add_argument("--nodes", type=int, default=512)
+    run.add_argument("--json", dest="json_path", default=None)
 
-    pv = sub.add_parser("verify", help="run one fixture's check suite")
+    pv = sub.add_parser("verify", parents=[run], help="run one fixture's check suite")
     pv.add_argument("fixture")
-    pv.add_argument("--points", type=int, default=200)
-    pv.add_argument("--seed", type=int, default=42)
-    pv.add_argument("--tol", type=float, default=1e-8)
-    pv.add_argument("--nodes", type=int, default=512)
-    pv.add_argument("--json", dest="json_path", default=None)
 
     pp = sub.add_parser("potential", help="run a potential pipeline")
     pp.add_argument("kind", choices=["first-order", "orbit"])
@@ -530,13 +532,9 @@ def main(argv=None) -> int:
     pp.add_argument("--seed", type=int, default=42)
     pp.add_argument("--json", dest="json_path", default=None)
 
-    pr = sub.add_parser("report", help="aggregate report over the gallery")
-    pr.add_argument("--all", action="store_true")
-    pr.add_argument("--points", type=int, default=200)
-    pr.add_argument("--seed", type=int, default=42)
-    pr.add_argument("--tol", type=float, default=1e-8)
-    pr.add_argument("--nodes", type=int, default=512)
-    pr.add_argument("--json", dest="json_path", default=None)
+    pr = sub.add_parser("report", parents=[run], help="aggregate report over the gallery")
+    pr.add_argument("--all", action="store_true",
+                    help="accepted and ignored: report always runs every default fixture")
 
     args = parser.parse_args(argv)
     try:

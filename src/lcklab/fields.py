@@ -30,7 +30,10 @@ is never evaluated and a constant factor grows no zero tier:
 - Two constants (or a constant and a scalar) combine to a constant whose
   value is the operation on one-point jets, rounded as at every point.
 - ``partial`` of a constant is ``constant(0.0)``; ``nsum`` drops terms of
-  weight 0 and zero constants, and a one-term unweighted sum is its term.
+  weight 0 and zero constants, adds a term of real weight 1 without a
+  multiply, and a one-term sum with a real weight w (1 when unweighted) is
+  ``f * w``, so f itself at w = 1.  A complex weight, 1 + 0j included,
+  always multiplies, so the sum is complex.
   A ``Form`` built by ``forms._gather`` omits coefficients that fold to
   ``constant(0.0)``.
 
@@ -268,25 +271,23 @@ class ScalarField:
         if not fields:
             raise ValueError("empty sum")
         dim = fields[0].dim
-        keep = [i for i, f in enumerate(fields)
-                if f.const != 0 and (weights is None or weights[i] != 0)]
-        if not keep:
+        if weights is None:
+            weights = [1.0] * len(fields)
+        terms = [(f, w) for f, w in zip(fields, weights) if f.const != 0 and w != 0]
+        if not terms:
             return constant(0.0, dim)
-        fields = [fields[i] for i in keep]
-        if weights is not None:
-            weights = [weights[i] for i in keep]
-        elif len(fields) == 1:
-            return fields[0]
+        if len(terms) == 1 and not isinstance(terms[0][1], complex):
+            return terms[0][0] * terms[0][1]
 
         def fn(ctx, m):
-            if weights is None:
-                acc = fields[0].eval(ctx, m)
-                for f in fields[1:]:
-                    acc = acc + f.eval(ctx, m)
-                return acc
-            acc = fields[0].eval(ctx, m) * weights[0]
-            for f, w in zip(fields[1:], weights[1:]):
-                acc = acc + f.eval(ctx, m) * w
+            acc = None
+            for f, w in terms:
+                x = f.eval(ctx, m)
+                # a real weight 1 adds its term as it is; 1 + 0j still
+                # multiplies, so the sum is complex
+                if w != 1 or isinstance(w, complex):
+                    x = x * w
+                acc = x if acc is None else acc + x
             return acc
 
         return ScalarField(dim, fn)
@@ -518,12 +519,6 @@ class VectorField:
 
     def values(self, pts):
         return stacked(self.components, as_batch(pts, self.dim), 0)[0]
-
-    def apply_to(self, f: ScalarField) -> ScalarField:
-        """Directional derivative X(f)."""
-        return ScalarField.nsum(
-            [self.components[j] * f.partial(j) for j in range(self.dim)]
-        )
 
     @staticmethod
     def linear_combination(fields, coeffs, name=""):

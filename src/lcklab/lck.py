@@ -2,9 +2,10 @@
 
 All checks are pointwise over seeded sample batches; the norm is the max
 absolute coefficient in the coordinate coframe.  The defining identity is
-d Omega = theta ^ Omega with theta closed; the metric is g = Omega(., J.);
-the Lee fields solve iota_B Omega = J theta and iota_A Omega = -theta with
-A = JB.
+d Omega = theta ^ Omega with theta closed (``twisted_d``); the metric
+g = Omega(., J.) is read through ``interior_product`` over the constant
+coordinate frame, g_ab = iota_{J e_b} iota_{e_a} Omega; the Lee fields
+solve iota_B Omega = J theta and iota_A Omega = -theta with A = JB.
 
 The Riemannian rows (parallel Lee form, co-closed Lee form, Killing Lee
 fields) read one ``MetricBundle`` per structure and batch.  They never form
@@ -38,6 +39,7 @@ from .forms import (
     apply_J,
     exterior_d,
     interior_product,
+    twisted_d,
     twisted_potential_form,
     wedge,
 )
@@ -63,39 +65,24 @@ class LCKStructure:
     # -- metric ---------------------------------------------------------
 
     def metric_entry_fields(self):
-        """g_ab = Omega(e_a, J e_b) as scalar fields (computed once)."""
+        """g_ab = Omega(e_a, J e_b) = iota_{J e_b} iota_{e_a} Omega as scalar
+        fields, over the constant coordinate frame e (computed once)."""
         if self._metric_fields is None:
             d = self.dim
-            coeffs = self.omega.coeffs
-
-            def entry(a, c):
-                if a == c:
-                    return None
-                if a < c:
-                    return coeffs.get((a, c))
-                f = coeffs.get((c, a))
-                return None if f is None else -1.0 * f
-
-            G = [[None] * d for _ in range(d)]
-            for a in range(d):
-                for b in range(d):
-                    # J e_b: b = 2j -> e_{2j+1}; b = 2j+1 -> -e_{2j}
-                    if b % 2 == 0:
-                        f = entry(a, b + 1)
-                    else:
-                        f = entry(a, b - 1)
-                        f = None if f is None else -1.0 * f
-                    G[a][b] = f if f is not None else constant(0.0, d)
-            self._metric_fields = G
+            zero = constant(0.0, d)
+            frame = [VectorField([constant(float(i == a), d) for i in range(d)])
+                     for a in range(d)]
+            jframe = [apply_J_vector(e) for e in frame]
+            self._metric_fields = [
+                [interior_product(jeb, row).coeffs.get((), zero) for jeb in jframe]
+                for row in (interior_product(ea, self.omega) for ea in frame)]
         return self._metric_fields
 
-    def metric_jets(self, pts, order=1):
-        """The metric g (d, d, N) and, at order 1, its first derivatives
-        dg (d, d, d, N) with dg[i, a, b] = partial_i g_ab (None at order 0),
-        points last."""
+    def metric_jets(self, pts):
+        """The metric g (d, d, N), points last."""
         pts = as_batch(pts, self.dim)
-        return _metric_arrays(evaluate(self.upper_metric_fields(), pts, order),
-                              self.dim, order)
+        return _metric_arrays(evaluate(self.upper_metric_fields(), pts, 0),
+                              self.dim, 0)[0]
 
     def upper_metric_fields(self):
         """The entry fields g_ab with a <= b, row by row."""
@@ -108,7 +95,7 @@ class LCKStructure:
         return [self.theta.coeffs.get((i,), zero) for i in range(self.dim)]
 
     def positivity_minima(self, pts):
-        g, _ = self.metric_jets(pts, 0)
+        g = self.metric_jets(pts)
         return np.linalg.eigvalsh(g.transpose(2, 0, 1))[:, 0]
 
     # -- Lee fields -------------------------------------------------------
@@ -193,8 +180,8 @@ def _lee_field_from_metric(s: LCKStructure) -> VectorField:
 
 
 def lck_residual(s: LCKStructure, pts) -> float:
-    """max | d Omega - theta ^ Omega | over the samples."""
-    return (exterior_d(s.omega) - wedge(s.theta, s.omega)).max_abs(pts)
+    """max | d_theta Omega | = max | d Omega - theta ^ Omega | over the samples."""
+    return twisted_d(s.omega, s.theta).max_abs(pts)
 
 
 @dataclass
@@ -346,8 +333,8 @@ def verify_unit_potential(s: LCKStructure, pts) -> UnitPotentialReport:
     An LCK form of this shape with real-holomorphic Lee field must be
     Vaisman, so the chain upgrades the two cheap checks to the full one.
     """
-    jt = apply_J(s.theta)
-    shape = (s.omega - (exterior_d(jt).scale(-1.0) + wedge(s.theta, jt))).max_abs(pts)
+    # -dJtheta + theta^Jtheta = d_theta d^c_theta 1
+    shape = potential_residual(s, constant(1.0, s.dim), pts)
     pair = s.lee_pair()
     holo = holomorphy_residual(pair.B, pts)
     if shape > 1e-6 or holo > 1e-6:

@@ -429,11 +429,11 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0 + 0j, m=2):
         params={"beta": beta, "lam": lam, "m": mm, "c": c},
     )
     # each circle is a Z1 + b Z2 with its flow complex_flow(a, b) at real time;
-    # Z2 has no z1 component, and its z2 term is left out where b = 0
+    # Z2 has no z1 component
     for name, a, b, closes_via in (("xi1", 2j * math.pi, 0.0, "identity"),
                                    ("xi2", c, b2, "gamma")):
-        h2 = a * Z1_hol[1] + b * Z2_hol[1] if b else a * Z1_hol[1]
-        gen = VectorField.from_holomorphic([a * Z1_hol[0], h2], name)
+        gen = VectorField.from_holomorphic(
+            [a * Z1_hol[0], a * Z1_hol[1] + b * Z2_hol[1]], name)
         mfd.register_flow(FlowMap(name, gen, complex_flow(a, b),
                                   period=1.0, closes_via=closes_via))
     for f in (Z1_re, Z1_im, Z2_re, Z2_im):

@@ -95,15 +95,22 @@ def test_nsum_without_zero_terms_matches_the_unfolded_sum(kind, pts):
     weights = [2.0, 0.5, -1.5, 0.25j, 3.0]
     assert_folds_exactly(ScalarField.nsum(terms, weights), ScalarField.nsum(shown, weights), pts)
 
-    # zero weights: the unfolded sum is the jet arithmetic of every term
+    # zero weights, real unit weights (added without a multiply) and one-term
+    # sums (f * w): the unfolded sum is the jet arithmetic of every term
     fields = [f, lin, f * lin, lin]
-    weights = [0.0, -1.5, 0.0, 0.5 + 1j]
-    for order in ORDERS:
-        jets = [g.jet(pts, order) for g in fields]
-        want = jets[0] * weights[0]
-        for jet, w in zip(jets[1:], weights[1:]):
-            want = want + jet * w
-        assert_same_tiers(ScalarField.nsum(fields, weights).jet(pts, order), want)
+    cases = [(fields, [0.0, -1.5, 0.0, 0.5 + 1j]), (fields, [1.0, -1.5, 1.0, 1 + 0j]),
+             (fields, [1.0] * 4), ([f], [1.0]), ([f], [-1.5]), ([f], [1 + 0j]),
+             ([f, lin], [0.0, 1.0]), ([f, lin], [-1.5, 0.0])]
+    for terms, weights in cases:
+        for order in ORDERS:
+            jets = [g.jet(pts, order) for g in terms]
+            want = jets[0] * weights[0]
+            for jet, w in zip(jets[1:], weights[1:]):
+                want = want + jet * w
+            got = ScalarField.nsum(terms, weights).jet(pts, order)
+            assert_same_tiers(got, want)
+            # only a dropped zero-weight term may take the complex type away
+            assert got.v.dtype == want.v.dtype or 0.0 in weights
 
 
 @pytest.mark.parametrize("c", CONSTANTS)
@@ -137,6 +144,11 @@ def test_folding_rules_build_the_expected_nodes():
     assert (constant(2.0, DIM) * constant(3.0, DIM)).const == 6.0
     assert ScalarField.nsum([f]) is f
     assert ScalarField.nsum([f, f], [0.0, 0.0]).const == 0
+    # a one-term sum of real weight w is f * w, f itself at w = 1; a complex
+    # weight 1 + 0j still multiplies, so the sum is complex
+    assert ScalarField.nsum([f], [1.0]) is f and ScalarField.nsum([f, f], [1.0, 0.0]) is f
+    assert ScalarField.nsum([constant(2.0, DIM)], [-1.5]).const == -3.0
+    assert np.iscomplexobj(ScalarField.nsum([f], [1 + 0j]).values(np.zeros((1, DIM))))
 
 
 def test_forms_omit_coefficients_that_fold_to_zero():

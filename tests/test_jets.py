@@ -21,6 +21,7 @@ from lcklab.fields import (
     stacked,
 )
 from lcklab.jets import Jet, JetOrderError, compose_multi
+from lcklab.lck import MetricBundle
 
 DIM = 4
 
@@ -256,7 +257,8 @@ def test_points_first_outputs_keep_their_shapes_and_values(hopf, hopf_pts):
     assert jac.shape == (9, DIM, DIM)
     assert np.array_equal(jac, np.broadcast_to(M, jac.shape))
     s = hopf.structure
-    g, dg = s.metric_jets(pts)
+    bundle = MetricBundle(s, pts)
+    g, dg = bundle.g, bundle.dg
     assert g.shape == (DIM, DIM, 9) and dg.shape == (DIM, DIM, DIM, 9)
     G = s.metric_entry_fields()
     for a in range(DIM):

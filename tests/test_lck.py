@@ -37,8 +37,8 @@ def flat_pts():
 def christoffel(s, pts):
     """Gamma[n, k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), the
     Koszul formula on coordinate fields."""
-    g, dg = s.metric_jets(pts)
-    g, dg = g.transpose(2, 0, 1), dg.transpose(3, 0, 1, 2)  # points first
+    b = L.MetricBundle(s, pts)
+    g, dg = b.g.transpose(2, 0, 1), b.dg.transpose(3, 0, 1, 2)  # points first
     sym = dg + np.einsum("njil->nijl", dg) - np.einsum("nlij->nijl", dg)
     return 0.5 * np.einsum("nkl,nijl->nkij", np.linalg.inv(g), sym)
 
@@ -60,7 +60,7 @@ def nabla_theta(s, pts):
 def gram_schmidt_codifferential(s, pts):
     """d* theta = -sum_j (nabla_{E_j} theta)(E_j) over the orthonormal frame E
     that batched Gram-Schmidt makes from the coordinate fields."""
-    g = s.metric_jets(pts, 0)[0].transpose(2, 0, 1)
+    g = s.metric_jets(pts).transpose(2, 0, 1)
     n, d = g.shape[0], s.dim
     E = np.zeros((n, d, d))
     for j in range(d):
@@ -77,13 +77,22 @@ def conformal_rescale(s, h):
                           s.theta + exterior_d(Form.from_function(h)))
 
 
-def test_metric_is_symmetric_J_invariant_positive(hopf, hopf_pts, inoue, inoue_pts):
+def test_metric_is_symmetric_J_invariant_positive(hopf, hopf_pts, inoue, inoue_pts,
+                                                   leeolo, leeolo_pts):
     from lcklab.fields import complex_jmatrix
 
-    for m, pts in ((hopf, hopf_pts[:50]), (inoue, inoue_pts[:50])):
-        g = m.structure.metric_jets(pts, 0)[0].transpose(2, 0, 1)
-        assert np.abs(g - g.transpose(0, 2, 1)).max() < 1e-12
+    # g = Omega(., J.) is W J for Omega's antisymmetric coefficient array W,
+    # exactly: each entry of W J has one nonzero term, +-W_ac
+    leeolo_n3 = M.gallery("leeolo", n=3)
+    for m, pts in ((hopf, hopf_pts[:50]), (inoue, inoue_pts[:50]),
+                   (leeolo, leeolo_pts[:50]), (leeolo_n3, leeolo_n3.sample(50, seed=42))):
+        g = m.structure.metric_jets(pts).transpose(2, 0, 1)
+        W = np.zeros((len(pts), m.dim, m.dim))
+        for (a, c), v in m.structure.omega.coefficient_values(pts).items():
+            W[:, a, c], W[:, c, a] = np.real(v), -np.real(v)
         J = complex_jmatrix(m.dim)
+        assert np.array_equal(g, W @ J)
+        assert np.abs(g - g.transpose(0, 2, 1)).max() < 1e-12
         gj = np.einsum("ia,nab,bj->nij", J.T, g, J)
         assert np.abs(gj - g).max() < 1e-12
         assert m.structure.positivity_minima(pts).min() > 0
@@ -178,8 +187,8 @@ def test_connection_is_metric_compatible(hopf, inoue):
     for m in (hopf, inoue):
         s = m.structure
         pts = m.sample(6, seed=3)
-        g, dg = s.metric_jets(pts)
-        g, dg = g.transpose(2, 0, 1), dg.transpose(3, 0, 1, 2)
+        b = L.MetricBundle(s, pts)
+        g, dg = b.g.transpose(2, 0, 1), b.dg.transpose(3, 0, 1, 2)
         gam = christoffel(s, pts)
         for _ in range(50):
             i, j, k = rng.integers(0, m.dim, 3)
@@ -241,7 +250,10 @@ def test_nabla_theta_residuals_build_the_metric_jets_once(residual, hopf, hopf_p
 
 def test_hopf_diag_suite_evaluates_the_metric_entries_once_per_batch(hopf, monkeypatch):
     # the Vaisman, Gauduchon and both Killing rows read one MetricBundle on
-    # the run's points, and the unit-potential chain one on its own 60
+    # the run's points, and the unit-potential chain one on its own 60.  The
+    # entries include Omega's own coefficient fields, which other rows
+    # evaluate too, so the spy keys on the bundle's evaluation: the one
+    # call that takes every entry
     from lcklab import cli
 
     entries = {f.uid for f in hopf.structure.upper_metric_fields()}
@@ -249,7 +261,7 @@ def test_hopf_diag_suite_evaluates_the_metric_entries_once_per_batch(hopf, monke
     evaluate = L.evaluate
 
     def spy(fields, pts, order):
-        if entries & {f.uid for f in fields}:
+        if entries <= {f.uid for f in fields}:
             batches.append(len(pts))
         return evaluate(fields, pts, order)
 
@@ -392,7 +404,7 @@ def test_metric_elimination_has_positive_pivots_on_every_default_fixture():
             assert pivots.real.min() > 0, name
             B = np.column_stack([j.v for j in evaluate(L.solve_linear_fields(G, theta), pts, 0)])
             th = np.column_stack([j.v for j in evaluate(theta, pts, 0)])
-            g, _ = s.metric_jets(pts, 0)
+            g = s.metric_jets(pts)
             assert np.abs(np.einsum("abn,nb->na", g, B) - th).max() <= 1e-10, name
     # hopf_nondiag carries only a Lee class, hxc_cover and product no metric
     assert carried == {"hopf_diag", "inoue_splus", "leeolo"}

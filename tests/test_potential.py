@@ -409,6 +409,18 @@ def test_orbit_pipeline_refuses_a_closed_form_off_the_lift():
         P.leeolo_orbit_pipeline(m, m.sample(20, seed=42))
 
 
+def test_orbit_pipeline_refuses_an_average_off_the_representative(monkeypatch, capsys):
+    # an average scaled by 1 + 1e-6 misses the invariant representative by
+    # far more than the 1e-10 the prep residuals are certified to
+    from lcklab import cli
+
+    average = P.average_over_circle
+    monkeypatch.setattr(P, "average_over_circle",
+                        lambda form, circle, nodes: average(form, circle, nodes).scale(1.0 + 1e-6))
+    assert cli.main(["potential", "orbit"]) == 3
+    assert "misses the invariant representative" in capsys.readouterr().err
+
+
 def test_duhamel_cross_check_matches_the_per_t_simpson_loop(leeolo, orbit_twisted):
     # the reference route: g_t re-integrated from 0 by Simpson for every 8th
     # sample t; the pipeline's cumulative sums change only the summation
