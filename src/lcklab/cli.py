@@ -206,7 +206,7 @@ def _leeolo_report(m, pts, tol, nodes):
     checks += [
         Check("df_colinear_with_theta", own["df_colinear"], 1e-8,
               "df = B(f) theta"),
-        Check("lee_field_unchanged", own["lee_field_is_B"], 1e-9,
+        Check("lee_field_unchanged", own["lee_fields_defining"], 1e-9,
               "iota_B Omega' = J theta'"),
         Check("lee_norm_is_1_plus_f", own["norm_sq_matches_1_plus_f"],
               1e-8, "Omega'(B, JB) = 1 + f"),

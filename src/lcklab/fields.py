@@ -36,6 +36,10 @@ is never evaluated and a constant factor grows no zero tier:
   always multiplies, so the sum is complex.
   A ``Form`` built by ``forms._gather`` omits coefficients that fold to
   ``constant(0.0)``.
+- ``constant(0.0, dim)`` is one shared node per chart dimension, so every
+  fold to a real +0.0 returns it and builds nothing; ``constant(-0.0)``
+  and complex zeros are nodes of their own, so the sign of a zero and the
+  dtype never change.
 
 Folding is exact for finite values, except for the sign of a zero: the
 unfolded rule adds c's zero tiers (and 0 * f), which may turn a -0.0 into
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import contextvars
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -309,9 +314,22 @@ def stacked(fields: Sequence[ScalarField], pts, order: int = 1):
     return vals, (np.real(np.stack([j.g.T for j in jets], axis=1)) if order else None)
 
 
+# the one +0.0 node of each chart dimension, built on first use
+_ZEROS = {}
+
+
 def constant(value, dim) -> ScalarField:
-    return ScalarField(dim, lambda c, m: Jet.constant(value, c.pts.shape[0], dim, m),
-                       const=value)
+    """The constant field ``value``; a real +0.0 is one shared node per
+    chart dimension, while -0.0 and complex zeros get nodes of their own,
+    so the sign of a zero and the dtype never change."""
+    shared = isinstance(value, float) and value == 0 and math.copysign(1.0, value) > 0
+    if shared and dim in _ZEROS:
+        return _ZEROS[dim]
+    field = ScalarField(dim, lambda c, m: Jet.constant(value, c.pts.shape[0], dim, m),
+                        const=value)
+    if shared:
+        _ZEROS[dim] = field
+    return field
 
 
 def _value(x):
@@ -555,16 +573,23 @@ def bracket(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(comps, name=f"[{X.name},{Y.name}]")
 
 
-def complex_jmatrix(dim):
-    """The constant complex-structure matrix: J dx_j = dy_j column-wise.
-
-    Acting on vectors: J d/dx_j = d/dy_j, J d/dy_j = -d/dx_j.
-    """
-    J = np.zeros((dim, dim))
+def complex_multiplier(dim, u):
+    """The real matrices of z -> u z on every complex coordinate, one per
+    entry of the complex array ``u``: shape u.shape + (dim, dim)."""
+    u = np.asarray(u, dtype=complex)
+    M = np.zeros(u.shape + (dim, dim))
     for j in range(dim // 2):
-        J[2 * j + 1, 2 * j] = 1.0
-        J[2 * j, 2 * j + 1] = -1.0
-    return J
+        M[..., 2 * j, 2 * j] = u.real
+        M[..., 2 * j, 2 * j + 1] = -u.imag
+        M[..., 2 * j + 1, 2 * j] = u.imag
+        M[..., 2 * j + 1, 2 * j + 1] = u.real
+    return M
+
+
+def complex_jmatrix(dim):
+    """The constant complex-structure matrix, multiplication by i:
+    J d/dx_j = d/dy_j and J d/dy_j = -d/dx_j on vectors."""
+    return complex_multiplier(dim, 1j)
 
 
 def apply_J_vector(X: VectorField) -> VectorField:

@@ -258,6 +258,9 @@ class Jet:
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
+        # x * 1.0 = x exactly; a complex 1 + 0j still multiplies
+        if isinstance(other, (int, float)) and other == 1:
+            return self.reciprocal()
         return self.reciprocal() * other
 
     def __pow__(self, k):

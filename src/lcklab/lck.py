@@ -4,8 +4,10 @@ All checks are pointwise over seeded sample batches; the norm is the max
 absolute coefficient in the coordinate coframe.  The defining identity is
 d Omega = theta ^ Omega with theta closed (``twisted_d``); the metric
 g = Omega(., J.) is read through ``interior_product`` over the constant
-coordinate frame, g_ab = iota_{J e_b} iota_{e_a} Omega; the Lee fields
-solve iota_B Omega = J theta and iota_A Omega = -theta with A = JB.
+coordinate frame, g_ab = iota_{J e_b} iota_{e_a} Omega.  The Lee pair
+(B, A = JB) is registered with the structure in closed form by whoever
+builds it, and ``LeePair.defining_residuals`` certifies it through
+iota_B Omega = J theta and iota_A Omega = -theta; nothing solves for it.
 
 The Riemannian rows (parallel Lee form, co-closed Lee form, Killing Lee
 fields) read one ``MetricBundle`` per structure and batch.  They never form
@@ -55,7 +57,7 @@ class LCKStructure:
             raise ValueError("need a 2-form and a 1-form")
         self.omega = omega
         self.theta = theta
-        self._lee = (lee_B, lee_A) if lee_B is not None else None
+        self._lee = (lee_B, lee_A)
         self._metric_fields = None
 
     @property
@@ -101,10 +103,15 @@ class LCKStructure:
     # -- Lee fields -------------------------------------------------------
 
     def lee_pair(self):
-        if self._lee is None:
-            B = _lee_field_from_metric(self)
-            self._lee = (B, apply_J_vector(B))
-        return LeePair(B=self._lee[0], A=self._lee[1], structure=self)
+        """The Lee pair (B, A) registered with this structure.
+
+        A structure carries its pair in closed form from where it is built;
+        ``LeePair.defining_residuals`` certifies it.  A structure built
+        without one raises ValueError naming what is missing."""
+        missing = [k for k, X in zip(("lee_B", "lee_A"), self._lee) if X is None]
+        if missing:
+            raise ValueError(f"no Lee pair registered: {' and '.join(missing)} missing")
+        return LeePair(*self._lee, structure=self)
 
 
 @dataclass
@@ -126,54 +133,6 @@ class LeePair:
         pairing = interior_product(apply_J_vector(self.B),
                                    interior_product(self.B, self.structure.omega))
         return np.real(pairing.coefficient_values(pts)[()])
-
-
-def _eliminate(A, b):
-    """Forward elimination without pivoting: the rows of the upper
-    triangle (pivot k is ``U[k][k]``) and the reduced right-hand side."""
-    n = len(b)
-    A = [row[:] for row in A]
-    b = b[:]
-    for k in range(n):
-        piv = A[k][k]
-        for i in range(k + 1, n):
-            factor = A[i][k] / piv
-            for j in range(k + 1, n):
-                A[i][j] = A[i][j] - factor * A[k][j]
-            b[i] = b[i] - factor * b[k]
-    return A, b
-
-
-def solve_linear_fields(A, b):
-    """Solve A x = b in field arithmetic by elimination without pivoting.
-
-    Requires nonvanishing diagonal pivots on the evaluation domain.  For
-    a metric matrix G that holds wherever G is positive definite, i.e.
-    where its smallest eigenvalue (``LCKStructure.positivity_minima``, the
-    ``positivity_min_eig`` rows) is above 0: after k steps the trailing
-    block is the Schur complement of G's leading k x k block, a Schur
-    complement of a symmetric positive definite matrix is again symmetric
-    positive definite, and so its first diagonal entry, pivot k + 1, is
-    positive.  (Equivalently, pivot k is the ratio of the leading principal
-    minors of orders k and k - 1, all positive by Sylvester's criterion.)
-    So where the metric is positive definite, no pivot of the metric solve
-    vanishes and pivoting would change only the rounding.
-    """
-    A, b = _eliminate(A, b)
-    n = len(b)
-    x = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = b[i]
-        for j in range(i + 1, n):
-            acc = acc - A[i][j] * x[j]
-        x[i] = acc / A[i][i]
-    return x
-
-
-def _lee_field_from_metric(s: LCKStructure) -> VectorField:
-    # g(B, .) = theta, so B solves G B = theta-vector; SPD diagonal pivots.
-    comps = solve_linear_fields(s.metric_entry_fields(), s.theta_components())
-    return VectorField(comps, name="B")
 
 
 # -- residual verifiers ----------------------------------------------------

@@ -24,6 +24,7 @@ from .fields import (
     VectorField,
     as_batch,
     complex_coordinate,
+    complex_multiplier,
     compose_field,
     constant,
     coordinate,
@@ -185,25 +186,12 @@ def _annulus_sampler(dim, r_lo, r_hi):
     return sampler
 
 
-def _complex_multiplier(dim, u):
-    """The real matrices of z -> u z on every complex coordinate, one per
-    entry of the complex array ``u``: shape u.shape + (dim, dim)."""
-    u = np.asarray(u, dtype=complex)
-    M = np.zeros(u.shape + (dim, dim))
-    for j in range(dim // 2):
-        M[..., 2 * j, 2 * j] = u.real
-        M[..., 2 * j, 2 * j + 1] = -u.imag
-        M[..., 2 * j + 1, 2 * j] = u.imag
-        M[..., 2 * j + 1, 2 * j + 1] = u.real
-    return M
-
-
 def _scaled_rotation_affine(dim, a: complex):
     """Phi_t(z) = e^{a t} z applied to every complex coordinate."""
 
     def affine(t):
         t = np.asarray(t, dtype=float)
-        return _complex_multiplier(dim, np.exp(a * t)), np.zeros(t.shape + (dim,))
+        return complex_multiplier(dim, np.exp(a * t)), np.zeros(t.shape + (dim,))
 
     return affine
 
@@ -262,12 +250,12 @@ def hopf_diag(n=2, beta=0.5 + 0j):
         circles["L"] = (-0.5 + cmath.phase(beta) / lee_period * 1j, lee_period, "gamma")
     if abs(beta - math.exp(-math.pi)) < 1e-12:
         circles["C"] = (-0.5 + 1.0j, 2 * math.pi, "gamma")
-    # each generator is rate z, the matrix rows of _complex_multiplier
-    gens = {name: VectorField(PointMap.affine(_complex_multiplier(dim, rate),
+    # each generator is rate z, the matrix rows of complex_multiplier
+    gens = {name: VectorField(PointMap.affine(complex_multiplier(dim, rate),
                                               np.zeros(dim)).components, name=name)
             for name, (rate, _, _) in circles.items()}
 
-    gamma = PointMap.affine(_complex_multiplier(dim, beta), np.zeros(dim))
+    gamma = PointMap.affine(complex_multiplier(dim, beta), np.zeros(dim))
     deck = DeckTransformation("gamma", gamma, rho=1.0 / abs(beta) ** 2)
 
     m = ModelManifold(

@@ -311,8 +311,12 @@ def build_leeolo(base: ModelManifold, f: PeriodicFunction) -> LeeoloResult:
 
     ``base`` must carry a unit-norm Vaisman pair whose Lee flow closes with
     period 2pi; f is a 2pi-periodic function of the Lee-orbit parameter with
-    f > -1.  The returned structure has Lee form (1 + f) theta, Lee field B,
-    non-constant |B| (so it is not Vaisman), and the periodic-ODE potential g.
+    f > -1.  The returned structure has Lee form (1 + f) theta and carries
+    the base's Lee pair (B, A) as its own, registered: theta(B) = 1 and
+    J theta(B) = 0 give iota_B Omega' = (1 + f) J theta = J theta', and
+    likewise iota_A Omega' = -theta'.
+    Its |B| is non-constant (so it is not Vaisman), and g is the
+    periodic-ODE potential.
     An f whose df is not colinear with theta on 60 points of the base's
     sampler (seed 11) is InadmissibleInput; ``leeolo_residuals`` checks the
     structure on a run's points.
@@ -340,7 +344,8 @@ def build_leeolo(base: ModelManifold, f: PeriodicFunction) -> LeeoloResult:
     jt = apply_J(s0.theta)
     omega_p = s0.omega + wedge(s0.theta, jt).scale(f_field)
     theta_p = s0.theta.scale(1.0 + f_field)
-    structure = LCKStructure(omega_p, theta_p)
+    pair = s0.lee_pair()
+    structure = LCKStructure(omega_p, theta_p, lee_B=pair.B, lee_A=pair.A)
 
     # cover potential of theta': psi = phi + A(phi), A the antiderivative
     # of f, so psi' = 1 + f and psi^(r) = f^(r-1) above
@@ -351,16 +356,15 @@ def build_leeolo(base: ModelManifold, f: PeriodicFunction) -> LeeoloResult:
 
 def leeolo_residuals(m: ModelManifold, pts) -> Dict[str, float]:
     """The leeolo fixture's residuals at ``pts``: df against B(f) theta, the
-    structure's Lee field against the base's B, its |B|^2 against 1 + f,
-    its twisted potential g, and the smallest eigenvalue of its metric."""
+    defining identities of the registered pair (the base's B and A) against
+    Omega' and theta', |B|^2 against 1 + f, the twisted potential g, and
+    the smallest eigenvalue of the metric."""
     res = m.extras["leeolo"]
-    base = m.extras["vaisman_base"]
     pair = res.structure.lee_pair()
     fv = res.f_field.values(pts).real
     return {
-        "df_colinear": _df_colinear(base, res.f_field, pts),
-        "lee_field_is_B": float(
-            np.abs(pair.B.values(pts) - base.lee_pair().B.values(pts)).max()),
+        "df_colinear": _df_colinear(m.extras["vaisman_base"], res.f_field, pts),
+        "lee_fields_defining": max(pair.defining_residuals(pts).values()),
         "norm_sq_matches_1_plus_f": float(
             np.abs(pair.norm_squared(pts) - (1.0 + fv)).max()),
         "potential": potential_residual(res.structure, res.g_field, pts),

@@ -65,7 +65,7 @@ class TorusAction:
 
     @property
     def names(self):
-        return [getattr(g, "name", f"xi{i}") for i, g in enumerate(self.generators)]
+        return [g.name for g in self.generators]
 
     def commutation_residual(self, pts) -> float:
         worst = 0.0

@@ -247,7 +247,7 @@ def test_criterion_07_leeolo_end_to_end(leeolo, leeolo_pts):
     lck_p = L.lck_residual(leeolo.structure, pts)
     vais = L.vaisman_residual(L.MetricBundle(leeolo.structure, pts[:60]))
     assert lck_p < 1e-8
-    assert ck["lee_field_is_B"] < 1e-9
+    assert ck["lee_fields_defining"] < 1e-9
     assert ck["norm_sq_matches_1_plus_f"] < 1e-8
     assert ck["potential"] < 1e-6
     assert vais > 0.01  # expected-fail polarity

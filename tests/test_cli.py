@@ -291,7 +291,7 @@ def test_leeolo_structure_rows_run_on_the_run_points():
     # (1.8e-15, 4.5e-13) on both point sets, so each row is matched against
     # its residual on the run's own points, and the rows must move as a set
     rows = {"df_colinear_with_theta": "df_colinear",
-            "lee_field_unchanged": "lee_field_is_B",
+            "lee_field_unchanged": "lee_fields_defining",
             "lee_norm_is_1_plus_f": "norm_sq_matches_1_plus_f",
             "twisted_potential": "potential",
             "positivity": "positivity_min_eig"}

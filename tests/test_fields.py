@@ -149,6 +149,19 @@ def test_folding_rules_build_the_expected_nodes():
     assert ScalarField.nsum([f], [1.0]) is f and ScalarField.nsum([f, f], [1.0, 0.0]) is f
     assert ScalarField.nsum([constant(2.0, DIM)], [-1.5]).const == -3.0
     assert np.iscomplexobj(ScalarField.nsum([f], [1 + 0j]).values(np.zeros((1, DIM))))
+    # every fold to a real +0.0 is one shared node per chart dimension; -0.0
+    # and complex zeros keep nodes of their own, so sign and dtype stay
+    g = coordinate(1, DIM)
+    zero = constant(0.0, DIM)
+    assert f * 0 is g * 0 is zero and constant(3.0, DIM).partial(1) is zero
+    assert ScalarField.nsum([f, f], [0.0, 0.0]) is zero
+    assert zero is not constant(0.0, DIM + 2)
+    at = np.zeros((1, DIM))
+    for other, signbit, dtype in ((constant(-0.0, DIM), True, np.float64),
+                                  (constant(0j, DIM), False, np.complex128)):
+        assert other is not zero and other is not constant(other.const, DIM)
+        assert np.signbit(np.real(other.values(at))).all() == signbit
+        assert other.values(at).dtype == dtype
 
 
 def test_forms_omit_coefficients_that_fold_to_zero():

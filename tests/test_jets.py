@@ -388,6 +388,12 @@ def test_absent_tiers_match_zero_filled_chain_and_partial(pattern):
     derivs = [rng.normal(size=6) for _ in range(4)]
     _assert_same_bits(a.chain(derivs), _full_chain(da, derivs))
     _assert_same_bits(a.exp(), _full_chain(da, [np.exp(a.v)] * 4))
+    # a real 1 over a is the reciprocal itself, as reciprocal() * 1.0 was;
+    # a complex 1 + 0j still multiplies
+    unit = _full_map(lambda x: x * 1.0, _dense(a.reciprocal()))
+    _assert_same_bits(1.0 / a, unit)
+    _assert_same_bits(1 / a, unit)
+    assert np.iscomplexobj(((1 + 0j) / a).v)
     for i in range(3):
         _assert_same_bits(a.partial(i), Jet(2, da.g[i], da.h[i], da.t[i]))
         _assert_same_bits(a.partial(i).partial(i), Jet(1, da.h[i, i], da.t[i, i]))

@@ -19,10 +19,13 @@ DIM = 4
 
 @pytest.fixture(scope="module")
 def flat():
-    # flat Kaehler chart with theta = 0: omega = 2i sum dz ^ dzbar
+    # flat Kaehler chart with theta = 0: omega = 2i sum dz ^ dzbar, and the
+    # zero Lee pair
     omega = Form(DIM, 2, {(0, 1): constant(4.0, DIM), (2, 3): constant(4.0, DIM)})
     theta = Form.zero(DIM, 1)
-    return L.LCKStructure(omega, theta)
+    zero = [constant(0.0, DIM)] * DIM
+    return L.LCKStructure(omega, theta, lee_B=VectorField(zero, name="B"),
+                          lee_A=VectorField(zero, name="A"))
 
 
 @pytest.fixture(scope="module")
@@ -130,18 +133,24 @@ def test_lee_fields_unit_norm_on_hopf(hopf, hopf_pts):
     assert np.abs(pair.norm_squared(hopf_pts[:60]) - 1.0).max() < 1e-9
 
 
-def test_lee_fields_vanish_for_kaehler(flat, flat_pts):
-    pair = flat.lee_pair()
-    assert np.abs(pair.B.values(flat_pts)).max() < 1e-14
-    assert np.abs(pair.A.values(flat_pts)).max() < 1e-14
-
-
 def test_leeolo_lee_field_is_base_lee_field(leeolo, leeolo_pts):
-    res = leeolo.extras["leeolo"]
-    base_B = leeolo.extras["vaisman_base"].lee_pair().B
-    pair = res.structure.lee_pair()
-    pts = leeolo_pts[:50]
-    assert np.abs(pair.B.values(pts) - base_B.values(pts)).max() < 1e-9
+    # the structure carries the base's pair, and it solves the defining
+    # identities against Omega' and theta' = (1 + f) theta
+    base = leeolo.extras["vaisman_base"].lee_pair()
+    pair = leeolo.extras["leeolo"].structure.lee_pair()
+    assert pair.B is base.B and pair.A is base.A
+    res = pair.defining_residuals(leeolo_pts[:50])
+    assert set(res) == {"iota_B", "iota_A", "A_equals_JB"}
+    assert max(res.values()) < 1e-9
+
+
+def test_lee_pair_without_a_registered_pair_raises(inoue, hopf):
+    with pytest.raises(ValueError, match="lee_B and lee_A missing"):
+        inoue.structure.lee_pair()
+    s = hopf.structure
+    half = L.LCKStructure(s.omega, s.theta, lee_B=s.lee_pair().B)
+    with pytest.raises(ValueError, match="lee_A missing"):
+        half.lee_pair()
 
 
 def test_covariant_derivative_euclidean(flat, flat_pts):
@@ -344,8 +353,6 @@ def test_conformal_rescale(hopf, hopf_pts):
     h = coordinate(0, DIM) * 0.3 + (coordinate(2, DIM) ** 2) * 0.1
     up = conformal_rescale(s, h)
     assert L.lck_residual(up, hopf_pts[:60]) < 1e-8
-    pair = up.lee_pair()
-    assert max(pair.defining_residuals(hopf_pts[:60]).values()) < 1e-9
     down = conformal_rescale(up, -1.0 * h)
     assert (down.omega - s.omega).max_abs(hopf_pts) < 1e-10
     assert (down.theta - s.theta).max_abs(hopf_pts) < 1e-10
@@ -381,30 +388,24 @@ def test_verify_unit_potential_chain(hopf, hopf_pts, leeolo, flat, flat_pts):
     assert rep3.verdict == "hypotheses not met"
 
 
-def test_metric_elimination_has_positive_pivots_on_every_default_fixture():
-    # solve_linear_fields eliminates without pivoting; on a positive definite
-    # metric every pivot is a Schur-complement diagonal entry, hence > 0
-    from lcklab.cli import DEFAULT_FIXTURES
-    from lcklab.fields import evaluate
+@pytest.mark.parametrize("fixture, params", [
+    ("hopf_diag", {"n": 2}), ("hopf_diag", {"n": 3}), ("hopf_diag", {"n": 4}),
+    ("leeolo", {"n": 2}), ("leeolo", {"n": 3}), ("flat", None)],
+    ids=["hopf_n2", "hopf_n3", "hopf_n4", "leeolo_n2", "leeolo_n3", "flat"])
+def test_registered_lee_pairs_match_a_numpy_metric_solve(fixture, params, request):
+    # g(B, .) = theta: B is g^{-1} theta, solved point by point in NumPy on a
+    # positive definite metric, and A = JB
+    from lcklab.fields import complex_jmatrix
 
-    carried = set()
-    for name in DEFAULT_FIXTURES:
-        m = M.gallery(name)
-        extras = list(m.extras.values())
-        candidates = [m.structure, *extras, *(getattr(x, "structure", None) for x in extras)]
-        structures = {id(s): s for s in candidates if isinstance(s, L.LCKStructure)}
-        pts = m.sample(40, seed=42)
-        for s in structures.values():
-            carried.add(name)
-            assert s.positivity_minima(pts).min() > 0
-            G, theta = s.metric_entry_fields(), s.theta_components()
-            U, _ = L._eliminate(G, theta)
-            pivots = np.array([j.v for j in evaluate([U[k][k] for k in range(s.dim)], pts, 0)])
-            assert np.abs(pivots.imag).max() == 0.0
-            assert pivots.real.min() > 0, name
-            B = np.column_stack([j.v for j in evaluate(L.solve_linear_fields(G, theta), pts, 0)])
-            th = np.column_stack([j.v for j in evaluate(theta, pts, 0)])
-            g = s.metric_jets(pts)
-            assert np.abs(np.einsum("abn,nb->na", g, B) - th).max() <= 1e-10, name
-    # hopf_nondiag carries only a Lee class, hxc_cover and product no metric
-    assert carried == {"hopf_diag", "inoue_splus", "leeolo"}
+    if params is None:
+        s, pts = request.getfixturevalue(fixture), request.getfixturevalue("flat_pts")
+    else:
+        m = M.gallery(fixture, **params)
+        s, pts = m.structure, m.sample(40, seed=42)
+    assert s.positivity_minima(pts).min() > 0
+    g = s.metric_jets(pts).transpose(2, 0, 1)
+    theta, _ = stacked(s.theta_components(), pts, 0)
+    want = np.linalg.solve(g, theta[:, :, None])[:, :, 0]
+    pair = s.lee_pair()
+    assert np.abs(pair.B.values(pts) - want).max() <= 1e-14
+    assert np.abs(pair.A.values(pts) - want @ complex_jmatrix(s.dim).T).max() <= 1e-14

@@ -255,7 +255,7 @@ def test_leeolo_checks(leeolo):
     pts = leeolo.sample(60, 11)
     ck = P.leeolo_residuals(leeolo, pts)
     assert L.lck_residual(leeolo.structure, pts) < 1e-8
-    assert ck["lee_field_is_B"] < 1e-9
+    assert ck["lee_fields_defining"] < 1e-9
     assert ck["norm_sq_matches_1_plus_f"] < 1e-8
     assert ck["potential"] < 1e-6
     assert ck["positivity_min_eig"] > 0
