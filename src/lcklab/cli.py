@@ -261,8 +261,9 @@ def _product_report(m, pts, tol, nodes):
     ]
     dim = T.intersection_dimension(act, pts)
     verdict = T.verdict(act, None, False, pts[:30], nodes)
+    # no LCK structure on the product, so a non-real torus is only NonReal
     expected = ("NoLCKPossible" if dim > 2
-                else "VaismanExists" if dim in (1, 2) else "PurelyReal")
+                else "NonReal" if dim in (1, 2) else "PurelyReal")
     checks.append(Check("verdict_matches_table",
                         0.0 if verdict.verdict == expected else 1.0, 0.5,
                         "existence verdict follows the decision table"))
@@ -304,9 +305,14 @@ _REPORT_BUILDERS = {
 DEFAULT_FIXTURES = tuple(_REPORT_BUILDERS)
 
 
+# 50x the widest benchmark batch; verify leeolo already peaks near 1 GB at
+# 200 000 points, and far larger counts fail inside numpy's allocator
+_MAX_POINTS = 100_000
+
+
 def _check_points(points):
-    if points < 1:
-        raise GalleryError(f"need at least one sample point, got {points}")
+    if not 1 <= points <= _MAX_POINTS:
+        raise GalleryError(f"need 1 to {_MAX_POINTS} sample points, got {points}")
 
 
 def _check_seed(seed):
@@ -559,9 +565,14 @@ def main(argv=None) -> int:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
     if args.json_path:
-        with open(args.json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.json_path, "w") as fh:
+                json.dump(report, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.json_path}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return GalleryError.exit_code
     return code
 
 

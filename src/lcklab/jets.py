@@ -22,11 +22,8 @@ for finite x).
 
 Jets share arrays: an operation may hand back an operand's tier or a view
 of it (``x + c``, ``partial``, ``real``, ``truncate``, ``_lsum`` of one
-present term), so no operation ever writes into an array it was given.
-The order-2 and order-3 tiers of a product of jets and of a univariate
-chain step are fresh arrays, built in place: the rule's terms are added
-into one output array in the rule's order, so they equal the plain sum of
-fresh terms bit for bit with a fraction of its temporaries.
+present term); every other tier is a fresh array, and no operation writes
+into an operand.
 """
 
 from __future__ import annotations
@@ -49,80 +46,14 @@ def _lsum(*terms):
     return acc
 
 
-def _product(x, y, scale=None):
-    """The tier term scale * (x * y), or None when x or y is absent."""
-    return None if x is None or y is None else (((x, y),), False, scale)
+def _mul(x, y):
+    """x * y, or None when x or y is absent."""
+    return None if x is None or y is None else x * y
 
 
-def _hg(h, g):
-    """The factors of the outer product h_{pq} g_r, or None when h is absent."""
-    return None if h is None else (h[:, :, None], g)
-
-
-def _sym_hg(pairs, scale=None):
-    """The tier term scale * S(x) of x = the left-to-right sum of the present
-    outer products ``pairs``; None if none is present.
-
-    S_{pqr} = x_{pqr} + x_{prq} + x_{qrp}.  For the outer product
-    x_{pqr} = h_{pq} g_r this is h_{pq} g_r + h_{pr} g_q + h_{qr} g_p,
-    exact for any h, symmetric or not; a sum of outer products goes
-    through in one pass.
-    """
-    pairs = tuple(p for p in pairs if p is not None)
-    return (pairs, True, scale) if pairs else None
-
-
-def _fill(out, term):
-    products, sym, scale = term
-    if sym:
-        # S reads x through two transposes, so x needs an array of its own
-        x = np.empty_like(out)
-        np.multiply(*products[0], out=x)
-        for pair in products[1:]:
-            np.multiply(*pair, out=out)
-            x += out
-        np.add(x, x.transpose(0, 2, 1, 3), out=out)
-        out += x.transpose(2, 0, 1, 3)
-    else:
-        np.multiply(*products[0], out=out)
-    if scale is not None:
-        # scale first: a complex product may round differently with its
-        # factors swapped (fused multiply-add)
-        np.multiply(scale, out, out=out)
-
-
-def _tier(shape, terms):
-    """One derivative tier: the sum of its present terms, left to right.
-
-    A term is ``(products, sym, scale)``: the left-to-right sum of the
-    products x * y of its (x, y) pairs, symmetrised by S when ``sym``, then
-    times ``scale`` when that is not None; an absent term is None.  The
-    tier is built in one fresh array of the result type of every present
-    factor.  The first term is written into it, each later one into one
-    scratch array and then added in place.  Products, sums and scalings
-    are the elementwise operations of the plain expression, with their
-    operands in its order, and a real value cast into a complex array takes
-    +0 as imaginary part as promotion does, so the tier equals the plain
-    sum bit for bit.  No operand array is written.  None if no term is
-    present.
-    """
-    terms = [x for x in terms if x is not None]
-    if not terms:
-        return None
-    factors = []
-    for products, _, scale in terms:
-        for pair in products:
-            factors += pair
-        if scale is not None:
-            factors.append(scale)
-    out = np.empty(shape, np.result_type(*factors))
-    _fill(out, terms[0])
-    if len(terms) > 1:
-        scratch = np.empty_like(out)
-        for term in terms[1:]:
-            _fill(scratch, term)
-            out += scratch
-    return out
+def _sym(x):
+    """S_pqr = x_pqr + x_prq + x_qrp, or None when x is absent."""
+    return None if x is None else x + x.transpose(0, 2, 1, 3) + x.transpose(2, 0, 1, 3)
 
 
 class Jet:
@@ -235,19 +166,12 @@ class Jet:
         if m >= 1:
             g = a.v * b.g + b.v * a.g
         if m >= 2:
-            d, n = a.g.shape
-            h = _tier((d, d, n), [
-                _product(a.v, b.h),
-                _product(b.v, a.h),
-                _product(a.g[:, None], b.g),
-                _product(b.g[:, None], a.g),
-            ])
+            h = _lsum(_mul(a.v, b.h), _mul(b.v, a.h),
+                      a.g[:, None] * b.g, b.g[:, None] * a.g)
         if m >= 3:
-            t = _tier((d, d, d, n), [
-                _product(a.v, b.t),
-                _product(b.v, a.t),
-                _sym_hg([_hg(a.h, b.g), _hg(b.h, a.g)]),
-            ])
+            t = _lsum(_mul(a.v, b.t), _mul(b.v, a.t),
+                      _sym(_lsum(None if a.h is None else a.h[:, :, None] * b.g,
+                                 None if b.h is None else b.h[:, :, None] * a.g)))
         return Jet(m, v, g, h, t)
 
     __rmul__ = __mul__
@@ -297,18 +221,12 @@ class Jet:
         if m >= 1:
             g = derivs[1] * self.g
         if m >= 2:
-            d, n = self.g.shape
             gg = self.g[:, None] * self.g
-            h = _tier((d, d, n), [
-                _product(derivs[1], self.h),
-                _product(derivs[2], gg),
-            ])
+            h = _lsum(_mul(derivs[1], self.h), derivs[2] * gg)
         if m >= 3:
-            t = _tier((d, d, d, n), [
-                _product(derivs[1], self.t),
-                _sym_hg([_hg(self.h, self.g)], derivs[2]),
-                _product(gg[:, :, None], self.g, derivs[3]),
-            ])
+            hg = None if self.h is None else self.h[:, :, None] * self.g
+            t = _lsum(_mul(derivs[1], self.t), _mul(derivs[2], _sym(hg)),
+                      derivs[3] * (gg[:, :, None] * self.g))
         return Jet(m, v, g, h, t)
 
     def reciprocal(self):
@@ -372,9 +290,9 @@ def compose_multi(outer, inners, order):
     if m >= 1:
         Yg = np.stack([y.g for y in inners])  # (k, ds, N)
     if m >= 2:
-        Yh = _stack_tier([y.h for y in inners])  # (k, ds, ds, N)
+        Yh = _stack_tiers([y.h for y in inners])  # (k, ds, ds, N)
     if m >= 3:
-        Yt = _stack_tier([y.t for y in inners])  # (k, ds, ds, ds, N)
+        Yt = _stack_tiers([y.t for y in inners])  # (k, ds, ds, ds, N)
 
     v = outer.v
     g = h = t = None
@@ -400,7 +318,7 @@ def compose_multi(outer, inners, order):
     return Jet(m, v, g, h, t)
 
 
-def _stack_tier(tiers):
+def _stack_tiers(tiers):
     """Stack the inners' tiers on a new first axis, zeros for absent ones;
     None if all are."""
     present = [x for x in tiers if x is not None]

@@ -5,7 +5,8 @@ ranks use a relative singular-value cutoff and are required to agree across
 all samples.  Existence verdicts implement the decision table
 
     dim(t ^ Jt) > 2                                  -> NoLCKPossible
-    dim in {1, 2}                                    -> VaismanExists
+    dim in {1, 2}, LCK                               -> VaismanExists
+    dim in {1, 2} otherwise                          -> NonReal
     dim = 0, k = n, some vertical generator, LCK     -> PositivePotentialExists
     dim = 0 otherwise                                -> PurelyReal
 
@@ -36,6 +37,7 @@ from .manifolds import FlowMap, ModelManifold, flow_closure_residual
 VERDICTS = (
     "NoLCKPossible",
     "VaismanExists",
+    "NonReal",
     "PositivePotentialExists",
     "PurelyReal",
 )
@@ -279,7 +281,7 @@ def verdict(act: TorusAction, theta: Optional[Form], lck_present: bool, pts,
     ``theta`` is the Lee form whose pairings with the generators label them
     vertical or horizontal (None: no pairings are taken); ``lck_present``
     is the theorems' hypothesis that (M, J) is of LCK type, and the
-    positive-potential row fires only when it holds.
+    Vaisman and positive-potential rows fire only when it holds.
     """
     dim = intersection_dimension(act, pts)
     names = act.names
@@ -287,8 +289,12 @@ def verdict(act: TorusAction, theta: Optional[Form], lck_present: bool, pts,
         return ActionReport("NoLCKPossible", dim, names,
                             notes="intersection exceeds the Lee plane")
     if dim in (1, 2):
-        return ActionReport("VaismanExists", dim, names,
-                            notes="non purely real torus on an LCK-type manifold")
+        if lck_present:
+            return ActionReport("VaismanExists", dim, names,
+                                notes="non purely real torus on an LCK-type manifold")
+        return ActionReport("NonReal", dim, names,
+                            notes="non purely real torus; the Vaisman criterion "
+                                  "needs LCK type")
     witnesses = {"lck_present": lck_present}
     if theta is not None:
         # the pairings are constants; a small probe subset suffices

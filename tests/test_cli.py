@@ -99,11 +99,30 @@ def test_unknown_fixture_exits_2(capsys):
     ["verify", "product:b=3.5"],
     ["verify", "inoue_splus:N=abc"],
     ["verify", "inoue_splus:N=1j"],
+    ["verify", "hopf_diag", "--points", "100001"],
+    ["report", "--points", "100000000000"],
 ])
 def test_bad_parameters_exit_2_without_traceback(argv, capsys):
     assert cli.main(argv) == 2
     out = capsys.readouterr()
     assert out.err.startswith("error: ")
+    assert "Traceback" not in out.out + out.err
+
+
+def test_a_non_real_torus_without_lck_structure_is_not_called_vaisman():
+    body, code = cli.run_verify("product:b=inoue_splus", points=40)
+    (verdict,) = body["verdicts"]
+    assert code == 0 and verdict["intersection_dim"] == 2
+    assert verdict["verdict"] == "NonReal" and verdict["lck_present"] is False
+
+
+@pytest.mark.parametrize("target", ["", "missing/out.json"])
+def test_an_unwritable_json_path_exits_2_without_traceback(target, tmp_path, capsys):
+    path = tmp_path / target  # tmp_path itself is a directory
+    argv = ["verify", "hxc_cover", "--points", "5", "--json", str(path)]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: cannot write {path}: ")
     assert "Traceback" not in out.out + out.err
 
 

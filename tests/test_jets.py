@@ -581,10 +581,11 @@ def test_a_served_order_does_not_call_the_closure_again():
     assert calls == [3, 1, 2]
 
 
-# -- tiers built in place ---------------------------------------------------
+# -- tiers as the sum of the rule's terms ------------------------------------
 
-# The Leibniz and chain rules with each term a fresh array, summed by _lsum:
-# the reference that the in-place rules must match bit for bit and in dtype.
+# The Leibniz and chain rules written out term by term, each term a fresh
+# array, summed left to right: the reference that products and chain steps
+# must match bit for bit and in dtype, with fresh tiers and operands untouched.
 
 def _ref_lsum(*terms):
     acc = None
@@ -664,7 +665,7 @@ def _kernel_operands(rng, order):
 
 
 @pytest.mark.parametrize("order", [2, 3])
-def test_in_place_leibniz_rule_matches_the_summed_terms(order):
+def test_leibniz_rule_sums_the_terms_in_rule_order(order):
     jets, arrays = _kernel_operands(np.random.default_rng(31), order)
     held = [x.copy() for x in arrays]
     for a in jets:
@@ -676,7 +677,7 @@ def test_in_place_leibniz_rule_matches_the_summed_terms(order):
 
 
 @pytest.mark.parametrize("order", [2, 3])
-def test_in_place_chain_rule_matches_the_summed_terms(order):
+def test_chain_rule_sums_the_terms_in_rule_order(order):
     rng = np.random.default_rng(32)
     jets, arrays = _kernel_operands(rng, order)
     n = jets[0].v.shape[0]

@@ -297,15 +297,17 @@ def test_verdict_carries_witnesses(nondiag_action):
 def test_verdict_total_and_invariant_under_recombination(hopf_action,
                                                          product_action):
     rng = np.random.default_rng(10)
-    for act, expected in ((hopf_action, "VaismanExists"),
-                          (product_action, "NoLCKPossible")):
+    # a non-real torus is Vaisman only on a manifold of LCK type
+    for act, lck, expected in ((hopf_action, True, "VaismanExists"),
+                               (hopf_action, False, "NonReal"),
+                               (product_action, False, "NoLCKPossible")):
         k = len(act.generators)
         done = 0
         while done < 5:
             Mx = rng.uniform(-1.5, 1.5, (k, k))
             if abs(np.linalg.det(Mx)) < 0.2:
                 continue
-            rep = T.verdict(act.recombine(Mx), None, False, _probes(act), 32)
+            rep = T.verdict(act.recombine(Mx), None, lck, _probes(act), 32)
             assert rep.verdict == expected
             assert rep.verdict in T.VERDICTS
             done += 1
