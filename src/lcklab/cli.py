@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import json
 import math
+import os
 import sys
 import threading
 import time
@@ -515,6 +517,19 @@ def _print_human(report):
               f"generators {v['generators']})")
 
 
+def _unwritable(path):
+    """Why the report cannot be written to ``path``, found before the run:
+    it is a directory, or its parent is missing or not a directory.  None
+    otherwise; a failure only the write reveals (permissions, a full disk)
+    is reported after the run."""
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        return os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="lcklab",
                                      description=__doc__.splitlines()[0])
@@ -543,6 +558,10 @@ def main(argv=None) -> int:
                     help="accepted and ignored: report always runs every default fixture")
 
     args = parser.parse_args(argv)
+    reason = args.json_path and _unwritable(args.json_path)
+    if reason:
+        print(f"error: cannot write {args.json_path}: {reason}", file=sys.stderr)
+        return GalleryError.exit_code
     try:
         if args.command == "verify":
             report, code = run_verify(args.fixture, args.points, args.seed,

@@ -15,6 +15,17 @@ the first order asked for, and again only for a higher one.
 Fields may take complex values; chart coordinates are always real, ordered
 x1, y1, ..., xn, yn with z_j = x_j + i y_j.
 
+A stacked family evaluates many members as one batch along the point axis:
+a field on the images of the points under many affine maps (the nodes of
+``affine_quadrature_family``), or one term under many constant
+coefficients (the hopf_nondiag deck series, whose per-row constants
+multiply each tier as a scalar would).  ``_eval_in_blocks`` evaluates a
+list of fields on the stacked rows in blocks of at most ``_block_rows``
+rows, one Ctx per block shared by every field, and a block may be given
+the jets of some leaves instead of computing them.  Each member's output
+is then reduced in its own order.  Every jet operation acts row by row,
+so each output equals the member-by-member evaluation bit for bit.
+
 A field built by ``constant`` records its value in ``const``, and the
 algebra folds constants when the DAG is built, so a structurally zero term
 is never evaluated and a constant factor grows no zero tier:
@@ -454,55 +465,78 @@ def _block_rows(dim: int, order: int) -> int:
     return max(1, min(_QUAD_POINT_BUDGET, _QUAD_TIER_BUDGET // dim**order))
 
 
-def _eval_in_blocks(f: ScalarField, pts, order: int) -> Jet:
-    """The order-``order`` jet of f on the rows of pts, evaluated in
+def _eval_in_blocks(fields: Sequence[ScalarField], pts, order: int, given=None):
+    """The order-``order`` jets of ``fields`` on the rows of pts, evaluated in
     contiguous blocks of ``_block_rows`` rows (at most _QUAD_POINT_BUDGET,
     fewer where a block's top tier would pass _QUAD_TIER_BUDGET entries),
-    each on a fresh Ctx that is dropped before the next block starts."""
-    rows = _block_rows(pts.shape[1], order)
+    each on one fresh Ctx that every field shares and that is dropped before
+    the next block starts.  ``given(rows)``, when set, returns {field: jet}
+    for the block ``pts[rows]``: the block's Ctx starts with those jets, so
+    those fields' closures never run."""
+    n, d = pts.shape
+    size = _block_rows(d, order)
     blocks = []
     # an empty batch is evaluated as one empty block
-    for start in range(0, max(pts.shape[0], 1), rows):
-        blocks.append(f.eval(Ctx(pts[start:start + rows]), order))
+    for start in range(0, max(n, 1), size):
+        rows = slice(start, min(start + size, n))
+        ctx = Ctx(pts[rows])
+        if given is not None:
+            for f, jet in given(rows).items():
+                ctx.cache[f.uid, order] = jet
+        blocks.append([f.eval(ctx, order) for f in fields])
+        # the block's intermediates go now, not when the next block's Ctx
+        # replaces this one or, after the last block, after the concatenation
+        del ctx
     if len(blocks) == 1:
         return blocks[0]
     # every tier holds its points on the last axis
-    tiers = [None if getattr(blocks[0], k) is None
-             else np.concatenate([getattr(b, k) for b in blocks], axis=-1) for k in "vght"]
-    return Jet(order, *tiers)
+    return [Jet(order, *[None if getattr(parts[0], k) is None
+                         else np.concatenate([getattr(b, k) for b in parts], axis=-1)
+                         for k in "vght"])
+            for parts in zip(*blocks)]
 
 
 def affine_quadrature_field(f: ScalarField, mats, offsets, weights) -> ScalarField:
-    """sum_s w_s (f o A_s) for affine maps A_s x = M_s x + b_s, vectorized.
+    """sum_s w_s (f o A_s) for affine maps A_s x = M_s x + b_s, vectorized:
+    the one-member, one-output ``affine_quadrature_family``."""
+    return affine_quadrature_family([f], mats, offsets, [[(0, weights)]])[0]
 
-    Like every jet, the result holds its tiers points-last: g (d, N),
+
+def affine_quadrature_family(fields: Sequence[ScalarField], mats, offsets,
+                             outputs) -> list:
+    """One field per entry of ``outputs``: output i is the sum, over its
+    (j, w) pairs in order, of sum_s w_s (fields[j] o A_s) for the affine maps
+    A_s x = M_s x + b_s.
+
+    Like every jet, an output holds its tiers points-last: g (d, N),
     h (d, d, N), t (d, d, d, N) for N points on the d-dimensional chart.
-    The node axis is flattened into the evaluation batch, so the DAG of the
-    (possibly expensive) field f is walked once per block of node-stacked
-    points (``_block_rows``: at most ``_QUAD_POINT_BUDGET``, 303 at order 3
-    on a d = 6 chart), not once per node; constant
-    Jacobians make the chain rule three contractions, run once on the
-    blocks' concatenated jets.  The order-1 one runs on a points-first
+    The node axis is flattened into the evaluation batch, and every member
+    is evaluated on it by ``_eval_in_blocks``: blocks of node-stacked points
+    (``_block_rows``: at most ``_QUAD_POINT_BUDGET``, 303 at order 3 on a
+    d = 6 chart), one Ctx per block shared by all members, so each member's
+    DAG is walked once per block, not once per node or per output, and the
+    subexpressions the members share are computed once.  Constant
+    Jacobians make the chain rule three contractions, run for each pair on
+    its member's concatenated jet.  The order-1 one runs on a points-first
     copy of the gradients, which fixes its summation order.  The order-2
     and order-3 ones contract one Jacobian factor at a time
     (``optimize=True``), so order 3 costs O(s n d^4) instead of
     O(s n d^6); their results are made C-contiguous where that path
-    returns a strided view.  Each
-    block's sub-context lives for that block only and the result is cached
-    in the outer context under (uid, order), so at most one block of
-    intermediates of f is alive at a time, and the outer context serves
-    every lower order from it.
+    returns a strided view.  An output's pairs are summed left to right,
+    as ``ScalarField.nsum`` adds unit-weight terms.
+
+    Whichever output a Ctx evaluates first computes all of them and caches
+    each under its own (uid, order), so the others are cache hits there and
+    every lower order is served from those jets.  Each block's sub-context
+    lives for that block only, so at most one block of intermediates of
+    the members is alive at a time.
     """
     mats = np.asarray(mats, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    outputs = [[(j, np.asarray(w, dtype=float)) for j, w in pairs] for pairs in outputs]
+    s, d = mats.shape[:2]
 
-    def fn(ctx, m):
-        pts = ctx.pts
-        n, d = pts.shape
-        s = mats.shape[0]
-        big = np.einsum("sij,nj->sni", mats, pts) + offsets[:, None, :]
-        F = _eval_in_blocks(f, big.reshape(s * n, d), m)
+    def contract(F, weights, n, m):
         v = np.einsum("s,sn->n", weights, F.v.reshape(s, n))
         g = h = t = None
         if m >= 1:
@@ -522,7 +556,26 @@ def affine_quadrature_field(f: ScalarField, mats, offsets, weights) -> ScalarFie
                 optimize=True))
         return Jet(m, v, g, h, t)
 
-    return ScalarField(mats.shape[1], fn)
+    def fn(ctx, m):
+        pts = ctx.pts
+        n = pts.shape[0]
+        big = np.einsum("sij,nj->sni", mats, pts) + offsets[:, None, :]
+        F = _eval_in_blocks(fields, big.reshape(s * n, d), m)
+        jets = []
+        for uid, pairs in zip(uids, outputs):
+            acc = None
+            for j, weights in pairs:
+                x = contract(F[j], weights, n, m)
+                acc = x if acc is None else acc + x
+            ctx.cache[uid, m] = acc
+            jets.append(acc)
+        return jets
+
+    quads = [ScalarField(d, lambda c, m, i=i: fn(c, m)[i]) for i in range(len(outputs))]
+    # the outputs' uids, not the fields: a field referenced from its own
+    # closure would be a reference cycle, freed only by the cyclic collector
+    uids = [q.uid for q in quads]
+    return quads
 
 
 class VectorField:

@@ -22,6 +22,7 @@ from .fields import (
     PointMap,
     ScalarField,
     VectorField,
+    _eval_in_blocks,
     as_batch,
     complex_coordinate,
     complex_multiplier,
@@ -30,6 +31,7 @@ from .fields import (
     coordinate,
 )
 from .forms import Form, exterior_d, pullback, to_real
+from .jets import Jet
 from .lck import LCKStructure
 
 
@@ -318,14 +320,28 @@ def _nondiag_tail_bound(b, lam, m, K):
         return float(np.exp(log_tail + math.log(2.0) - 4 * lb))
 
 
+def _given_per_block(ctx, order):
+    """The closure of a stacked family's leaf, whose jet each block is given."""
+    raise RuntimeError("a stacked family's leaf is evaluated only where its jet is given")
+
+
+def _jet_rows(jet: Jet, rows) -> Jet:
+    """The rows ``rows`` (a slice or an index array) of every tier of jet."""
+    return Jet(jet.order, *[None if x is None else x[..., rows]
+                            for x in (jet.v, jet.g, jet.h, jet.t)])
+
+
 def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0 + 0j, m=2):
     """Non-diagonal Hopf surface: deck (z1, z2) -> (b z1, b^m z2 + lam z1^m).
 
     Carries the purely-real maximal torus generated by xi1 = 2 pi i Z1 and
     xi2 = c Z1 + (lam / beta^m) Z2 (Z1 = z1 d/dz1 + m z2 d/dz2,
     Z2 = z1^m d/dz2, e^c = beta) and an invariant Lee-class representative
-    built from a deck-weighted series potential (no explicit metric is
-    wired in).
+    theta = d phi, phi = -ln w, from the deck-weighted series potential
+    w = sum_{|k| <= K} |beta|^{-2k} chi(|gamma^k z|^2), w o gamma = |beta|^2 w
+    (no explicit metric is wired in).  The 2K+1 terms are evaluated as one
+    stacked family along the point axis, so the field DAG does not grow
+    with K (``extras["series_K"]``).
     """
     beta = complex(beta)
     lam = complex(lam)
@@ -390,18 +406,49 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0 + 0j, m=2):
         raise GalleryError(
             f"hopf_nondiag cannot certify its series at |beta| = {abs(beta):.4g}, "
             f"|lam| = {abs(lam):.4g}, m = {mm}: dropped-tail bound {tail:.1e} > 1e-10")
-    terms = []
-    weights = []
+    # Term k is |beta|^{-2k} chi(n_k), n_k = |gamma^k z|^2, with
+    # gamma^k z = (beta^k z1, beta^{mk} z2 + k lam beta^{m(k-1)} z1^m).  The
+    # 2K+1 terms are one stacked family: the jets of z1, z2 and z1^m are
+    # taken once on the batch and tiled along the point axis, row k*N + p
+    # holding term k at point p, and the term's operations run once on the
+    # stacked rows (in blocks, ``fields._eval_in_blocks``), its constants
+    # per-row arrays that multiply each tier as a scalar would.  The sum
+    # over k is then taken slice by slice in k order, as ``nsum`` adds its
+    # terms, so every jet equals the term-by-term sum's.
+    ks = range(-K, K + 1)
+    c1 = np.array([beta**k for k in ks])
+    c2 = np.array([beta ** (mm * k) for k in ks])
+    c3 = np.array([k * lam * beta ** (mm * (k - 1)) for k in ks])
     ab2 = abs(beta) ** 2
-    for k in range(-K, K + 1):
-        w1 = beta**k * z1
-        w2 = beta ** (mm * k) * z2 + (k * lam * beta ** (mm * (k - 1))) * z1**mm
-        nk = (w1 * w1.conjugate()).real_part() + (w2 * w2.conjugate()).real_part()
-        # chi(n) = n^2/(1 + n^3) written as 1/(n + n^{-2}) to keep the jet
-        # intermediates of the far terms inside double range
-        terms.append(1.0 / (nk + (1.0 / nk) ** 2))
-        weights.append(ab2 ** (-k))
-    w_series = ScalarField.nsum(terms, weights)
+    weights = [ab2 ** (-k) for k in ks]
+    z1m = z1**mm
+    # the stacked rows' beta^k z1 and beta^{mk} z2 + k lam beta^{m(k-1)} z1^m,
+    # whose jets each block is given
+    w1, w2 = (ScalarField(dim, _given_per_block) for _ in range(2))
+    nk = (w1 * w1.conjugate()).real_part() + (w2 * w2.conjugate()).real_part()
+    # chi(n) = n^2/(1 + n^3) written as 1/(n + n^{-2}) to keep the jet
+    # intermediates of the far terms inside double range
+    chi = 1.0 / (nk + (1.0 / nk) ** 2)
+
+    def series(ctx, order):
+        base = [f.eval(ctx, order) for f in (z1, z2, z1m)]
+        n = ctx.pts.shape[0]
+
+        def given(rows):
+            k, p = np.divmod(np.arange(rows.start, rows.stop), n)
+            Z1, Z2, Z1m = (_jet_rows(j, p) for j in base)
+            return {w1: Z1 * c1[k], w2: Z2 * c2[k] + Z1m * c3[k]}
+
+        terms = _eval_in_blocks([chi], np.tile(ctx.pts, (len(ks), 1)), order, given)[0]
+        acc = None
+        for i, w in enumerate(weights):
+            x = _jet_rows(terms, slice(i * n, (i + 1) * n))
+            if w != 1:
+                x = x * w
+            acc = x if acc is None else acc + x
+        return acc
+
+    w_series = ScalarField(dim, series)
     phi_nd = -1.0 * w_series.log()
     theta_nd = exterior_d(Form.from_function(phi_nd))
 
@@ -427,6 +474,8 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0 + 0j, m=2):
     for f in (Z1_re, Z1_im, Z2_re, Z2_im):
         mfd.fields[f.name] = f
     mfd.extras["holomorphic_flow"] = complex_flow
+    # the series runs over k = -K .. K
+    mfd.extras["series_K"] = K
     return mfd
 
 

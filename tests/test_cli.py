@@ -116,13 +116,39 @@ def test_a_non_real_torus_without_lck_structure_is_not_called_vaisman():
     assert verdict["verdict"] == "NonReal" and verdict["lck_present"] is False
 
 
+def test_a_vaisman_verdict_reports_the_lck_hypothesis():
+    body, code = cli.run_verify("hopf_diag", points=20)
+    (verdict,) = body["verdicts"]
+    assert code == 0 and verdict["verdict"] == "VaismanExists"
+    assert verdict["lck_present"] is True
+
+
 @pytest.mark.parametrize("target", ["", "missing/out.json"])
-def test_an_unwritable_json_path_exits_2_without_traceback(target, tmp_path, capsys):
+def test_an_unwritable_json_path_exits_2_without_traceback(target, tmp_path, capsys,
+                                                            monkeypatch):
     path = tmp_path / target  # tmp_path itself is a directory
+    runs = []
+    monkeypatch.setattr(cli, "run_verify", lambda *args: runs.append(args))
     argv = ["verify", "hxc_cover", "--points", "5", "--json", str(path)]
     assert cli.main(argv) == 2
     out = capsys.readouterr()
     assert out.err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in out.out + out.err
+    # refused before any fixture is built
+    assert runs == []
+
+
+def test_a_json_path_that_fails_only_when_written_exits_2(tmp_path, capsys, monkeypatch):
+    # the late handler still catches what the early check cannot see
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    # a module global shadows the builtin for cli alone
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    path = tmp_path / "out.json"
+    assert cli.main(["verify", "hxc_cover", "--points", "5", "--json", str(path)]) == 2
+    out = capsys.readouterr()
+    assert f"error: cannot write {path}: Permission denied" in out.err
     assert "Traceback" not in out.out + out.err
 
 

@@ -750,7 +750,34 @@ def test_blocked_evaluation_matches_one_context(rows, leeolo_orbit):
     pts = np.random.default_rng(rows).uniform(-0.5, 0.5, size=(rows, DIM))
     for f, at in ((lifted, m.sample(rows, seed=7)), (_lifted_complex_field(), pts)):
         for order in range(4):
-            _assert_same_jet(_eval_in_blocks(f, at, order), f.eval(Ctx(at), order))
+            _assert_same_jet(_eval_in_blocks([f], at, order)[0], f.eval(Ctx(at), order))
+
+
+def test_a_stacked_family_past_one_block_shares_each_block_and_matches(monkeypatch):
+    # three members sharing a subexpression, one leaf given per block rather
+    # than computed: 2500 stacked rows are three blocks, the shared
+    # subexpression runs once in each (one Ctx per block for all members),
+    # and every jet equals the one-Ctx evaluation
+    x = [coordinate(i, DIM) for i in range(DIM)]
+    leaf = ScalarField(DIM, None)  # no closure: every block is given its jet
+    shared = _lifted_complex_field()
+    members = [shared * leaf, shared + x[2], (shared * x[0]).exp()]
+    pts = np.random.default_rng(5).uniform(-0.5, 0.5, size=(2500, DIM))
+    leaf_pts = 0.3 * pts[:, ::-1]
+    runs = []
+    inner = shared._fn
+    monkeypatch.setattr(shared, "_fn", lambda c, m: runs.append(len(c.pts)) or inner(c, m))
+    for order in range(3):
+        whole = Ctx(pts)
+        whole.cache[leaf.uid, order] = Jet.coordinate(leaf_pts, 1, order)
+        want = [f.eval(whole, order) for f in members]
+        runs.clear()
+        got = _eval_in_blocks(
+            members, pts, order,
+            lambda rows: {leaf: Jet.coordinate(leaf_pts[rows], 1, order)})
+        assert runs == [_QUAD_POINT_BUDGET, _QUAD_POINT_BUDGET, 452]
+        for g, w in zip(got, want):
+            _assert_same_jet(g, w)
 
 
 def _assert_served_like_fresh(fields, pts, top):

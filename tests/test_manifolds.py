@@ -8,7 +8,15 @@ import pytest
 
 from lcklab import manifolds as M
 from lcklab.errors import GalleryError
-from lcklab.fields import PointMap, VectorField, complex_jmatrix, constant
+from lcklab.fields import (
+    Ctx,
+    PointMap,
+    ScalarField,
+    VectorField,
+    complex_coordinate,
+    complex_jmatrix,
+    constant,
+)
 from lcklab.forms import Form, exterior_d
 
 
@@ -365,3 +373,69 @@ def test_cover_kahler_form_is_the_generic_lift(n, beta):
             tier = getattr(got, name)
             tier = 0.0 if tier is None else tier
             assert np.abs(tier - getattr(want, name)).max() <= 1e-14 * 4.0 / r**k, name
+
+
+# -- the hopf_nondiag deck series as one stacked family ----------------------
+
+def _term_by_term_phi(beta, lam, m, K):
+    """phi = -ln sum_k |beta|^{-2k} chi(|gamma^k z|^2), one sub-DAG per term
+    and the weighted sum by ``nsum``: the series as it was built before its
+    terms were stacked along the point axis."""
+    z1, z2 = complex_coordinate(0, 4), complex_coordinate(1, 4)
+    terms, weights = [], []
+    for k in range(-K, K + 1):
+        w1 = beta**k * z1
+        w2 = beta ** (m * k) * z2 + (k * lam * beta ** (m * (k - 1))) * z1**m
+        nk = (w1 * w1.conjugate()).real_part() + (w2 * w2.conjugate()).real_part()
+        terms.append(1.0 / (nk + (1.0 / nk) ** 2))
+        weights.append((abs(beta) ** 2) ** (-k))
+    return -1.0 * ScalarField.nsum(terms, weights).log()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", [0.4 + 0.1j, 0.05, 0.8j, 0.6 + 0.6j])
+def test_stacked_deck_series_equals_the_term_by_term_sum(beta):
+    # every row of the stacked terms runs the term's operations on its own
+    # point, and the sum over k keeps nsum's order, so phi's jets are the
+    # term-by-term ones bit for bit, K = 10 to 80 across the grid
+    checked = 0
+    for lam in (1.0, 0.6 + 0.6j, 1e-4, 3.0):
+        for m in (1, 2, 3, 4):
+            try:
+                mfd = M.gallery("hopf_nondiag", beta=beta, lam=lam, m=m)
+            except GalleryError:
+                continue
+            oracle = _term_by_term_phi(complex(beta), complex(lam), m,
+                                       mfd.extras["series_K"])
+            for seed in (0, 42):
+                pts = mfd.sample(20, seed=seed)
+                # no tier depends on a higher one, so the oracle's order-2
+                # jet holds its order-0 and order-1 jets
+                want = oracle.eval(Ctx(pts), 2)
+                for order in range(3):
+                    got = mfd.phi.eval(Ctx(pts), order)
+                    for tier in "vgh"[:order + 1]:
+                        assert np.array_equal(getattr(got, tier), getattr(want, tier))
+            checked += 1
+    assert checked
+
+
+def _nodes_built(monkeypatch, **params):
+    built = []
+    init = ScalarField.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScalarField, "__init__", counting_init)
+    mfd = M.gallery("hopf_nondiag", **params)
+    monkeypatch.undo()
+    return mfd.extras["series_K"], len(built)
+
+
+def test_deck_series_size_does_not_grow_with_its_terms(monkeypatch):
+    K_default, default = _nodes_built(monkeypatch)
+    K_edge, edge = _nodes_built(monkeypatch, beta=0.8j)
+    assert (K_default, K_edge) == (24, 80)
+    assert edge <= default < 100

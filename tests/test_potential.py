@@ -338,27 +338,35 @@ def test_orbit_pipeline_evaluates_each_quadrature_once_per_batch(leeolo, monkeyp
 
     runs = Counter()
 
-    def counting(f, mats, offsets, weights):
-        quad = fields.affine_quadrature_field(f, mats, offsets, weights)
-        inner = quad._fn
+    def counting(quads):
+        # one key per quadrature or circle-average family: whichever of a
+        # family's outputs is evaluated first computes all of them
+        key = quads[0].uid
+        for quad in quads:
+            inner = quad._fn
 
-        def fn(ctx, m):
-            runs[quad.uid, ctx.pts.shape, ctx.pts.tobytes()] += 1
-            orders.add(m)
-            return inner(ctx, m)
+            def fn(ctx, m, inner=inner):
+                runs[key, ctx.pts.shape, ctx.pts.tobytes()] += 1
+                orders.add(m)
+                return inner(ctx, m)
 
-        quad._fn = fn
-        return quad
+            quad._fn = fn
+        return quads
 
     orders = set()
-    monkeypatch.setattr(P, "affine_quadrature_field", counting)
-    monkeypatch.setattr(torus, "affine_quadrature_field", counting)
+    monkeypatch.setattr(P, "affine_quadrature_field",
+                        lambda *args: counting([fields.affine_quadrature_field(*args)])[0])
+    monkeypatch.setattr(torus, "affine_quadrature_family",
+                        lambda *args: counting(fields.affine_quadrature_family(*args)))
     res = P.leeolo_orbit_pipeline(leeolo, leeolo.sample(25, seed=9))
     assert res.checks["lck_prime"] < 1e-6
     assert orders == {0, 2, 3}
-    # each quadrature runs once per batch, at the highest order asked for
-    # there; its lower orders are served from that jet
+    # each quadrature and each circle average runs once per batch, at the
+    # highest order asked for there; its lower orders and its family's
+    # other outputs are served from the jets that run cached
     assert set(runs.values()) == {1}
+    # g, the three g_t and the omega and theta averages
+    assert len({key for key, *_ in runs}) == 6
 
 
 def test_orbit_quadratures_evaluate_within_the_point_budget(monkeypatch):
@@ -375,23 +383,25 @@ def test_orbit_quadratures_evaluate_within_the_point_budget(monkeypatch):
             if inside:
                 sizes.append((inside[-1], self.pts.shape[0]))
 
-    def spying(f, mats, offsets, weights):
-        quad = fields.affine_quadrature_field(f, mats, offsets, weights)
-        inner = quad._fn
+    def spying(quads):
+        for quad in quads:
+            inner = quad._fn
 
-        def fn(ctx, m):
-            inside.append(m)
-            try:
-                return inner(ctx, m)
-            finally:
-                inside.pop()
+            def fn(ctx, m, inner=inner):
+                inside.append(m)
+                try:
+                    return inner(ctx, m)
+                finally:
+                    inside.pop()
 
-        quad._fn = fn
-        return quad
+            quad._fn = fn
+        return quads
 
     monkeypatch.setattr(fields, "Ctx", SpyCtx)
-    monkeypatch.setattr(P, "affine_quadrature_field", spying)
-    monkeypatch.setattr(torus, "affine_quadrature_field", spying)
+    monkeypatch.setattr(P, "affine_quadrature_field",
+                        lambda *args: spying([fields.affine_quadrature_field(*args)])[0])
+    monkeypatch.setattr(torus, "affine_quadrature_family",
+                        lambda *args: spying(fields.affine_quadrature_family(*args)))
     report, code = cli.run_potential("orbit", fixture="leeolo:n=3")
     assert code == 0
     # the 4096 node-stacked points of the order-3 average come in blocks of
@@ -477,3 +487,23 @@ def test_orbit_demo_script_runs(capsys):
     assert demo.main() == 0
     out = capsys.readouterr().out
     assert "|g - f| = " in out and "periodicity_residual" in out
+
+
+def _gl_nodes_panel_loop(a, b, panels):
+    """The composite rule built one panel at a time, with the 16-point rule
+    recomputed per call: the route before the panels were broadcast."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(a, b, panels + 1)
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes.append(mid + half * x)
+        weights.append(half * w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("a,b,panels", [(0.0, 0.5, 16), (0.0, 2.7, 16),
+                                        (0.0, TWO_PI, 32), (0.0, 56 * TWO_PI, 1792)])
+def test_gl_nodes_equal_the_panel_loop(a, b, panels):
+    for got, want in zip(P._gl_nodes(a, b, panels), _gl_nodes_panel_loop(a, b, panels)):
+        assert got.shape == (16 * panels,) and np.array_equal(got, want)

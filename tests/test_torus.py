@@ -133,6 +133,73 @@ def test_batched_average_matches_per_node_pullbacks(case, degree, request):
             < 1e-12 * _jet_scale(oracle, pts, 2))
 
 
+def _per_pair_average(a, flow, nodes):
+    """The circle average as one ``affine_quadrature_field`` per (J, I) pair
+    with the minor det M_t[J, I] / nodes as weights, summed over J by
+    ``nsum``: the route before the coefficients became one family."""
+    mats, offs = flow.affine(np.arange(nodes) * (flow.period / nodes))
+    parts = {}
+    for J, f in a.coeffs.items():
+        rows = mats[:, list(J)]
+        for I in itertools.combinations(range(a.dim), a.degree):
+            weights = np.linalg.det(rows[:, :, list(I)]) / nodes
+            if weights.any():
+                parts.setdefault(I, []).append(
+                    fields.affine_quadrature_field(f, mats, offs, weights))
+    return a.copy_with({I: ScalarField.nsum(fs) for I, fs in parts.items()})
+
+
+@pytest.mark.parametrize("points,nodes", [(6, 8), (33, 32)], ids=["one_block", "blocks"])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("case", ["hopf:A", "hopf:R", "leeolo_n3:C"])
+def test_family_average_equals_the_per_pair_quadratures(case, degree, points, nodes,
+                                                        request):
+    # each (J, I) output contracts its own a_J's rows with the quadrature's
+    # code, and the outputs of one I are summed in J order as nsum adds them,
+    # so the family route is the per-pair route bit for bit, also when the
+    # node-stacked batch (1056 rows) is split into blocks
+    fixture, circle = case.split(":")
+    m = request.getfixturevalue(fixture)
+    flow = m.flows[circle]
+    a = _test_form(m, degree)
+    pts = m.sample(points, seed=13)
+    family = T.average_over_circle(a, flow, nodes)
+    oracle = _per_pair_average(a, flow, nodes)
+    assert list(family.coeffs) == list(oracle.coeffs)
+    # the oracle's order-2 jets hold its lower orders: no tier depends on a
+    # higher one
+    wants = fields.evaluate(list(oracle.coeffs.values()), pts, 2)
+    for order in range(3):
+        gots = fields.evaluate(list(family.coeffs.values()), pts, order)
+        for got, want in zip(gots, wants):
+            for tier in "vgh"[:order + 1]:
+                assert np.array_equal(getattr(got, tier), getattr(want, tier))
+
+
+def test_circle_average_evaluates_each_integrand_once_per_batch(leeolo, leeolo_n3,
+                                                                monkeypatch):
+    # every coefficient a_J of the averaged omega and theta runs once per
+    # point batch in the orbit prep: the block Ctx of the node-stacked batch
+    # is shared by all of them, and every output (J, I) reads that one jet
+    for m in (leeolo, leeolo_n3):
+        runs = {}
+        integrands = [*m.structure.omega.coeffs.values(),
+                      *m.structure.theta.coeffs.values()]
+        for f in integrands:
+            def fn(ctx, order, f=f, inner=f._fn):
+                key = f.uid, ctx.pts.shape, ctx.pts.tobytes()
+                runs[key] = runs.get(key, 0) + 1
+                return inner(ctx, order)
+
+            monkeypatch.setattr(f, "_fn", fn)
+        P.leeolo_orbit_pipeline(m, m.sample(12, seed=4))
+        monkeypatch.undo()
+        # the prep averages on 10 points over 32 nodes
+        assert {uid for uid, *_ in runs} == {f.uid for f in integrands}
+        assert {shape for _, shape, _ in runs} == {(320, m.dim)}
+        assert set(runs.values()) == {1}
+
+
 def test_flow_quadrature_rejects_flows_without_affine_form(hopf, leeolo):
     generic = dataclasses.replace(hopf.flows["R"], affine=None)
     with pytest.raises(GalleryError, match="no affine form"):
@@ -294,6 +361,23 @@ def test_verdict_carries_witnesses(nondiag_action):
     assert body["theta_minus_dphi"] <= 1e-10
 
 
+@pytest.mark.parametrize("lck", [True, False])
+def test_every_verdict_row_reports_the_hypothesis_it_was_given(
+        lck, hopf_action, nondiag_action, product_action, inoue_action):
+    rows = {}
+    for act, theta in ((hopf_action, hopf_action.manifold.structure.theta),
+                       (nondiag_action, nondiag_action.manifold.lee_class),
+                       (product_action, None),
+                       (inoue_action, inoue_action.manifold.structure.theta)):
+        rep = T.verdict(act, theta, lck, _probes(act), 32)
+        rows[rep.verdict] = rep.lck_present
+        assert rep.to_json()["lck_present"] is lck
+    # Vaisman / NonReal and PositivePotential / PurelyReal follow the flag
+    assert set(rows) == ({"VaismanExists", "PositivePotentialExists", "NoLCKPossible",
+                          "PurelyReal"} if lck else
+                         {"NonReal", "PurelyReal", "NoLCKPossible"})
+
+
 def test_verdict_total_and_invariant_under_recombination(hopf_action,
                                                          product_action):
     rng = np.random.default_rng(10)
@@ -433,14 +517,16 @@ def test_verdict_on_hopf_nondiag_never_sweeps(monkeypatch):
 
 def _spy_on_sweep_blocks(monkeypatch):
     """Record the rows of each ``_eval_in_blocks`` call of the sweep and of
-    each block (a fresh Ctx) it evaluates."""
+    each block (a fresh Ctx) it evaluates.  A stacked family inside an
+    evaluated field (the hopf_nondiag deck series) evaluates blocks of its
+    own; those are not the sweep's and are not recorded."""
     calls, blocks, inside = [], [], []
     inner = T._eval_in_blocks
 
     class SpyCtx(fields.Ctx):
         def __init__(self, pts):
             super().__init__(pts)
-            if inside:
+            if inside and inside[-1]:
                 blocks.append(len(self.pts))
 
     def spy(f, pts, order):
@@ -451,8 +537,17 @@ def _spy_on_sweep_blocks(monkeypatch):
         finally:
             inside.pop()
 
+    def nested(*args):
+        inside.append(False)
+        try:
+            return inner(*args)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(fields, "Ctx", SpyCtx)
     monkeypatch.setattr(T, "_eval_in_blocks", spy)
+    monkeypatch.setattr(fields, "_eval_in_blocks", nested)
+    monkeypatch.setattr(M, "_eval_in_blocks", nested)
     return calls, blocks
 
 
