@@ -4,7 +4,7 @@ Fixture ids are strings like ``hopf_diag:n=2,beta=0.5``.  Every check row
 carries {name, residual, tolerance, polarity, pass, paper_anchor}; polarity
 "expect_large" marks negative results (the suite passes when the residual is
 large).  Exit codes: 0 all checks pass, 1 a check failed, 2 unknown fixture /
-bad parameters, 3 numerical failure, 4 inadmissible potential input.
+bad parameters, 3 numerical failure, 4 inadmissible input.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _structure_checks(m, s, pts, tol):
     return checks
 
 
-def _hopf_diag_report(m, pts, tol, nodes):
+def _hopf_diag_report(m, pts, tol):
     s = m.structure
     checks = _structure_checks(m, s, pts, tol)
     pair = s.lee_pair()
@@ -136,11 +136,11 @@ def _hopf_diag_report(m, pts, tol, nodes):
                             rep.norm_deviation or 0.0, rep.vaisman or 0.0),
                         1e-6, "unit potential + holomorphic Lee field forces Vaisman"))
     act = T.TorusAction(m, [m.flows["A"], m.flows[m.extras["lee_circle"]]])
-    verdict = T.verdict(act, s.theta, True, pts[:40], nodes)
+    verdict = T.verdict(act, s.theta, True, pts[:40])
     return checks, [verdict.to_json()]
 
 
-def _inoue_report(m, pts, tol, nodes):
+def _inoue_report(m, pts, tol):
     s = m.structure
     checks = _structure_checks(m, s, pts, tol)
     lam0 = m.params["lam0"]
@@ -155,13 +155,13 @@ def _inoue_report(m, pts, tol, nodes):
               "no parallel Lee form on this surface", polarity="expect_large"),
     ]
     act = T.TorusAction(m, [m.flows["xi"]])
-    verdict = T.verdict(act, s.theta, True, pts[:25], nodes)
+    verdict = T.verdict(act, s.theta, True, pts[:25])
     checks.append(Check("circle_horizontal", abs(verdict.pairings["xi"]), 1e-6,
                         "theta(xi) = 0"))
     return checks, [verdict.to_json()]
 
 
-def _nondiag_report(m, pts, tol, nodes):
+def _nondiag_report(m, pts, tol):
     checks = []
     for name in ("Z1_re", "Z1_im", "Z2_re", "Z2_im"):
         X = m.fields[name]
@@ -196,11 +196,11 @@ def _nondiag_report(m, pts, tol, nodes):
     checks.append(Check("purely_real", float(dim), 0.5,
                         "t ^ Jt = 0 for the maximal torus"))
     # no metric is wired into this fixture: LCK type is its declared hypothesis
-    verdict = T.verdict(act, th, True, pts[:20], nodes)
+    verdict = T.verdict(act, th, True, pts[:20])
     return checks, [verdict.to_json()]
 
 
-def _leeolo_report(m, pts, tol, nodes):
+def _leeolo_report(m, pts, tol):
     s = m.structure
     checks = _structure_checks(m, s, pts, tol)
     sol = m.extras["leeolo"].solution
@@ -252,7 +252,7 @@ def _orbit_rows(checks, prefix):
     ]
 
 
-def _product_report(m, pts, tol, nodes):
+def _product_report(m, pts, tol):
     flows = [m.flows[k] for k in m.extras["torus_flows"]]
     act = T.TorusAction(m, flows)
     checks = [
@@ -262,7 +262,7 @@ def _product_report(m, pts, tol, nodes):
               "periods close the orbits"),
     ]
     dim = T.intersection_dimension(act, pts)
-    verdict = T.verdict(act, None, False, pts[:30], nodes)
+    verdict = T.verdict(act, None, False, pts[:30])
     # no LCK structure on the product, so a non-real torus is only NonReal
     expected = ("NoLCKPossible" if dim > 2
                 else "NonReal" if dim in (1, 2) else "PurelyReal")
@@ -276,7 +276,7 @@ def _product_report(m, pts, tol, nodes):
     return checks, [verdict.to_json()]
 
 
-def _hxc_report(m, pts, tol, nodes):
+def _hxc_report(m, pts, tol):
     x1, y1 = coordinate(0, 4), coordinate(1, 4)
     x2, y2 = coordinate(2, 4), coordinate(3, 4)
     h = (x1 * x2).exp() * (y1 * 0.4 + y2).sin() + x2**2
@@ -409,7 +409,7 @@ def run_verify(fixture: str, points=200, seed=42, tol=1e-8, nodes=512):
         _check_nodes(nodes)
         m = M.gallery(name, **params)
         pts = m.sample(points, seed)
-        checks, verdicts = _REPORT_BUILDERS[name](m, pts, tol, nodes)
+        checks, verdicts = _REPORT_BUILDERS[name](m, pts, tol)
         report = {
             "fixture": fixture,
             "seed": seed,
@@ -539,7 +539,8 @@ def main(argv=None) -> int:
     run.add_argument("--points", type=int, default=200)
     run.add_argument("--seed", type=int, default=42)
     run.add_argument("--tol", type=float, default=1e-8)
-    run.add_argument("--nodes", type=int, default=512)
+    run.add_argument("--nodes", type=int, default=512,
+                     help="recorded in the report; no check reads it (at least 1)")
     run.add_argument("--json", dest="json_path", default=None)
 
     pv = sub.add_parser("verify", parents=[run], help="run one fixture's check suite")

@@ -295,18 +295,20 @@ class ScalarField:
         if len(terms) == 1 and not isinstance(terms[0][1], complex):
             return terms[0][0] * terms[0][1]
 
-        def fn(ctx, m):
-            acc = None
-            for f, w in terms:
-                x = f.eval(ctx, m)
-                # a real weight 1 adds its term as it is; 1 + 0j still
-                # multiplies, so the sum is complex
-                if w != 1 or isinstance(w, complex):
-                    x = x * w
-                acc = x if acc is None else acc + x
-            return acc
+        return ScalarField(dim, lambda ctx, m: _jet_sum(
+            (f.eval(ctx, m), w) for f, w in terms))
 
-        return ScalarField(dim, fn)
+
+def _jet_sum(terms):
+    """sum_i w_i x_i over the (jet, weight) pairs ``terms``, added left to
+    right as they are drawn.  A real weight 1 adds its jet as it is; 1 + 0j
+    still multiplies, so the sum is complex."""
+    acc = None
+    for x, w in terms:
+        if w != 1 or isinstance(w, complex):
+            x = x * w
+        acc = x if acc is None else acc + x
+    return acc
 
 
 def evaluate(fields: Sequence[ScalarField], pts, order: int):
@@ -522,8 +524,8 @@ def affine_quadrature_family(fields: Sequence[ScalarField], mats, offsets,
     and order-3 ones contract one Jacobian factor at a time
     (``optimize=True``), so order 3 costs O(s n d^4) instead of
     O(s n d^6); their results are made C-contiguous where that path
-    returns a strided view.  An output's pairs are summed left to right,
-    as ``ScalarField.nsum`` adds unit-weight terms.
+    returns a strided view.  An output's pairs are summed left to right by
+    ``_jet_sum``, as ``ScalarField.nsum`` adds unit-weight terms.
 
     Whichever output a Ctx evaluates first computes all of them and caches
     each under its own (uid, order), so the others are cache hits there and
@@ -563,10 +565,7 @@ def affine_quadrature_family(fields: Sequence[ScalarField], mats, offsets,
         F = _eval_in_blocks(fields, big.reshape(s * n, d), m)
         jets = []
         for uid, pairs in zip(uids, outputs):
-            acc = None
-            for j, weights in pairs:
-                x = contract(F[j], weights, n, m)
-                acc = x if acc is None else acc + x
+            acc = _jet_sum((contract(F[j], weights, n, m), 1.0) for j, weights in pairs)
             ctx.cache[uid, m] = acc
             jets.append(acc)
         return jets

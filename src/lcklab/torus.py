@@ -10,7 +10,8 @@ all samples.  Existence verdicts implement the decision table
     dim = 0, k = n, some vertical generator, LCK     -> PositivePotentialExists
     dim = 0 otherwise                                -> PurelyReal
 
-and always carry their witnesses.
+and always carry their witnesses.  Pairings theta(xi) take one route, the
+deck jump of the cover potential (``torus_pairings``), or are refused.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import GalleryError, NumericalError
+from .errors import GalleryError, InadmissibleInput, NumericalError
 from .fields import (
     VectorField,
     _eval_in_blocks,
@@ -145,6 +146,9 @@ def averaged_pairings(act: TorusAction, theta: Form, pts, nodes):
     to those nodes, k * nodes * P points for k circles and P probes, in the
     fields layer's blocks (``_eval_in_blocks``).  The generators' mix is
     applied afterwards, as in ``deck_jump_pairings``.
+
+    No engine route reaches it: it is the reference the tests compare
+    ``torus_pairings`` against.
     """
     pts = as_batch(pts, act.manifold.dim)
     sums = np.zeros((len(act.flows), pts.shape[0]))
@@ -191,39 +195,38 @@ def deck_jump_pairings(act: TorusAction, pts):
 
 @dataclass
 class TorusPairings:
-    """Pairings theta(xi_g) of the averaged theta, the route that found them
-    ("deck_jump" or "torus_sweep") and |theta - d phi| when it was measured."""
+    """Pairings theta(xi_g) of the averaged theta, their constancy residual
+    and |theta - d phi| on the probes."""
 
     values: np.ndarray
     constancy: float
-    route: str
-    theta_minus_dphi: Optional[float]
+    theta_minus_dphi: float
 
 
-def torus_pairings(act: TorusAction, theta: Form, pts, nodes) -> TorusPairings:
-    """The deck-jump pairings when they are exact, else the node sweep.
+def torus_pairings(act: TorusAction, theta: Form, pts) -> TorusPairings:
+    """The pairings of theta with the generators, from the deck jump of phi.
 
-    The deck jump is taken when the manifold has its cover potential phi,
-    every flow names its closure, and |theta - d phi| on the probes is at
-    most ``_EXACT_TOL``; otherwise ``averaged_pairings`` runs.  The
-    ``*_period_closes`` rows of a suite certify that each flow at its
-    period is its closure map.  Non-constant pairings (constancy residual
-    above 1e-8) signal a broken action or non-invariant input and raise
-    NumericalError on either route.
+    The jump is exact when the manifold has its cover potential phi, every
+    flow names its closure, and |theta - d phi| on the probes is at most
+    ``_EXACT_TOL``; the ``*_period_closes`` rows of a suite certify that
+    each flow at its period is its closure map.  An input that fails a
+    condition is InadmissibleInput, naming it.  Non-constant pairings
+    (constancy residual above 1e-8) signal a broken action or a
+    non-invariant phi and raise NumericalError.
     """
-    phi = act.manifold.phi
-    gap = None
-    if phi is not None and all(fl.closes_via is not None for fl in act.flows):
-        gap = (theta - exterior_d(Form.from_function(phi))).max_abs(pts)
-    if gap is not None and gap <= _EXACT_TOL:
-        res = TorusPairings(*deck_jump_pairings(act, pts), "deck_jump", gap)
-    else:
-        res = TorusPairings(*averaged_pairings(act, theta, pts, nodes),
-                            "torus_sweep", gap)
+    m = act.manifold
+    unclosed = ", ".join(fl.name for fl in act.flows if fl.closes_via is None)
+    gap = None if m.phi is None or unclosed else (
+        theta - exterior_d(Form.from_function(m.phi))).max_abs(pts)
+    if gap is None or not gap <= _EXACT_TOL:
+        why = ("it has no cover potential" if m.phi is None
+               else f"flow(s) {unclosed} name no closure" if unclosed
+               else f"|theta - d phi| = {gap:.2e} > {_EXACT_TOL:g}")
+        raise InadmissibleInput(f"no deck-jump pairing on {m.name}: {why}")
+    res = TorusPairings(*deck_jump_pairings(act, pts), gap)
     if not res.constancy <= 1e-8:
         raise NumericalError(
-            f"averaged pairing is not constant (residual {res.constancy:.2e})"
-        )
+            f"averaged pairing is not constant (residual {res.constancy:.2e})")
     return res
 
 
@@ -257,7 +260,6 @@ class ActionReport:
     vertical: Optional[List[str]] = None
     lck_present: bool = False
     notes: str = ""
-    pairing_route: Optional[str] = None
     theta_minus_dphi: Optional[float] = None
 
     def to_json(self):
@@ -269,9 +271,8 @@ class ActionReport:
         }
         if self.pairings is not None:
             out["pairings"] = {k: float(v) for k, v in self.pairings.items()}
-            out["pairing_route"] = self.pairing_route
-            if self.theta_minus_dphi is not None:
-                out["theta_minus_dphi"] = float(self.theta_minus_dphi)
+            out["pairing_route"] = "deck_jump"
+            out["theta_minus_dphi"] = float(self.theta_minus_dphi)
         if self.vertical is not None:
             out["vertical"] = self.vertical
         if self.notes:
@@ -279,8 +280,8 @@ class ActionReport:
         return out
 
 
-def verdict(act: TorusAction, theta: Optional[Form], lck_present: bool, pts,
-            nodes) -> ActionReport:
+def verdict(act: TorusAction, theta: Optional[Form], lck_present: bool,
+            pts) -> ActionReport:
     """Existence/obstruction verdict for the action (decision table above).
 
     ``theta`` is the Lee form whose pairings with the generators label them
@@ -303,11 +304,11 @@ def verdict(act: TorusAction, theta: Optional[Form], lck_present: bool, pts,
     witnesses = {"lck_present": lck_present}
     if theta is not None:
         # the pairings are constants; a small probe subset suffices
-        found = torus_pairings(act, theta, pts[:12], nodes)
+        found = torus_pairings(act, theta, pts[:12])
         witnesses.update(
             pairings=dict(zip(names, found.values)),
             vertical=[n for n, p in zip(names, found.values) if abs(p) > 1e-6],
-            pairing_route=found.route, theta_minus_dphi=found.theta_minus_dphi)
+            theta_minus_dphi=found.theta_minus_dphi)
     k = len(act.generators)
     n = act.manifold.complex_dim
     if k == n and witnesses.get("vertical") and lck_present:

@@ -156,8 +156,8 @@ def test_criterion_04_inoue_suite(inoue, inoue_pts):
         - twisted_d(imz, s.theta).scale(lam0)
     ).max_abs(pts)
     act = T.TorusAction(inoue, [inoue.flows["xi"]])
-    found = T.torus_pairings(act, s.theta, pts[:15], nodes=16)
-    labels = T.verdict(act, s.theta, True, pts[:15], 16).vertical
+    found = T.torus_pairings(act, s.theta, pts[:15])
+    labels = T.verdict(act, s.theta, True, pts[:15]).vertical
     vais = L.vaisman_residual(L.MetricBundle(s, pts))
     assert inv < 1e-8
     assert contraction < 1e-8
@@ -298,7 +298,7 @@ def test_criterion_09_verdict_table(hopf, nondiag):
     )
 
     def verdict(act, theta, lck):
-        return T.verdict(act, theta, lck, act.manifold.sample(60, seed=23), 32)
+        return T.verdict(act, theta, lck, act.manifold.sample(60, seed=23))
 
     for label, (act, theta, lck, expected) in acts.items():
         rep = verdict(act, theta, lck)

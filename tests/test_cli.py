@@ -289,30 +289,32 @@ def test_profile_past_the_certified_range_exits_4(profile, capsys):
 
 
 @pytest.mark.parametrize("fixture", ["hopf_diag", "inoue_splus", "hopf_nondiag"])
-def test_torus_verdicts_take_the_runs_nodes(fixture, monkeypatch):
-    # with the deck jump ruled out, each suite's verdict sweeps once at the
-    # run's --nodes; the hopf_diag torus is VaismanExists before any pairing
-    # is taken, so there only the verdict's own nodes can be seen
-    import numpy as np
-    from lcklab import torus as T
+def test_reports_differ_only_in_the_nodes_key(fixture):
+    # --nodes is recorded in the report and read by no check
+    coarse, fine = (cli.strip_volatile(cli.run_verify(fixture, points=12, nodes=n)[0])
+                    for n in (16, 512))
+    assert (coarse.pop("nodes"), fine.pop("nodes")) == (16, 512)
+    assert json.dumps(coarse) == json.dumps(fine)
 
-    seen = {"verdict": [], "sweep": []}
-    verdict = T.verdict
 
-    def spy_verdict(act, theta, lck_present, pts, nodes):
-        seen["verdict"].append(nodes)
-        return verdict(act, theta, lck_present, pts, nodes)
+def test_a_lee_form_off_d_phi_exits_4(monkeypatch, capsys):
+    # the torus verdict pairs only d phi; another representative of the Lee
+    # class is refused with the gap named, not swept
+    gallery = M.gallery
 
-    def spy_sweep(act, theta, pts, nodes):
-        seen["sweep"].append(nodes)
-        return np.zeros(len(act.flows)), 0.0
+    def doubled(name, **params):
+        m = gallery(name, **params)
+        m.lee_class = m.lee_class.scale(2.0)
+        return m
 
-    monkeypatch.setattr(T, "_EXACT_TOL", -1.0)
-    monkeypatch.setattr(T, "verdict", spy_verdict)
-    monkeypatch.setattr(T, "averaged_pairings", spy_sweep)
-    cli.run_verify(fixture, points=12, nodes=16)
-    assert seen["verdict"] == [16]
-    assert seen["sweep"] == ([] if fixture == "hopf_diag" else [16])
+    monkeypatch.setattr(M, "gallery", doubled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", "hopf_nondiag", "--points", "20"]) == 4
+    out = capsys.readouterr()
+    assert out.err.startswith("inadmissible input: no deck-jump pairing on "
+                              "hopf_nondiag: |theta - d phi| = ")
+    assert "Traceback" not in out.out + out.err
 
 
 def test_zero_tolerance_is_accepted():
@@ -475,6 +477,29 @@ def test_report_digest_comparison_gates_exit_codes_pass_flags_and_verdicts():
         [f"{head}.report.checks[a].pass: true -> false"], True)
     assert compare(doc(), doc(verdict="W")) == ([f'{head}.report.verdict: "V" -> "W"'], True)
     assert compare(doc(), doc(code=3)) == ([f"{head}.exit: 0 -> 3"], True)
+
+
+def test_traffic_script_names_the_statements_a_call_did_not_run(monkeypatch):
+    import importlib.util
+
+    monkeypatch.syspath_prepend(str(DIGEST_SCRIPT.parent))
+    spec = importlib.util.spec_from_file_location(
+        "traffic", DIGEST_SCRIPT.parent / "traffic.py")
+    traffic = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traffic)
+    tracer = sys.gettrace()
+    found = traffic.unrun([{"entry": "run_verify", "args": ["hxc_cover"],
+                            "kwargs": {"points": 5}}], seed=42)
+    assert sys.gettrace() is tracer
+    unrun_in = {name: {fn for fn, _, _ in ranges} for name, (_, _, ranges) in found.items()}
+    # hxc_cover's suite ran whole, and it builds no torus
+    assert "_hxc_report" not in unrun_in["cli.py"]
+    assert {"_nondiag_report", "main"} <= unrun_in["cli.py"]
+    assert {"verdict", "torus_pairings", "averaged_pairings"} <= unrun_in["torus.py"]
+    total, missed, ranges = found["cli.py"]
+    assert 0 < missed < total
+    stmts = traffic.statements(str(Path(traffic.PACKAGE) / "cli.py"))
+    assert missed == sum(first <= ln <= last for ln in stmts for _, first, last in ranges)
 
 
 def _bench_pairs():

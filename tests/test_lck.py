@@ -275,7 +275,7 @@ def test_hopf_diag_suite_evaluates_the_metric_entries_once_per_batch(hopf, monke
         return evaluate(fields, pts, order)
 
     monkeypatch.setattr(L, "evaluate", spy)
-    checks, _ = cli._hopf_diag_report(hopf, hopf.sample(80, seed=42), 1e-8, 512)
+    checks, _ = cli._hopf_diag_report(hopf, hopf.sample(80, seed=42), 1e-8)
     rows = {c.name: c.passed for c in checks}
     for name in ("vaisman_parallel_lee", "gauduchon_coclosed", "lee_killing",
                  "unit_potential_vaisman_chain"):
@@ -298,7 +298,7 @@ def test_hopf_diag_suite_evaluates_the_lee_field_once_per_batch(hopf, monkeypatc
             return _fn(ctx, order)
 
         monkeypatch.setattr(comp, "_fn", spy)
-    checks, _ = cli._hopf_diag_report(hopf, hopf.sample(80, seed=42), 1e-8, 512)
+    checks, _ = cli._hopf_diag_report(hopf, hopf.sample(80, seed=42), 1e-8)
     rows = {c.name: c.passed for c in checks}
     assert rows["lee_holomorphic"] and rows["lee_killing"]
     uids = {c.uid for c in comps}

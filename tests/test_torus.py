@@ -1,7 +1,11 @@
 """Torus diagnostics: averaging, rank probes, pairings, verdicts."""
 
 import dataclasses
+import importlib
 import itertools
+import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from lcklab import fields
 from lcklab import manifolds as M
 from lcklab import potential as P
 from lcklab import torus as T
-from lcklab.errors import GalleryError, NumericalError
+from lcklab.errors import GalleryError, InadmissibleInput, NumericalError
 from lcklab.fields import ScalarField, constant, coordinate
 from lcklab.forms import (
     Form,
@@ -291,37 +295,51 @@ def test_intersection_dimension_invariant_under_recombination(nondiag_action):
 
 def test_classify_vertical(inoue_action, hopf, hopf_pts):
     m = inoue_action.manifold
-    rep = T.verdict(inoue_action, m.structure.theta, True, m.sample(15, seed=3), 16)
+    rep = T.verdict(inoue_action, m.structure.theta, True, m.sample(15, seed=3))
     assert rep.vertical == [] and abs(rep.pairings["xi"]) < 1e-10
     # the Lee circle of the diagonal Hopf is vertical with pairing 1
     act = T.TorusAction(hopf, [hopf.flows["B"]])
-    rep = T.verdict(act, hopf.structure.theta, True, hopf_pts[:15], 16)
+    rep = T.verdict(act, hopf.structure.theta, True, hopf_pts[:15])
     assert rep.vertical == ["B"]
     assert abs(rep.pairings["B"] - 1.0) < 1e-10
 
 
 def test_classify_against_zero_form(inoue_action):
+    # the zero form pairs to 0 with every circle (the sweep reference); it is
+    # not d phi, so the verdict refuses it instead of labelling
     m = inoue_action.manifold
-    rep = T.verdict(inoue_action, Form.zero(4, 1), False, m.sample(10, seed=3), 16)
-    assert rep.vertical == []
+    pts = m.sample(10, seed=3)
+    swept, _ = T.averaged_pairings(inoue_action, Form.zero(4, 1), pts, 16)
+    assert np.array_equal(swept, [0.0])
+    with pytest.raises(InadmissibleInput, match="theta - d phi"):
+        T.verdict(inoue_action, Form.zero(4, 1), False, pts)
 
 
 def test_classify_invariance_under_representative_choice(inoue_action):
     # rescaling theta by a positive constant or adding df for an invariant f
-    # does not change the labels
+    # does not change the labels (the sweep reference); the verdict pairs
+    # only d phi and refuses the other representatives
     m = inoue_action.manifold
     pts = m.sample(12, seed=4)
     theta = m.structure.theta
     f = coordinate(1, 4).log()  # function of Im w: invariant under the circle
     for rep in (theta.scale(3.7), theta + exterior_d(Form.from_function(f))):
-        assert T.verdict(inoue_action, rep, False, pts, 16).vertical == []
+        swept, _ = T.averaged_pairings(inoue_action, rep, pts, 16)
+        assert abs(swept[0]) < 1e-10
+        with pytest.raises(InadmissibleInput, match="theta - d phi"):
+            T.verdict(inoue_action, rep, False, pts)
 
 
 def test_classify_rejects_nonconstant_pairing(inoue_action):
+    # a form that is neither invariant nor closed pairs non-constantly (the
+    # sweep reference); it is not d phi, so the deck jump refuses it first
     m = inoue_action.manifold
-    bad = Form(4, 1, {(2,): coordinate(3, 4)})  # not invariant, not closed
-    with pytest.raises(NumericalError):
-        T.torus_pairings(inoue_action, bad, m.sample(10, seed=3), nodes=16)
+    pts = m.sample(10, seed=3)
+    bad = Form(4, 1, {(2,): coordinate(3, 4)})
+    _, konst = T.averaged_pairings(inoue_action, bad, pts, 16)
+    assert konst > 1e-8
+    with pytest.raises(InadmissibleInput, match="theta - d phi"):
+        T.torus_pairings(inoue_action, bad, pts)
 
 
 def _probes(act):
@@ -331,27 +349,27 @@ def _probes(act):
 def test_verdicts(hopf_action, nondiag_action, product_action, inoue_action):
     hopf = hopf_action.manifold
     assert T.verdict(hopf_action, hopf.structure.theta, True,
-                     _probes(hopf_action), 32).verdict == "VaismanExists"
+                     _probes(hopf_action)).verdict == "VaismanExists"
     nd = nondiag_action.manifold
     assert T.verdict(nondiag_action, nd.lee_class, True,
-                     _probes(nondiag_action), 32).verdict == "PositivePotentialExists"
+                     _probes(nondiag_action)).verdict == "PositivePotentialExists"
     assert T.verdict(product_action, None, False,
-                     _probes(product_action), 32).verdict == "NoLCKPossible"
+                     _probes(product_action)).verdict == "NoLCKPossible"
     ino = inoue_action.manifold
     assert T.verdict(inoue_action, ino.structure.theta, True,
-                     _probes(inoue_action), 32).verdict == "PurelyReal"
+                     _probes(inoue_action)).verdict == "PurelyReal"
 
 
 def test_verdict_needs_the_lck_hypothesis(nondiag_action):
     # the same torus without the declared LCK hypothesis stays PurelyReal
     nd = nondiag_action.manifold
     assert T.verdict(nondiag_action, nd.lee_class, False,
-                     _probes(nondiag_action), 32).verdict == "PurelyReal"
+                     _probes(nondiag_action)).verdict == "PurelyReal"
 
 
 def test_verdict_carries_witnesses(nondiag_action):
     nd = nondiag_action.manifold
-    rep = T.verdict(nondiag_action, nd.lee_class, True, _probes(nondiag_action), 32)
+    rep = T.verdict(nondiag_action, nd.lee_class, True, _probes(nondiag_action))
     body = rep.to_json()
     assert body["intersection_dim"] == 0
     assert body["vertical"] == ["xi2"]
@@ -369,7 +387,7 @@ def test_every_verdict_row_reports_the_hypothesis_it_was_given(
                        (nondiag_action, nondiag_action.manifold.lee_class),
                        (product_action, None),
                        (inoue_action, inoue_action.manifold.structure.theta)):
-        rep = T.verdict(act, theta, lck, _probes(act), 32)
+        rep = T.verdict(act, theta, lck, _probes(act))
         rows[rep.verdict] = rep.lck_present
         assert rep.to_json()["lck_present"] is lck
     # Vaisman / NonReal and PositivePotential / PurelyReal follow the flag
@@ -391,7 +409,7 @@ def test_verdict_total_and_invariant_under_recombination(hopf_action,
             Mx = rng.uniform(-1.5, 1.5, (k, k))
             if abs(np.linalg.det(Mx)) < 0.2:
                 continue
-            rep = T.verdict(act.recombine(Mx), None, lck, _probes(act), 32)
+            rep = T.verdict(act.recombine(Mx), None, lck, _probes(act))
             assert rep.verdict == expected
             assert rep.verdict in T.VERDICTS
             done += 1
@@ -434,9 +452,9 @@ def test_deck_jump_matches_the_sweep_on_hopf_nondiag(params, nodes):
     m = M.gallery("hopf_nondiag", **params)
     act = T.TorusAction(m, [m.flows["xi1"], m.flows["xi2"]])
     pts = m.sample(3, seed=23)
-    exact = T.torus_pairings(act, m.lee_class, pts, 16)
+    exact = T.torus_pairings(act, m.lee_class, pts)
     swept, konst = T.averaged_pairings(act, m.lee_class, pts, nodes)
-    assert exact.route == "deck_jump" and exact.theta_minus_dphi <= 1e-10
+    assert exact.theta_minus_dphi <= 1e-10
     assert konst < 1e-8 and exact.constancy < 1e-12
     assert np.abs(exact.values - swept).max() < 1e-10
 
@@ -447,8 +465,7 @@ def test_deck_jump_matches_the_sweep_on_the_lee_circles(inoue_action, hopf):
     for act, theta, want in ((inoue_action, ino.structure.theta, 0.0),
                              (lee, hopf.structure.theta, 1.0)):
         pts = act.manifold.sample(8, seed=3)
-        exact = T.torus_pairings(act, theta, pts, 16)
-        assert exact.route == "deck_jump"
+        exact = T.torus_pairings(act, theta, pts)
         swept, _ = T.averaged_pairings(act, theta, pts, 16)
         assert np.abs(exact.values - swept).max() < 1e-10
         assert abs(exact.values[0] - want) < 1e-12
@@ -457,29 +474,41 @@ def test_deck_jump_matches_the_sweep_on_the_lee_circles(inoue_action, hopf):
 def test_deck_jump_pairing_is_the_log_of_the_homothety(nondiag_action):
     # xi2 closes through gamma at time 1, where phi jumps by -ln |beta|^2
     nd = nondiag_action.manifold
-    found = T.torus_pairings(nondiag_action, nd.lee_class,
-                             nd.sample(12, seed=23), 16)
+    found = T.torus_pairings(nondiag_action, nd.lee_class, nd.sample(12, seed=23))
     beta = nd.params["beta"]
     assert found.values[0] == 0.0
     assert abs(found.values[1] + np.log(abs(beta) ** 2)) < 1e-12
 
 
-def test_pairings_fall_back_to_the_sweep(inoue_action, nondiag_action):
+def test_pairings_refuse_what_the_deck_jump_cannot_take(inoue_action, nondiag_action):
+    # each failed condition is named; the sweep reference still pairs the
+    # refused inputs, so the refusal is of the route, not of the input
     m = inoue_action.manifold
     pts = m.sample(10, seed=3)
     theta = m.structure.theta
     df = exterior_d(Form.from_function(coordinate(1, 4).log()))
-    zero = T.torus_pairings(inoue_action, Form.zero(4, 1), pts, 16)
-    shifted = T.torus_pairings(inoue_action, theta + df, pts, 16)
-    for found in (zero, shifted):
-        assert found.route == "torus_sweep" and found.theta_minus_dphi > 1e-10
+    bare = M.gallery("inoue_splus")
+    bare.phi = None
+    unclosed = dataclasses.replace(m.flows["xi"], closes_via=None)
+    cases = [
+        (T.TorusAction(bare, [bare.flows["xi"]]), theta, "inoue_splus: it has no cover potential"),
+        (T.TorusAction(m, [unclosed]), theta, r"flow\(s\) xi name no closure"),
+        (inoue_action, Form.zero(4, 1), r"\|theta - d phi\| = .* > 1e-10"),
+        (inoue_action, theta + df, r"\|theta - d phi\| = .* > 1e-10"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for act, form, reason in cases:
+            with pytest.raises(InadmissibleInput, match=reason):
+                T.torus_pairings(act, form, pts)
+            swept, konst = T.averaged_pairings(act, form, pts, 16)
+            assert abs(swept[0]) < 1e-12 and konst < 1e-12
     # a recombined action takes the deck jump: the pairing is linear in the
     # generator, xi1 + xi2 / 2, then xi2
     nd = nondiag_action.manifold
     mixed = nondiag_action.recombine([[1.0, 0.5], [0.0, 1.0]])
     probes = nd.sample(3, seed=4)
-    found = T.torus_pairings(mixed, nd.lee_class, probes, nodes=32)
-    assert found.route == "deck_jump"
+    found = T.torus_pairings(mixed, nd.lee_class, probes)
     want = -np.log(abs(nd.params["beta"]) ** 2)
     assert np.abs(found.values - [want / 2, want]).max() < 1e-12
     swept, _ = T.averaged_pairings(mixed, nd.lee_class, probes, 48)
@@ -498,7 +527,7 @@ def test_non_constant_deck_jump_raises(monkeypatch):
 
     monkeypatch.setattr(T, "averaged_pairings", no_sweep)
     with pytest.raises(NumericalError, match="not constant"):
-        T.torus_pairings(act, theta, m.sample(10, seed=3), 16)
+        T.torus_pairings(act, theta, m.sample(10, seed=3))
 
 
 def test_verdict_on_hopf_nondiag_never_sweeps(monkeypatch):
@@ -513,6 +542,27 @@ def test_verdict_on_hopf_nondiag_never_sweeps(monkeypatch):
     witnesses = body["verdicts"][0]
     assert witnesses["pairing_route"] == "deck_jump"
     assert witnesses["theta_minus_dphi"] == 0.0
+
+
+def test_no_engine_route_calls_the_sweep(monkeypatch):
+    # every benchmark call (run_report, the wide_batch verifies and both
+    # potential pipelines) takes its pairings from the deck jump; the sweep
+    # is bound in torus alone, so the spy sees every engine call of it
+    from lcklab import cli
+
+    answers = Path(__file__).resolve().parents[1] / "bench" / "known_answers.json"
+    with open(answers) as fh:
+        calls = [c for w in json.load(fh)["workloads"].values() for c in w["calls"]]
+    assert {c["entry"] for c in calls} == {"run_report", "run_verify", "run_potential"}
+    for layer in ("cli", "fields", "forms", "jets", "lck", "manifolds", "potential"):
+        assert not hasattr(importlib.import_module(f"lcklab.{layer}"), "averaged_pairings")
+    seen = []
+    monkeypatch.setattr(T, "averaged_pairings", lambda *a, **k: seen.append(a))
+    for call in calls:
+        _, code = getattr(cli, call["entry"])(*call.get("args", []),
+                                              **call.get("kwargs", {}))
+        assert code == 0, call
+    assert seen == []
 
 
 def _spy_on_sweep_blocks(monkeypatch):
