@@ -19,8 +19,14 @@ median, so that the runs spread too widely for the bound to tell a
 regression, unless every run of the change is better than every run of the
 parent.  A gain needs both: the change wins at least nine tenths of the
 pairs, and its median is better than the parent's by more than the
-parent's interquartile range.  Exit status 1 if any run reports a
-failed check.  Nothing outside ``BENCHMARK.json`` and ``bench/`` of the two
+parent's interquartile range.
+
+After the pairs it makes one traced run per checkout, ``bench/run.py
+--workload W --seed 1 --seconds 1 --trace 1``, and prints the per-pass
+counts ``fields.nodes_built``, ``fields.eval_calls`` and ``jets.mul_calls``
+side by side: they repeat exactly from run to run, so one run of each side
+gives them.  Exit status 1 if any run, traced or not, reports a failed
+check.  Nothing outside ``BENCHMARK.json`` and ``bench/`` of the two
 checkouts is read or run.
 """
 
@@ -30,6 +36,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+# per-pass counts of a traced run, printed for both checkouts
+COUNTS = ("fields.nodes_built", "fields.eval_calls", "jets.mul_calls")
 
 
 def quartiles(values):
@@ -67,11 +76,18 @@ def summarize(end_to_end, parent, change):
     return rows
 
 
-def run_bench(checkout, workload, seed, seconds):
+def counts(parent, change):
+    """(name, parent value, change value) of each of COUNTS, read from one
+    traced run of each checkout."""
+    return [(name, parent["metrics"][name]["value"], change["metrics"][name]["value"])
+            for name in COUNTS]
+
+
+def run_bench(checkout, workload, seed, seconds, trace=0):
     """The last stdout line of one benchmark run in ``checkout``, parsed."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise SystemExit(f"bench/run.py failed in {checkout} (exit {done.returncode}):\n"
@@ -111,7 +127,15 @@ def main(argv=None):
     for r in rows:
         for side in ("parent", "change"):
             print(f"  {r['metric']} {side}: " + " ".join(f"{v:.4g}" for v in r[side]))
-    failed = [sum(run["failed"] for run in runs) for runs in (parent, change)]
+
+    traced = [run_bench(checkout, args.workload, 1, 1, trace=1)
+              for checkout in (args.parent, args.change)]
+    print("  per-pass counts, one traced run each (seed 1, 1 s):")
+    print(f"  {'count':<20s} {'parent':>10s} {'change':>10s}")
+    for name, old, new in counts(*traced):
+        print(f"  {name:<20s} {old:10g} {new:10g}")
+    failed = [sum(run["failed"] for run in runs)
+              for runs in ([*parent, traced[0]], [*change, traced[1]])]
     print(f"  failed checks: parent {failed[0]}, change {failed[1]}")
     return 1 if any(failed) else 0
 

@@ -57,6 +57,24 @@ unfolded rule adds c's zero tiers (and 0 * f), which may turn a -0.0 into
 +0.0 or back, and a function that tells the zeros apart (``log``, ``sqrt``,
 ``1/x``) shows it.  ``constant(0) * f`` is 0 where f is inf or NaN, where
 the unfolded product gave NaN; the same holds for a dropped ``nsum`` term.
+
+An affine real field records its d real partials in ``grad`` when it is
+built: ``coordinate`` sets a one-hot vector and a real ``constant`` zeros,
+and these carry it: ``nsum`` with real weights over terms that have one,
+a real constant field or scalar c in ``c * f``, ``f * c``, ``f + c``,
+``f - c``, ``c - f`` and ``f / c`` (as ``f * (1 / c)``) for a constant
+field c, ``f + g`` and ``f - g`` of two such fields, ``-f`` and
+``real_part``.  Every other field has ``grad`` None: products of
+two fields, complex weights and constants, ``exp`` and the other
+functions, ``compose_field``, plain ``ScalarField(dim, fn)`` closures, and
+so the complex affine fields (``complex_coordinate``, ``from_holomorphic``
+components).  ``partial(i)`` of a field with a gradient is
+``constant(grad[i])``, so the folds above apply to it.  Each entry is formed
+with the float operations of the jet rule that forms the tier, in the same
+operand order (a real weight 1 adds without a multiply, sums run left to
+right, ``f - g`` is ``f + (-g)``), so the constant equals the unfolded
+partial at every point, signed zeros included; the folds it then meets
+change at most the sign of a zero, as above.
 """
 
 from __future__ import annotations
@@ -141,14 +159,17 @@ def as_batch(pts, dim):
 
 
 class ScalarField:
-    __slots__ = ("dim", "_fn", "uid", "const")
+    __slots__ = ("dim", "_fn", "uid", "const", "grad")
 
-    def __init__(self, dim: int, fn: Callable, const=None):
+    def __init__(self, dim: int, fn: Callable, const=None, grad=None):
         self.dim = dim
         self._fn = fn
         self.uid = next(_uid)
         # the value of a constant field, None for any other field
         self.const = const
+        # the d real partials (floats) of an affine real field, None for
+        # any other field
+        self.grad = grad
 
     # -- evaluation -----------------------------------------------------
 
@@ -180,14 +201,15 @@ class ScalarField:
 
     # -- algebra ----------------------------------------------------------
 
-    def _binary(self, other, op):
-        """op(self, other) for a field or scalar ``other``; a constant and
-        a constant or scalar fold to a constant."""
+    def _binary(self, other, op, grad=None):
+        """op(self, other) for a field or scalar ``other``, of gradient
+        ``grad``; a constant and a constant or scalar fold to a constant."""
         if self.const is not None and _value(other) is not None:
             return constant(op(_point(self), _point(other)).v[0].item(), self.dim)
         if isinstance(other, ScalarField):
-            return ScalarField(self.dim, lambda c, m: op(self.eval(c, m), other.eval(c, m)))
-        return ScalarField(self.dim, lambda c, m: op(self.eval(c, m), other))
+            return ScalarField(self.dim, lambda c, m: op(self.eval(c, m), other.eval(c, m)),
+                               grad=grad)
+        return ScalarField(self.dim, lambda c, m: op(self.eval(c, m), other), grad=grad)
 
     def __add__(self, other):
         b = _value(other)
@@ -195,7 +217,10 @@ class ScalarField:
             return self
         if b is None and self.const is not None:
             return other + self.const
-        return self._binary(other if b is None else b, lambda a, b: a + b)
+        if b is None:
+            return self._binary(other, lambda a, b: a + b,
+                                _grad_sum([(self.grad, 1.0), (other.grad, 1.0)]))
+        return self._binary(b, lambda a, b: a + b, _offset(self.grad, b))
 
     __radd__ = __add__
 
@@ -205,10 +230,15 @@ class ScalarField:
             return self
         if b is None and self.const is not None:
             return other.__rsub__(self.const)
-        return self._binary(other if b is None else b, lambda a, b: a - b)
+        if b is None:
+            # the jet rule is self + (-other)
+            return self._binary(other, lambda a, b: a - b,
+                                _grad_sum([(self.grad, 1.0), (_neg(other.grad), 1.0)]))
+        return self._binary(b, lambda a, b: a - b, _offset(self.grad, b))
 
     def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
+        # the jet rule is (-self) + other
+        return self._binary(other, lambda a, b: b - a, _offset(_neg(self.grad), other))
 
     def __mul__(self, other):
         a, b = self.const, _value(other)
@@ -222,7 +252,8 @@ class ScalarField:
             return _scaled(other, a, True)
         if a is None and b is not None and isinstance(other, ScalarField):
             return _scaled(self, b, False)
-        return self._binary(other, lambda a, b: a * b)
+        return self._binary(other, lambda a, b: a * b,
+                            None if b is None else _grad_sum([(self.grad, b)]))
 
     __rmul__ = __mul__
 
@@ -235,7 +266,7 @@ class ScalarField:
         return self._binary(other, lambda a, b: b / a)
 
     def __neg__(self):
-        return ScalarField(self.dim, lambda c, m: -self.eval(c, m))
+        return ScalarField(self.dim, lambda c, m: -self.eval(c, m), grad=_neg(self.grad))
 
     def __pow__(self, k: int):
         return ScalarField(self.dim, lambda c, m: self.eval(c, m) ** k)
@@ -256,7 +287,8 @@ class ScalarField:
         return ScalarField(self.dim, lambda c, m: self.eval(c, m).sqrt())
 
     def real_part(self):
-        return ScalarField(self.dim, lambda c, m: self.eval(c, m).real())
+        # a field with a gradient is real, so its real part keeps it
+        return ScalarField(self.dim, lambda c, m: self.eval(c, m).real(), grad=self.grad)
 
     def imag_part(self):
         return ScalarField(self.dim, lambda c, m: self.eval(c, m).imag())
@@ -267,9 +299,12 @@ class ScalarField:
     # -- calculus -----------------------------------------------------------
 
     def partial(self, i: int):
-        """Exact coordinate-derivative field d/dx_i (one jet order deeper)."""
+        """Exact coordinate-derivative field d/dx_i (one jet order deeper);
+        a constant for a constant or affine real field."""
         if self.const is not None:
             return constant(0.0, self.dim)
+        if self.grad is not None:
+            return constant(self.grad[i], self.dim)
 
         def fn(ctx, m):
             if m + 1 > MAX_ORDER:
@@ -296,7 +331,8 @@ class ScalarField:
             return terms[0][0] * terms[0][1]
 
         return ScalarField(dim, lambda ctx, m: _jet_sum(
-            (f.eval(ctx, m), w) for f, w in terms))
+            (f.eval(ctx, m), w) for f, w in terms),
+            grad=_grad_sum((f.grad, w) for f, w in terms))
 
 
 def _jet_sum(terms):
@@ -309,6 +345,30 @@ def _jet_sum(terms):
             x = x * w
         acc = x if acc is None else acc + x
     return acc
+
+
+def _grad_sum(terms):
+    """The gradient ``_jet_sum`` forms from the (gradient, weight) pairs
+    ``terms``, entry by entry with the same float operations in the same
+    order; None if a gradient is None or a weight complex."""
+    acc = None
+    for grad, w in terms:
+        if grad is None or np.iscomplexobj(w):
+            return None
+        if w != 1:
+            grad = tuple(float(x * w) for x in grad)
+        acc = grad if acc is None else tuple(a + b for a, b in zip(acc, grad))
+    return acc
+
+
+def _neg(grad):
+    """The gradient of -f for f of gradient ``grad`` (None stays None)."""
+    return None if grad is None else tuple(-x for x in grad)
+
+
+def _offset(grad, c):
+    """The gradient of f + c and f - c: a real scalar c shares f's tiers."""
+    return None if np.iscomplexobj(c) else grad
 
 
 def evaluate(fields: Sequence[ScalarField], pts, order: int):
@@ -339,7 +399,7 @@ def constant(value, dim) -> ScalarField:
     if shared and dim in _ZEROS:
         return _ZEROS[dim]
     field = ScalarField(dim, lambda c, m: Jet.constant(value, c.pts.shape[0], dim, m),
-                        const=value)
+                        const=value, grad=None if np.iscomplexobj(value) else (0.0,) * dim)
     if shared:
         _ZEROS[dim] = field
     return field
@@ -366,11 +426,12 @@ def _scaled(f: ScalarField, c, c_first: bool) -> ScalarField:
         return Jet(m, c * x.v if c_first else x.v * c,
                    *[None if y is None else c * y for y in (x.g, x.h, x.t)[:m]])
 
-    return ScalarField(f.dim, fn)
+    return ScalarField(f.dim, fn, grad=_grad_sum([(f.grad, c)]))
 
 
 def coordinate(i, dim) -> ScalarField:
-    return ScalarField(dim, lambda c, m: Jet.coordinate(c.pts, i, m))
+    return ScalarField(dim, lambda c, m: Jet.coordinate(c.pts, i, m),
+                       grad=tuple(float(j == i) for j in range(dim)))
 
 
 def complex_coordinate(j, dim) -> ScalarField:

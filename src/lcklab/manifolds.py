@@ -489,7 +489,10 @@ def inoue_splus(p=0, q=0, r=1, t=0.0, N=((2, 1), (1, 1))):
         N = np.asarray(N, dtype=float)
     except (TypeError, ValueError):
         raise GalleryError("inoue_splus needs N a real 2x2 matrix") from None
-    if N.shape != (2, 2) or abs(np.linalg.det(N) - 1.0) > 1e-12:
+    # integer entries first: a NaN slips past the determinant test, and a
+    # real N may have det 1 and N[0, 1] = 0, which the constants divide by
+    if (N.shape != (2, 2) or not np.isfinite(N).all() or (N != np.round(N)).any()
+            or abs(np.linalg.det(N) - 1.0) > 1e-12):
         raise GalleryError("inoue_splus needs an SL(2, Z) matrix")
     if int(r) == 0:
         raise GalleryError("inoue_splus needs r != 0")

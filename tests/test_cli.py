@@ -566,6 +566,36 @@ def test_bench_pairs_marks_a_metric_unresolved_when_the_parent_spreads_past_its_
     assert unresolved(parent, runs([3.0] * 5, [12.5] * 4 + [12.0])) == [False, True]
 
 
+def test_bench_pairs_prints_the_counts_of_one_traced_run_per_checkout(tmp_path, monkeypatch,
+                                                                      capsys):
+    module = _bench_pairs()
+    root = Path(__file__).resolve().parents[1]
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text((root / "BENCHMARK.json").read_text())
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        calls.append((checkout.name, seed, seconds, trace))
+        base = 7000 if checkout.name == "parent" else 4000
+        metrics = {name: {"value": base + k} for k, name in enumerate(module.COUNTS)}
+        metrics.update({m: {"value": 1.0} for m in ("wall_s", "cpu_s", "peak_rss_mb",
+                                                    "setup_s")})
+        # only the change's traced run fails a check
+        return {"failed": int(trace == 1 and checkout.name == "change"), "metrics": metrics}
+
+    monkeypatch.setattr(module, "run_bench", fake_run)
+    code = module.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                        "--workload", "wide_batch", "--pairs", "2", "--seconds", "3"])
+    assert calls == [("parent", 1, 3.0, 0), ("change", 1, 3.0, 0),
+                     ("change", 2, 3.0, 0), ("parent", 2, 3.0, 0),
+                     ("parent", 1, 1, 1), ("change", 1, 1, 1)]
+    out = capsys.readouterr().out
+    for k, name in enumerate(module.COUNTS):
+        assert f"{name:<20s} {7000 + k:10g} {4000 + k:10g}" in out
+    assert "failed checks: parent 0, change 1" in out and code == 1
+
+
 def test_bench_pairs_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr():
     module = _bench_pairs()
     end_to_end = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},

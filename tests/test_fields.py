@@ -11,8 +11,9 @@ product may round differently with its factors swapped.
 import numpy as np
 import pytest
 
-from lcklab.fields import ScalarField, complex_coordinate, constant, coordinate
-from lcklab.forms import Form, dc, exterior_d, wedge
+from lcklab import manifolds
+from lcklab.fields import PointMap, ScalarField, complex_coordinate, constant, coordinate
+from lcklab.forms import Form, dc, exterior_d, pullback, wedge
 from lcklab.jets import Jet
 
 DIM = 4
@@ -202,3 +203,105 @@ def test_a_folded_zero_times_a_non_finite_value_is_zero():
     assert (constant(0.0, DIM) * x).values(at).tolist() == [0.0, 0.0, 0.0]
     assert (x * 0.0).values(at).tolist() == [0.0, 0.0, 0.0]
     assert ScalarField.nsum([y, x], [1.0, 0.0]).values(at).tolist() == [0.0, 0.0, 0.0]
+
+
+# -- affine fields: a gradient known when the DAG is built ---------------
+
+
+def hidden_coordinate(i):
+    """coordinate(i) behind a plain field, which carries no gradient."""
+    return ScalarField(DIM, coordinate(i, DIM)._fn)
+
+
+# each builds one affine field from the four coordinate leaves x
+AFFINE = {
+    "coordinate": lambda x: x[1],
+    # a repeated coordinate, a unit weight and a real constant term
+    "nsum": lambda x: ScalarField.nsum([x[0], x[2], x[0], constant(0.5, DIM)],
+                                       [1.0, -2.0, 3.0, -1.5]),
+    # -0.0 + -0.0 leaves the partials in x1 and x3 at -0.0
+    "nsum_negative_zero": lambda x: ScalarField.nsum([x[0], x[2]], [-1.0, -2.0]),
+    "nsum_unweighted": lambda x: ScalarField.nsum([x[3], x[1], x[3]]),
+    # (0.1 + 0.2) + 0.3 rounds differently from 0.1 + (0.2 + 0.3)
+    "nsum_rounding": lambda x: ScalarField.nsum([x[0]] * 3, [0.1, 0.2, 0.3]),
+    "scaled": lambda x: constant(-0.75, DIM) * (x[2] * constant(2.5, DIM)),
+    "times_scalar": lambda x: 0.3 * (x[0] * -1.5),
+    "offsets": lambda x: 2.0 - ((0.25 + x[0]) - 1.5 + 0.5),
+    "sum": lambda x: x[0] * 2.0 + x[1],
+    # (-x0) - x1 is -x0 + (-x1): its partials in x2 and x3 are -0.0
+    "difference": lambda x: -x[0] - x[1] * 3.0,
+    "real_part": lambda x: (x[0] - 0.5 * x[1]).real_part(),
+    # a component of PointMap.affine: zero weights dropped, then an offset
+    "affine_map": lambda x: (ScalarField.nsum(x, np.array([0.0, -1.25, 0.0, 2.0]))
+                             + np.float64(0.5)),
+}
+
+
+def assert_same_bits(got: Jet, want: Jet):
+    """The same tiers, present or absent alike, equal with their zeros'
+    signs."""
+    assert got.order == want.order
+    for name in "vght"[: got.order + 1]:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(a)), np.signbit(part(b))), name
+
+
+@pytest.mark.parametrize("kind", AFFINE)
+def test_partials_of_affine_fields_are_the_unfolded_partials(kind, pts):
+    f = AFFINE[kind]([coordinate(i, DIM) for i in range(DIM)])
+    ref = AFFINE[kind]([hidden_coordinate(i) for i in range(DIM)])
+    assert f.grad is not None and ref.grad is None
+    for order in ORDERS:
+        assert_same_bits(f.jet(pts, order), ref.jet(pts, order))
+    for i in range(DIM):
+        folded = f.partial(i)
+        assert folded.const is not None and folded.const == f.grad[i]
+        # the unfolded partial reads one order deeper, so it stops at order 2
+        for order in range(3):
+            assert_same_bits(folded.jet(pts, order), ref.partial(i).jet(pts, order))
+        assert folded.jet(pts, 3).h is None
+    negative_zeros = {"nsum_negative_zero": (1, 3), "difference": (2, 3)}.get(kind, ())
+    for i in negative_zeros:
+        assert f.grad[i] == 0 and np.signbit(f.grad[i])
+
+
+def test_products_exp_and_complex_terms_keep_their_partial_nodes(pts):
+    x, y = coordinate(0, DIM), coordinate(1, DIM)
+    for f in (x * y, x.exp(), ScalarField.nsum([x, y], [1.0, 0.5j]), x + 1j,
+              1j * x, constant(2j, DIM) * x, complex_coordinate(0, DIM).real_part(),
+              ScalarField(DIM, x._fn)):
+        assert f.grad is None
+        d = f.partial(0)
+        assert d.const is None
+        assert_same_bits(d.jet(pts, 1), f.jet(pts, 2).partial(0))
+
+
+def _partial_nodes_built(monkeypatch, build):
+    """How many nodes ``build()`` makes with the closure of ``partial``."""
+    built = []
+    init = ScalarField.__init__
+
+    def spy(self, dim, fn, *args, **kwargs):
+        built.append(fn.__qualname__)
+        init(self, dim, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ScalarField, "__init__", spy)
+    build()
+    monkeypatch.undo()
+    return sum(name == "ScalarField.partial.<locals>.fn" for name in built)
+
+
+@pytest.mark.parametrize("fixture, deck", [("hopf_diag", "gamma"), ("inoue_splus", "g1")])
+def test_pullback_by_an_affine_deck_map_builds_no_partial_node(monkeypatch, fixture, deck):
+    m = manifolds.gallery(fixture)
+    gamma, omega = m.deck(deck).map, m.structure.omega
+    assert all(c.grad is not None for c in gamma.components)
+    assert _partial_nodes_built(monkeypatch, lambda: pullback(gamma, omega)) == 0
+    # the spy sees them where the map's components hide their gradients
+    hidden_map = PointMap([ScalarField(c.dim, c._fn) for c in gamma.components])
+    count = _partial_nodes_built(monkeypatch, lambda: pullback(hidden_map, omega))
+    assert count == gamma.dim_out * gamma.dim_in

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,20 @@ def test_gallery_rejects_unknown_and_bad_params():
         M.gallery("hopf_nondiag", lam=1000.0)
     with pytest.raises(GalleryError, match="dropped-tail bound"):
         M.gallery("hopf_nondiag", beta=0.86)
+
+
+# det N = 1 but outside SL(2, Z): N[0, 1] = 0, which the constants divide
+# by, and a non-integral matrix with a real eigenvalue above 1
+@pytest.mark.parametrize("N", [((2, 0), (0, 0.5)), ((1.5, 1.25), (1, 1.5)),
+                               ((float("nan"), 1), (1, 1))])
+def test_inoue_refuses_a_matrix_with_a_non_integer_entry(N):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GalleryError, match=r"SL\(2, Z\)") as refused:
+            M.gallery("inoue_splus", N=N)
+    assert refused.value.exit_code == 2
+    # an integral matrix of det 1 and trace > 2 still builds
+    M.gallery("inoue_splus", N=((3, 2), (1, 1)))
 
 
 @pytest.mark.parametrize("beta,lam,m", [
