@@ -6,7 +6,8 @@
 PARENT and CHANGE are two lcklab checkouts.  Pair i (i = 1 .. --pairs) runs
 ``python3 bench/run.py --workload W --seed i --seconds S --trace 0`` once in
 each, with the same seed: the parent first on odd i, the change first on
-even i.  ``--seconds`` defaults to the ``run_seconds`` of BENCHMARK.json.
+even i.  ``--seconds`` defaults to the ``run_seconds`` of BENCHMARK.json,
+and a ``--pairs`` below 1 is refused with exit status 2.
 
 For every end-to-end metric of CHANGE's ``BENCHMARK.json`` it prints both
 medians over the pairs, the pairs the change wins (a tie counts for neither
@@ -103,6 +104,8 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=None)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
 

@@ -19,22 +19,23 @@ A stacked family evaluates many members as one batch along the point axis:
 a field on the images of the points under many affine maps (the nodes of
 ``affine_quadrature_family``), or one term under many constant
 coefficients (the hopf_nondiag deck series, whose per-row constants
-multiply each tier as a scalar would).  ``_eval_in_blocks`` evaluates a
-list of fields on the stacked rows in blocks of at most ``_block_rows``
-rows, one Ctx per block shared by every field, and a block may be given
-the jets of some leaves instead of computing them.  Each member's output
-is then reduced in its own order.  Every jet operation acts row by row,
-so each output equals the member-by-member evaluation bit for bit.
+multiply each tier as a scalar would).  ``_eval_in_blocks`` cuts the
+stacked rows into blocks of at most ``_QUAD_POINT_BUDGET`` rows and
+concatenates the jets its caller's block function returns for each; a
+quadrature's block function evaluates its fields on one fresh Ctx of the
+block's points.  Each member's output is then reduced in its own order.
+Every jet operation acts row by row, so each output equals the
+member-by-member evaluation bit for bit.
 
 A field built by ``constant`` records its value in ``const``, and the
 algebra folds constants when the DAG is built, so a structurally zero term
 is never evaluated and a constant factor grows no zero tier:
 
 - ``f * 0`` and ``f * constant(0)`` (either side) are ``constant(0.0)``;
-  ``f * 1`` and ``f * constant(1)`` are f itself.  Any other constant
-  field c scales f as the product rule does with c's jet: the value in the
-  operands' order, c * tier for each derivative tier, an absent tier
-  left absent.
+  ``f * 1`` and ``f * constant(1)`` (either side) are f itself for a real
+  1.  Any other constant field c, 1 + 0j included, scales f as the product
+  rule does with c's jet: the value in the operands' order, c * tier for
+  each derivative tier, an absent tier left absent.
 - ``f + 0`` and ``f - 0`` are f; any other constant field is added or
   subtracted as its value, so the sum shares f's tiers, and
   ``f / constant(c)`` is ``f * (1 / constant(c))``.
@@ -244,9 +245,9 @@ class ScalarField:
         a, b = self.const, _value(other)
         if a == 0 or b == 0:
             return constant(0.0, self.dim)
-        if b == 1:
+        if _real_one(b):
             return self
-        if a == 1 and b is None:
+        if _real_one(a) and b is None:
             return other
         if a is not None and b is None:
             return _scaled(other, a, True)
@@ -341,10 +342,16 @@ def _jet_sum(terms):
     still multiplies, so the sum is complex."""
     acc = None
     for x, w in terms:
-        if w != 1 or isinstance(w, complex):
+        if not _real_one(w):
             x = x * w
         acc = x if acc is None else acc + x
     return acc
+
+
+def _real_one(w):
+    """Whether w is a real 1, which a product or a sum drops; 1 + 0j is
+    kept, so the result is complex."""
+    return w == 1 and not isinstance(w, complex)
 
 
 def _grad_sum(terms):
@@ -514,48 +521,28 @@ def compose_field(field: ScalarField, pmap: PointMap) -> ScalarField:
     return ScalarField(pmap.dim_in, fn)
 
 
-# Most node-stacked points one Ctx of an affine quadrature evaluates at once.
-# Every jet operation acts row by row, so the blocks change no result; they
-# bound the intermediates of f's DAG that a Ctx caches to this many rows.
+# Most stacked rows one block of ``_eval_in_blocks`` holds.  Every jet
+# operation acts row by row, so the blocks change no result; they bound the
+# intermediates a block's evaluation holds to this many rows.
 _QUAD_POINT_BUDGET = 1024
-# Most entries of one block's top tier (d**order per row): 0.5 MiB of float64.
-# It shrinks the blocks only where that tier is large, as at order 3 and d = 6.
-_QUAD_TIER_BUDGET = 2**16
 
 
-def _block_rows(dim: int, order: int) -> int:
-    """Rows per block of an order-``order`` integrand on a dim-d chart."""
-    return max(1, min(_QUAD_POINT_BUDGET, _QUAD_TIER_BUDGET // dim**order))
-
-
-def _eval_in_blocks(fields: Sequence[ScalarField], pts, order: int, given=None):
-    """The order-``order`` jets of ``fields`` on the rows of pts, evaluated in
-    contiguous blocks of ``_block_rows`` rows (at most _QUAD_POINT_BUDGET,
-    fewer where a block's top tier would pass _QUAD_TIER_BUDGET entries),
-    each on one fresh Ctx that every field shares and that is dropped before
-    the next block starts.  ``given(rows)``, when set, returns {field: jet}
-    for the block ``pts[rows]``: the block's Ctx starts with those jets, so
-    those fields' closures never run."""
-    n, d = pts.shape
-    size = _block_rows(d, order)
-    blocks = []
+def _eval_in_blocks(n: int, block: Callable):
+    """The jets ``block(rows)`` returns for the contiguous row slices
+    ``rows`` of at most ``_QUAD_POINT_BUDGET`` of n stacked rows, block by
+    block, each block's list concatenated points-last into one list.
+    Whatever ``block`` builds for its rows (a fresh Ctx, say) is dropped
+    when it returns, before the next block starts."""
+    size = _QUAD_POINT_BUDGET
     # an empty batch is evaluated as one empty block
-    for start in range(0, max(n, 1), size):
-        rows = slice(start, min(start + size, n))
-        ctx = Ctx(pts[rows])
-        if given is not None:
-            for f, jet in given(rows).items():
-                ctx.cache[f.uid, order] = jet
-        blocks.append([f.eval(ctx, order) for f in fields])
-        # the block's intermediates go now, not when the next block's Ctx
-        # replaces this one or, after the last block, after the concatenation
-        del ctx
+    blocks = [block(slice(start, min(start + size, n)))
+              for start in range(0, max(n, 1), size)]
     if len(blocks) == 1:
         return blocks[0]
     # every tier holds its points on the last axis
-    return [Jet(order, *[None if getattr(parts[0], k) is None
-                         else np.concatenate([getattr(b, k) for b in parts], axis=-1)
-                         for k in "vght"])
+    return [Jet(parts[0].order, *[None if getattr(parts[0], k) is None
+                                  else np.concatenate([getattr(b, k) for b in parts], axis=-1)
+                                  for k in "vght"])
             for parts in zip(*blocks)]
 
 
@@ -573,19 +560,18 @@ def affine_quadrature_family(fields: Sequence[ScalarField], mats, offsets,
 
     Like every jet, an output holds its tiers points-last: g (d, N),
     h (d, d, N), t (d, d, d, N) for N points on the d-dimensional chart.
-    The node axis is flattened into the evaluation batch, and every member
-    is evaluated on it by ``_eval_in_blocks``: blocks of node-stacked points
-    (``_block_rows``: at most ``_QUAD_POINT_BUDGET``, 303 at order 3 on a
-    d = 6 chart), one Ctx per block shared by all members, so each member's
-    DAG is walked once per block, not once per node or per output, and the
-    subexpressions the members share are computed once.  Constant
-    Jacobians make the chain rule three contractions, run for each pair on
-    its member's concatenated jet.  The order-1 one runs on a points-first
-    copy of the gradients, which fixes its summation order.  The order-2
-    and order-3 ones contract one Jacobian factor at a time
-    (``optimize=True``), so order 3 costs O(s n d^4) instead of
-    O(s n d^6); their results are made C-contiguous where that path
-    returns a strided view.  An output's pairs are summed left to right by
+    The node axis is flattened into the evaluation batch, which
+    ``_eval_in_blocks`` cuts into blocks of at most ``_QUAD_POINT_BUDGET``
+    node-stacked points, each evaluated on one fresh Ctx shared by all
+    members, so each member's DAG is walked once per block, not once per
+    node or per output, and the subexpressions the members share are
+    computed once.  Constant Jacobians make the chain rule three
+    contractions, run for each pair on its member's concatenated jet.  The
+    order-1 one runs on a points-first copy of the gradients, which fixes
+    its summation order.  The order-2 and order-3 ones contract one
+    Jacobian factor at a time (``optimize=True``), so order 3 costs
+    O(s n d^4) instead of O(s n d^6); their results are made C-contiguous
+    where that path returns a strided view.  An output's pairs are summed left to right by
     ``_jet_sum``, as ``ScalarField.nsum`` adds unit-weight terms.
 
     Whichever output a Ctx evaluates first computes all of them and caches
@@ -622,8 +608,13 @@ def affine_quadrature_family(fields: Sequence[ScalarField], mats, offsets,
     def fn(ctx, m):
         pts = ctx.pts
         n = pts.shape[0]
-        big = np.einsum("sij,nj->sni", mats, pts) + offsets[:, None, :]
-        F = _eval_in_blocks(fields, big.reshape(s * n, d), m)
+        big = (np.einsum("sij,nj->sni", mats, pts) + offsets[:, None, :]).reshape(s * n, d)
+
+        def block(rows):
+            at = Ctx(big[rows])
+            return [f.eval(at, m) for f in fields]
+
+        F = _eval_in_blocks(s * n, block)
         jets = []
         for uid, pairs in zip(uids, outputs):
             acc = _jet_sum((contract(F[j], weights, n, m), 1.0) for j, weights in pairs)

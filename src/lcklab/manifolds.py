@@ -204,12 +204,16 @@ def _scaled_rotation_affine(dim, a: complex):
 # lck_identity is 9.5e-7 at |beta| = 0.001 and 1.5e-8 at 0.004 (tolerance
 # 1e-8), and at most 1.9e-9 at 0.01 over seeds 0-12, 42 and 12345.
 _HOPF_DIAG_MIN_BETA = 0.01
+# The DAG grows with n before any check runs: verify at 2000 points peaks at
+# 148, 363 and 715 MB in 0.4, 0.8 and 2.1 s for n = 8, 12 and 16 (8 GB host),
+# n = 40 takes 8.9 s and 1.1 GB at 20 points, and n = 80 fails for 16 GiB
+_HOPF_DIAG_MAX_N = 16
 
 
 def hopf_diag(n=2, beta=0.5 + 0j):
     """Diagonal Hopf manifold (C^n - 0)/(z -> beta z) with its Vaisman pair.
 
-    ``n >= 2`` and ``beta`` is complex with 0.01 <= |beta| < 1.  Each
+    ``2 <= n <= 16`` and ``beta`` is complex with 0.01 <= |beta| < 1.  Each
     registered circle is z -> e^{rate t} z on every coordinate, and its
     generator is rate z: B -1/2, A -i/2 (= JB), R i, C -1/2 + i (= B + R),
     JC -1 - i/2 and, unless beta is real positive, L -1/2 + i arg(beta)/T
@@ -229,6 +233,8 @@ def hopf_diag(n=2, beta=0.5 + 0j):
     if n < 2:
         # on a curve the Lee form is not determined by the fundamental form
         raise GalleryError("hopf_diag needs n >= 2")
+    if n > _HOPF_DIAG_MAX_N:
+        raise GalleryError(f"hopf_diag needs n <= {_HOPF_DIAG_MAX_N}")
     if not _HOPF_DIAG_MIN_BETA <= abs(beta) < 1:
         raise GalleryError(
             f"hopf_diag needs {_HOPF_DIAG_MIN_BETA:g} <= |beta| < 1")
@@ -321,11 +327,6 @@ def _nondiag_tail_bound(b, lam, m, K):
         return float(np.exp(log_tail + math.log(2.0) - 4 * lb))
 
 
-def _given_per_block(ctx, order):
-    """The closure of a stacked family's leaf, whose jet each block is given."""
-    raise RuntimeError("a stacked family's leaf is evaluated only where its jet is given")
-
-
 def _jet_rows(jet: Jet, rows) -> Jet:
     """The rows ``rows`` (a slice or an index array) of every tier of jet."""
     return Jet(jet.order, *[None if x is None else x[..., rows]
@@ -341,8 +342,9 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0 + 0j, m=2):
     theta = d phi, phi = -ln w, from the deck-weighted series potential
     w = sum_{|k| <= K} |beta|^{-2k} chi(|gamma^k z|^2), w o gamma = |beta|^2 w
     (no explicit metric is wired in).  The 2K+1 terms are evaluated as one
-    stacked family along the point axis, so the field DAG does not grow
-    with K (``extras["series_K"]``).
+    stacked family along the point axis, in one field whose closure runs
+    their jet operations directly, so the field DAG does not grow with K
+    (``extras["series_K"]``).
     """
     beta = complex(beta)
     lam = complex(lam)
@@ -411,13 +413,14 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0 + 0j, m=2):
             f"|lam| = {abs(lam):.4g}, m = {mm}: dropped-tail bound {tail:.1e} > 1e-10")
     # Term k is |beta|^{-2k} chi(n_k), n_k = |gamma^k z|^2, with
     # gamma^k z = (beta^k z1, beta^{mk} z2 + k lam beta^{m(k-1)} z1^m).  The
-    # 2K+1 terms are one stacked family: the jets of z1, z2 and z1^m are
-    # taken once on the batch and tiled along the point axis, row k*N + p
-    # holding term k at point p, and the term's operations run once on the
-    # stacked rows (in blocks, ``fields._eval_in_blocks``), its constants
-    # per-row arrays that multiply each tier as a scalar would.  The sum
-    # over k is then taken slice by slice in k order by ``_jet_sum``, as
-    # ``nsum`` adds its terms, so every jet equals the term-by-term sum's.
+    # 2K+1 terms are one stacked family: row k*N + p holds term k at point
+    # p, and each block of rows (``fields._eval_in_blocks``) takes the jets
+    # of z1, z2 and z1^m at its points, multiplies them by its rows'
+    # constants as a scalar multiplies each tier, and runs the term's jet
+    # operations on the block, in the order a term's field DAG runs them.
+    # The sum over k is then taken slice by slice in k order by
+    # ``_jet_sum``, as ``nsum`` adds its terms, so every jet equals the
+    # term-by-term sum's.
     ks = range(-K, K + 1)
     c1 = np.array([beta**k for k in ks])
     c2 = np.array([beta ** (mm * k) for k in ks])
@@ -425,24 +428,22 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0 + 0j, m=2):
     ab2 = abs(beta) ** 2
     weights = [ab2 ** (-k) for k in ks]
     z1m = z1**mm
-    # the stacked rows' beta^k z1 and beta^{mk} z2 + k lam beta^{m(k-1)} z1^m,
-    # whose jets each block is given
-    w1, w2 = (ScalarField(dim, _given_per_block) for _ in range(2))
-    nk = (w1 * w1.conjugate()).real_part() + (w2 * w2.conjugate()).real_part()
-    # chi(n) = n^2/(1 + n^3) written as 1/(n + n^{-2}) to keep the jet
-    # intermediates of the far terms inside double range
-    chi = 1.0 / (nk + (1.0 / nk) ** 2)
 
     def series(ctx, order):
         base = [f.eval(ctx, order) for f in (z1, z2, z1m)]
         n = ctx.pts.shape[0]
 
-        def given(rows):
+        def block(rows):
             k, p = np.divmod(np.arange(rows.start, rows.stop), n)
             Z1, Z2, Z1m = (_jet_rows(j, p) for j in base)
-            return {w1: Z1 * c1[k], w2: Z2 * c2[k] + Z1m * c3[k]}
+            w1 = Z1 * c1[k]
+            w2 = Z2 * c2[k] + Z1m * c3[k]
+            nk = (w1 * w1.conj()).real() + (w2 * w2.conj()).real()
+            # chi(n) = n^2/(1 + n^3) written as 1/(n + n^{-2}) to keep the
+            # jet intermediates of the far terms inside double range
+            return [1.0 / (nk + (1.0 / nk) ** 2)]
 
-        terms = _eval_in_blocks([chi], np.tile(ctx.pts, (len(ks), 1)), order, given)[0]
+        (terms,) = _eval_in_blocks(len(ks) * n, block)
         return _jet_sum((_jet_rows(terms, slice(i * n, (i + 1) * n)), w)
                         for i, w in enumerate(weights))
 
@@ -694,7 +695,8 @@ _LEEOLO_MIN_EPS = 1e-3
 def leeolo(eps=0.3, n=2):
     """Hopf base with B-flow period 2 pi carrying the norm-modulated
     structure Omega' = Omega + f theta ^ J theta, f = eps cos(orbit),
-    |eps| >= 0.001 (|eps| >= 1 is inadmissible: f > -1 fails)."""
+    |eps| >= 0.001 (|eps| >= 1 is inadmissible: f > -1 fails), on the
+    hopf_diag base of the same n (2 <= n <= 16)."""
     from .potential import PeriodicFunction, build_leeolo
 
     if int(n) < 2:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import GalleryError, InadmissibleInput, NumericalError
 from .fields import (
+    Ctx,
     VectorField,
     _eval_in_blocks,
     affine_quadrature_family,
@@ -144,8 +145,8 @@ def averaged_pairings(act: TorusAction, theta: Form, pts, nodes):
     the scalar field iota_{xi_j} theta over the ``nodes`` trapezoid nodes of
     circle j through it.  That field is evaluated once on the probes pushed
     to those nodes, k * nodes * P points for k circles and P probes, in the
-    fields layer's blocks (``_eval_in_blocks``).  The generators' mix is
-    applied afterwards, as in ``deck_jump_pairings``.
+    fields layer's blocks (``_eval_in_blocks``), each on a fresh Ctx.  The
+    generators' mix is applied afterwards, as in ``deck_jump_pairings``.
 
     No engine route reaches it: it is the reference the tests compare
     ``torus_pairings`` against.
@@ -158,8 +159,9 @@ def averaged_pairings(act: TorusAction, theta: Form, pts, nodes):
             continue
         moved = np.concatenate([fl.at(float(t))(pts)
                                 for t in np.arange(nodes) * (fl.period / nodes)])
-        vals = np.real(_eval_in_blocks([pairing.coeffs[()]], moved, 0)[0].v)
-        sums[j] = vals.reshape(nodes, -1).sum(axis=0)
+        field = pairing.coeffs[()]
+        (vals,) = _eval_in_blocks(len(moved), lambda rows: [field.eval(Ctx(moved[rows]), 0)])
+        sums[j] = np.real(vals.v).reshape(nodes, -1).sum(axis=0)
     return _mixed_mean(act, sums / nodes)
 
 

@@ -100,6 +100,8 @@ def test_unknown_fixture_exits_2(capsys):
     ["verify", "inoue_splus:N=abc"],
     ["verify", "inoue_splus:N=1j"],
     ["verify", "hopf_diag", "--points", "100001"],
+    ["verify", "hopf_diag:n=17"],
+    ["verify", "leeolo:n=17"],
     ["report", "--points", "100000000000"],
 ])
 def test_bad_parameters_exit_2_without_traceback(argv, capsys):
@@ -594,6 +596,14 @@ def test_bench_pairs_prints_the_counts_of_one_traced_run_per_checkout(tmp_path, 
     for k, name in enumerate(module.COUNTS):
         assert f"{name:<20s} {7000 + k:10g} {4000 + k:10g}" in out
     assert "failed checks: parent 0, change 1" in out and code == 1
+    # a count of pairs below 1 is refused before anything runs
+    calls.clear()
+    for pairs in ("0", "-3"):
+        with pytest.raises(SystemExit) as refused:
+            module.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                         "--workload", "wide_batch", "--pairs", pairs])
+        assert refused.value.code == 2
+    assert calls == [] and "--pairs" in capsys.readouterr().err
 
 
 def test_bench_pairs_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr():

@@ -114,6 +114,24 @@ def test_nsum_without_zero_terms_matches_the_unfolded_sum(kind, pts):
             assert got.v.dtype == want.v.dtype or 0.0 in weights
 
 
+def test_a_complex_one_scales_as_a_complex_weight(pts):
+    # only a real 1 folds away: 1 + 0j multiplies on either side, as a
+    # scalar or a constant field, exactly as a one-term sum of weight 1 + 0j
+    f, one = _real_field(), 1 + 0j
+    products = [f * one, one * f, f * constant(one, DIM), constant(one, DIM) * f]
+    for order in ORDERS:
+        want = ScalarField.nsum([f], [one]).jet(pts, order)
+        for product in products:
+            got = product.jet(pts, order)
+            assert got.order == want.order
+            for name in "vght":
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None) == (b is None), name
+                if a is not None:
+                    assert a.dtype == b.dtype == np.complex128, name
+                    assert a.tobytes() == b.tobytes(), name
+
+
 @pytest.mark.parametrize("c", CONSTANTS)
 def test_partial_of_a_constant_matches_the_unfolded_partial(c, pts):
     # the unfolded partial reads one order deeper, so it stops at order 2

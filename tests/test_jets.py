@@ -9,7 +9,6 @@ from lcklab.fields import (
     Ctx,
     PointMap,
     ScalarField,
-    _block_rows,
     _eval_in_blocks,
     affine_quadrature_field,
     compose_field,
@@ -727,54 +726,43 @@ def _lifted_complex_field():
     return lift_univariate(inner, lambda z, m: [np.exp(z)] * (m + 1)) * x[1]
 
 
-def test_block_rows_bound_the_top_tier():
-    # the order-3 blocks of a d = 6 integrand hold 303 rows (0.5 MiB of top
-    # tier); every other case the pipelines meet keeps the full budget
-    assert _block_rows(6, 3) == 303
-    for dim in (2, 4, 6, 8):
-        for order in range(3):
-            assert _block_rows(dim, order) == _QUAD_POINT_BUDGET
-    assert _block_rows(4, 3) == _QUAD_POINT_BUDGET
-    assert _block_rows(50, 3) == 1
+def _blocked(fields, pts, order):
+    """The jets of ``fields`` on ``pts`` in ``_eval_in_blocks``' blocks, each
+    evaluated on one fresh Ctx shared by the fields."""
+
+    def block(rows):
+        ctx = Ctx(pts[rows])
+        return [f.eval(ctx, order) for f in fields]
+
+    return _eval_in_blocks(len(pts), block)
 
 
-_TIER_ROWS = _block_rows(6, 3)
-
-
-@pytest.mark.parametrize("rows", [100, 2 * _QUAD_POINT_BUDGET, _QUAD_POINT_BUDGET + 1,
-                                  _TIER_ROWS - 1, 3 * _TIER_ROWS, _TIER_ROWS + 1],
-                         ids=["below", "multiple", "ragged",
-                              "tier_below", "tier_multiple", "tier_ragged"])
+@pytest.mark.parametrize("rows", [100, 2 * _QUAD_POINT_BUDGET, _QUAD_POINT_BUDGET + 1],
+                         ids=["below", "multiple", "ragged"])
 def test_blocked_evaluation_matches_one_context(rows, leeolo_orbit):
     _, m, lifted, _ = leeolo_orbit
     pts = np.random.default_rng(rows).uniform(-0.5, 0.5, size=(rows, DIM))
     for f, at in ((lifted, m.sample(rows, seed=7)), (_lifted_complex_field(), pts)):
         for order in range(4):
-            _assert_same_jet(_eval_in_blocks([f], at, order)[0], f.eval(Ctx(at), order))
+            _assert_same_jet(_blocked([f], at, order)[0], f.eval(Ctx(at), order))
 
 
 def test_a_stacked_family_past_one_block_shares_each_block_and_matches(monkeypatch):
-    # three members sharing a subexpression, one leaf given per block rather
-    # than computed: 2500 stacked rows are three blocks, the shared
-    # subexpression runs once in each (one Ctx per block for all members),
-    # and every jet equals the one-Ctx evaluation
+    # three members sharing a subexpression: 2500 stacked rows are three
+    # blocks, the shared subexpression runs once in each (one Ctx per block
+    # for all members), and every jet equals the one-Ctx evaluation
     x = [coordinate(i, DIM) for i in range(DIM)]
-    leaf = ScalarField(DIM, None)  # no closure: every block is given its jet
     shared = _lifted_complex_field()
-    members = [shared * leaf, shared + x[2], (shared * x[0]).exp()]
+    members = [shared * x[1], shared + x[2], (shared * x[0]).exp()]
     pts = np.random.default_rng(5).uniform(-0.5, 0.5, size=(2500, DIM))
-    leaf_pts = 0.3 * pts[:, ::-1]
     runs = []
     inner = shared._fn
     monkeypatch.setattr(shared, "_fn", lambda c, m: runs.append(len(c.pts)) or inner(c, m))
     for order in range(3):
         whole = Ctx(pts)
-        whole.cache[leaf.uid, order] = Jet.coordinate(leaf_pts, 1, order)
         want = [f.eval(whole, order) for f in members]
         runs.clear()
-        got = _eval_in_blocks(
-            members, pts, order,
-            lambda rows: {leaf: Jet.coordinate(leaf_pts[rows], 1, order)})
+        got = _blocked(members, pts, order)
         assert runs == [_QUAD_POINT_BUDGET, _QUAD_POINT_BUDGET, 452]
         for g, w in zip(got, want):
             _assert_same_jet(g, w)

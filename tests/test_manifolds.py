@@ -454,3 +454,33 @@ def test_deck_series_size_does_not_grow_with_its_terms(monkeypatch):
     K_edge, edge = _nodes_built(monkeypatch, beta=0.8j)
     assert (K_default, K_edge) == (24, 80)
     assert edge <= default < 100
+
+
+def test_deck_series_evaluates_no_field_it_does_not_compute(monkeypatch):
+    # every field hopf_nondiag builds that phi's jets ask for runs its own
+    # closure: no field stands for the stacked rows with jets supplied per
+    # block instead of computed
+    built = []
+    init = ScalarField.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(ScalarField, "__init__", recording_init)
+    mfd = M.gallery("hopf_nondiag")
+    monkeypatch.undo()
+    asked, ran = set(), set()
+    for f in built:
+        def fn(ctx, order, f=f, inner=f._fn):
+            ran.add(f.uid)
+            return inner(ctx, order)
+
+        f._fn = fn
+    ask = ScalarField.eval
+    monkeypatch.setattr(ScalarField, "eval",
+                        lambda self, ctx, order: asked.add(self.uid) or ask(self, ctx, order))
+    mfd.phi.eval(Ctx(mfd.sample(5, seed=3)), 2)
+    assert len(asked & {f.uid for f in built}) > 5
+    assert asked & {f.uid for f in built} <= ran
+

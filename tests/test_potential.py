@@ -404,9 +404,9 @@ def test_orbit_quadratures_evaluate_within_the_point_budget(monkeypatch):
                         lambda *args: spying(fields.affine_quadrature_family(*args)))
     report, code = cli.run_potential("orbit", fixture="leeolo:n=3")
     assert code == 0
-    # the 4096 node-stacked points of the order-3 average come in blocks of
-    # 303 (a 0.5 MiB top tier at d = 6); every lower order in full blocks
-    assert max(n for m, n in sizes if m == 3) == fields._block_rows(6, 3) == 303
+    # the 4096 node-stacked points of the order-3 g average come in four
+    # full blocks, as every other order's points do
+    assert [n for m, n in sizes if m == 3] == [fields._QUAD_POINT_BUDGET] * 4
     assert max(n for m, n in sizes) == fields._QUAD_POINT_BUDGET
 
 

@@ -568,36 +568,25 @@ def test_no_engine_route_calls_the_sweep(monkeypatch):
 def _spy_on_sweep_blocks(monkeypatch):
     """Record the rows of each ``_eval_in_blocks`` call of the sweep and of
     each block (a fresh Ctx) it evaluates.  A stacked family inside an
-    evaluated field (the hopf_nondiag deck series) evaluates blocks of its
-    own; those are not the sweep's and are not recorded."""
-    calls, blocks, inside = [], [], []
+    evaluated field (the hopf_nondiag deck series) blocks its rows in the
+    fields layer's helper too; its calls are not the sweep's and are not
+    recorded."""
+    calls, blocks = [], []
     inner = T._eval_in_blocks
 
     class SpyCtx(fields.Ctx):
+        __slots__ = ()
+
         def __init__(self, pts):
             super().__init__(pts)
-            if inside and inside[-1]:
-                blocks.append(len(self.pts))
+            blocks.append(len(self.pts))
 
-    def spy(f, pts, order):
-        calls.append(len(pts))
-        inside.append(True)
-        try:
-            return inner(f, pts, order)
-        finally:
-            inside.pop()
+    def spy(n, block):
+        calls.append(n)
+        return inner(n, block)
 
-    def nested(*args):
-        inside.append(False)
-        try:
-            return inner(*args)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(fields, "Ctx", SpyCtx)
+    monkeypatch.setattr(T, "Ctx", SpyCtx)
     monkeypatch.setattr(T, "_eval_in_blocks", spy)
-    monkeypatch.setattr(fields, "_eval_in_blocks", nested)
-    monkeypatch.setattr(M, "_eval_in_blocks", nested)
     return calls, blocks
 
 
