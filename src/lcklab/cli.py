@@ -10,6 +10,7 @@ bad parameters, 3 numerical failure, 4 inadmissible input.
 from __future__ import annotations
 
 import argparse
+import ast
 import ctypes
 import errno
 import json
@@ -56,14 +57,29 @@ class Check:
 
 
 def parse_fixture(fixture_id: str):
+    """(name, params) of a fixture id ``name:key=value,...``, split on the
+    commas outside parentheses.  A value is an int, float or complex if it
+    reads as one, else, with a parenthesis, a literal tuple of numbers
+    nested at most 4 deep (``N=((2,1),(1,1))``), else a string.  Anything
+    else, unbalanced parentheses or a repeated key is a GalleryError."""
     name, _, rest = fixture_id.partition(":")
+    items, depth = [""], 0
+    for ch in rest:
+        depth += (ch == "(") - (ch == ")")
+        if not 0 <= depth <= 4:
+            raise GalleryError(f"unbalanced or too deep parentheses in {rest!r}")
+        if ch == "," and not depth:
+            items.append("")
+        else:
+            items[-1] += ch
+    if depth:
+        raise GalleryError(f"unbalanced parentheses in {rest!r}")
     params = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not _:
-                raise GalleryError(f"malformed fixture parameter {item!r}")
-            params[key.strip()] = _parse_value(val.strip())
+    for item in items if rest else []:
+        key, eq, val = (part.strip() for part in item.partition("="))
+        if not eq or key in params:
+            raise GalleryError(f"malformed or repeated fixture parameter {item!r}")
+        params[key] = _parse_value(val)
     return name.strip(), params
 
 
@@ -73,7 +89,22 @@ def _parse_value(text: str):
             return cast(text)
         except ValueError:
             continue
-    return text
+    if "(" not in text:
+        return text
+    try:
+        value = ast.literal_eval(text)
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        value = None
+    if not _is_numeric_tuple(value):
+        raise GalleryError(f"fixture parameter value {text!r} is not a tuple of numbers")
+    return value
+
+
+def _is_numeric_tuple(value) -> bool:
+    """Whether ``value`` is a non-empty tuple of numbers or such tuples."""
+    return isinstance(value, tuple) and bool(value) and all(
+        _is_numeric_tuple(v) or isinstance(v, (int, float, complex))
+        and not isinstance(v, bool) for v in value)
 
 
 # -- per-fixture check suites -------------------------------------------------
@@ -312,24 +343,20 @@ DEFAULT_FIXTURES = tuple(_REPORT_BUILDERS)
 _MAX_POINTS = 100_000
 
 
-def _check_points(points):
-    if not 1 <= points <= _MAX_POINTS:
-        raise GalleryError(f"need 1 to {_MAX_POINTS} sample points, got {points}")
-
-
 def _check_seed(seed):
     if seed < 0:
         raise GalleryError(f"need a non-negative seed, got {seed}")
 
 
-def _check_nodes(nodes):
-    if nodes < 1:
-        raise GalleryError(f"need at least one quadrature node, got {nodes}")
-
-
-def _check_tol(tol):
+def _check_run(points, seed, tol, nodes):
+    """Refuse the options verify and report share, in this order."""
+    if not 1 <= points <= _MAX_POINTS:
+        raise GalleryError(f"need 1 to {_MAX_POINTS} sample points, got {points}")
+    _check_seed(seed)
     if not (math.isfinite(tol) and tol >= 0):
         raise GalleryError(f"need a finite non-negative tolerance, got {tol}")
+    if nodes < 1:
+        raise GalleryError(f"need at least one quadrature node, got {nodes}")
 
 
 _OPENBLAS = []  # memo of _openblas: empty until the first lookup
@@ -403,10 +430,7 @@ def run_verify(fixture: str, points=200, seed=42, tol=1e-8, nodes=512):
         name, params = parse_fixture(fixture)
         if name not in _REPORT_BUILDERS:
             raise GalleryError(f"unknown fixture {name!r}")
-        _check_points(points)
-        _check_seed(seed)
-        _check_tol(tol)
-        _check_nodes(nodes)
+        _check_run(points, seed, tol, nodes)
         m = M.gallery(name, **params)
         pts = m.sample(points, seed)
         checks, verdicts = _REPORT_BUILDERS[name](m, pts, tol)
@@ -476,10 +500,7 @@ def run_report(points=200, seed=42, tol=1e-8, nodes=512, fixtures=DEFAULT_FIXTUR
     """Aggregate JSON over every gallery fixture (never aborts the batch)."""
     with _one_blas_thread():
         t0 = time.perf_counter()
-        _check_points(points)
-        _check_seed(seed)
-        _check_tol(tol)
-        _check_nodes(nodes)
+        _check_run(points, seed, tol, nodes)
         out = {"seed": seed, "points": points, "nodes": nodes, "fixtures": [],
                "summary": {}}
         for fx in fixtures:

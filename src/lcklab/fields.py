@@ -15,17 +15,12 @@ the first order asked for, and again only for a higher one.
 Fields may take complex values; chart coordinates are always real, ordered
 x1, y1, ..., xn, yn with z_j = x_j + i y_j.
 
-A stacked family evaluates many members as one batch along the point axis:
-a field on the images of the points under many affine maps (the nodes of
-``affine_quadrature_family``), or one term under many constant
-coefficients (the hopf_nondiag deck series, whose per-row constants
-multiply each tier as a scalar would).  ``_eval_in_blocks`` cuts the
-stacked rows into blocks of at most ``_QUAD_POINT_BUDGET`` rows and
-concatenates the jets its caller's block function returns for each; a
-quadrature's block function evaluates its fields on one fresh Ctx of the
-block's points.  Each member's output is then reduced in its own order.
-Every jet operation acts row by row, so each output equals the
-member-by-member evaluation bit for bit.
+A stacked family evaluates many members as one batch along the point axis,
+cut into row blocks by ``_eval_in_blocks``: a field on the images of the
+points under many affine maps (``affine_quadrature_family``), or one term
+under many constant coefficients (the hopf_nondiag deck series).  Every
+jet operation acts row by row, so each output equals the member-by-member
+evaluation bit for bit.
 
 A field built by ``constant`` records its value in ``const``, and the
 algebra folds constants when the DAG is built, so a structurally zero term
@@ -561,24 +556,20 @@ def affine_quadrature_family(fields: Sequence[ScalarField], mats, offsets,
     Like every jet, an output holds its tiers points-last: g (d, N),
     h (d, d, N), t (d, d, d, N) for N points on the d-dimensional chart.
     The node axis is flattened into the evaluation batch, which
-    ``_eval_in_blocks`` cuts into blocks of at most ``_QUAD_POINT_BUDGET``
-    node-stacked points, each evaluated on one fresh Ctx shared by all
-    members, so each member's DAG is walked once per block, not once per
-    node or per output, and the subexpressions the members share are
-    computed once.  Constant Jacobians make the chain rule three
-    contractions, run for each pair on its member's concatenated jet.  The
-    order-1 one runs on a points-first copy of the gradients, which fixes
-    its summation order.  The order-2 and order-3 ones contract one
-    Jacobian factor at a time (``optimize=True``), so order 3 costs
-    O(s n d^4) instead of O(s n d^6); their results are made C-contiguous
-    where that path returns a strided view.  An output's pairs are summed left to right by
+    ``_eval_in_blocks`` cuts into blocks, each evaluated on one fresh Ctx
+    shared by all members and dropped after it: each member's DAG is
+    walked once per block, not per node or output, and at most one block
+    of intermediates is alive at a time.  Constant Jacobians make the chain
+    rule three contractions per pair.  The order-1 one runs on a
+    points-first copy of the gradients, which fixes its summation order;
+    the order-2 and order-3 ones contract one Jacobian factor at a time
+    (``optimize=True``, order 3 in O(s n d^4), not O(s n d^6)) and are made
+    C-contiguous.  An output's pairs are summed left to right by
     ``_jet_sum``, as ``ScalarField.nsum`` adds unit-weight terms.
 
     Whichever output a Ctx evaluates first computes all of them and caches
-    each under its own (uid, order), so the others are cache hits there and
-    every lower order is served from those jets.  Each block's sub-context
-    lives for that block only, so at most one block of intermediates of
-    the members is alive at a time.
+    each under its own (uid, order), so the others, and every lower order,
+    are served from those jets.
     """
     mats = np.asarray(mats, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
@@ -643,16 +634,6 @@ class VectorField:
         return stacked(self.components, as_batch(pts, self.dim), 0)[0]
 
     @staticmethod
-    def linear_combination(fields, coeffs, name=""):
-        dim = fields[0].dim
-        comps = []
-        for i in range(dim):
-            comps.append(
-                ScalarField.nsum([f.components[i] for f in fields], weights=list(coeffs))
-            )
-        return VectorField(comps, name=name)
-
-    @staticmethod
     def from_holomorphic(hol_components, name=""):
         """Real field Z + Zbar of a holomorphic field with components h_j(z).
 
@@ -662,19 +643,16 @@ class VectorField:
         return VectorField(PointMap.from_complex(hol_components).components, name=name)
 
 
-def bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """Lie bracket [X, Y] from exact component derivatives."""
-    comps = []
-    for i in range(X.dim):
-        terms = []
-        weights = []
-        for j in range(X.dim):
-            terms.append(X.components[j] * Y.components[i].partial(j))
-            weights.append(1.0)
-            terms.append(Y.components[j] * X.components[i].partial(j))
-            weights.append(-1.0)
-        comps.append(ScalarField.nsum(terms, weights))
-    return VectorField(comps, name=f"[{X.name},{Y.name}]")
+def bracket(xv, dx, yv, dy):
+    """The values (N, d) of the Lie bracket [X, Y]^i = sum_j X^j d_j Y^i -
+    Y^j d_j X^i from the values (N, d) and Jacobians (N, d, d),
+    [n, i, j] = d_j X^i, of X and Y, an array contraction.  The terms are
+    added for j ascending, X^j d_j Y^i before Y^j d_j X^i, as ``nsum``
+    would add them."""
+    acc = 0.0
+    for j in range(xv.shape[-1]):
+        acc = acc + xv[:, j, None] * dy[:, :, j] - yv[:, j, None] * dx[:, :, j]
+    return acc
 
 
 def complex_multiplier(dim, u):

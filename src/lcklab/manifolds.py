@@ -504,10 +504,10 @@ def inoue_splus(p=0, q=0, r=1, t=0.0, N=((2, 1), (1, 1))):
         raise GalleryError("inoue_splus needs a finite t")
     p, q, r = int(p), int(q), int(r)
 
-    evals = np.linalg.eigvals(N).real
-    alpha = float(evals.max())
-    if alpha <= 1:
+    # det 1: alpha > 1 iff trace > 2, exact, where eigvals splits 1 to 1 +- 2e-8
+    if N[0, 0] + N[1, 1] <= 2:
         raise GalleryError("inoue_splus needs a real eigenvalue alpha > 1")
+    alpha = float(np.linalg.eigvals(N).real.max())
     a2 = (alpha - N[0, 0]) / N[0, 1]
     b2 = (1.0 / alpha - N[0, 0]) / N[0, 1]
     a = np.array([1.0, a2])

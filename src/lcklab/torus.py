@@ -1,8 +1,9 @@
 """Compact torus actions: averaging, rank diagnostics, existence verdicts.
 
-The span tests are pointwise probes of constant-coefficient statements, so
-ranks use a relative singular-value cutoff and are required to agree across
-all samples.  Existence verdicts implement the decision table
+The generators are read as arrays, their values and Jacobians with the
+basis mix applied (``TorusAction.generator_arrays``): brackets are array
+contractions, and dim(t ^ Jt) is 2k minus the generic rank of [Xi | J Xi]
+over the samples.  Existence verdicts implement the decision table
 
     dim(t ^ Jt) > 2                                  -> NoLCKPossible
     dim in {1, 2}, LCK                               -> VaismanExists
@@ -25,12 +26,12 @@ import numpy as np
 from .errors import GalleryError, InadmissibleInput, NumericalError
 from .fields import (
     Ctx,
-    VectorField,
     _eval_in_blocks,
     affine_quadrature_family,
     as_batch,
     bracket,
     complex_jmatrix,
+    stacked,
 )
 from .forms import Form, Index, exterior_d, interior_product
 from .manifolds import FlowMap, ModelManifold, flow_closure_residual
@@ -47,8 +48,11 @@ VERDICTS = (
 class TorusAction:
     """Commuting periodic generators with registered closed-form flows.
 
-    Generator i is sum_j mix[i, j] xi_j over the flows' generators xi_j
-    (the flows' own when ``mix`` is None); averaging always runs over the
+    Generator i is sum_g mix[i, g] xi_g over the flows' generators xi_g
+    (the flows' own, named after them, when ``mix`` is None; ``mix{i}``
+    otherwise).  No generator is built as a field: the mix is applied to
+    arrays, the generators' values and Jacobians (``generator_arrays``) and
+    the flows' pairings (``_mixed_mean``).  Averaging always runs over the
     registered flows, which is basis independent.
     """
 
@@ -59,24 +63,30 @@ class TorusAction:
         for fl in self.flows:
             if fl.period is None:
                 raise GalleryError(f"generator {fl.name} has no periodic flow")
-        own = [fl.generator for fl in self.flows]
-        self.mix = np.eye(len(own)) if mix is None else np.asarray(mix, dtype=float)
-        self.generators = own if mix is None else [
-            VectorField.linear_combination(own, row, name=f"mix{i}")
-            for i, row in enumerate(self.mix)
-        ]
+        self.mix = np.eye(len(self.flows)) if mix is None else np.asarray(mix, dtype=float)
+        self.names = ([fl.name for fl in self.flows] if mix is None
+                      else [f"mix{i}" for i in range(len(self.mix))])
 
-    @property
-    def names(self):
-        return [g.name for g in self.generators]
+    def generator_arrays(self, pts, order=0):
+        """The generators' values (k, N, d) on ``pts`` and, at order 1, their
+        Jacobians (k, N, d, d), [g, n, i, j] = d_j X_g^i (None at order 0),
+        from one ``stacked`` call on all the flows' generator components,
+        with the mix applied to both."""
+        pts = as_batch(pts, self.manifold.dim)
+        n, d = pts.shape
+        vals, jacs = stacked([c for fl in self.flows for c in fl.generator.components],
+                             pts, order)
+        if order:
+            jacs = np.einsum("ig,ngab->inab", self.mix, jacs.reshape(n, -1, d, d))
+        return np.einsum("ig,nga->ina", self.mix, vals.reshape(n, -1, d)), jacs
 
     def commutation_residual(self, pts) -> float:
-        worst = 0.0
-        for i in range(len(self.generators)):
-            for j in range(i + 1, len(self.generators)):
-                br = bracket(self.generators[i], self.generators[j])
-                worst = max(worst, float(np.abs(br.values(pts)).max()))
-        return worst
+        """max |[X_i, X_j]| over the pairs of generators and the points (NaN
+        if any is), from the order-1 generator arrays (``fields.bracket``)."""
+        vals, jacs = self.generator_arrays(pts, 1)
+        brackets = [bracket(vals[i], jacs[i], vals[j], jacs[j])
+                    for i, j in itertools.combinations(range(len(vals)), 2)]
+        return float(np.abs(brackets).max()) if brackets else 0.0
 
     def closure_residual(self, pts) -> float:
         return max(
@@ -102,10 +112,8 @@ def average_over_circle(a: Form, flow: FlowMap, nodes: int) -> Form:
     ``affine_quadrature_family`` over the coefficients a_J: coefficient I
     sums, over J in the form's order, the quadrature of a_J with weights
     det M_t[J, I] / nodes over the nodes, pairs whose weights all vanish
-    dropped.  Every a_J is evaluated once per point batch, on one
-    node-stacked batch shared by all of them, and the expression does not
-    grow with the node count.  A flow without an affine form is a
-    GalleryError.
+    dropped, so the expression does not grow with the node count.  A flow
+    without an affine form is a GalleryError.
     """
     if nodes < 8:
         raise ValueError("averaging needs nodes >= 8")
@@ -142,14 +150,11 @@ def averaged_pairings(act: TorusAction, theta: Form, pts, nodes):
     carries its generator xi_j to itself, and for closed theta the period
     of theta along circle j is the same through every point of a torus
     orbit, so the torus average of theta(xi_j) at a probe is the average of
-    the scalar field iota_{xi_j} theta over the ``nodes`` trapezoid nodes of
-    circle j through it.  That field is evaluated once on the probes pushed
-    to those nodes, k * nodes * P points for k circles and P probes, in the
-    fields layer's blocks (``_eval_in_blocks``), each on a fresh Ctx.  The
-    generators' mix is applied afterwards, as in ``deck_jump_pairings``.
-
-    No engine route reaches it: it is the reference the tests compare
-    ``torus_pairings`` against.
+    iota_{xi_j} theta over the ``nodes`` trapezoid nodes of circle j
+    through it, evaluated in row blocks (``_eval_in_blocks``) on the probes
+    pushed to the nodes.  The mix is applied afterwards (``_mixed_mean``).
+    No engine route reaches it: it is the tests' reference for
+    ``torus_pairings``.
     """
     pts = as_batch(pts, act.manifold.dim)
     sums = np.zeros((len(act.flows), pts.shape[0]))
@@ -240,17 +245,16 @@ def intersection_dimension(act: TorusAction, pts) -> int:
     off the largest rank over the samples: a sample on a locus where the
     generators degenerate (xi2 a complex multiple of xi1 near z1 = 0 on the
     non-diagonal Hopf surface) has a lower rank and is outvoted.  A
-    singular value counts when it is above 1e-8 times the largest.
+    singular value counts when it is above 1e-8 times the largest.  Xi is
+    read from the order-0 generator arrays, the mix already applied.
     """
-    pts = as_batch(pts, act.manifold.dim)
-    k = len(act.generators)
+    vals, _ = act.generator_arrays(pts, 0)
     J = complex_jmatrix(act.manifold.dim)
-    cols = [g.values(pts) for g in act.generators]
-    Xi = np.stack(cols, axis=2)  # (N, d, k)
-    M = np.concatenate([Xi, np.einsum("ij,njk->nik", J, Xi)], axis=2)
+    # [Xi | J Xi] at each point, shape (N, d, 2k)
+    M = np.concatenate([vals, vals @ J.T]).transpose(1, 2, 0)
     svals = np.linalg.svd(M, compute_uv=False)
     ranks = (svals > 1e-8 * svals[:, :1]).sum(axis=1)
-    return int(2 * k - ranks.max())
+    return int(2 * len(vals) - ranks.max())
 
 
 @dataclass
@@ -265,12 +269,8 @@ class ActionReport:
     theta_minus_dphi: Optional[float] = None
 
     def to_json(self):
-        out = {
-            "verdict": self.verdict,
-            "intersection_dim": self.intersection_dim,
-            "generators": self.generators,
-            "lck_present": self.lck_present,
-        }
+        out = {"verdict": self.verdict, "intersection_dim": self.intersection_dim,
+               "generators": self.generators, "lck_present": self.lck_present}
         if self.pairings is not None:
             out["pairings"] = {k: float(v) for k, v in self.pairings.items()}
             out["pairing_route"] = "deck_jump"
@@ -311,9 +311,8 @@ def verdict(act: TorusAction, theta: Optional[Form], lck_present: bool,
             pairings=dict(zip(names, found.values)),
             vertical=[n for n, p in zip(names, found.values) if abs(p) > 1e-6],
             theta_minus_dphi=found.theta_minus_dphi)
-    k = len(act.generators)
-    n = act.manifold.complex_dim
-    if k == n and witnesses.get("vertical") and lck_present:
+    maximal = len(act.mix) == act.manifold.complex_dim
+    if maximal and witnesses.get("vertical") and lck_present:
         return ActionReport("PositivePotentialExists", dim, names, **witnesses,
                             notes="maximal purely real torus with a vertical circle")
     return ActionReport("PurelyReal", dim, names, **witnesses)

@@ -6,9 +6,11 @@ import pytest
 from lcklab.fields import (
     PointMap,
     VectorField,
+    bracket,
     compose_field,
     constant,
     coordinate,
+    stacked,
 )
 from lcklab.forms import (
     Form,
@@ -383,6 +385,52 @@ def test_cartan_vs_flow_difference_quotient(hopf):
         res[h] = (lie - quot).max_abs(pts)
     order = np.log(res[1e-3] / res[1e-4]) / np.log(10.0)
     assert order >= 1.9
+
+
+# -- Lie bracket of vector fields (an array contraction) --------------------
+
+
+def _arrays(X, pts):
+    """Values (N, d) and Jacobians (N, d, d) of the vector field X."""
+    return stacked(X.components, pts)
+
+
+def test_bracket_of_a_shear_pair_is_the_hyperbolic_field(box_pts):
+    # [x1 d/dy1, y1 d/dx1] = x1 d/dx1 - y1 d/dy1
+    zero = constant(0.0, DIM)
+    x1, y1 = coordinate(0, DIM), coordinate(1, DIM)
+    X = VectorField([zero, x1, zero, zero])
+    Y = VectorField([y1, zero, zero, zero])
+    expected = np.zeros_like(box_pts)
+    expected[:, 0], expected[:, 1] = box_pts[:, 0], -box_pts[:, 1]
+    assert np.array_equal(bracket(*_arrays(X, box_pts), *_arrays(Y, box_pts)), expected)
+
+
+def random_polynomial_field(rng):
+    xs = [coordinate(i, DIM) for i in range(DIM)]
+    c = rng.uniform(-1, 1, size=5)
+    i, j, k = rng.integers(0, DIM, size=3)
+    return (constant(c[0], DIM) + c[1] * xs[i] + c[2] * xs[j] * xs[k]
+            + c[3] * xs[i] * xs[j] * xs[k] + c[4] * xs[k] ** 2)
+
+
+def test_bracket_matches_the_derivations_it_commutes(box_pts):
+    # [X, Y]^i = X(Y^i) - Y(X^i), each directional derivative iota_X d f
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        X, Y = (VectorField([random_polynomial_field(rng) for _ in range(DIM)])
+                for _ in range(2))
+
+        def along(V, f):
+            return interior_product(V, exterior_d(Form.from_function(f)))
+
+        oracle = np.column_stack([
+            (along(X, Y.components[i]) - along(Y, X.components[i]))
+            .coefficient_values(box_pts).get((), np.zeros(len(box_pts)))
+            for i in range(DIM)])
+        out = bracket(*_arrays(X, box_pts), *_arrays(Y, box_pts))
+        assert np.abs(out - oracle).max() < 1e-12
+        assert np.abs(out).max() > 0.1
 
 
 # -- pullback ----------------------------------------------------------------

@@ -27,6 +27,25 @@ def test_parse_fixture_strings():
     assert params["beta"] == 0.4 + 0.1j and params["m"] == 2
     name, params = cli.parse_fixture("inoue_splus")
     assert name == "inoue_splus" and params == {}
+    # commas inside parentheses belong to a tuple value
+    name, params = cli.parse_fixture("inoue_splus:N=((3,2),(1,1)),r=2")
+    assert params == {"N": ((3, 2), (1, 1)), "r": 2}
+
+
+def test_the_default_inoue_matrix_written_out_gives_the_default_report():
+    default, written = (cli.strip_volatile(cli.run_verify(fx, points=20)[0])
+                        for fx in ("inoue_splus", "inoue_splus:N=((2,1),(1,1))"))
+    assert (default.pop("fixture"), written.pop("fixture")) == (
+        "inoue_splus", "inoue_splus:N=((2,1),(1,1))")
+    assert json.dumps(default) == json.dumps(written)
+
+
+def test_another_inoue_matrix_verifies():
+    fixture = "inoue_splus:N=((3,2),(1,1))"
+    assert cli.main(["verify", fixture, "--points", "20"]) == 0
+    body, code = cli.run_verify(fixture, points=200, seed=42)
+    assert code == 0 and all(c["pass"] for c in body["checks"])
+    assert [v["verdict"] for v in body["verdicts"]] == ["PurelyReal"]
 
 
 def test_verify_exit_codes(tmp_path):
@@ -99,6 +118,13 @@ def test_unknown_fixture_exits_2(capsys):
     ["verify", "product:b=3.5"],
     ["verify", "inoue_splus:N=abc"],
     ["verify", "inoue_splus:N=1j"],
+    ["verify", "inoue_splus:N=((1,0),(0,1))"],   # no eigenvalue above 1
+    ["verify", "inoue_splus:N=((3,2),(-2,-1))"],  # parabolic: eigenvalue 1 twice
+    ["verify", "inoue_splus:N=((2,1),(1,1)"],
+    ["verify", "inoue_splus:N=((((((1,))))))"],
+    ["verify", "inoue_splus:N=((2,1),('a',1))"],
+    ["verify", "inoue_splus:N=((2 1),(1,1))"],
+    ["verify", "hopf_diag:n=2,n=3"],
     ["verify", "hopf_diag", "--points", "100001"],
     ["verify", "hopf_diag:n=17"],
     ["verify", "leeolo:n=17"],
@@ -224,6 +250,14 @@ def _complex_in_disc(radius):
                      st.floats(-cmath.pi, cmath.pi))
 
 
+# Small integer 2x2 matrices: hyperbolic SL(2, Z) ones, which the fixture
+# accepts, a parabolic and an elliptic one, and any entries in -3..3, mostly
+# with det != 1.
+_INOUE_N = st.one_of(
+    st.sampled_from([((2, 1), (1, 1)), ((3, 2), (1, 1)), ((0, -1), (1, 3)),
+                     ((2, -1), (-3, 2)), ((3, 2), (-2, -1)), ((1, 1), (-1, 0))]),
+    st.tuples(*[st.tuples(st.integers(-3, 3), st.integers(-3, 3))] * 2))
+
 # Each domain reaches past its fixture's accepted parameters on every side.
 FIXTURE_DOMAINS = {
     "hopf_diag": st.builds("hopf_diag:n={},beta={}".format,
@@ -232,9 +266,10 @@ FIXTURE_DOMAINS = {
                               _complex_in_disc(1.05), st.floats(-2.0, 2.0),
                               st.integers(1, 6)),
     "leeolo": st.builds("leeolo:eps={!r}".format, st.floats(-1.2, 1.2)),
-    "inoue_splus": st.builds("inoue_splus:p={},q={},r={},t={}".format,
+    "inoue_splus": st.builds("inoue_splus:p={},q={},r={},t={},N={}".format,
                              st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2),
-                             st.one_of(st.floats(-2.0, 2.0), _complex_in_disc(1.0))),
+                             st.one_of(st.floats(-2.0, 2.0), _complex_in_disc(1.0)),
+                             _INOUE_N),
     "product": st.builds("product:a={},b={}".format,
                          *[st.sampled_from([*sorted(M._BUILDERS), "no_such_fixture"])] * 2),
 }

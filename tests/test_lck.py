@@ -185,7 +185,7 @@ def test_connection_is_torsion_free(hopf, hopf_pts):
         t = (
             covariant_derivative(s, X, Y, pts)
             - covariant_derivative(s, Y, X, pts)
-            - bracket(X, Y).values(pts)
+            - bracket(*stacked(X.components, pts), *stacked(Y.components, pts))
         )
         assert np.abs(t).max() < 1e-8
 

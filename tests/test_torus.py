@@ -63,6 +63,84 @@ def test_action_invariants(hopf_action, nondiag_action, inoue_action, hopf):
     assert nondiag_action.closure_residual(npts) < 1e-9
 
 
+def _shear_action():
+    # two circles whose generators x1 d/dy1 and y1 d/dx1 do not commute; the
+    # identity stands in for their flows, which the rows below never run
+    from lcklab.fields import PointMap, VectorField
+
+    m = M.gallery("hxc_cover")
+    zero = constant(0.0, 4)
+    x1, y1 = coordinate(0, 4), coordinate(1, 4)
+    return T.TorusAction(m, [
+        M.FlowMap(name, VectorField(comps), lambda t: PointMap.identity(4), period=1.0)
+        for name, comps in (("X", [zero, x1, zero, zero]), ("Y", [y1, zero, zero, zero]))])
+
+
+def test_commutation_residual_scales_by_the_determinant_of_the_mix():
+    # [aX + bY, cX + dY] = (ad - bc) [X, Y]
+    act = _shear_action()
+    pts = act.manifold.sample(20, seed=2)
+    base = act.commutation_residual(pts)
+    assert base == pytest.approx(np.abs(pts[:, :2]).max(), rel=1e-15)
+    # a NaN bracket reads NaN, so the row that compares it fails
+    assert np.isnan(act.commutation_residual(np.vstack([pts, [np.nan, 1.0, 0.0, 0.0]])))
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        Mx = rng.uniform(-2, 2, (2, 2))
+        mixed = act.recombine(Mx)
+        assert mixed.names == ["mix0", "mix1"]
+        assert mixed.commutation_residual(pts) == pytest.approx(
+            abs(np.linalg.det(Mx)) * base, rel=1e-12)
+
+
+def test_generator_arrays_apply_the_mix_to_values_and_jacobians():
+    act = _shear_action()
+    pts = act.manifold.sample(6, seed=3)
+    Mx = np.array([[0.5, -1.5], [2.0, 0.25]])
+    vals, jacs = act.generator_arrays(pts, 1)
+    assert act.names == ["X", "Y"]
+    assert vals.shape == (2, 6, 4) and jacs.shape == (2, 6, 4, 4)
+    # d_j X^i: X = x1 d/dy1 has d_0 X^1 = 1
+    assert jacs[0, :, 1, 0].tolist() == [1.0] * 6 and np.count_nonzero(jacs[0]) == 6
+    mixed_vals, mixed_jacs = act.recombine(Mx).generator_arrays(pts, 1)
+    assert np.allclose(mixed_vals, np.einsum("hg,gnd->hnd", Mx, vals), rtol=0, atol=1e-15)
+    assert np.allclose(mixed_jacs, np.einsum("hg,gnij->hnij", Mx, jacs), rtol=0, atol=1e-15)
+    assert act.generator_arrays(pts)[1] is None
+
+
+def test_rank_and_commutation_rows_build_no_field(monkeypatch):
+    # the generators are read as arrays: no ScalarField, so no bracket or
+    # mixed generator, is built inside these calls
+    from lcklab import cli
+
+    inside, entered, built = [], [], []
+    init = ScalarField.__init__
+
+    def spying_init(self, *args, **kwargs):
+        if inside:
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    def spied(fn):
+        def wrapper(*args, **kwargs):
+            inside.append(fn)
+            entered.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(ScalarField, "__init__", spying_init)
+    for owner, name in ((T.TorusAction, "commutation_residual"),
+                        (T, "intersection_dimension")):
+        monkeypatch.setattr(owner, name, spied(getattr(owner, name)))
+    _, code = cli.run_verify("product", points=20)
+    assert code == 0
+    assert set(entered) == {"commutation_residual", "intersection_dimension"}
+    assert built == []
+
+
 def test_averaging_fixes_invariant_input(hopf, hopf_pts):
     s = hopf.structure
     avg = T.average_over_circle(s.omega, hopf.flows["A"], nodes=12)
@@ -403,7 +481,7 @@ def test_verdict_total_and_invariant_under_recombination(hopf_action,
     for act, lck, expected in ((hopf_action, True, "VaismanExists"),
                                (hopf_action, False, "NonReal"),
                                (product_action, False, "NoLCKPossible")):
-        k = len(act.generators)
+        k = len(act.names)
         done = 0
         while done < 5:
             Mx = rng.uniform(-1.5, 1.5, (k, k))
