@@ -7,7 +7,13 @@ runs the vertical-circle orbit average twice: once on the invariant input
 from the norm-modulated structure via the twisted vertical circle.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
+
+# this checkout's lcklab first, whatever PYTHONPATH names
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lcklab import manifolds as M
 from lcklab import potential as P

@@ -27,6 +27,9 @@ import json
 import sys
 from pathlib import Path
 
+# this checkout's lcklab first, whatever PYTHONPATH names
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
 from lcklab import cli
 from lcklab.errors import EXIT_ERRORS
 

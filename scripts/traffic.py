@@ -23,6 +23,10 @@ import os
 import sys
 import types
 from collections import defaultdict
+from pathlib import Path
+
+# this checkout's lcklab first, whatever PYTHONPATH names
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import lcklab
 from report_digest import ANSWERS, run_call

@@ -143,13 +143,13 @@ def _hopf_diag_report(m, pts, tol):
     # the Killing and holomorphy rows; opened after the bundle, whose jets
     # it would otherwise keep
     with session():
-        killing = max(L.killing_residual(metric, pair.B),
-                      L.killing_residual(metric, pair.A))
+        killing = float(np.max([L.killing_residual(metric, pair.B),
+                                L.killing_residual(metric, pair.A)]))
         del metric  # about (d^3 + 4 d^2) N doubles, read by no later row
-        holomorphic = max(L.holomorphy_residual(pair.B, pts),
-                          L.holomorphy_residual(pair.A, pts))
+        holomorphic = float(np.max([L.holomorphy_residual(pair.B, pts),
+                                    L.holomorphy_residual(pair.A, pts)]))
     checks += [
-        Check("lee_fields_defining", max(defres.values()), 1e-9,
+        Check("lee_fields_defining", float(np.max(list(defres.values()))), 1e-9,
               "iota_B Omega = J theta, iota_A Omega = -theta"),
         Check("lee_norm_unit", float(np.abs(pair.norm_squared(pts) - 1.0).max()),
               1e-9, "|B| = 1 normalization"),
@@ -163,8 +163,8 @@ def _hopf_diag_report(m, pts, tol):
     ]
     rep = L.verify_unit_potential(s, pts[:60])
     checks.append(Check("unit_potential_vaisman_chain",
-                        max(rep.shape_residual, rep.holomorphy_B,
-                            rep.norm_deviation or 0.0, rep.vaisman or 0.0),
+                        float(np.max([rep.shape_residual, rep.holomorphy_B,
+                                      rep.norm_deviation or 0.0, rep.vaisman or 0.0])),
                         1e-6, "unit potential + holomorphic Lee field forces Vaisman"))
     act = T.TorusAction(m, [m.flows["A"], m.flows[m.extras["lee_circle"]]])
     verdict = T.verdict(act, s.theta, True, pts[:40])
@@ -207,12 +207,12 @@ def _nondiag_report(m, pts, tol):
         Check("xi2_period_closes", M.flow_closure_residual(m, fl2, pts), 1e-9,
               "time-1 flow of xi2 is the deck map"),
         Check("flow_group_law",
-              max(M.flow_group_residual(fl1, 0.21, 0.37, pts[:20]),
-                  M.flow_group_residual(fl2, 0.21, 0.37, pts[:20])), 1e-9,
+              float(np.max([M.flow_group_residual(fl1, 0.21, 0.37, pts[:20]),
+                            M.flow_group_residual(fl2, 0.21, 0.37, pts[:20])])), 1e-9,
               "Phi_{s+t} = Phi_s Phi_t"),
         Check("flow_generator",
-              max(M.flow_generator_residual(fl1, 0.3, pts[:20]),
-                  M.flow_generator_residual(fl2, 0.3, pts[:20])), 1e-8,
+              float(np.max([M.flow_generator_residual(fl1, 0.3, pts[:20]),
+                            M.flow_generator_residual(fl2, 0.3, pts[:20])])), 1e-8,
               "d/dt Phi_t = X(Phi_t)"),
     ]
     th = m.lee_class
@@ -274,7 +274,8 @@ def _orbit_rows(checks, prefix):
         Check(f"{prefix}potential_positive", checks["min_g"], 0.0,
               "averaged potential > 0", polarity="expect_large"),
         Check(f"{prefix}output_descends",
-              max(checks["omega_prime_descends"], checks["theta_prime_descends"]),
+              float(np.max([checks["omega_prime_descends"],
+                            checks["theta_prime_descends"]])),
               1e-6, "averaged pair is deck invariant"),
         Check(f"{prefix}output_lck", checks["lck_prime"], 1e-6,
               "d Omega' = theta' ^ Omega'"),
@@ -341,6 +342,10 @@ DEFAULT_FIXTURES = tuple(_REPORT_BUILDERS)
 # 50x the widest benchmark batch; verify leeolo already peaks near 1 GB at
 # 200 000 points, and far larger counts fail inside numpy's allocator
 _MAX_POINTS = 100_000
+# verify's memory grows as points x d^3 (the metric's dg alone is 8 d^3 bytes
+# a point); at this cap verify leeolo, the heaviest, peaks near 2.1 GB at
+# every n from 4 to 16, and hopf_diag near 0.9 GB
+_MAX_POINTS_X_D3 = 80_000_000
 
 
 def _check_seed(seed):
@@ -432,6 +437,9 @@ def run_verify(fixture: str, points=200, seed=42, tol=1e-8, nodes=512):
             raise GalleryError(f"unknown fixture {name!r}")
         _check_run(points, seed, tol, nodes)
         m = M.gallery(name, **params)
+        if points * m.dim**3 > _MAX_POINTS_X_D3:
+            raise GalleryError(f"{points} points at d = {m.dim} exceed the cap on points"
+                               f" x d^3: at most {_MAX_POINTS_X_D3 // m.dim**3} at this d")
         pts = m.sample(points, seed)
         checks, verdicts = _REPORT_BUILDERS[name](m, pts, tol)
         report = {

@@ -133,9 +133,8 @@ class Form:
 
     def max_abs(self, pts) -> float:
         vals = self.coefficient_values(pts)
-        if not vals:
-            return 0.0
-        return max(float(np.abs(v).max()) for v in vals.values())
+        # np.max, as builtin max would drop a NaN that is not first
+        return float(np.max([np.abs(v).max() for v in vals.values()], initial=0.0))
 
 
 def _gather(dim, degree, frame, terms) -> Form:

@@ -2,9 +2,10 @@
 
 All checks are pointwise over seeded sample batches; the norm is the max
 absolute coefficient in the coordinate coframe.  The defining identity is
-d Omega = theta ^ Omega with theta closed (``twisted_d``); the metric
-g = Omega(., J.) is read through ``interior_product`` over the constant
-coordinate frame, g_ab = iota_{J e_b} iota_{e_a} Omega.  The Lee pair
+d Omega = theta ^ Omega with theta closed (``twisted_d``).  The metric
+g = Omega(., J.) is read off the jets of Omega's coefficients: J permutes
+the coordinate frame up to sign, so each entry g_ab is one coefficient of
+Omega, negated or not, or zero (``_metric_arrays``).  The Lee pair
 (B, A = JB) is registered with the structure in closed form by whoever
 builds it, and ``LeePair.defining_residuals`` certifies it through
 iota_B Omega = J theta and iota_A Omega = -theta; nothing solves for it.
@@ -38,17 +39,16 @@ from .fields import (
 )
 from .forms import (
     Form,
+    _merge_indices,
     apply_J,
-    exterior_d,
     interior_product,
     twisted_d,
     twisted_potential_form,
-    wedge,
 )
 
 
 class LCKStructure:
-    """A pair (Omega, theta) on a chart, with cached metric data."""
+    """A pair (Omega, theta) on a chart, with its registered Lee pair."""
 
     def __init__(self, omega: Form, theta: Form,
                  lee_B: Optional[VectorField] = None,
@@ -58,7 +58,6 @@ class LCKStructure:
         self.omega = omega
         self.theta = theta
         self._lee = (lee_B, lee_A)
-        self._metric_fields = None
 
     @property
     def dim(self):
@@ -66,30 +65,11 @@ class LCKStructure:
 
     # -- metric ---------------------------------------------------------
 
-    def metric_entry_fields(self):
-        """g_ab = Omega(e_a, J e_b) = iota_{J e_b} iota_{e_a} Omega as scalar
-        fields, over the constant coordinate frame e (computed once)."""
-        if self._metric_fields is None:
-            d = self.dim
-            zero = constant(0.0, d)
-            frame = [VectorField([constant(float(i == a), d) for i in range(d)])
-                     for a in range(d)]
-            jframe = [apply_J_vector(e) for e in frame]
-            self._metric_fields = [
-                [interior_product(jeb, row).coeffs.get((), zero) for jeb in jframe]
-                for row in (interior_product(ea, self.omega) for ea in frame)]
-        return self._metric_fields
-
     def metric_jets(self, pts):
         """The metric g (d, d, N), points last."""
         pts = as_batch(pts, self.dim)
-        return _metric_arrays(evaluate(self.upper_metric_fields(), pts, 0),
-                              self.dim, 0)[0]
-
-    def upper_metric_fields(self):
-        """The entry fields g_ab with a <= b, row by row."""
-        G = self.metric_entry_fields()
-        return [G[a][b] for a, b in _upper(self.dim)]
+        jets = evaluate(list(self.omega.coeffs.values()), pts, 0)
+        return _metric_arrays(self.omega, jets, len(pts), 0)[0]
 
     def theta_components(self):
         """The coefficients theta_i of the Lee form, zero fields filled in."""
@@ -162,42 +142,58 @@ def extract_lee_form(omega: Form, pts) -> ExtractedLeeForm:
         raise ValueError("Lee form underdetermined on curves")
     pts = as_batch(pts, d)
     n = pts.shape[0]
-    dO = exterior_d(omega).coefficient_values(pts)
-    # column k holds the coefficients of dx_k ^ Omega, one evaluation for all k
-    terms = [(K, k, f) for k in range(d)
-             for K, f in wedge(Form.basis(d, (k,)), omega).coeffs.items()]
-    jets = evaluate([f for _, _, f in terms], pts, 0)
     rows = {K: r for r, K in enumerate(combinations(range(d), 3))}
     M = np.zeros((n, len(rows), d))
     rhs = np.zeros((n, len(rows)))
-    for K, r in rows.items():
-        rhs[:, r] = np.real(dO.get(K, np.zeros(n)))
-    for (K, k, _), jet in zip(terms, jets):
-        M[:, rows[K], k] += np.real(jet.v)
-    theta = np.zeros((n, d))
-    resid = 0.0
+    dO = {}
+    # Omega_I dx_k ^ dx_I and d_k Omega_I dx_k ^ dx_I land on one K with one
+    # sign: column k of M is dx_k ^ Omega, and d Omega sums its terms in
+    # exterior_d's order, less the partials it folds to a zero constant
+    jets = evaluate(list(omega.coeffs.values()), pts, 1)
+    for (I, f), jet in zip(omega.coeffs.items(), jets):
+        for k in range(d):
+            merged = _merge_indices((k,), I)
+            if merged is None:
+                continue
+            sign, K = merged
+            M[:, rows[K], k] += np.real(_signed(jet.v, sign))
+            if f.const is None and (f.grad is None or f.grad[k] != 0):
+                dO.setdefault(K, []).append(_signed(jet.g[k], sign))
+    for K, terms in dO.items():
+        rhs[:, rows[K]] = np.real(sum(terms[1:], terms[0]))
+    theta, resid = np.zeros((n, d)), np.zeros(n)
     for i in range(n):
-        sol, *_ = np.linalg.lstsq(M[i], rhs[i], rcond=None)
-        theta[i] = sol
-        resid = max(resid, float(np.abs(M[i] @ sol - rhs[i]).max()))
+        theta[i] = np.linalg.lstsq(M[i], rhs[i], rcond=None)[0]
+        resid[i] = np.abs(M[i] @ theta[i] - rhs[i]).max()
+    resid = float(np.max(resid, initial=0.0))  # NaN if any point is
     return ExtractedLeeForm(values=theta, residual=resid, is_lck=resid < 1e-6)
 
 
-def _upper(d):
-    return [(a, b) for a in range(d) for b in range(a, d)]
+def _signed(x, sign):
+    """x, or -1.0 * x for a sign of -1, as a constant factor scales a tier."""
+    return x if sign > 0 else -1.0 * x
 
 
-def _metric_arrays(jets, d, order):
-    """g (d, d, N) and, at order 1, dg (d, d, d, N) with dg[i, a, b] =
-    partial_i g_ab, from the jets of the entries g_ab, a <= b, row by row;
-    each entry fills whole contiguous rows of N points."""
-    n = jets[0].v.shape[0]
-    g = np.empty((d, d, n))
-    dg = np.empty((d, d, d, n)) if order else None
-    for (a, b), jet in zip(_upper(d), jets):
-        g[a, b] = g[b, a] = np.real(jet.v)
-        if order:
-            dg[:, a, b] = dg[:, b, a] = np.real(jet.g)
+def _metric_arrays(omega, jets, n, order):
+    """g (d, d, N) and, at order 1, dg (d, d, d, N), dg[i, a, b] = d_i g_ab,
+    from the jets of Omega's coefficients in ``omega.coeffs`` order.  J e_b
+    is e_{b^1} for even b and -e_{b^1} for odd b, so each g_ab = Omega(e_a,
+    J e_b), a <= b, is one coefficient as it is or times -1.0, or +0.0 where
+    it is absent; it fills whole rows of N points, mirrored below."""
+    d = omega.dim
+    coeffs = dict(zip(omega.coeffs, jets))
+    g = np.zeros((d, d, n))
+    dg = np.zeros((d, d, d, n)) if order else None
+    for a in range(d):
+        for b in range(a, d):
+            c = b ^ 1
+            jet = coeffs.get((min(a, c), max(a, c)))
+            if jet is None:
+                continue
+            sign = (-1) ** (b % 2 + (c < a))
+            g[a, b] = g[b, a] = np.real(_signed(jet.v, sign))
+            if order:
+                dg[:, a, b] = dg[:, b, a] = np.real(_signed(jet.g, sign))
     return g, dg
 
 
@@ -205,8 +201,9 @@ class MetricBundle:
     """The metric data that the Riemannian rows of one structure read on
     one point batch, all points last.
 
-    One ``evaluate`` call gives the order-1 jets of the entries g_ab and of
-    the Lee coefficients theta_b, so they share one Ctx: ``g`` (d, d, N),
+    One ``evaluate`` call gives the order-1 jets of Omega's coefficients,
+    which ``_metric_arrays`` reads g off, and of the Lee coefficients
+    theta_b, so they share one Ctx: ``g`` (d, d, N),
     ``dg`` (d, d, d, N) with dg[i, a, b] = d_i g_ab, ``theta`` (d, N) and
     ``dtheta`` (d, d, N) with dtheta[a, b] = d_a theta_b.  ``ginv`` is
     g^{-1} (d, d, N), one inversion per point, which serves both u = g^{-1}
@@ -216,10 +213,10 @@ class MetricBundle:
 
     def __init__(self, s: LCKStructure, pts):
         self.pts = pts = as_batch(pts, s.dim)
-        entries = s.upper_metric_fields()
-        jets = evaluate([*entries, *s.theta_components()], pts, 1)
-        k = len(entries)
-        self.g, self.dg = _metric_arrays(jets[:k], s.dim, 1)
+        omega = list(s.omega.coeffs.values())
+        jets = evaluate([*omega, *s.theta_components()], pts, 1)
+        k = len(omega)
+        self.g, self.dg = _metric_arrays(s.omega, jets[:k], len(pts), 1)
         self.theta = np.real(np.stack([j.v for j in jets[k:]]))
         self.dtheta = np.real(np.stack([j.g for j in jets[k:]], axis=1))
         self.ginv = np.linalg.inv(self.g.transpose(2, 0, 1)).transpose(1, 2, 0)

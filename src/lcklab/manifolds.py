@@ -117,27 +117,22 @@ class ModelManifold:
 
 def invariance_residual(m: ModelManifold, a: Form, pts) -> float:
     """max over deck generators of |gamma^* a - a|; zero means a descends."""
-    return max((pullback(d.map, a) - a).max_abs(pts) for d in m.decks)
+    return float(np.max([(pullback(d.map, a) - a).max_abs(pts) for d in m.decks]))
 
 
 def equivariance_residual(m: ModelManifold, a: Form, pts) -> float:
     """max over generators of |gamma^* a - rho(gamma)^{-1} a|."""
-    return max(
-        (pullback(d.map, a) - a.scale(1.0 / d.rho)).max_abs(pts) for d in m.decks
-    )
+    return float(np.max([(pullback(d.map, a) - a.scale(1.0 / d.rho)).max_abs(pts)
+                         for d in m.decks]))
 
 
 def deck_quotient_check(m: ModelManifold, X: VectorField, pts) -> float:
     """max over generators of |D gamma . X - X o gamma|; zero means X descends."""
     pts = as_batch(pts, m.dim)
-    worst = 0.0
     xv = X.values(pts)
-    for d in m.decks:
-        jac = d.map.jacobian(pts)
-        pushed = np.einsum("nij,nj->ni", jac, xv)
-        there = X.values(d.map(pts))
-        worst = max(worst, float(np.abs(pushed - there).max()))
-    return worst
+    return float(np.max([np.abs(np.einsum("nij,nj->ni", d.map.jacobian(pts), xv)
+                                - X.values(d.map(pts))).max() for d in m.decks],
+                        initial=0.0))
 
 
 def flow_of(m: ModelManifold, name: str) -> FlowMap:
@@ -663,7 +658,7 @@ def product(a: ModelManifold | str | None = None,
     for side, factor in factors:
         for name, fl in factor.flows.items():
             m.register_flow(FlowMap(
-                f"{name}@{side}", embed_field(fl.generator, side),
+                f"{name}@{side}", m.fields[f"{name}@{side}"],
                 lambda tt, _fl=fl, _side=side: embed_map(_fl.at(tt), _side),
                 period=fl.period,
                 closes_via=None if fl.closes_via in (None, "identity")

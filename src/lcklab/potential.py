@@ -364,7 +364,7 @@ def leeolo_residuals(m: ModelManifold, pts) -> Dict[str, float]:
     fv = res.f_field.values(pts).real
     return {
         "df_colinear": _df_colinear(m.extras["vaisman_base"], res.f_field, pts),
-        "lee_fields_defining": max(pair.defining_residuals(pts).values()),
+        "lee_fields_defining": float(np.max(list(pair.defining_residuals(pts).values()))),
         "norm_sq_matches_1_plus_f": float(
             np.abs(pair.norm_squared(pts) - (1.0 + fv)).max()),
         "potential": potential_residual(res.structure, res.g_field, pts),
@@ -499,13 +499,13 @@ def orbit_average_potential(
             return affine_quadrature_field(f, *jc_flow.affine(s),
                                            np.sin(t - s) * w)
 
-        omega5 = 0.0
+        omega5 = []
         for t in (0.5, 1.0, 2.7):
             gt = g_t_field(float(t))
             lhs = pullback(jc_flow.at(float(t)), omega)
             rhs = omega.scale(math.cos(t)) + djeta.scale(math.sin(t)) + dd_c(gt)
-            omega5 = max(omega5, (lhs - rhs).max_abs(heavy))
-        checks["flow_expansion"] = omega5
+            omega5.append((lhs - rhs).max_abs(heavy))
+        checks["flow_expansion"] = float(np.max(omega5))
 
         gvals = g.values(points).real
         checks["min_g"] = float(gvals.min())
@@ -550,10 +550,10 @@ def orbit_average_potential(
             # across a deck map gamma are the primitives' jumps
             # ln g(y) - ln g(gamma y) and phi(gamma y) - phi(y)
             ln_g, phi0 = np.log(gvals), phi.values(points).real
-            checks["lee_class_loop_match"] = max(
-                float(np.abs(ln_g - np.log(g.values(there).real)
-                             - (phi.values(there).real - phi0)).max())
-                for there in (d.map(points) for d in manifold.decks))
+            checks["lee_class_loop_match"] = float(np.max([
+                np.abs(ln_g - np.log(g.values(there).real)
+                       - (phi.values(there).real - phi0)).max()
+                for there in (d.map(points) for d in manifold.decks)]))
         return OrbitPotentialResult(g, omega_prime, f, checks)
 
 

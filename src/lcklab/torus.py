@@ -89,9 +89,8 @@ class TorusAction:
         return float(np.abs(brackets).max()) if brackets else 0.0
 
     def closure_residual(self, pts) -> float:
-        return max(
-            flow_closure_residual(self.manifold, fl, pts) for fl in self.flows
-        )
+        return float(np.max([flow_closure_residual(self.manifold, fl, pts)
+                             for fl in self.flows]))
 
     def recombine(self, matrix) -> "TorusAction":
         return TorusAction(self.manifold, self.flows,

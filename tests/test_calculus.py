@@ -476,3 +476,13 @@ def test_deck_invariance_of_inoue_omega(inoue, inoue_pts):
     g0 = inoue.deck("g0").map
     s = inoue.structure
     assert (pullback(g0, s.omega) - s.omega).max_abs(inoue_pts) < 1e-8
+
+
+def test_max_abs_keeps_a_nan_coefficient_that_is_not_first():
+    # log x1 is NaN at x1 = -1, behind a first coefficient of 1: builtin max
+    # kept the 1, np.max reads NaN
+    form = Form(4, 1, {(0,): constant(1.0, 4), (1,): coordinate(0, 4).log()})
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(form.max_abs([[-1.0, 0.0, 0.0, 0.0]]))
+        assert form.max_abs([[1.0, 0.0, 0.0, 0.0]]) == 1.0
+    assert Form.zero(4, 2).max_abs([[1.0, 0.0, 0.0, 0.0]]) == 0.0

@@ -126,6 +126,8 @@ def test_unknown_fixture_exits_2(capsys):
     ["verify", "inoue_splus:N=((2 1),(1,1))"],
     ["verify", "hopf_diag:n=2,n=3"],
     ["verify", "hopf_diag", "--points", "100001"],
+    ["verify", "hopf_diag:n=16", "--points", "20000"],
+    ["verify", "hopf_diag:n=12", "--points", "100000"],
     ["verify", "hopf_diag:n=17"],
     ["verify", "leeolo:n=17"],
     ["report", "--points", "100000000000"],
@@ -135,6 +137,15 @@ def test_bad_parameters_exit_2_without_traceback(argv, capsys):
     out = capsys.readouterr()
     assert out.err.startswith("error: ")
     assert "Traceback" not in out.out + out.err
+
+
+def test_points_times_d_cubed_cap_names_the_largest_points_at_that_d(capsys):
+    # hopf_diag:n=16 has d = 32, and 80 000 000 // 32^3 = 2441; the refusal
+    # comes before sampling
+    assert cli.main(["verify", "hopf_diag:n=16", "--points", "2442"]) == 2
+    err = capsys.readouterr().err
+    assert "2442 points at d = 32" in err and "at most 2441" in err
+    assert 2441 * 32**3 <= cli._MAX_POINTS_X_D3 < 2442 * 32**3
 
 
 def test_a_non_real_torus_without_lck_structure_is_not_called_vaisman():
@@ -464,6 +475,19 @@ def test_orbit_demo_script_runs():
     assert headers == ["== periodic ODE potential, f = 0.3 cos t",
                        "== invariant input (fixed point of the averaging)",
                        "== twisted vertical circle on the norm-modulated fixture"]
+
+
+def test_scripts_import_their_own_checkout_from_anywhere(tmp_path):
+    # from another directory, with no PYTHONPATH but one that names a decoy
+    # lcklab, a script still imports this checkout's src
+    decoy = tmp_path / "decoy" / "lcklab"
+    decoy.mkdir(parents=True)
+    (decoy / "__init__.py").write_text("raise ImportError('decoy lcklab')\n")
+    done = subprocess.run([sys.executable, str(DIGEST_SCRIPT), "--seed", "42", "orbit_n3"],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=300,
+                          env={"PYTHONPATH": str(decoy.parent)})
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["workloads"]["orbit_n3"][0]["exit"] == 0
 
 
 def test_report_digest_script_on_wide_batch(tmp_path, capsys):

@@ -11,6 +11,7 @@ from lcklab.fields import (
     ScalarField,
     _eval_in_blocks,
     affine_quadrature_field,
+    complex_jmatrix,
     compose_field,
     constant,
     coordinate,
@@ -259,13 +260,15 @@ def test_points_first_outputs_keep_their_shapes_and_values(hopf, hopf_pts):
     bundle = MetricBundle(s, pts)
     g, dg = bundle.g, bundle.dg
     assert g.shape == (DIM, DIM, 9) and dg.shape == (DIM, DIM, DIM, 9)
-    G = s.metric_entry_fields()
-    for a in range(DIM):
-        for b in range(DIM):
-            assert np.array_equal(g[a, b], np.real(G[min(a, b)][max(a, b)].values(pts)))
-            for i in range(DIM):
-                want = np.real(G[min(a, b)][max(a, b)].partial(i).values(pts))
-                assert np.array_equal(dg[i, a, b], want)
+    # g = W J for Omega's antisymmetric coefficient array W, and d_i g =
+    # (d_i W) J, each entry one term +-W_ac, from Omega's coefficient fields
+    J = complex_jmatrix(DIM)
+    for i in (None, *range(DIM)):
+        W = np.zeros((DIM, DIM, 9))
+        for (a, c), f in s.omega.coeffs.items():
+            W[a, c] = np.real((f if i is None else f.partial(i)).values(pts))
+            W[c, a] = -W[a, c]
+        assert np.array_equal(g if i is None else dg[i], np.einsum("acn,cb->abn", W, J))
 
 
 def test_order1_quadrature_contracts_a_points_first_gradient():

@@ -1,18 +1,23 @@
 """LCK structures: metric, Lee data, connection, residual verifiers."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from lcklab import lck as L
 from lcklab import manifolds as M
 from lcklab.fields import (
+    ScalarField,
     VectorField,
+    apply_J_vector,
     bracket,
     constant,
     coordinate,
+    evaluate,
     stacked,
 )
-from lcklab.forms import Form, exterior_d
+from lcklab.forms import Form, exterior_d, interior_product, wedge
 
 DIM = 4
 
@@ -74,6 +79,46 @@ def gram_schmidt_codifferential(s, pts):
     return -np.einsum("nja,njb,nab->n", E, E, nabla_theta(s, pts))
 
 
+def field_route_metric(s, pts, order):
+    """g and, at order 1, dg from the entry fields g_ab = iota_{J e_b} iota_{e_a}
+    Omega, a <= b, over the constant coordinate frame e, evaluated in one call
+    and mirrored below the diagonal."""
+    d = s.dim
+    frame = [VectorField([constant(float(i == a), d) for i in range(d)]) for a in range(d)]
+    rows = [interior_product(e, s.omega) for e in frame]
+    upper = [(a, b) for a in range(d) for b in range(a, d)]
+    entries = [interior_product(apply_J_vector(frame[b]), rows[a]).coeffs.get(
+        (), constant(0.0, d)) for a, b in upper]
+    g, dg = np.empty((d, d, len(pts))), np.empty((d, d, d, len(pts)))
+    for (a, b), jet in zip(upper, evaluate(entries, pts, order)):
+        g[a, b] = g[b, a] = np.real(jet.v)
+        if order:
+            dg[:, a, b] = dg[:, b, a] = np.real(jet.g)
+    return g, dg
+
+
+def field_route_lee_form(omega, pts):
+    """theta (N, d) and the residuals (N,) of the pointwise least-squares
+    solve of d Omega = theta ^ Omega: column k of the system holds the
+    coefficients of wedge(dx_k, Omega), the right side those of
+    exterior_d(Omega)."""
+    d, n = omega.dim, len(pts)
+    rows = {K: r for r, K in enumerate(combinations(range(d), 3))}
+    M, rhs = np.zeros((n, len(rows), d)), np.zeros((n, len(rows)))
+    for K, v in exterior_d(omega).coefficient_values(pts).items():
+        rhs[:, rows[K]] = np.real(v)
+    for k in range(d):
+        for K, v in wedge(Form.basis(d, (k,)), omega).coefficient_values(pts).items():
+            M[:, rows[K], k] += np.real(v)
+    theta = np.array([np.linalg.lstsq(M[i], rhs[i], rcond=None)[0] for i in range(n)])
+    return theta, [np.abs(M[i] @ theta[i] - rhs[i]).max() for i in range(n)]
+
+
+def bits(x):
+    """The bit patterns of a float array, so that signed zeros differ."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
 def conformal_rescale(s, h):
     """(Omega, theta) -> (e^h Omega, theta + dh)."""
     return L.LCKStructure(s.omega.scale(h.exp()),
@@ -99,6 +144,63 @@ def test_metric_is_symmetric_J_invariant_positive(hopf, hopf_pts, inoue, inoue_p
         gj = np.einsum("ia,nab,bj->nij", J.T, g, J)
         assert np.abs(gj - g).max() < 1e-12
         assert m.structure.positivity_minima(pts).min() > 0
+
+
+STRUCTURES = pytest.mark.parametrize("fixture, params", [
+    ("hopf_diag", {"n": 2}), ("hopf_diag", {"n": 3}), ("hopf_diag", {"n": 4}),
+    ("inoue_splus", {}), ("leeolo", {}), ("flat", None)],
+    ids=["n2", "n3", "n4", "inoue", "leeolo", "flat"])
+
+
+def _structure(fixture, params, request):
+    if params is None:
+        return request.getfixturevalue(fixture), request.getfixturevalue("flat_pts")
+    m = M.gallery(fixture, **params)
+    return m.structure, m.sample(40, seed=42)
+
+
+@STRUCTURES
+def test_metric_arrays_equal_the_field_route_bit_for_bit(fixture, params, request):
+    # g is read off Omega's coefficient jets; the entry fields of the frame
+    # route give the same bits, signed zeros included
+    s, pts = _structure(fixture, params, request)
+    g0, _ = field_route_metric(s, pts, 0)
+    g1, dg1 = field_route_metric(s, pts, 1)
+    bundle = L.MetricBundle(s, pts)
+    assert np.array_equal(bits(s.metric_jets(pts)), bits(g0))
+    assert np.array_equal(bits(bundle.g), bits(g1))
+    assert np.array_equal(bits(bundle.dg), bits(dg1))
+
+
+@STRUCTURES
+def test_extracted_lee_form_equals_the_field_route_bit_for_bit(fixture, params, request):
+    s, pts = _structure(fixture, params, request)
+    theta, resid = field_route_lee_form(s.omega, pts[:20])
+    ext = L.extract_lee_form(s.omega, pts[:20])
+    assert np.array_equal(bits(ext.values), bits(theta))
+    assert ext.residual == max(resid)
+
+
+def test_metric_and_lee_form_build_no_fields(hopf, hopf_pts, leeolo, leeolo_pts,
+                                             monkeypatch):
+    # the metric rows and the Lee form solve read arrays: no ScalarField is
+    # built on the way
+    built = []
+    init = ScalarField.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    for m, pts in ((hopf, hopf_pts[:30]), (leeolo, leeolo_pts[:30])):
+        s = m.structure
+        constant(0.0, s.dim)  # the shared zero, built once per dimension
+        monkeypatch.setattr(ScalarField, "__init__", spy)
+        L.MetricBundle(s, pts)
+        s.positivity_minima(pts)
+        L.extract_lee_form(s.omega, pts)
+        monkeypatch.undo()
+    assert built == []
 
 
 def test_lck_residuals(hopf, hopf_pts, inoue, inoue_pts, flat, flat_pts):
@@ -242,8 +344,9 @@ def test_contracted_nabla_theta_and_trace_match_the_full_connection(fixture, par
                          ids=["vaisman", "gauduchon"])
 def test_nabla_theta_residuals_build_the_metric_jets_once(residual, hopf, hopf_pts,
                                                           monkeypatch):
-    # building the bundle evaluates the entries once; the residual reads it
-    entries = {f.uid for f in hopf.structure.upper_metric_fields()}
+    # building the bundle evaluates Omega's coefficients once; the residual
+    # reads the arrays
+    entries = {f.uid for f in hopf.structure.omega.coeffs.values()}
     calls = []
     evaluate = L.evaluate
 
@@ -260,12 +363,12 @@ def test_nabla_theta_residuals_build_the_metric_jets_once(residual, hopf, hopf_p
 def test_hopf_diag_suite_evaluates_the_metric_entries_once_per_batch(hopf, monkeypatch):
     # the Vaisman, Gauduchon and both Killing rows read one MetricBundle on
     # the run's points, and the unit-potential chain one on its own 60.  The
-    # entries include Omega's own coefficient fields, which other rows
-    # evaluate too, so the spy keys on the bundle's evaluation: the one
-    # call that takes every entry
+    # bundle's evaluation is the one lck call that takes every coefficient
+    # of Omega and of theta; the Lee form recovery takes Omega's alone
     from lcklab import cli
 
-    entries = {f.uid for f in hopf.structure.upper_metric_fields()}
+    s = hopf.structure
+    entries = {f.uid for f in [*s.omega.coeffs.values(), *s.theta.coeffs.values()]}
     batches = []
     evaluate = L.evaluate
 

@@ -17,6 +17,7 @@ from lcklab.fields import (
     complex_coordinate,
     complex_jmatrix,
     constant,
+    coordinate,
 )
 from lcklab.forms import Form, exterior_d
 
@@ -280,6 +281,11 @@ def test_deck_quotient_check(hopf, nondiag):
     # a constant field does not descend through z -> z/2
     const = VectorField([constant(v, hopf.dim) for v in (0, 0, 1, 0)])
     assert M.deck_quotient_check(hopf, const, hopf.sample(40, seed=6)) > 0.4
+    # a field that is NaN at a point reads NaN, where max(0.0, nan) was 0.0
+    zero = constant(0.0, hopf.dim)
+    logx = VectorField([coordinate(0, hopf.dim).log(), zero, zero, zero])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(M.deck_quotient_check(hopf, logx, [[-1.0, 0.5, 0.5, 0.5]]))
 
 
 def test_nondiag_flow_formula_against_rk4(nondiag):
@@ -353,6 +359,26 @@ def test_deck_loop_integrals(hopf, inoue):
         assert (m.structure.theta - dphi).max_abs(pts) <= 1e-10
         jump = np.real(m.phi.values(m.deck(deck).map(pts)) - m.phi.values(pts))
         assert np.abs(jump - want).max() < tol
+
+
+def test_product_embeds_each_flow_generator_once(monkeypatch):
+    # a flow's generator is the embedded field of the same name, so a
+    # product of two hopf_diag factors builds 64 nodes once the shared zero
+    # of its dimension exists (104 when each generator was embedded twice)
+    a, b = M.hopf_diag(), M.hopf_diag()
+    M.product(a, b)  # builds that zero
+    built = []
+    init = ScalarField.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScalarField, "__init__", spy)
+    m = M.product(a, b)
+    monkeypatch.undo()
+    assert all(m.flows[k].generator is m.fields[k] for k in m.flows)
+    assert len(built) == 64
 
 
 def test_product_fixture_embeds_factors(hopf):
