@@ -1,16 +1,16 @@
 """Exterior calculus on coordinate charts of R^{2n} ~ C^n.
 
-Forms are stored over the real coframe dx_1, dy_1, ..., dx_n, dy_n with
-strictly increasing multi-indices (antisymmetry is structural).  A parallel
-"complex" frame over dz_1, dzbar_1, ..., dz_n, dzbar_n (index 2j for dz_j,
-2j+1 for dzbar_j) provides the bidegree decomposition; d^c is computed
-there as i(delbar - del), independently of the commutator [J, d] that the
-test suite checks it against.
+Forms are stored over one coframe, the real dx_1, dy_1, ..., dx_n, dy_n,
+with strictly increasing multi-indices (antisymmetry is structural); a
+coefficient may take complex values.  d^c is computed there as J d J^{-1}
+with J acting on every slot, independently of the commutator [J, d] that
+the test suite checks it against, where J acts as a derivation.
 
 Sign conventions, fixed once:
   (J alpha)(X) = -alpha(JX) on 1-forms, so J dx = dy and d^c f = J(df);
-  J extends to higher degree as a derivation and vanishes on functions;
-  d^c = i(delbar - del), so dd^c |z|^2 = 2i sum dz_j ^ dzbar_j > 0.
+  ``apply_J`` extends J to higher degree as a derivation, vanishing on
+  functions; d^c extends it slot by slot, so d^c = i(delbar - del) and
+  dd^c |z|^2 = 2i sum dz_j ^ dzbar_j = 4 sum dx_j ^ dy_j > 0.
 """
 
 from __future__ import annotations
@@ -66,20 +66,18 @@ def _insert_index(idx: Index, j: int):
 class Form:
     """A degree-k differential form with scalar-field coefficients."""
 
-    __slots__ = ("dim", "degree", "coeffs", "frame")
+    __slots__ = ("dim", "degree", "coeffs")
 
-    def __init__(self, dim, degree, coeffs: Dict[Index, ScalarField] | None = None,
-                 frame="real"):
+    def __init__(self, dim, degree, coeffs: Dict[Index, ScalarField] | None = None):
         self.dim = dim
         self.degree = degree
         self.coeffs = coeffs or {}
-        self.frame = frame
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(dim, degree, frame="real"):
-        return Form(dim, degree, {}, frame)
+    def zero(dim, degree):
+        return Form(dim, degree, {})
 
     @staticmethod
     def from_function(f: ScalarField):
@@ -91,7 +89,7 @@ class Form:
         return Form(dim, len(idx), {idx: constant(1.0, dim)})
 
     def copy_with(self, coeffs):
-        return Form(self.dim, self.degree, coeffs, self.frame)
+        return Form(self.dim, self.degree, coeffs)
 
     # -- algebra ----------------------------------------------------------
 
@@ -116,12 +114,12 @@ class Form:
     def nsum(forms: Sequence["Form"], weights=None):
         forms = list(forms)
         weights = [1.0] * len(forms) if weights is None else weights
-        return _gather(forms[0].dim, forms[0].degree, forms[0].frame, (
+        return _gather(forms[0].dim, forms[0].degree, (
             (idx, f, w) for a, w in zip(forms, weights) for idx, f in a.coeffs.items()))
 
     def _check_partner(self, other, same_degree=False):
-        if self.dim != other.dim or self.frame != other.frame:
-            raise ValueError("forms live on different charts or frames")
+        if self.dim != other.dim:
+            raise ValueError("forms live on different charts")
         if same_degree and self.degree != other.degree:
             raise FormDegreeError("degree mismatch")
 
@@ -137,7 +135,7 @@ class Form:
         return float(np.max([np.abs(v).max() for v in vals.values()], initial=0.0))
 
 
-def _gather(dim, degree, frame, terms) -> Form:
+def _gather(dim, degree, terms) -> Form:
     """The form whose coefficient at each index is the weighted sum of the
     ``(idx, field, weight)`` terms landing there, in arrival order; a
     coefficient that folds to ``constant(0.0)`` is left out."""
@@ -147,7 +145,7 @@ def _gather(dim, degree, frame, terms) -> Form:
         fields.append(f)
         weights.append(w)
     sums = {idx: ScalarField.nsum(fs, ws) for idx, (fs, ws) in groups.items()}
-    return Form(dim, degree, {idx: f for idx, f in sums.items() if f.const != 0}, frame)
+    return Form(dim, degree, {idx: f for idx, f in sums.items() if f.const != 0})
 
 
 # -- wedge, d, interior, Lie, pullback ----------------------------------
@@ -157,17 +155,15 @@ def wedge(a: Form, b: Form) -> Form:
     a._check_partner(b)
     degree = a.degree + b.degree
     if degree > a.dim:
-        return Form.zero(a.dim, degree, a.frame)
-    return _gather(a.dim, degree, a.frame, (
+        return Form.zero(a.dim, degree)
+    return _gather(a.dim, degree, (
         (m[1], fa * fb, float(m[0]))
         for ia, fa in a.coeffs.items() for ib, fb in b.coeffs.items()
         if (m := _merge_indices(ia, ib)) is not None))
 
 
 def exterior_d(a: Form) -> Form:
-    if a.frame != "real":
-        raise ValueError("exterior_d acts on real-frame forms")
-    return _gather(a.dim, a.degree + 1, "real", (
+    return _gather(a.dim, a.degree + 1, (
         (ins[1], f.partial(j), float(ins[0]))
         for idx, f in a.coeffs.items() for j in range(a.dim)
         if (ins := _insert_index(idx, j)) is not None))
@@ -176,15 +172,13 @@ def exterior_d(a: Form) -> Form:
 def interior_product(X: VectorField, a: Form) -> Form:
     if a.degree == 0:
         raise FormDegreeError("cannot contract a function")
-    return _gather(a.dim, a.degree - 1, a.frame, (
+    return _gather(a.dim, a.degree - 1, (
         (idx[:pos] + idx[pos + 1 :], f * X.components[i], float((-1) ** pos))
         for idx, f in a.coeffs.items() for pos, i in enumerate(idx)))
 
 
 def apply_J(a: Form) -> Form:
     """The derivation extension of J: J dx_j = dy_j, J dy_j = -dx_j, J f = 0."""
-    if a.frame != "real":
-        raise ValueError("apply_J acts on real-frame forms")
     if a.degree == 0:
         return Form.zero(a.dim, 0)
 
@@ -197,7 +191,7 @@ def apply_J(a: Form) -> Form:
                     # moving the slot out of position pos costs (-1)^pos
                     yield ins[1], f, factor * ins[0] * (-1) ** pos
 
-    return _gather(a.dim, a.degree, "real", terms())
+    return _gather(a.dim, a.degree, terms())
 
 
 def lie_derivative(X: VectorField, a: Form) -> Form:
@@ -209,8 +203,6 @@ def lie_derivative(X: VectorField, a: Form) -> Form:
 
 def pullback(pmap: PointMap, a: Form) -> Form:
     """phi^* a with exact Jacobians from the map's component fields."""
-    if a.frame != "real":
-        raise ValueError("pullback acts on real-frame forms")
     if a.dim != pmap.dim_out:
         raise ValueError(
             f"form lives on a dim-{a.dim} chart, map lands in dim {pmap.dim_out}"
@@ -234,98 +226,37 @@ def pullback(pmap: PointMap, a: Form) -> Form:
     return Form.nsum(parts)
 
 
-# -- complex frame and d^c ------------------------------------------------
+# -- d^c ------------------------------------------------------------------
 
 
-def to_complex(a: Form) -> Form:
-    """Rewrite a real-frame form over the dz/dzbar coframe."""
-    if a.frame != "real":
-        raise ValueError("form is already complex-frame")
-    # dx_j = (dz_j + dzbar_j)/2 ; dy_j = -(i/2)(dz_j - dzbar_j)
-    expansion = {}
-    for j in range(a.dim // 2):
-        expansion[2 * j] = [(2 * j, 0.5), (2 * j + 1, 0.5)]
-        expansion[2 * j + 1] = [(2 * j, -0.5j), (2 * j + 1, 0.5j)]
-    return _change_frame(a, expansion, "complex")
+def _J_slotwise(a: Form, inverse=False) -> Form:
+    """J on every slot, f dx_I -> f (J dx_{i_1}) ^ ... ^ (J dx_{i_k}), with
+    J dx_j = dy_j and J dy_j = -dx_j; a function is left as it is."""
 
-
-def to_real(a: Form) -> Form:
-    """Rewrite a complex-frame form over the real coframe, keeping the real
-    part of each coefficient (the form is taken to be real)."""
-    if a.frame != "complex":
-        raise ValueError("form is already real-frame")
-    # dz_j = dx_j + i dy_j ; dzbar_j = dx_j - i dy_j
-    expansion = {}
-    for j in range(a.dim // 2):
-        expansion[2 * j] = [(2 * j, 1.0), (2 * j + 1, 1.0j)]
-        expansion[2 * j + 1] = [(2 * j, 1.0), (2 * j + 1, -1.0j)]
-    out = _change_frame(a, expansion, "real")
-    return out.copy_with({i: f.real_part() for i, f in out.coeffs.items()})
-
-
-def _change_frame(a: Form, expansion, new_frame) -> Form:
-    if a.degree == 0:
-        return Form(a.dim, 0, dict(a.coeffs), new_frame)
-
-    def expanded():
+    def terms():
         for idx, f in a.coeffs.items():
-            terms = [(1.0, ())]
+            # J^2 = (-1)^k on k-forms, so J^{-1} = (-1)^k J
+            sign, image = (-1) ** (inverse * a.degree), ()
             for i in idx:
-                new_terms = []
-                for w, sofar in terms:
-                    for tgt, coef in expansion[i]:
-                        ins = _insert_index(sofar, tgt)
-                        if ins is None:
-                            continue
-                        sign, nidx = ins
-                        # the new factor enters to the right of len(sofar)
-                        # placed ones; _insert_index signs a left insertion
-                        new_terms.append((w * coef * sign * (-1) ** len(sofar), nidx))
-                terms = new_terms
-            yield from ((nidx, f, w) for w, nidx in terms)
+                # J dx_i enters right of the image so far; the merge signs
+                # the reorder
+                order, image = _merge_indices(image, (i ^ 1,))
+                sign *= order * (-1) ** (i % 2)
+            yield image, f, float(sign)
 
-    return _gather(a.dim, a.degree, new_frame, expanded())
-
-
-def _wirtinger(f: ScalarField, j: int, conjugated: bool) -> ScalarField:
-    """d/dz_j or d/dzbar_j of a coefficient field on the real chart."""
-    fx = f.partial(2 * j)
-    fy = f.partial(2 * j + 1)
-    if conjugated:
-        return (fx + fy * 1j) * 0.5
-    return (fx - fy * 1j) * 0.5
-
-
-def _del_operator(a: Form, conjugated: bool) -> Form:
-    if a.frame != "complex":
-        raise ValueError("del/delbar act on complex-frame forms")
-    return _gather(a.dim, a.degree + 1, "complex", (
-        (ins[1], _wirtinger(f, j, conjugated), float(ins[0]))
-        for idx, f in a.coeffs.items() for j in range(a.dim // 2)
-        if (ins := _insert_index(idx, 2 * j + (1 if conjugated else 0))) is not None))
-
-
-def del_(a: Form) -> Form:
-    return _del_operator(a, conjugated=False)
-
-
-def del_bar(a: Form) -> Form:
-    return _del_operator(a, conjugated=True)
+    return _gather(a.dim, a.degree, terms())
 
 
 def dc(a: Form) -> Form:
-    """d^c = i(delbar - del), computed through the bidegree decomposition."""
-    ca = to_complex(a)
-    res = del_bar(ca).scale(1.0j) + del_(ca).scale(-1.0j)
-    return to_real(res)
+    """d^c = J d J^{-1} with J acting on every slot, which is i(delbar - del);
+    on a function, d^c f = J df."""
+    return _J_slotwise(exterior_d(_J_slotwise(a, inverse=True)))
 
 
-def twisted_d(a: Form, theta: Form, conjugated=False) -> Form:
-    """d_theta a = da - theta ^ a, or d^c_theta a = d^c a - J theta ^ a."""
+def twisted_d(a: Form, theta: Form) -> Form:
+    """d_theta a = da - theta ^ a."""
     if theta.degree != 1:
         raise FormDegreeError("twisting form must be a 1-form")
-    if conjugated:
-        return dc(a) - wedge(apply_J(theta), a)
     return exterior_d(a) - wedge(theta, a)
 
 
@@ -334,6 +265,9 @@ def dd_c(f: ScalarField) -> Form:
 
 
 def twisted_potential_form(f: ScalarField, theta: Form) -> Form:
-    """d_theta d^c_theta f for a scalar potential f."""
-    inner = twisted_d(Form.from_function(f), theta, conjugated=True)
-    return twisted_d(inner, theta, conjugated=False)
+    """d_theta d^c_theta f for a scalar potential f, where
+    d^c_theta f = d^c f - J theta ^ f."""
+    if theta.degree != 1:
+        raise FormDegreeError("twisting form must be a 1-form")
+    a = Form.from_function(f)
+    return twisted_d(dc(a) - wedge(apply_J(theta), a), theta)

@@ -31,7 +31,7 @@ from .fields import (
     constant,
     coordinate,
 )
-from .forms import Form, exterior_d, pullback, to_real
+from .forms import Form, exterior_d, pullback
 from .jets import Jet
 from .lck import LCKStructure
 
@@ -473,13 +473,24 @@ def hopf_nondiag(beta=0.4 + 0.1j, lam=1.0 + 0j, m=2):
     return mfd
 
 
+# Every integer up to 2**53 is a double.  Past it a lattice integer rounds;
+# outside int64 it can make an object array that the solve refuses, and
+# past 2**1024 it overflows the float conversion.
+_INOUE_MAX_LATTICE = 2**53
+
+
 def inoue_splus(p=0, q=0, r=1, t=0.0, N=((2, 1), (1, 1))):
     """Inoue surface S^+: quotient of H x C by the affine group g0..g3.
 
     Constants are derived from the lattice data: alpha is the large
     eigenvalue of N, (a_i), (b_i) the eigenvectors normalized to leading
-    entry 1, and (c1, c2) solves the displayed linear system.  The LCK pair
-    (Omega, theta = d Im w / Im w) requires t real.
+    entry 1, and (c1, c2) solves the displayed linear system.  The lattice
+    integers p, q, r are at most ``_INOUE_MAX_LATTICE`` = 2**53 in size.  The
+    LCK pair (Omega, theta = d Im w / Im w) requires t real.  Omega is
+    i(1 + y2^2)/y1^2 dz1^dzbar1 - i y2/y1 dz1^dzbar2 + i y2/y1 dzbar1^dz2
+    + i dz2^dzbar2, written in the real coframe:
+
+        2(1 + y2^2)/y1^2 dx1^dy1 - 2 y2/y1 dx1^dy2 + 2 y2/y1 dy1^dx2 + 2 dx2^dy2.
     """
     try:
         N = np.asarray(N, dtype=float)
@@ -498,6 +509,9 @@ def inoue_splus(p=0, q=0, r=1, t=0.0, N=((2, 1), (1, 1))):
     if not math.isfinite(t):
         raise GalleryError("inoue_splus needs a finite t")
     p, q, r = int(p), int(q), int(r)
+    if max(abs(p), abs(q), abs(r)) > _INOUE_MAX_LATTICE:
+        raise GalleryError("inoue_splus needs |p|, |q|, |r| <= 2**53, where every "
+                           "integer is a double")
 
     # det 1: alpha > 1 iff trace > 2, exact, where eigvals splits 1 to 1 +- 2e-8
     if N[0, 0] + N[1, 1] <= 2:
@@ -534,13 +548,13 @@ def inoue_splus(p=0, q=0, r=1, t=0.0, N=((2, 1), (1, 1))):
     ]
 
     inv_y1 = 1.0 / y1
-    omega_c = Form(dim, 2, {
-        (0, 1): (1.0 + y2**2) * inv_y1**2 * 1.0j,
-        (0, 3): -1.0j * y2 * inv_y1,
-        (1, 2): 1.0j * y2 * inv_y1,
-        (2, 3): constant(1.0j, dim),
-    }, frame="complex")
-    omega = to_real(omega_c)
+    y2_y1 = y2 * inv_y1
+    omega = Form(dim, 2, {
+        (0, 1): 2.0 * (1.0 + y2**2) * inv_y1**2,
+        (0, 3): y2_y1 * -2.0,
+        (1, 2): y2_y1 * 2.0,
+        (2, 3): constant(2.0, dim),
+    })
     theta = Form(dim, 1, {(1,): inv_y1})
 
     def sampler(count, seed):

@@ -118,8 +118,6 @@ def average_over_circle(a: Form, flow: FlowMap, nodes: int) -> Form:
         raise ValueError("averaging needs nodes >= 8")
     if flow.period is None:
         raise GalleryError(f"flow {flow.name} is not periodic")
-    if a.frame != "real":
-        raise ValueError("averaging acts on real-frame forms")
     if flow.affine is None:
         raise GalleryError(f"flow {flow.name} has no affine form to average over")
     mats, offs = flow.affine(np.arange(nodes) * (flow.period / nodes))

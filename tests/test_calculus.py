@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from lcklab import manifolds as M
 from lcklab.fields import (
     PointMap,
+    ScalarField,
     VectorField,
     bracket,
+    complex_jmatrix,
     compose_field,
     constant,
     coordinate,
@@ -22,12 +25,11 @@ from lcklab.forms import (
     interior_product,
     lie_derivative,
     pullback,
-    to_complex,
-    to_real,
     twisted_d,
     twisted_potential_form,
     wedge,
 )
+from lcklab.potential import leeolo_orbit_pipeline
 
 DIM = 4
 
@@ -204,33 +206,103 @@ def test_commutator_identity_random_forms(box_pts):
         assert max_norm(com - dc(a), box_pts) < 1e-10
 
 
-def bidegree_parts(a_complex):
-    """Split a complex-frame form into its (p, q) components."""
-    parts = {}
-    for idx, f in a_complex.coeffs.items():
-        p = sum(1 for i in idx if i % 2 == 0)
-        part = parts.setdefault((p, len(idx) - p),
-                                Form.zero(a_complex.dim, a_complex.degree, "complex"))
-        part.coeffs[idx] = f
-    return parts
+def slotwise_J_defect(a, pts):
+    """max |a(JX, JY) - a(X, Y)| over the coordinate vectors X, Y, for a
+    2-form a, from the matrix of J on vectors: the slot-wise J fixes a
+    exactly when this vanishes."""
+    A = np.zeros((len(pts), a.dim, a.dim), dtype=complex)
+    for (i, j), v in a.coefficient_values(pts).items():
+        A[:, i, j], A[:, j, i] = v, -v
+    J = complex_jmatrix(a.dim)
+    return np.abs(np.einsum("ai,nab,bj->nij", J, A, J) - A).max()
 
 
 def test_ddc_is_real_1_1(box_pts):
+    # a real 2-form is of type (1,1) exactly when the slot-wise J fixes it
     rng = np.random.default_rng(7)
     f = random_field(rng)
     w = dd_c(f)
-    parts = bidegree_parts(to_complex(w))
-    for (p, q), part in parts.items():
-        if (p, q) != (1, 1):
-            assert max_norm(part, box_pts) < 1e-12
+    assert slotwise_J_defect(w, box_pts) < 1e-12
     for c in w.coeffs.values():
         assert np.abs(np.imag(c.values(box_pts))).max() < 1e-13
 
 
-def test_complex_frame_roundtrip(box_pts):
-    rng = np.random.default_rng(8)
-    a = random_form(rng, 2)
-    assert max_norm(to_real(to_complex(a)) - a, box_pts) < 1e-13
+def test_the_slotwise_J_defect_sees_a_form_of_type_2_0_plus_0_2(box_pts):
+    # dx1 ^ dx2 = Re(dz1 ^ dz2): J sends it to dy1 ^ dy2
+    assert slotwise_J_defect(Form.basis(DIM, (0, 2)), box_pts) == 1.0
+
+
+@pytest.mark.parametrize("fixture_id, params", [
+    ("hopf_diag", {"n": 2}), ("hopf_diag", {"n": 3}), ("hopf_diag", {"n": 4}),
+    ("inoue_splus", {}), ("leeolo", {}), ("leeolo", {"n": 3}),
+])
+def test_every_fixture_omega_is_fixed_by_the_slotwise_J(fixture_id, params):
+    # lck._metric_arrays reads only the entries a <= b of g and mirrors them
+    m = M.gallery(fixture_id, **params)
+    pts = m.sample(40, seed=5)
+    omega = m.structure.omega
+    scale = max(np.abs(v).max() for v in omega.coefficient_values(pts).values())
+    assert slotwise_J_defect(omega, pts) <= 1e-14 * scale
+
+
+def test_the_orbit_output_is_fixed_by_the_slotwise_J(leeolo):
+    pts = leeolo.sample(20, seed=9)
+    res = leeolo_orbit_pipeline(leeolo, points=pts)
+    heavy = pts[:8]
+    scale = max(np.abs(v).max()
+                for v in res.omega_prime.coefficient_values(heavy).values())
+    assert slotwise_J_defect(res.omega_prime, heavy) <= 1e-14 * scale
+
+
+def test_d_anticommutes_with_dc_on_random_forms(box_pts):
+    # d d^c = 2i del delbar = -d^c d
+    rng = np.random.default_rng(17)
+    for degree in (0, 1, 2):
+        for _ in range(4):
+            a = random_form(rng, degree)
+            ddc = exterior_d(dc(a))
+            assert max_norm(ddc + dc(exterior_d(a)), box_pts) < 1e-10
+            if a.coeffs:
+                assert max_norm(ddc, box_pts) > 1e-3
+
+
+def _conjugation():
+    """(x, y) -> (x, -y) on every complex coordinate, an antiholomorphic map."""
+    return PointMap([coordinate(i, DIM) * (-1.0 if i % 2 else 1.0) for i in range(DIM)])
+
+
+@pytest.mark.parametrize("case", ["hopf_gamma", "inoue_g1", "conjugation"])
+def test_dc_commutes_with_holomorphic_pullbacks(case, hopf, inoue, box_pts):
+    # gamma^* d^c a = d^c gamma^* a for a holomorphic gamma; an
+    # antiholomorphic map anticommutes with J, so there it holds with -1
+    gamma, sign = {"hopf_gamma": (hopf.deck("gamma").map, 1.0),
+                   "inoue_g1": (inoue.deck("g1").map, 1.0),
+                   "conjugation": (_conjugation(), -1.0)}[case]
+    rng = np.random.default_rng(18)
+    for degree in (0, 1, 2):
+        a = random_form(rng, degree)
+        lhs = pullback(gamma, dc(a))
+        rhs = dc(pullback(gamma, a))
+        assert max_norm(lhs - rhs.scale(sign), box_pts) < 1e-10
+        assert max_norm(lhs + rhs.scale(sign), box_pts) > 1e-3
+
+
+def test_ddc_of_leeolos_real_potential_forms_no_complex_jet(leeolo, leeolo_pts,
+                                                             monkeypatch):
+    res = leeolo.extras["leeolo"]
+    g, theta = res.g_field, res.structure.theta
+    jets, evaluate_jet = [], ScalarField.eval
+
+    def spy(self, ctx, order):
+        jet = evaluate_jet(self, ctx, order)
+        jets.append(jet)
+        return jet
+
+    monkeypatch.setattr(ScalarField, "eval", spy)
+    dd_c(g).coefficient_values(leeolo_pts[:20])
+    twisted_potential_form(g, theta).coefficient_values(leeolo_pts[:20])
+    assert jets
+    assert sum(np.iscomplexobj(j.v) for j in jets) == 0
 
 
 # -- twisted operators -----------------------------------------------------

@@ -124,6 +124,11 @@ def test_unknown_fixture_exits_2(capsys):
     ["verify", "inoue_splus:N=((((((1,))))))"],
     ["verify", "inoue_splus:N=((2,1),('a',1))"],
     ["verify", "inoue_splus:N=((2 1),(1,1))"],
+    # lattice integers past 2**53: an object array, two int-to-float overflows
+    ["verify", "inoue_splus:q=-9223372036854775809"],
+    ["verify", "inoue_splus:p=1" + "0" * 320],
+    ["verify", "inoue_splus:r=1" + "0" * 400],
+    ["verify", f"inoue_splus:r={2**53 + 1}"],
     ["verify", "hopf_diag:n=2,n=3"],
     ["verify", "hopf_diag", "--points", "100001"],
     ["verify", "hopf_diag:n=16", "--points", "20000"],
@@ -146,6 +151,12 @@ def test_points_times_d_cubed_cap_names_the_largest_points_at_that_d(capsys):
     err = capsys.readouterr().err
     assert "2442 points at d = 32" in err and "at most 2441" in err
     assert 2441 * 32**3 <= cli._MAX_POINTS_X_D3 < 2442 * 32**3
+
+
+def test_inoue_lattice_integers_past_2_53_are_refused_naming_the_bound(capsys):
+    # refused before any float arithmetic; 10**18 used to run, rounded
+    assert cli.main(["verify", f"inoue_splus:p={10**18}"]) == 2
+    assert "|p|, |q|, |r| <= 2**53" in capsys.readouterr().err
 
 
 def test_a_non_real_torus_without_lck_structure_is_not_called_vaisman():
@@ -249,6 +260,8 @@ def test_hopf_nondiag_inside_its_domain_verifies(fixture):
     "hopf_nondiag:lam=0.0001",  # the smallest |lam| accepted
     "hopf_diag:beta=0.01",  # the smallest |beta| hopf_diag accepts
     "leeolo:eps=0.001",    # the smallest |eps| leeolo accepts
+    f"inoue_splus:p={2**53},q={-2**53}",  # the largest lattice integers accepted
+    f"inoue_splus:r={-2**53}",
 ])
 def test_parameters_at_the_edge_of_their_domain_exit_0(fixture, capsys):
     assert cli.main(["verify", *fixture.split()]) == 0

@@ -23,7 +23,6 @@ from lcklab.forms import (
     interior_product,
     lie_derivative,
     pullback,
-    to_complex,
 )
 
 
@@ -152,9 +151,6 @@ def test_averaging_requires_period_and_enough_nodes(hopf):
         T.average_over_circle(hopf.structure.omega, hopf.flows["JC"], nodes=12)
     with pytest.raises(ValueError):
         T.average_over_circle(hopf.structure.omega, hopf.flows["A"], nodes=4)
-    with pytest.raises(ValueError, match="real-frame"):
-        T.average_over_circle(to_complex(hopf.structure.omega), hopf.flows["A"],
-                              nodes=12)
 
 
 @pytest.fixture(scope="module")
