@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print, per module of lcklab, the statements no benchmark call runs.
+"""Print, per module of lcklab, the statements and functions no benchmark
+call runs.
 
 Runs each call of the named workloads in ``bench/known_answers.json`` (read
 only) once, in order, at one seed, as ``report_digest.py`` does, with a
@@ -7,7 +8,8 @@ only) once, in order, at one seed, as ``report_digest.py`` does, with a
 statement is a line of a function body that holds bytecode; a def line and
 module or class level code run at import, so they are not counted.  Each
 module prints how many of its statements no call ran, then those lines as
-ranges under the function that holds them:
+ranges under the function that holds them, then the named functions (not
+lambdas or comprehensions) that no call entered at all, by first line:
 
     python3 scripts/traffic.py --seed 42 gallery orbit_n3
 
@@ -34,17 +36,23 @@ from report_digest import ANSWERS, run_call
 PACKAGE = os.path.dirname(lcklab.__file__)
 
 
-def statements(path):
-    """{line: qualified name} of the statement lines of the functions
-    compiled from the source file ``path``."""
+def _function_codes(path):
+    """The code objects of the functions compiled from the source file
+    ``path``, module and class bodies left out."""
     with open(path) as fh:
-        module = compile(fh.read(), path, "exec")
-    out, stack = {}, [module]
+        stack = [compile(fh.read(), path, "exec")]
     while stack:
         code = stack.pop()
         stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-        if not code.co_flags & inspect.CO_NEWLOCALS:
-            continue  # module or class body
+        if code.co_flags & inspect.CO_NEWLOCALS:
+            yield code
+
+
+def statements(path):
+    """{line: qualified name} of the statement lines of the functions
+    compiled from the source file ``path``."""
+    out = {}
+    for code in _function_codes(path):
         for _, _, line in code.co_lines():
             # a lambda or comprehension starts on a line of its body
             if line is not None and (line != code.co_firstlineno
@@ -53,10 +61,18 @@ def statements(path):
     return out
 
 
+def functions(path):
+    """{(qualified name, first line)} of the named functions compiled from
+    the source file ``path``: lambdas and comprehensions left out."""
+    return {(code.co_qualname, code.co_firstlineno) for code in _function_codes(path)
+            if not code.co_name.startswith("<")}
+
+
 def executed(calls, seed):
-    """{source path: lines} of the lcklab lines that running ``calls`` at
-    ``seed`` executed."""
-    ran = defaultdict(set)
+    """({source path: lines}, {source path: functions}) of the lcklab lines
+    that running ``calls`` at ``seed`` executed and the functions it
+    entered, each as (qualified name, first line)."""
+    ran, entered = defaultdict(set), defaultdict(set)
 
     def local(frame, event, arg):
         if event == "line":
@@ -64,7 +80,11 @@ def executed(calls, seed):
         return local
 
     def enter(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(PACKAGE + os.sep) else None
+        code = frame.f_code
+        if not code.co_filename.startswith(PACKAGE + os.sep):
+            return None
+        entered[code.co_filename].add((code.co_qualname, code.co_firstlineno))
+        return local
 
     before = sys.gettrace()
     sys.settrace(enter)
@@ -73,14 +93,15 @@ def executed(calls, seed):
             run_call(call, seed)
     finally:
         sys.settrace(before)
-    return ran
+    return ran, entered
 
 
 def unrun(calls, seed):
-    """{module file name: (statements, statements not run, ranges)}: the
-    ranges (function, first line, last line) merge the consecutive
-    statements of one function that no call ran."""
-    ran = executed(calls, seed)
+    """{module file name: (statements, statements not run, ranges,
+    functions not entered)}: the ranges (function, first line, last line)
+    merge the consecutive statements of one function that no call ran; the
+    functions (qualified name, first line) are in line order."""
+    ran, entered = executed(calls, seed)
     out = {}
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
@@ -97,7 +118,8 @@ def unrun(calls, seed):
             else:
                 prev = stmts[line]
                 ranges.append([prev, line, line])
-        out[name] = (len(stmts), len(missed), [tuple(r) for r in ranges])
+        idle = sorted(functions(path) - entered[path], key=lambda f: f[1])
+        out[name] = (len(stmts), len(missed), [tuple(r) for r in ranges], idle)
     return out
 
 
@@ -112,10 +134,13 @@ def main(argv=None):
     if unknown:
         raise SystemExit(f"unknown workload(s) {unknown}; choose from {sorted(known)}")
     calls = [c for w in args.workloads or sorted(known) for c in known[w]["calls"]]
-    for name, (total, missed, ranges) in unrun(calls, args.seed).items():
+    for name, (total, missed, ranges, idle) in unrun(calls, args.seed).items():
         print(f"{name}: {missed} of {total} statements not run")
         for fn, first, last in ranges:
             print(f"  {first}-{last} {fn}" if last > first else f"  {first} {fn}")
+        print(f"  {len(idle)} functions not entered")
+        for fn, first in idle:
+            print(f"    {first} {fn}")
     return 0
 
 

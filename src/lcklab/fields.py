@@ -5,10 +5,12 @@ expression DAG that is evaluated lazily.  Evaluation goes through a Ctx so
 that shared subexpressions (a radius field appearing in fifty coefficients,
 a quadrature node appearing in every term of a sum) are computed once per
 point batch.  ``evaluate`` (jets) and ``stacked`` (real value and gradient
-arrays) are the one entry point from sample points: every caller outside
-this module evaluates through them, one fresh Ctx per call.  Inside a
-``session`` block they (and ``PointMap.__call__``) instead share one Ctx
-per point batch, so checks on the same points reuse each other's jets.
+arrays) are the entry point from sample points: every caller outside this
+module evaluates through them, one fresh Ctx per call, except the tests'
+reference ``torus.averaged_pairings``, which evaluates its pairing field on
+a Ctx per row block itself.  Inside a ``session`` block they (and
+``PointMap.__call__``) instead share one Ctx per point batch, so checks on
+the same points reuse each other's jets.
 A Ctx answers a request for a lower order from a cached higher-order jet of
 the same field, truncated, so on one batch a field's closure runs once, at
 the first order asked for, and again only for a higher one.
@@ -31,9 +33,13 @@ is never evaluated and a constant factor grows no zero tier:
   1.  Any other constant field c, 1 + 0j included, scales f as the product
   rule does with c's jet: the value in the operands' order, c * tier for
   each derivative tier, an absent tier left absent.
-- ``f + 0`` and ``f - 0`` are f; any other constant field is added or
-  subtracted as its value, so the sum shares f's tiers, and
-  ``f / constant(c)`` is ``f * (1 / constant(c))``.
+- ``f + 0`` is f; any other constant field is added as its value, so the
+  sum shares f's tiers.  ``-constant(c)`` is ``constant(-c)``, so
+  ``-constant(0.0)`` is ``constant(-0.0)``.
+- ``-`` and ``/`` are derived as the jet rules derive them, and fold
+  through the rules they are derived from: ``f - g`` is ``f + (-g)``,
+  ``c - f`` is ``(-f) + c`` and ``f / g`` is ``f * (1 / g)``, for fields
+  and scalars alike; so ``f - 0`` is f and ``f / c`` scales f by ``1 / c``.
 - Two constants (or a constant and a scalar) combine to a constant whose
   value is the operation on one-point jets, rounded as at every point.
 - ``partial`` of a constant is ``constant(0.0)``; ``nsum`` drops terms of
@@ -50,21 +56,21 @@ is never evaluated and a constant factor grows no zero tier:
 
 Folding is exact for finite values, except for the sign of a zero: the
 unfolded rule adds c's zero tiers (and 0 * f), which may turn a -0.0 into
-+0.0 or back, and a function that tells the zeros apart (``log``, ``sqrt``,
-``1/x``) shows it.  ``constant(0) * f`` is 0 where f is inf or NaN, where
-the unfolded product gave NaN; the same holds for a dropped ``nsum`` term.
++0.0 or back, and a function that tells the zeros apart (``1/x``, or
+``sin`` in the sign of its value) shows it.  ``constant(0) * f`` is 0
+where f is inf or NaN, where the unfolded product gave NaN; the same holds
+for a dropped ``nsum`` term.
 
 An affine real field records its d real partials in ``grad`` when it is
 built: ``coordinate`` sets a one-hot vector and a real ``constant`` zeros,
 and these carry it: ``nsum`` with real weights over terms that have one,
-a real constant field or scalar c in ``c * f``, ``f * c``, ``f + c``,
-``f - c``, ``c - f`` and ``f / c`` (as ``f * (1 / c)``) for a constant
-field c, ``f + g`` and ``f - g`` of two such fields, ``-f`` and
-``real_part``.  Every other field has ``grad`` None: products of
-two fields, complex weights and constants, ``exp`` and the other
-functions, ``compose_field``, plain ``ScalarField(dim, fn)`` closures, and
-so the complex affine fields (``complex_coordinate``, ``from_holomorphic``
-components).  ``partial(i)`` of a field with a gradient is
+a real constant field or scalar c in ``c * f``, ``f * c`` and ``f + c``,
+``f + g`` of two such fields, ``-f`` and ``real_part``, and so the derived
+``f - c``, ``c - f``, ``f / c`` and ``f - g``.  Every other field has
+``grad`` None: products of two fields, complex weights and constants,
+``exp`` and the other functions, ``compose_field``, plain
+``ScalarField(dim, fn)`` closures, and so the complex affine fields
+(``complex_coordinate``, ``from_holomorphic`` components).  ``partial(i)`` of a field with a gradient is
 ``constant(grad[i])``, so the folds above apply to it.  Each entry is formed
 with the float operations of the jet rule that forms the tier, in the same
 operand order (a real weight 1 adds without a multiply, sums run left to
@@ -216,25 +222,17 @@ class ScalarField:
         if b is None:
             return self._binary(other, lambda a, b: a + b,
                                 _grad_sum([(self.grad, 1.0), (other.grad, 1.0)]))
-        return self._binary(b, lambda a, b: a + b, _offset(self.grad, b))
+        # a real scalar shares f's tiers; a complex one makes the sum complex
+        return self._binary(b, lambda a, b: a + b,
+                            None if np.iscomplexobj(b) else self.grad)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        b = _value(other)
-        if b == 0:
-            return self
-        if b is None and self.const is not None:
-            return other.__rsub__(self.const)
-        if b is None:
-            # the jet rule is self + (-other)
-            return self._binary(other, lambda a, b: a - b,
-                                _grad_sum([(self.grad, 1.0), (_neg(other.grad), 1.0)]))
-        return self._binary(b, lambda a, b: a - b, _offset(self.grad, b))
+        return self + (-other)
 
     def __rsub__(self, other):
-        # the jet rule is (-self) + other
-        return self._binary(other, lambda a, b: b - a, _offset(_neg(self.grad), other))
+        return (-self) + other
 
     def __mul__(self, other):
         a, b = self.const, _value(other)
@@ -254,15 +252,16 @@ class ScalarField:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if self.const is None and isinstance(other, ScalarField) and other.const is not None:
-            return self * (1.0 / other)
-        return self._binary(other, lambda a, b: a / b)
+        return self * (1.0 / other)
 
     def __rtruediv__(self, other):
         return self._binary(other, lambda a, b: b / a)
 
     def __neg__(self):
-        return ScalarField(self.dim, lambda c, m: -self.eval(c, m), grad=_neg(self.grad))
+        if self.const is not None:
+            return constant(-self.const, self.dim)
+        grad = None if self.grad is None else tuple(-x for x in self.grad)
+        return ScalarField(self.dim, lambda c, m: -self.eval(c, m), grad=grad)
 
     def __pow__(self, k: int):
         return ScalarField(self.dim, lambda c, m: self.eval(c, m) ** k)
@@ -276,21 +275,12 @@ class ScalarField:
     def sin(self):
         return ScalarField(self.dim, lambda c, m: self.eval(c, m).sin())
 
-    def cos(self):
-        return ScalarField(self.dim, lambda c, m: self.eval(c, m).cos())
-
-    def sqrt(self):
-        return ScalarField(self.dim, lambda c, m: self.eval(c, m).sqrt())
-
     def real_part(self):
         # a field with a gradient is real, so its real part keeps it
         return ScalarField(self.dim, lambda c, m: self.eval(c, m).real(), grad=self.grad)
 
     def imag_part(self):
         return ScalarField(self.dim, lambda c, m: self.eval(c, m).imag())
-
-    def conjugate(self):
-        return ScalarField(self.dim, lambda c, m: self.eval(c, m).conj())
 
     # -- calculus -----------------------------------------------------------
 
@@ -361,16 +351,6 @@ def _grad_sum(terms):
             grad = tuple(float(x * w) for x in grad)
         acc = grad if acc is None else tuple(a + b for a, b in zip(acc, grad))
     return acc
-
-
-def _neg(grad):
-    """The gradient of -f for f of gradient ``grad`` (None stays None)."""
-    return None if grad is None else tuple(-x for x in grad)
-
-
-def _offset(grad, c):
-    """The gradient of f + c and f - c: a real scalar c shares f's tiers."""
-    return None if np.iscomplexobj(c) else grad
 
 
 def evaluate(fields: Sequence[ScalarField], pts, order: int):
@@ -481,10 +461,6 @@ class PointMap:
     def jacobian(self, pts):
         """(N, dim_out, dim_in) Jacobians at the sample points."""
         return stacked(self.components, as_batch(pts, self.dim_in))[1]
-
-    @staticmethod
-    def identity(dim):
-        return PointMap([coordinate(i, dim) for i in range(dim)])
 
     @staticmethod
     def affine(M, b):

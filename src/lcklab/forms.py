@@ -202,19 +202,14 @@ def lie_derivative(X: VectorField, a: Form) -> Form:
 
 
 def pullback(pmap: PointMap, a: Form) -> Form:
-    """phi^* a with exact Jacobians from the map's component fields."""
+    """phi^* a with exact Jacobians from the map's component fields: each
+    d(phi^i) is ``exterior_d`` of the component, so the partials that fold
+    to zero are left out before any wedge multiplies by them."""
     if a.dim != pmap.dim_out:
         raise ValueError(
             f"form lives on a dim-{a.dim} chart, map lands in dim {pmap.dim_out}"
         )
-    dim_src = pmap.dim_in
-    # d(phi^i) as 1-forms on the source chart
-    dphi = {}
-    for i in range(pmap.dim_out):
-        comp = pmap.components[i]
-        coeffs = {(j,): comp.partial(j) for j in range(dim_src)}
-        dphi[i] = Form(dim_src, 1, coeffs)
-    out = Form.zero(dim_src, a.degree)
+    dphi = [exterior_d(Form.from_function(comp)) for comp in pmap.components]
     parts = []
     for idx, f in a.coeffs.items():
         term = Form.from_function(compose_field(f, pmap))
@@ -222,7 +217,7 @@ def pullback(pmap: PointMap, a: Form) -> Form:
             term = wedge(term, dphi[i])
         parts.append(term)
     if not parts:
-        return out
+        return Form.zero(pmap.dim_in, a.degree)
     return Form.nsum(parts)
 
 

@@ -259,21 +259,6 @@ class Jet:
         s, c = np.sin(self.v), np.cos(self.v)
         return self.chain([s, c, -s, -c][: self.order + 1])
 
-    def cos(self):
-        s, c = np.sin(self.v), np.cos(self.v)
-        return self.chain([c, -s, -c, s][: self.order + 1])
-
-    def sqrt(self):
-        r = np.sqrt(self.v)
-        d = [r]
-        if self.order >= 1:
-            d.append(0.5 / r)
-        if self.order >= 2:
-            d.append(-0.25 / (r * self.v))
-        if self.order >= 3:
-            d.append(0.375 / (r * self.v**2))
-        return self.chain(d)
-
 
 def compose_multi(outer, inners, order):
     """Chain rule for outer(Y_1(x), ..., Y_k(x)).

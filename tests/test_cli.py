@@ -565,15 +565,26 @@ def test_traffic_script_names_the_statements_a_call_did_not_run(monkeypatch):
     found = traffic.unrun([{"entry": "run_verify", "args": ["hxc_cover"],
                             "kwargs": {"points": 5}}], seed=42)
     assert sys.gettrace() is tracer
-    unrun_in = {name: {fn for fn, _, _ in ranges} for name, (_, _, ranges) in found.items()}
+    unrun_in = {name: {fn for fn, _, _ in ranges} for name, (_, _, ranges, _) in found.items()}
+    idle_in = {name: {fn for fn, _ in idle} for name, (_, _, _, idle) in found.items()}
     # hxc_cover's suite ran whole, and it builds no torus
     assert "_hxc_report" not in unrun_in["cli.py"]
     assert {"_nondiag_report", "main"} <= unrun_in["cli.py"]
     assert {"verdict", "torus_pairings", "averaged_pairings"} <= unrun_in["torus.py"]
-    total, missed, ranges = found["cli.py"]
+    assert {"_nondiag_report", "main"} <= idle_in["cli.py"]
+    assert {"verdict", "torus_pairings", "averaged_pairings"} <= idle_in["torus.py"]
+    assert not {"_hxc_report", "run_verify"} & idle_in["cli.py"]
+    total, missed, ranges, idle = found["cli.py"]
     assert 0 < missed < total
     stmts = traffic.statements(str(Path(traffic.PACKAGE) / "cli.py"))
     assert missed == sum(first <= ln <= last for ln in stmts for _, first, last in ranges)
+    # a function no call entered ran none of its statements, and the list is
+    # in line order
+    assert [first for _, first in idle] == sorted(first for _, first in idle)
+    for fn, _ in idle:
+        lines = [ln for ln, name in stmts.items() if name == fn]
+        assert lines and all(any(first <= ln <= last for _, first, last in ranges)
+                             for ln in lines)
 
 
 def _bench_pairs():

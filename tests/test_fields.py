@@ -87,6 +87,32 @@ def test_adding_a_constant_matches_the_unfolded_sum(kind, c, pts):
     assert_folds_exactly(constant(c, DIM) - f, hidden(c) - f, pts)
 
 
+@pytest.mark.parametrize("c", [2.0, 0.0, -0.0, 1 + 0j, 0j])
+def test_negating_a_constant_folds_to_the_negated_constant(c, pts):
+    # -constant(c) is constant(-c): a zero flips its sign and a complex zero
+    # stays complex, so only -constant(-0.0) is the shared +0.0 node
+    neg = -constant(c, DIM)
+    assert neg.const is not None
+    assert (neg is constant(0.0, DIM)) == (isinstance(c, float) and c == 0 and np.signbit(c))
+    assert_same_bits(neg.jet(pts, 0), (-hidden(c)).jet(pts, 0))
+    assert_folds_exactly(neg, -hidden(c), pts)
+
+
+@pytest.mark.parametrize("kind", FIELDS)
+def test_difference_and_quotient_follow_the_jet_rules(kind, pts):
+    # f - g is f + (-g), c - f is (-f) + c and f / g is f * (1 / g), as the
+    # jet rules derive them, so every tier equals the jet rule's bit for bit
+    f, g = FIELDS[kind](), _linear_field() + 3.0
+    for order in ORDERS:
+        F, G = f.jet(pts, order), g.jet(pts, order)
+        assert_same_bits((f - g).jet(pts, order), F - G)
+        assert_same_bits((g - f).jet(pts, order), G - F)
+        assert_same_bits((f / g).jet(pts, order), F / G)
+        for c in CONSTANTS + [2.0]:
+            assert_same_bits((c - f).jet(pts, order), c - F)
+            assert_same_bits((f - c).jet(pts, order), F - c)
+
+
 @pytest.mark.parametrize("kind", FIELDS)
 def test_nsum_without_zero_terms_matches_the_unfolded_sum(kind, pts):
     f, lin = FIELDS[kind](), _linear_field()
@@ -157,6 +183,9 @@ def test_folding_rules_build_the_expected_nodes():
     f = _real_field()
     assert f * 1 is f and f * constant(1, DIM) is f and constant(1.0, DIM) * f is f
     assert f + 0 is f and 0 + f is f and f + constant(0.0, DIM) is f and f - 0.0 is f
+    assert f - constant(0.0, DIM) is f and f - constant(-0.0, DIM) is f
+    # dividing by a real scalar scales, so an affine field keeps its gradient
+    assert (coordinate(0, DIM) / 2.0).grad == (0.5, 0.0, 0.0, 0.0)
     for zero in (f * 0, 0.0 * f, f * constant(0.0, DIM), constant(0j, DIM) * f):
         assert zero.const == 0
     assert constant(3.0, DIM).partial(1).const == 0
@@ -194,7 +223,7 @@ def test_forms_omit_coefficients_that_fold_to_zero():
 
 def test_folding_changes_the_sign_of_a_zero(pts):
     # 0 * x at x < 0 is -0.0 unfolded and +0.0 folded; log cannot tell the
-    # two apart, sqrt keeps the sign and 1/x turns it into -inf / +inf
+    # two apart, sin keeps the sign and 1/x turns it into -inf / +inf
     x = coordinate(0, DIM)
     at = -np.abs(pts)
     folded, unfolded = constant(0.0, DIM) * x, hidden(0.0) * x
@@ -203,8 +232,8 @@ def test_folding_changes_the_sign_of_a_zero(pts):
     with np.errstate(divide="ignore"):
         assert np.array_equal(folded.log().values(at), unfolded.log().values(at))
         assert (folded.log().values(at) == -np.inf).all()
-        assert not np.signbit(folded.sqrt().values(at)).any()
-        assert np.signbit(unfolded.sqrt().values(at)).all()
+        assert not np.signbit(folded.sin().values(at)).any()
+        assert np.signbit(unfolded.sin().values(at)).all()
         assert (1.0 / folded).values(at).tolist() == [np.inf] * len(at)
         assert (1.0 / unfolded).values(at).tolist() == [-np.inf] * len(at)
 
@@ -248,6 +277,8 @@ AFFINE = {
     "sum": lambda x: x[0] * 2.0 + x[1],
     # (-x0) - x1 is -x0 + (-x1): its partials in x2 and x3 are -0.0
     "difference": lambda x: -x[0] - x[1] * 3.0,
+    # f / c is f * (1 / c), for a scalar and a constant field alike
+    "quotient": lambda x: x[0] / 2.0 - x[2] / constant(-4.0, DIM),
     "real_part": lambda x: (x[0] - 0.5 * x[1]).real_part(),
     # a component of PointMap.affine: zero weights dropped, then an offset
     "affine_map": lambda x: (ScalarField.nsum(x, np.array([0.0, -1.25, 0.0, 2.0]))
@@ -323,3 +354,33 @@ def test_pullback_by_an_affine_deck_map_builds_no_partial_node(monkeypatch, fixt
     hidden_map = PointMap([ScalarField(c.dim, c._fn) for c in gamma.components])
     count = _partial_nodes_built(monkeypatch, lambda: pullback(hidden_map, omega))
     assert count == gamma.dim_out * gamma.dim_in
+
+
+def _multiplies(monkeypatch, build):
+    """Whether each field multiply ``build()`` makes has a zero constant
+    operand, in call order."""
+    seen = []
+    mul = ScalarField.__mul__
+
+    def spy(self, other):
+        seen.append(self.const == 0 or getattr(other, "const", other) == 0)
+        return mul(self, other)
+
+    monkeypatch.setattr(ScalarField, "__mul__", spy)
+    monkeypatch.setattr(ScalarField, "__rmul__", spy)
+    build()
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("fixture, params, deck", [
+    ("hopf_diag", {"n": 4}, "gamma"), ("leeolo", {"n": 8}, "gamma"),
+    ("inoue_splus", {}, "g1")])
+def test_pullback_multiplies_no_coefficient_by_a_zero_partial(
+        monkeypatch, fixture, params, deck):
+    # d(phi^i) comes from exterior_d, which leaves out the partials that fold
+    # to zero, so no wedge in the pullback multiplies by one
+    m = manifolds.gallery(fixture, **params)
+    gamma, omega = m.deck(deck).map, m.structure.omega
+    seen = _multiplies(monkeypatch, lambda: pullback(gamma, omega))
+    assert seen and not any(seen)

@@ -264,9 +264,8 @@ def test_equivariance_of_rescaled_invariant_form(inoue, inoue_pts):
 
 
 def test_identity_deck_is_equivariant_with_unit_factor(hopf, hopf_pts):
-    from lcklab.fields import PointMap
-
-    ident = M.DeckTransformation("id", PointMap.identity(hopf.dim), rho=1.0)
+    ident_map = PointMap([coordinate(i, hopf.dim) for i in range(hopf.dim)])
+    ident = M.DeckTransformation("id", ident_map, rho=1.0)
     trivial = M.ModelManifold(
         name="trivial", dim=hopf.dim, contains=hopf._contains,
         sampler=hopf._sampler, decks=[ident],
@@ -423,11 +422,15 @@ def _term_by_term_phi(beta, lam, m, K):
     and the weighted sum by ``nsum``: the series as it was built before its
     terms were stacked along the point axis."""
     z1, z2 = complex_coordinate(0, 4), complex_coordinate(1, 4)
+
+    def conj(f):
+        return ScalarField(f.dim, lambda c, m: f.eval(c, m).conj())
+
     terms, weights = [], []
     for k in range(-K, K + 1):
         w1 = beta**k * z1
         w2 = beta ** (m * k) * z2 + (k * lam * beta ** (m * (k - 1))) * z1**m
-        nk = (w1 * w1.conjugate()).real_part() + (w2 * w2.conjugate()).real_part()
+        nk = (w1 * conj(w1)).real_part() + (w2 * conj(w2)).real_part()
         terms.append(1.0 / (nk + (1.0 / nk) ** 2))
         weights.append((abs(beta) ** 2) ** (-k))
     return -1.0 * ScalarField.nsum(terms, weights).log()

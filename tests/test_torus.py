@@ -70,8 +70,9 @@ def _shear_action():
     m = M.gallery("hxc_cover")
     zero = constant(0.0, 4)
     x1, y1 = coordinate(0, 4), coordinate(1, 4)
+    ident = PointMap([coordinate(i, 4) for i in range(4)])
     return T.TorusAction(m, [
-        M.FlowMap(name, VectorField(comps), lambda t: PointMap.identity(4), period=1.0)
+        M.FlowMap(name, VectorField(comps), lambda t: ident, period=1.0)
         for name, comps in (("X", [zero, x1, zero, zero]), ("Y", [y1, zero, zero, zero]))])
 
 
@@ -502,7 +503,8 @@ def test_intersection_dimension_takes_the_generic_rank():
 
     X = VectorField([constant(0.0, 4), constant(0.0, 4),
                      coordinate(0, 4), constant(0.0, 4)])
-    fake = M.FlowMap("fake", X, lambda t: PointMap.identity(4), period=1.0)
+    ident = PointMap([coordinate(i, 4) for i in range(4)])
+    fake = M.FlowMap("fake", X, lambda t: ident, period=1.0)
     act = T.TorusAction(m, [fake])
     pts = np.array([
         [0.0, 1.0, 0.2, 0.3],   # generator vanishes here
